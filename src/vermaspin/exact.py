@@ -16,7 +16,7 @@ import re as _re
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the "gmpy2" extra
     from fractions import Fraction as _Q
 
 __all__ = [
@@ -156,25 +156,21 @@ class GaussianRational:
     @staticmethod
     def from_string(s):
         s = s.strip().replace(" ", "")
+        if _re.fullmatch(r"[+-]?\d+(?:/\d+)?", s):
+            return GaussianRational(rational_from_string(s))
+        # a real part is only split off before a sign, so "12*i" stays 12i
         m = _re.fullmatch(
-            r"(?P<re>[+-]?\d+(?:/\d+)?)?"
-            r"(?:(?P<im>[+-]?\d+(?:/\d+)?)\*?i)?",
+            r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?"
+            r"(?P<im>[+-]?(?:\d+(?:/\d+)?\*?)?)i",
             s,
         )
-        if not m or (m.group("re") is None and m.group("im") is None) or (
-            m.group("re") and m.group("im") is None and s.endswith("i")
-        ):
-            # bare "i"/"-i"/"+i" forms
-            m2 = _re.fullmatch(r"(?P<re>[+-]?\d+(?:/\d+)?[+-])?(?P<sgn>[+-]?)i", s)
-            if m2:
-                re_part = m2.group("re")
-                re_val = rational_from_string(re_part[:-1]) if re_part else _Q(0)
-                sgn = -1 if (re_part and re_part.endswith("-")) or m2.group("sgn") == "-" else 1
-                return GaussianRational(re_val, sgn)
+        if not m:
             raise ValueError("not a Gaussian rational: %r" % (s,))
+        im = m.group("im").rstrip("*")
+        if im in ("", "+", "-"):
+            im += "1"
         re_val = rational_from_string(m.group("re")) if m.group("re") else _Q(0)
-        im_val = rational_from_string(m.group("im")) if m.group("im") else _Q(0)
-        return GaussianRational(re_val, im_val)
+        return GaussianRational(re_val, rational_from_string(im))
 
     def __repr__(self):
         return "GaussianRational(%s)" % self.to_string()
@@ -395,12 +391,57 @@ _EMPTY = {}
 
 
 # ---------------------------------------------------------------------------
-# elimination engines
+# elimination: one Gauss-Jordan loop, with field operations for Q(i) and F_p
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(rows, order, normalize, sub_scaled):
+    """Gauss-Jordan on a list of dict rows, in place; returns [(col, row index)].
+
+    Columns are pivoted in the given order.  A column's pivot is its sparsest
+    holder row (lowest index on ties); ``normalize(row, col)`` scales it to a
+    leading one and ``sub_scaled(target, row, factor)`` clears the column
+    from every other row, earlier pivot rows included.  A column index lists
+    the holders of each column and gains a row whenever fill-in appears, so
+    no step scans every row.  Entries that cancelled are skipped when their
+    column comes up, and a column leaves the index once it is pivoted.
+    """
+    holders = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, []).append(i)
+    pivoted = set()
+    pivots = []
+    for c in order:
+        hold = {i for i in holders.pop(c, ()) if c in rows[i]}
+        cand = hold - pivoted
+        if not cand:
+            continue
+        r = min(cand, key=lambda i: (len(rows[i]), i))
+        pivoted.add(r)
+        hold.discard(r)
+        row = rows[r] = normalize(rows[r], c)
+        for r2 in hold:
+            row2 = rows[r2]
+            fill = [k for k in row if k not in row2]
+            sub_scaled(row2, row, row2[c])
+            for k in fill:
+                holders[k].append(r2)
+        pivots.append((c, r))
+    return pivots
+
+
+def _normalize_row(row, c):
+    """row scaled to a leading one in column c, over Q(i)."""
+    piv = row[c]
+    if piv == QI_ONE:
+        return row
+    inv = QI_ONE / piv
+    return {k: v * inv for k, v in row.items()}
+
+
 def _sub_scaled_row(target, source, factor):
-    """target -= factor * source, in place on dict rows. factor nonzero."""
+    """target -= factor * source, in place on dict rows over Q(i). factor nonzero."""
     fre, fim = factor.re, factor.im
     mk = GaussianRational._mk
     for c, v in source.items():
@@ -419,67 +460,17 @@ def _sub_scaled_row(target, source, factor):
                 del target[c]
 
 
-def _jordan_eliminate(rows):
-    """Destructive Gauss-Jordan on a list of dict rows.
-
-    Pivot choice favours sparse rows (Markowitz-like).  Returns a list of
-    (pivot_col, row_dict) in the order pivots were chosen; afterwards each
-    pivot column is nonzero only in its own pivot row.
-    """
-    live = {i for i, row in enumerate(rows) if row}
-    pivots = []
-    while live:
-        r = min(live, key=lambda i: (len(rows[i]), i))
-        row = rows[r]
-        if not row:
-            live.discard(r)
-            continue
-        c = min(row)
-        piv = row[c]
-        live.discard(r)
-        # eliminate col c from every other row that has it
-        for r2, row2 in enumerate(rows):
-            if r2 == r or c not in row2:
-                continue
-            _sub_scaled_row(row2, row, row2[c] / piv)
-            if not row2:
-                live.discard(r2)
-        pivots.append((c, row))
-    return pivots
-
-
 def rref(m: SparseMatrix):
     """The unique reduced row-echelon form of m and its pivot columns."""
-    rows = [dict(row) for row in (m.data.get(r, {}) for r in range(m.rows))]
-    pivots = []
-    pivot_rows = []
-    remaining = [r for r in range(m.rows)]
-    used = set()
-    for c in range(m.cols):
-        cand = [r for r in remaining if r not in used and c in rows[r]]
-        if not cand:
-            continue
-        r = min(cand, key=lambda i: (len(rows[i]), i))
-        used.add(r)
-        piv = rows[r][c]
-        if piv != QI_ONE:
-            inv = QI_ONE / piv
-            rows[r] = {k: v * inv for k, v in rows[r].items()}
-        for r2 in range(m.rows):
-            if r2 != r and c in rows[r2]:
-                _sub_scaled_row(rows[r2], rows[r], rows[r2][c])
-        pivots.append(c)
-        pivot_rows.append(r)
-    data = {}
-    for i, r in enumerate(pivot_rows):
-        if rows[r]:
-            data[i] = rows[r]
-    return SparseMatrix(m.rows, m.cols, data), pivots
+    rows = [dict(row) for row in m.data.values()]
+    pivots = _eliminate(rows, range(m.cols), _normalize_row, _sub_scaled_row)
+    data = {i: rows[r] for i, (_, r) in enumerate(pivots)}
+    return SparseMatrix(m.rows, m.cols, data), [c for c, _ in pivots]
 
 
 def rank(m: SparseMatrix) -> int:
     rows = [dict(row) for row in m.data.values()]
-    return len(_jordan_eliminate(rows))
+    return len(_eliminate(rows, reversed(range(m.cols)), _normalize_row, _sub_scaled_row))
 
 
 # mod-p certificate: p = 1 (mod 4) so that -1 is a square and Q(i) maps
@@ -521,34 +512,20 @@ def _modp_rows(m: SparseMatrix):
     return rows
 
 
-def _modp_rank(rows):
+def _normalize_row_modp(row, c):
     p = _CERT_P
-    live = {i for i, row in enumerate(rows) if row}
-    pivots = 0
-    while live:
-        r = min(live, key=lambda i: (len(rows[i]), i))
-        row = rows[r]
-        live.discard(r)
-        if not row:
-            continue
-        c = min(row)
-        inv = pow(row[c], -1, p)
-        for r2 in list(live):
-            row2 = rows[r2]
-            f = row2.get(c)
-            if f is None:
-                continue
-            f = (f * inv) % p
-            for cc, v in row.items():
-                t = (row2.get(cc, 0) - f * v) % p
-                if t:
-                    row2[cc] = t
-                elif cc in row2:
-                    del row2[cc]
-            if not row2:
-                live.discard(r2)
-        pivots += 1
-    return pivots
+    inv = pow(row[c], -1, p)
+    return {k: v * inv % p for k, v in row.items()}
+
+
+def _sub_scaled_row_modp(target, source, factor):
+    p = _CERT_P
+    for c, v in source.items():
+        t = (target.get(c, 0) - factor * v) % p
+        if t:
+            target[c] = t
+        else:
+            del target[c]
 
 
 def kernel_is_trivial_hint(m: SparseMatrix):
@@ -556,41 +533,35 @@ def kernel_is_trivial_hint(m: SparseMatrix):
     rows = _modp_rows(m)
     if rows is None:
         return False
-    return _modp_rank(rows) == m.cols
+    pivots = _eliminate(rows, reversed(range(m.cols)), _normalize_row_modp, _sub_scaled_row_modp)
+    return len(pivots) == m.cols
 
 
 def nullspace(m: SparseMatrix, modular_shortcut=True):
     """Exact basis of {v : m v = 0}, canonical (RREF of the kernel).
 
     Each vector is a dict col -> GaussianRational with first nonzero entry 1;
-    vectors are ordered by leading index.
+    vectors are ordered by leading index.  Pivoting from the last column
+    first leaves every pivot row with entries only in free columns left of
+    its pivot, so e_f - sum_c row_c[f] e_c is already the RREF basis vector
+    of free column f.  Every vector is checked against m before it is
+    returned.
     """
-    if m.cols == 0:
-        return []
-    if not m.data:
-        basis = [{c: QI_ONE} for c in range(m.cols)]
-        return basis
     if modular_shortcut and kernel_is_trivial_hint(m):
         return []
     rows = [dict(row) for row in m.data.values()]
-    pivots = _jordan_eliminate(rows)
+    pivots = _eliminate(rows, reversed(range(m.cols)), _normalize_row, _sub_scaled_row)
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    raw = []
-    for f in free_cols:
-        v = {f: QI_ONE}
-        for c, row in pivots:
-            w = row.get(f)
-            if w is not None:
-                v[c] = -(w / row[c])
-        raw.append(v)
-    basis = _canonical_basis(raw, m.cols)
-    if __debug__:
-        npiv = len(pivots)
-        assert npiv + len(basis) == m.cols, "rank-nullity violated"
-        for v in basis:
-            assert not m.mul_vec(v), "kernel vector not annihilated"
-    return basis
+    kernel = {f: {f: QI_ONE} for f in range(m.cols) if f not in pivot_cols}
+    for c, r in pivots:
+        for f, w in rows[r].items():
+            if f != c:
+                kernel[f][c] = -w
+    for f, v in kernel.items():
+        if m.mul_vec(v):
+            raise ArithmeticError("kernel vector of free column %d is not annihilated by "
+                                  "the %dx%d matrix" % (f, m.rows, m.cols))
+    return list(kernel.values())
 
 
 def _canonical_basis(vectors, dim):

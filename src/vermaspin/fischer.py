@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import SparseMatrix, nullspace, express_in_span, QI_ONE
+from .exact import SparseMatrix, nullspace, express_in_span, _canonical_basis
 from .polyspinor import SpinorPoly, assemble
 from .realization import _osp_cached
 from .context import Context
@@ -25,7 +25,6 @@ __all__ = [
     "fischer_decompose",
     "apply_x_power",
     "dirac_matrix",
-    "euler_matrix",
     "x_mult_matrix",
     "x_power_matrix",
 ]
@@ -53,11 +52,6 @@ def dirac_matrix(ctx: Context, degree):
     """Assembled Dirac operator on the degree-d component (cached)."""
     D, _, _ = _osp_cached(ctx.rep)
     return ctx.assemble_cached("dirac", D, degree)
-
-
-def euler_matrix(ctx: Context, degree):
-    _, E, _ = _osp_cached(ctx.rep)
-    return ctx.assemble_cached("euler", E, degree)
 
 
 def x_mult_matrix(ctx: Context, degree):
@@ -100,17 +94,12 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
                 poly = basis.from_coordinates(v).fiber_map(proj)
                 if not poly.is_zero():
                     projected.append(basis.coordinates(poly))
-            for v in _span_basis(projected, basis.size):
+            for v in _canonical_basis(projected, basis.size):
                 elements.append(basis.from_coordinates(v))
                 tags.append(tag)
     out = MonogenicBasis(degree=a, elements=elements, chirality=tags)
     ctx.cache[key] = out
     return out
-
-
-def _span_basis(vectors, dim):
-    from .exact import _canonical_basis
-    return _canonical_basis(vectors, dim)
 
 
 def monogenic_dim(ctx: Context, a) -> int:

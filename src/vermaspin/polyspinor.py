@@ -87,10 +87,6 @@ class SpinorPoly:
     def monomial(cls, n, dim, mono, fiber_index, coeff=QI_ONE):
         return cls(n, dim, {tuple(mono): {fiber_index: coeff}})
 
-    def copy(self):
-        return SpinorPoly(self.n, self.dim,
-                          {m: dict(v) for m, v in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
@@ -132,11 +128,6 @@ class SpinorPoly:
         degs = self.degrees()
         return degs[0] if len(degs) == 1 else None
 
-    def degree_part(self, d):
-        return SpinorPoly(self.n, self.dim,
-                          {m: dict(v) for m, v in self.terms.items()
-                           if mono_degree(m) == d})
-
     def fiber_map(self, mat: SparseMatrix):
         """Apply a fiber matrix pointwise: terms become mat @ vec."""
         out = {}
@@ -145,12 +136,6 @@ class SpinorPoly:
             if nv:
                 out[m] = nv
         return SpinorPoly(self.n, mat.rows, out)
-
-    def iter_sorted(self):
-        for m in sorted(self.terms, reverse=True):
-            vec = self.terms[m]
-            for i in sorted(vec):
-                yield m, i, vec[i]
 
     def to_json(self):
         terms = []
@@ -442,20 +427,6 @@ class LinearOperator:
     matrix: SparseMatrix
     source: GradedBasis
     target: GradedBasis
-
-    def apply_coords(self, coords):
-        return self.matrix.mul_vec(coords)
-
-    def compose(self, inner: "LinearOperator") -> "LinearOperator":
-        if inner.target.degree != self.source.degree:
-            raise ValueError("degree mismatch in composition")
-        return LinearOperator(self.matrix @ inner.matrix, inner.source, self.target)
-
-    def __add__(self, other):
-        return LinearOperator(self.matrix + other.matrix, self.source, self.target)
-
-    def scale(self, s):
-        return LinearOperator(self.matrix.scale(s), self.source, self.target)
 
     def to_json(self):
         obj = self.matrix.to_json()

@@ -2,11 +2,11 @@
 
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
-system; the solver computes that joint kernel by brute-force exact linear
-algebra (iterated intersection, with a stacked-matrix variant kept for
-cross-checking), refines it into isotypic components by exact eigensplitting
-of the X*D operator, and the classifier compares the outcome against the
-case table of the classification theorems.
+system; the solver computes that joint kernel as one exact nullspace of the
+stacked system (the mod-p certificate skips provably trivial kernels),
+refines it into isotypic components by exact eigensplitting of the X*D
+operator, and the classifier compares the outcome against the case table of
+the classification theorems.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
@@ -16,21 +16,20 @@ exactly one place (:func:`classify`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .exact import (
     SparseMatrix,
     nullspace,
     express_in_span,
-    kernel_is_trivial_hint,
     rational,
     rational_to_string,
     qi,
-    QI_ONE,
 )
 from .exact import _canonical_basis
 from .polyspinor import SpinorPoly, assemble, OperatorSpec
-from .realization import verma_action, _osp_cached
-from .fischer import monogenic_basis, monogenic_dim, dirac_matrix, x_mult_matrix
+from .realization import verma_action
+from .fischer import monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "ComponentRecord",
     "ClassificationReport",
     "singular_vectors",
-    "singular_vectors_stacked",
     "special_conformal_matrices",
     "isotypic_split",
     "label_isotypic",
@@ -164,36 +162,6 @@ def special_conformal_matrices(ctx: Context, lam, degree):
     return out
 
 
-def _kernel_vectors(ctx, lam, degree):
-    mats = special_conformal_matrices(ctx, lam, degree)
-    size = ctx.graded_basis(degree).size
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.stack_below(m)
-    if kernel_is_trivial_hint(stacked):
-        return []
-    vectors = [{c: QI_ONE} for c in range(size)]
-    for mat in mats:
-        if not vectors:
-            return []
-        restricted = SparseMatrix.from_entries(
-            mat.rows, len(vectors),
-            ((r, j, v) for j, vec in enumerate(vectors)
-             for r, v in mat.mul_vec(vec).items()),
-        )
-        coeff_kernel = nullspace(restricted, modular_shortcut=False)
-        vectors = [
-            _combine(vectors, [coeffs.get(j, qi(0)) for j in range(len(vectors))])
-            for coeffs in coeff_kernel
-        ]
-    vectors = _canonical_basis(vectors, size)
-    if __debug__:
-        for mat in mats:
-            for v in vectors:
-                assert not mat.mul_vec(v), "solver output not annihilated"
-    return vectors
-
-
 def _combine(vectors, coeffs):
     out = {}
     for vec, c in zip(vectors, coeffs):
@@ -210,19 +178,9 @@ def _combine(vectors, coeffs):
 
 
 def singular_vectors(ctx: Context, lam, degree):
-    """Canonical basis of the joint kernel of the special-conformal system."""
-    basis = ctx.graded_basis(degree)
-    return [basis.from_coordinates(v) for v in _kernel_vectors(ctx, lam, degree)]
-
-
-def singular_vectors_stacked(ctx: Context, lam, degree):
-    """Same subspace via one literal stacked-matrix nullspace (cross-check)."""
-    mats = special_conformal_matrices(ctx, lam, degree)
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.stack_below(m)
-    basis = ctx.graded_basis(degree)
-    return [basis.from_coordinates(v) for v in nullspace(stacked)]
+    """Canonical basis of the joint kernel: one nullspace of the stacked system."""
+    stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
+    return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +22,7 @@ from vermaspin.exact import (
     express_in_span,
     QI_ONE,
     QI_ZERO,
+    _CERT_P,
 )
 
 
@@ -56,6 +63,9 @@ def test_string_forms():
     assert qi(0).to_string() == "0"
     assert GaussianRational.from_string("i") == qi(0, 1)
     assert GaussianRational.from_string("1-i") == qi(1, -1)
+    # multi-digit imaginary parts are never split into a real and an imaginary part
+    assert GaussianRational.from_string("12*i") == qi(0, 12)
+    assert GaussianRational.from_string("1/10*i") == qi(0, rational(1, 10))
     with pytest.raises(ValueError):
         GaussianRational.from_string("0.5")
     with pytest.raises(ValueError):
@@ -171,3 +181,153 @@ def test_matrix_algebra():
 def test_matrix_json_roundtrip():
     m = SparseMatrix.from_dense([[qi(rational(1, 3)), qi(0, -1)], [qi(0), qi(5)]])
     assert SparseMatrix.from_json(m.to_json()) == m
+
+
+# -- the elimination engine against a dense Fraction oracle -----------------
+#
+# Scalars of the oracle are (re, im) pairs of Fractions, so it shares no
+# arithmetic with the package.
+
+_Z = (Fraction(0), Fraction(0))
+
+
+def _pair(z):
+    return (Fraction(int(z.re.numerator), int(z.re.denominator)),
+            Fraction(int(z.im.numerator), int(z.im.denominator)))
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan: first nonzero row pivots, columns left to right."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        r = next((i for i in range(top, len(rows)) if rows[i][c] != _Z), None)
+        if r is None:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        inv = _inv(rows[top][c])
+        rows[top] = [_mul(inv, x) for x in rows[top]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != top and f != _Z:
+                rows[i] = [(x[0] - y[0], x[1] - y[1])
+                           for x, y in zip(rows[i], (_mul(f, z) for z in rows[top]))]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _dense_kernel(rows, ncols):
+    """RREF basis of the kernel: free-column vectors, then RREF of their span."""
+    red, pivots = _dense_rref(rows, ncols)
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [_Z] * ncols
+        v[f] = (Fraction(1), Fraction(0))
+        for i, c in enumerate(pivots):
+            v[c] = (-red[i][f][0], -red[i][f][1])
+        vectors.append(v)
+    return _dense_rref(vectors, ncols)[0]
+
+
+def _dense(m):
+    return [[_pair(m.get(r, c)) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def _densify(vec, ncols):
+    return [_pair(vec.get(c, QI_ZERO)) for c in range(ncols)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse Q(i) matrices with dependent and duplicate rows, rows shuffled.
+
+    Denominators are small, or the certificate prime itself.
+    """
+    den = st.one_of(st.integers(min_value=1, max_value=6), st.just(_CERT_P))
+    part = st.builds(rational, st.integers(min_value=-4, max_value=4), den)
+    entry = st.builds(qi, part, part)
+    cols = draw(st.integers(min_value=1, max_value=6))
+    col = st.integers(min_value=0, max_value=cols - 1)
+    rows = [{c: draw(entry) for c in draw(st.sets(col, max_size=cols))}
+            for _ in range(draw(st.integers(min_value=0, max_value=5)))]
+    base = list(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if base else 0):
+        combo = {}
+        for row in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            f = draw(entry)
+            for c, v in row.items():
+                combo[c] = combo.get(c, QI_ZERO) + f * v
+        rows.append(combo)
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    order = draw(st.permutations(range(len(rows))))
+    return SparseMatrix.from_entries(
+        len(rows), cols, ((i, c, v) for i, j in enumerate(order) for c, v in rows[j].items()))
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_dense_oracle(m):
+    red, pivots = _dense_rref(_dense(m), m.cols)
+    kernel = _dense_kernel(_dense(m), m.cols)
+    got, got_pivots = rref(m)
+    assert got_pivots == pivots
+    assert [_densify(got.data[i], m.cols) for i in range(len(pivots))] == red
+    assert sorted(got.data) == list(range(len(pivots)))
+    assert rank(m) == len(pivots)
+    for shortcut in (True, False):
+        assert [_densify(v, m.cols) for v in nullspace(m, modular_shortcut=shortcut)] == kernel
+    if kernel_is_trivial_hint(m):
+        assert kernel == []
+
+
+def test_denominator_divisible_by_cert_prime():
+    # p divides a denominator: the certificate must abstain, the kernel stays exact
+    tiny = qi(rational(1, _CERT_P))
+    invertible = SparseMatrix.from_dense([[tiny, qi(0)], [qi(0), qi(1)]])
+    assert not kernel_is_trivial_hint(invertible)
+    assert nullspace(invertible) == []
+    # second row is p times the first
+    singular = SparseMatrix.from_dense([[tiny, qi(1)], [qi(1), qi(_CERT_P)]])
+    assert not kernel_is_trivial_hint(singular)
+    assert nullspace(singular) == [{0: QI_ONE, 1: -tiny}]
+
+
+def test_kernel_check_runs_under_optimize_flag():
+    # an elimination that corrupts one entry per row operation must be caught
+    # by the explicit M v = 0 check, also when asserts are compiled out
+    script = textwrap.dedent("""
+        from vermaspin import exact
+        from vermaspin.exact import SparseMatrix, nullspace, qi
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        sub = exact._sub_scaled_row
+
+        def corrupted(target, source, factor):
+            sub(target, source, factor)
+            for k in target:
+                target[k] = target[k] * 2
+                break
+
+        exact._sub_scaled_row = corrupted
+        m = SparseMatrix.from_dense([[qi(1), qi(1), qi(1)], [qi(1), qi(2), qi(3)]])
+        print(nullspace(m, modular_shortcut=False))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "ArithmeticError: kernel vector of free column 0" in proc.stderr
+    assert "2x3 matrix" in proc.stderr

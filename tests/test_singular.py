@@ -1,12 +1,14 @@
 import pytest
 
-from vermaspin.exact import qi, rational, express_in_span
+from vermaspin.exact import (
+    SparseMatrix, QI_ONE, QI_ZERO, qi, rational, express_in_span, nullspace, _canonical_basis)
 from vermaspin.polyspinor import SpinorPoly, assemble
 from vermaspin.realization import verma_action, invariant_contractions
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power
 from vermaspin.singular import (
+    _combine,
     singular_vectors,
-    singular_vectors_stacked,
+    special_conformal_matrices,
     isotypic_split,
     label_isotypic,
     predicted_components,
@@ -53,13 +55,31 @@ def test_generic_parameter_kernels_empty(ctx_factory):
         assert singular_vectors(ctx, rational(22, 7), d) == []
 
 
+def _iterated_singular_vectors(ctx, lam, degree):
+    """Oracle: the joint kernel by iterated intersection, one g_i at a time."""
+    basis = ctx.graded_basis(degree)
+    vectors = [{c: QI_ONE} for c in range(basis.size)]
+    for mat in special_conformal_matrices(ctx, lam, degree):
+        restricted = SparseMatrix.from_entries(
+            mat.rows, len(vectors),
+            ((r, j, v) for j, vec in enumerate(vectors)
+             for r, v in mat.mul_vec(vec).items()),
+        )
+        vectors = [
+            _combine(vectors, [coeffs.get(j, QI_ZERO) for j in range(len(vectors))])
+            for coeffs in nullspace(restricted, modular_shortcut=False)
+        ]
+    return [basis.from_coordinates(v) for v in _canonical_basis(vectors, basis.size)]
+
+
 def test_stacked_and_iterated_agree(ctx_factory):
-    ctx = ctx_factory(2, 1)
-    cells = [(rational(3, 2), 1), (rational(3), 1), (rational(2), 1),
-             (rational(5, 2), 3), (rational(4), 2)]
-    for lam, d in cells:
+    cells = [((2, 1), rational(3, 2), 1), ((2, 1), rational(3), 1),
+             ((2, 1), rational(2), 1), ((2, 1), rational(5, 2), 3),
+             ((2, 1), rational(4), 2), ((2, 2), rational(7, 2), 1)]
+    for (p, q), lam, d in cells:
+        ctx = ctx_factory(p, q)
         a = singular_vectors(ctx, lam, d)
-        b = singular_vectors_stacked(ctx, lam, d)
+        b = _iterated_singular_vectors(ctx, lam, d)
         assert [x.terms for x in a] == [x.terms for x in b]
 
 
