@@ -244,6 +244,12 @@ def cmd_intertwiner(args):
 # ---------------------------------------------------------------------------
 
 
+def _check(cond, msg=""):
+    """Raise AssertionError when cond is false, also under python -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _selftest_checks():
     """Bounded invariant suite; each yielded callable raises on failure."""
     from .exact import (GaussianRational, SparseMatrix, nullspace, rref,
@@ -258,13 +264,13 @@ def _selftest_checks():
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
-        assert GaussianRational.from_string(a.to_string()) == a
-        assert (a * a / a) == a
+        _check(GaussianRational.from_string(a.to_string()) == a)
+        _check(a * a / a == a)
         m = SparseMatrix.from_dense([[qi(1), qi(0, 1)], [qi(0, -1), qi(1)]])
         red, piv = rref(m)
-        assert piv == [0] and red.get(0, 1) == qi(0, 1)
+        _check(piv == [0] and red.get(0, 1) == qi(0, 1))
         ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
-        assert ker == [{0: qi(1), 1: qi(0, 1)}]
+        _check(ker == [{0: qi(1), 1: qi(0, 1)}])
 
     def gamma_relations():
         for (p, q) in [(3, 0), (1, 2), (2, 2), (5, 0), (3, 3)]:
@@ -274,9 +280,9 @@ def _selftest_checks():
                 for j in range(i, rep.n + 1):
                     anti = rep.gamma(i) @ rep.gamma(j) + rep.gamma(j) @ rep.gamma(i)
                     if i == j:
-                        assert anti == SparseMatrix.identity(N, qi(-2 * rep.sig.eps(i)))
+                        _check(anti == SparseMatrix.identity(N, qi(-2 * rep.sig.eps(i))))
                     else:
-                        assert anti.is_zero()
+                        _check(anti.is_zero())
 
     def blades():
         sig = Signature(2, 2)
@@ -285,7 +291,7 @@ def _selftest_checks():
             for b2 in range(16):
                 prod = blade_product(CliffordElement(4, {b1: QI_ONE}),
                                      CliffordElement(4, {b2: QI_ONE}), sig)
-                assert rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2)
+                _check(rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2))
 
     def osp_relations():
         for (p, q) in [(2, 1), (2, 2)]:
@@ -297,10 +303,10 @@ def _selftest_checks():
                 Ed = assemble(E, d, mk).matrix
                 Xd = assemble(X, d, mk).matrix
                 lhs = assemble(E, d - 1, mk).matrix @ Dd - Dd @ Ed
-                assert lhs == Dd.scale(-1)
+                _check(lhs == Dd.scale(-1))
                 anti = assemble(D, d + 1, mk).matrix @ Xd + assemble(X, d - 1, mk).matrix @ Dd
-                assert anti == Ed.scale(-2) - SparseMatrix.identity(Ed.rows).scale(ctx.n)
-                assert assemble(E, d + 1, mk).matrix @ Xd - Xd @ Ed == Xd
+                _check(anti == Ed.scale(-2) - SparseMatrix.identity(Ed.rows).scale(ctx.n))
+                _check(assemble(E, d + 1, mk).matrix @ Xd - Xd @ Ed == Xd)
 
     def brackets():
         ctx = Context(2, 1)
@@ -323,7 +329,7 @@ def _selftest_checks():
                         rhs = SparseMatrix.zero(lhs.rows, lhs.cols)
                         for g2, c in sc.bracket(a, b):
                             rhs = rhs + assemble(act[g2], d, mk).matrix.scale(c)
-                        assert lhs == rhs, (picture, a, b, d)
+                        _check(lhs == rhs, (picture, a, b, d))
 
     def contractions():
         ctx = Context(3, 0)
@@ -332,7 +338,7 @@ def _selftest_checks():
             mk = ctx.basis_maker(ctx.spinor_dim)
             for d in range(0, 5):
                 for s, c in cons:
-                    assert assemble(s, d, mk).matrix == assemble(c, d, mk).matrix
+                    _check(assemble(s, d, mk).matrix == assemble(c, d, mk).matrix)
 
     def ladder():
         ctx = Context(2, 1)
@@ -348,7 +354,7 @@ def _selftest_checks():
                     scalar = qi(-k) if k % 2 == 0 else qi(-(2 * m + ctx.n + k - 1))
                     expect = apply_x_power(ctx, k - 1, el).scale(scalar) if k else \
                         SpinorPoly.zero(ctx.n, ctx.spinor_dim)
-                    assert img == expect
+                    _check(img == expect)
 
     def fischer_rule():
         import math
@@ -356,34 +362,34 @@ def _selftest_checks():
             ctx = Context(p, q)
             for d in range(0, 5):
                 total = sum(monogenic_dim(ctx, m) for m in range(d + 1))
-                assert total == math.comb(d + ctx.n - 1, ctx.n - 1) * ctx.spinor_dim
-        assert all(monogenic_dim(Context(4, 0), m) == monogenic_dim(Context(2, 2), m)
-                   for m in range(4))
+                _check(total == math.comb(d + ctx.n - 1, ctx.n - 1) * ctx.spinor_dim)
+        _check(all(monogenic_dim(Context(4, 0), m) == monogenic_dim(Context(2, 2), m)
+                   for m in range(4)))
 
     def classification():
         ctx = Context(3, 0)
         rep = classify(ctx, rational(5, 2), 6)
-        assert rep.match and rep.case == "twistor"
+        _check(rep.match and rep.case == "twistor")
         labels = sorted(c.label() for c in rep.found)
-        assert labels == [(0, 0, 0, 2), (2, 0, 2, 6)]
-        assert classify(ctx, rational(1), 6).case == "dirac-power"
-        assert classify(ctx, rational(1, 5), 4).case == "generic"
+        _check(labels == [(0, 0, 0, 2), (2, 0, 2, 6)])
+        _check(classify(ctx, rational(1), 6).case == "dirac-power")
+        _check(classify(ctx, rational(1, 5), 4).case == "generic")
         # at realization parameter 3 the degree-1 kernel is M_1, and both
         # sides are its canonical basis
         a = singular_vectors(ctx, rational(3), 1)
         b = monogenic_basis(ctx, 1).elements
-        assert [x.terms for x in a] == [x.terms for x in b]
+        _check([x.terms for x in a] == [x.terms for x in b])
 
     def intertwining():
         ctx = Context(2, 1)
         op = dirac_power(1, ctx)
-        assert op.dirac_symbol_ratio == qi(1)
-        assert verify_intertwining(op, 3, ctx).residual_zero
-        assert not verify_intertwining(op, 2, ctx, source_offset=1).residual_zero
+        _check(op.dirac_symbol_ratio == qi(1))
+        _check(verify_intertwining(op, 3, ctx).residual_zero)
+        _check(not verify_intertwining(op, 2, ctx, source_offset=1).residual_zero)
         deriv = next(iter(op.coefficients))
-        assert not verify_intertwining(op.perturbed(deriv, 0, 0), 2, ctx).residual_zero
+        _check(not verify_intertwining(op.perturbed(deriv, 0, 0), 2, ctx).residual_zero)
         top = twistor(1, ctx)
-        assert verify_intertwining(top, 3, ctx).residual_zero
+        _check(verify_intertwining(top, 3, ctx).residual_zero)
 
     return [
         ("exact scalars and kernels", scalars),

@@ -293,6 +293,14 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
     from .polyspinor import assemble as _assemble
     src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
     gens = generators(ctx.n)
+    op_mats = {}
+
+    def op_matrix(degree):
+        mat = op_mats.get(degree)
+        if mat is None:
+            mat = op_mats[degree] = operator_matrix(op, degree, ctx)
+        return mat
+
     max_terms = 0
     first = None
     tested = 0
@@ -303,10 +311,10 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
         shift = shifts[0] if shifts else 0
         for d in range(0, test_degree + 1):
             s_mat = _assemble(s_spec, d, ctx.basis_maker(op.source_dim)).matrix
-            lhs = operator_matrix(op, d + shift, ctx) @ s_mat
+            lhs = op_matrix(d + shift) @ s_mat
             t_mat = _assemble(t_spec, d - op.order,
                               ctx.basis_maker(op.target_dim)).matrix
-            rhs = t_mat @ operator_matrix(op, d, ctx)
+            rhs = t_mat @ op_matrix(d)
             res = lhs - rhs
             tested += lhs.cols
             if not res.is_zero():

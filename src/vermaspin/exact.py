@@ -504,7 +504,9 @@ def _modp_rows(m: SparseMatrix):
             cn, cd = int(v.im.numerator), int(v.im.denominator)
             if bd % p == 0 or cd % p == 0:
                 return None
-            val = (bn * pow(bd, -1, p) + cn * pow(cd, -1, p) * s) % p
+            a = bn if bd == 1 else bn * pow(bd, -1, p)
+            b = cn if cd == 1 else cn * pow(cd, -1, p)
+            val = (a + b * s) % p
             if val:
                 out[c] = val
         if out:
@@ -557,11 +559,22 @@ def nullspace(m: SparseMatrix, modular_shortcut=True):
         for f, w in rows[r].items():
             if f != c:
                 kernel[f][c] = -w
+    cols = m.columns()
     for f, v in kernel.items():
-        if m.mul_vec(v):
+        if not _annihilates(cols, v):
             raise ArithmeticError("kernel vector of free column %d is not annihilated by "
                                   "the %dx%d matrix" % (f, m.rows, m.cols))
     return list(kernel.values())
+
+
+def _annihilates(cols, vec):
+    """m @ vec == 0, from m.columns(), walking only the columns vec touches."""
+    out = {}
+    for c, w in vec.items():
+        for r, v in cols.get(c, {}).items():
+            x = out.get(r)
+            out[r] = v * w if x is None else x + v * w
+    return not any(out.values())
 
 
 def _canonical_basis(vectors, dim):

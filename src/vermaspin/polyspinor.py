@@ -436,6 +436,17 @@ class LinearOperator:
         return obj
 
 
+def _fiber_block(cols, dim, scale):
+    """(row, col, value) triples of scale * M on one monomial's fiber block.
+
+    ``cols`` is M.columns(), or None for the identity.  Entries come in fiber
+    column order, then in the column's own order.
+    """
+    if cols is None:
+        return [(i, i, scale) for i in range(dim)]
+    return [(r, i, w * scale) for i in range(dim) for r, w in cols.get(i, {}).items()]
+
+
 def assemble(spec: OperatorSpec, src_degree, basis_cache=None) -> LinearOperator:
     """Exact matrix of a uniform-shift spec on the degree-d component.
 
@@ -453,23 +464,18 @@ def assemble(spec: OperatorSpec, src_degree, basis_cache=None) -> LinearOperator
     entries = []
     for t in spec.terms:
         cols = t.mat.columns() if t.mat is not None else None
+        blocks = {}
         for mono in src.monos:
             ff = _falling(mono, t.deriv)
             if ff is None:
                 continue
+            block = blocks.get(ff)
+            if block is None:
+                scale = t.coeff if ff == 1 else t.coeff * qi(ff)
+                block = blocks[ff] = _fiber_block(cols, spec.dim, scale)
             target_mono = tuple(a - b + c for a, b, c in zip(mono, t.deriv, t.mono))
-            scale = t.coeff if ff == 1 else t.coeff * qi(ff)
             col_base = src.index(mono, 0)
             row_base = tgt.index(target_mono, 0)
-            if cols is None:
-                for i in range(spec.dim):
-                    entries.append((row_base + i, col_base + i, scale))
-            else:
-                for i in range(spec.dim):
-                    col = cols.get(i)
-                    if not col:
-                        continue
-                    for r, w in col.items():
-                        entries.append((row_base + r, col_base + i, w * scale))
+            entries.extend((row_base + r, col_base + i, v) for r, i, v in block)
     matrix = SparseMatrix.from_entries(tgt.size, src.size, entries)
     return LinearOperator(matrix, src, tgt)

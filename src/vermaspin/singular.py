@@ -140,8 +140,8 @@ class ClassificationReport:
 def special_conformal_matrices(ctx: Context, lam, degree):
     """Assembled matrices of the special-conformal system at one degree.
 
-    The lambda-independent part is cached per (i, degree); only a scaled
-    derivative matrix depends on lambda.
+    The lambda-independent part is cached per (i, degree), and its spec per
+    i; only a scaled derivative matrix depends on lambda.
     """
     n = ctx.n
     out = []
@@ -151,7 +151,11 @@ def special_conformal_matrices(ctx: Context, lam, degree):
         base = ctx.cache.get(base_key)
         delta = ctx.cache.get(del_key)
         if base is None:
-            spec0 = verma_action(("g", i), rational(0), ctx.rep)
+            spec_key = ("sc-spec", i)
+            spec0 = ctx.cache.get(spec_key)
+            if spec0 is None:
+                spec0 = verma_action(("g", i), rational(0), ctx.rep)
+                ctx.cache[spec_key] = spec0
             base = assemble(spec0, degree, ctx.basis_maker(ctx.spinor_dim)).matrix
             ctx.cache[base_key] = base
             dspec = OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))

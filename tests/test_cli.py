@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +160,22 @@ def test_selftest(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert out.count("PASS") == 10
+
+
+def test_selftest_fails_under_optimize_flag():
+    # a wrong rref must fail the selftest also when asserts are compiled out
+    script = textwrap.dedent("""
+        from vermaspin import cli, exact
+        from vermaspin.exact import SparseMatrix
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        exact.rref = lambda m: (SparseMatrix.zero(m.rows, m.cols), [])
+        raise SystemExit(cli.main(["selftest"]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL exact scalars and kernels" in proc.stdout

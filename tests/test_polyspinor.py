@@ -12,8 +12,12 @@ from vermaspin.polyspinor import (
     GradedBasis,
     OperatorSpec,
     assemble,
+    _falling,
 )
 from vermaspin.context import Context
+from vermaspin.equivariant import twistor
+from vermaspin.realization import function_action, generators, verma_action
+from vermaspin.singular import special_conformal_matrices
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -168,6 +172,80 @@ def test_assemble_negative_target_is_empty():
     op = assemble(spec, 0)
     assert op.matrix.rows == 0 and op.matrix.cols == 2
     assert op.matrix.is_zero()
+
+
+def _assemble_per_monomial(spec, src_degree, mk):
+    """Oracle of assemble: every fiber product is recomputed per source monomial."""
+    shifts = spec.shifts()
+    shift = shifts[0] if shifts else 0
+    src, tgt = mk(src_degree), mk(src_degree + shift)
+    entries = []
+    for t in spec.terms:
+        cols = t.mat.columns() if t.mat is not None else None
+        for mono in src.monos:
+            ff = _falling(mono, t.deriv)
+            if ff is None:
+                continue
+            target_mono = tuple(a - b + c for a, b, c in zip(mono, t.deriv, t.mono))
+            scale = t.coeff if ff == 1 else t.coeff * qi(ff)
+            col_base = src.index(mono, 0)
+            row_base = tgt.index(target_mono, 0)
+            for i in range(spec.dim):
+                if cols is None:
+                    entries.append((row_base + i, col_base + i, scale))
+                    continue
+                for r, w in cols.get(i, {}).items():
+                    entries.append((row_base + r, col_base + i, w * scale))
+    return SparseMatrix.from_entries(tgt.size, src.size, entries)
+
+
+def _layout(m):
+    """Row order, and column order within each row, of a sparse matrix."""
+    return [(r, list(row)) for r, row in m.data.items()]
+
+
+def _action_specs(ctx, lam):
+    """Every generator's verma_action and function_action spec.
+
+    The function picture runs on the spinor and the dual-spinor fibers, and on
+    the dualised rotations of the first-order twistor family, whose fiber
+    dimension differs from the spinor dimension.
+    """
+    family = twistor(1, ctx, verify=False)
+    dual_rot = {key: m.transpose().scale(-1) for key, m in family.family_rotations.items()}
+    for gen in generators(ctx.n):
+        yield verma_action(gen, lam, ctx.rep)
+        yield function_action(gen, lam, ctx.rep, module="spinor")
+        yield function_action(gen, lam, ctx.rep, module="dual-spinor")
+        yield function_action(gen, lam, ctx.rep, fiber_matrices=dual_rot,
+                              fiber_dim=family.target_dim)
+
+
+@pytest.mark.parametrize("lam", [rational(-3, 2), rational(0)])
+@pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (3, 2)])
+def test_assemble_matches_per_monomial_oracle(p, q, lam):
+    ctx = Context(p, q)
+    dims = set()
+    for spec in _action_specs(ctx, lam):
+        dims.add(spec.dim)
+        mk = ctx.basis_maker(spec.dim)
+        for d in range(5):
+            got = assemble(spec, d, mk).matrix
+            want = _assemble_per_monomial(spec, d, mk)
+            assert got == want, (spec, d)
+            assert _layout(got) == _layout(want), (spec, d)
+    assert len(dims) == 2
+
+
+def test_special_conformal_matrices_cold_and_warm():
+    warm = Context(2, 2)
+    for lam in (rational(0), rational(7, 3), rational(-1, 2)):
+        for d in range(4):
+            cold = special_conformal_matrices(Context(2, 2), lam, d)
+            hot = special_conformal_matrices(warm, lam, d)
+            assert cold == hot
+            assert [_layout(m) for m in cold] == [_layout(m) for m in hot]
+    assert all(("sc-spec", i) in warm.cache for i in range(1, warm.n + 1))
 
 
 def test_spinor_poly_json_roundtrip():
