@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -43,6 +44,24 @@ def _rational_arg(s):
             "expected an exact rational like 5/2 (floats are not accepted): %r" % s)
 
 
+# Past these caps a command exits 1 at once, in place of hanging or raising
+# MemoryError.  MAX_COMPONENT_DIM bounds the top graded component a command
+# assembles (README examples and benchmark jobs stay below 2100; n = 6 at
+# degree 8 is 10296); MAX_GRID_POINTS bounds a scan grid's length.
+MAX_COMPONENT_DIM = 50_000
+MAX_GRID_POINTS = 10_000
+
+
+def component_dim(n, degree):
+    """Dimension of the degree-d component of spinor-valued polynomials in n variables."""
+    return math.comb(max(degree, 0) + n - 1, n - 1) * 2 ** (n // 2)
+
+
+def grid_points(a, b, step):
+    """Number of points a, a + step, ... <= b, computed without building them."""
+    return math.floor((b - a) / step) + 1
+
+
 def _parse_grid(s):
     m = re.fullmatch(
         r"(?P<a>[+-]?\d+(?:/\d+)?)\.\.(?P<b>[+-]?\d+(?:/\d+)?):(?P<s>\d+(?:/\d+)?)",
@@ -55,6 +74,10 @@ def _parse_grid(s):
     step = rational_from_string(m.group("s"))
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError("grid must have positive step and a <= b")
+    count = grid_points(a, b, step)
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            "grid has %d points; at most %d are allowed" % (count, MAX_GRID_POINTS))
     out = []
     x = a
     while x <= b:
@@ -106,9 +129,15 @@ def build_parser():
     return parser
 
 
-def _context(args):
+def _context(args, degree):
+    """The Context of the signature, once the top degree's size passes the cap."""
     if args.p < 0 or args.q < 0 or args.p + args.q < 3:
         raise SystemExit(_fail("n >= 3 required"))
+    size = component_dim(args.p + args.q, degree)
+    if size > MAX_COMPONENT_DIM:
+        raise SystemExit(_fail(
+            "degree %d in n = %d has a %d-dimensional component; at most %d is allowed"
+            % (degree, args.p + args.q, size, MAX_COMPONENT_DIM)))
     return Context(args.p, args.q, variant=args.variant)
 
 
@@ -141,7 +170,7 @@ def _json_dump(obj):
 
 
 def cmd_classify(args):
-    ctx = _context(args)
+    ctx = _context(args, args.dmax)
     if args.dmax < 1:
         return _fail("dmax must be at least 1")
     report = classify(ctx, args.lam, args.dmax)
@@ -171,7 +200,7 @@ def report_csv_rows(report: ClassificationReport):
 
 
 def cmd_scan(args):
-    ctx = _context(args)
+    ctx = _context(args, args.dmax)
     if args.dmax < 1:
         return _fail("dmax must be at least 1")
     reports = scan(ctx, args.grid, args.dmax)
@@ -192,7 +221,7 @@ def cmd_scan(args):
 
 
 def cmd_fischer(args):
-    ctx = _context(args)
+    ctx = _context(args, args.dmax)
     if args.dmax < 0:
         return _fail("dmax must be nonnegative")
     spaces = []
@@ -221,7 +250,7 @@ def cmd_fischer(args):
 
 
 def cmd_intertwiner(args):
-    ctx = _context(args)
+    ctx = _context(args, max(args.a, args.test_degree))
     try:
         if args.kind == "dirac":
             op = dirac_power(args.a, ctx)
@@ -252,13 +281,11 @@ def _check(cond, msg=""):
 
 def _selftest_checks():
     """Bounded invariant suite; each yielded callable raises on failure."""
-    from .exact import (GaussianRational, SparseMatrix, nullspace, rref,
-                        QI_ONE, QI_ZERO)
+    from .exact import GaussianRational, SparseMatrix, nullspace, rref, QI_ONE
     from .clifford import Signature, build_gamma_rep, CliffordElement, blade_product
     from .polyspinor import SpinorPoly, assemble
     from .realization import (osp_generators, verma_action, function_action,
-                              structure_constants, invariant_contractions,
-                              contraction_eigenvalue, generators)
+                              structure_constants, invariant_contractions)
     from .fischer import monogenic_dim, apply_x_power
     from .singular import singular_vectors
 
@@ -297,7 +324,7 @@ def _selftest_checks():
         for (p, q) in [(2, 1), (2, 2)]:
             ctx = Context(p, q)
             D, E, X = osp_generators(ctx.rep)
-            mk = ctx.basis_maker(ctx.spinor_dim)
+            mk = ctx.graded_basis
             for d in range(0, 4):
                 Dd = assemble(D, d, mk).matrix
                 Ed = assemble(E, d, mk).matrix
@@ -317,7 +344,7 @@ def _selftest_checks():
             for g in sc.gens:
                 act[g] = (verma_action(g, lam, ctx.rep) if picture == "verma"
                           else function_action(g, lam, ctx.rep, module="dual-spinor"))
-            mk = ctx.basis_maker(ctx.spinor_dim)
+            mk = ctx.graded_basis
             for d in (0, 1, 2):
                 for a in sc.gens:
                     for b in sc.gens:
@@ -335,7 +362,7 @@ def _selftest_checks():
         ctx = Context(3, 0)
         for lam in (rational(2), rational(-1, 3)):
             cons = invariant_contractions(lam, ctx.rep)
-            mk = ctx.basis_maker(ctx.spinor_dim)
+            mk = ctx.graded_basis
             for d in range(0, 5):
                 for s, c in cons:
                     _check(assemble(s, d, mk).matrix == assemble(c, d, mk).matrix)
@@ -411,9 +438,9 @@ def cmd_selftest(args):
         t0 = time.time()
         try:
             check()
-        except AssertionError as exc:
+        except Exception as exc:
             failures += 1
-            print("FAIL %-28s %s" % (name, exc))
+            print("FAIL %-28s %s: %s" % (name, type(exc).__name__, exc))
             continue
         suffix = " (%.1fs)" % (time.time() - t0) if args.verbose else ""
         print("PASS %-28s%s" % (name, suffix))

@@ -36,15 +36,12 @@ class Context:
             self._bases[key] = basis
         return basis
 
-    def basis_maker(self, dim=None):
-        return lambda d: self.graded_basis(d, dim)
-
     def assemble_cached(self, key, spec, degree):
         """Assemble spec at the given degree, memoized under (key, degree)."""
         full = ("assemble", key, degree)
         op = self.cache.get(full)
         if op is None:
-            op = assemble(spec, degree, self.basis_maker(spec.dim))
+            op = assemble(spec, degree, self.graded_basis)
             self.cache[full] = op
         return op
 

@@ -22,7 +22,7 @@ the tests assert that no shifted variant passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import (
     GaussianRational,
@@ -30,13 +30,12 @@ from .exact import (
     express_in_span,
     rational,
     rational_to_string,
-    qi,
     QI_ONE,
 )
-from .polyspinor import SpinorPoly, OperatorSpec
+from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble
 from .realization import verma_action, function_action, generators
 from .fischer import monogenic_basis
-from .singular import singular_vectors, isotypic_split
+from .singular import special_conformal_matrices
 from .context import Context
 
 __all__ = [
@@ -57,7 +56,8 @@ class EquivariantOperator:
     """Constant-coefficient operator from dual-spinor fields to dual-family fields.
 
     coefficients maps a derivative multi-index to the (target_dim x
-    spinor_dim) matrix applied to that derivative of the argument.
+    spinor_dim) matrix applied to that derivative of the argument; ``spec``
+    is the same operator as a rectangular :class:`OperatorSpec`.
     """
 
     n: int
@@ -79,15 +79,16 @@ class EquivariantOperator:
         return (-(rational(self.lambda_source) + nh),
                 -(rational(self.lambda_target) + nh))
 
+    @property
+    def spec(self) -> OperatorSpec:
+        z = (0,) * self.n
+        return OperatorSpec(self.n, self.source_dim,
+                            [OpTerm(z, deriv, mat, QI_ONE)
+                             for deriv, mat in self.coefficients.items()],
+                            self.target_dim)
+
     def apply(self, poly: SpinorPoly) -> SpinorPoly:
-        if poly.n != self.n or poly.dim != self.source_dim:
-            raise ValueError("argument shape mismatch")
-        out = SpinorPoly.zero(self.n, self.target_dim)
-        for deriv, mat in self.coefficients.items():
-            # differentiate first, then apply the fiber matrix
-            diff = _pure_derivative(self.n, self.source_dim, deriv)
-            out = out + diff.apply(poly).fiber_map(mat)
-        return out
+        return self.spec.apply(poly)
 
     def perturbed(self, deriv, row, col, delta=QI_ONE):
         """Copy with one coefficient entry shifted (negative-control helper)."""
@@ -125,12 +126,6 @@ class EquivariantOperator:
                 for deriv, mat in sorted(self.coefficients.items(), reverse=True)
             },
         }
-
-
-def _pure_derivative(n, dim, deriv):
-    z = (0,) * n
-    from .polyspinor import OpTerm
-    return OperatorSpec(n, dim, [OpTerm(z, tuple(deriv), None, QI_ONE)])
 
 
 @dataclass
@@ -178,12 +173,12 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
         raise ValueError("family must be homogeneous of one degree")
     degree = degrees.pop()
     lam_real = lam_thm + rational(ctx.n, 2)
+    basis = ctx.graded_basis(degree)
+    vecs = [basis.coordinates(sv) for sv in svs]
     if verify_singular:
-        for i in range(1, ctx.n + 1):
-            spec = verma_action(("g", i), lam_real, ctx.rep)
-            for sv in svs:
-                if not spec.apply(sv).is_zero():
-                    raise ValueError("family member is not a singular vector")
+        for mat in special_conformal_matrices(ctx, lam_real, degree):
+            if any(mat.mul_vec(v) for v in vecs):
+                raise ValueError("family member is not a singular vector")
     dim_s = ctx.spinor_dim
     coeffs = {}
     for r, sv in enumerate(svs):
@@ -195,7 +190,7 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
         mono: SparseMatrix.from_entries(len(svs), dim_s, entries)
         for mono, entries in coeffs.items()
     }
-    rotations = _family_rotations(svs, lam_real, ctx)
+    rotations = _family_rotations(vecs, degree, lam_real, ctx)
     return EquivariantOperator(
         n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
@@ -204,27 +199,27 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     )
 
 
-def _family_rotations(svs, lam_real, ctx: Context):
+def _family_rotations(vecs, degree, lam_real, ctx: Context):
     """Rotation action on the family span, solved exactly per generator pair.
 
-    Raises if the family is not closed under the rotation action (i.e. is
-    not an isotypic submodule).
+    ``vecs`` are the family's coordinate vectors at ``degree``.  Raises if
+    the family is not closed under the rotation action (i.e. is not an
+    isotypic submodule).
     """
-    degree = svs[0].homogeneous_degree()
     basis = ctx.graded_basis(degree)
-    vecs = [basis.coordinates(sv) for sv in svs]
     out = {}
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
             spec = verma_action(("l", i, j), lam_real, ctx.rep)
-            images = [basis.coordinates(spec.apply(sv)) for sv in svs]
+            mat = assemble(spec, degree, ctx.graded_basis).matrix
+            images = [mat.mul_vec(v) for v in vecs]
             coeffs = express_in_span(vecs, images, basis.size)
             if coeffs is None:
                 raise ValueError("family is not rotation-closed")
             out[(i, j)] = SparseMatrix.from_entries(
-                len(svs), len(svs),
-                ((r, c, coeffs[c][r]) for c in range(len(svs))
-                 for r in range(len(svs)) if coeffs[c][r]),
+                len(vecs), len(vecs),
+                ((r, c, coeffs[c][r]) for c in range(len(vecs))
+                 for r in range(len(vecs)) if coeffs[c][r]),
             )
     return out
 
@@ -257,26 +252,7 @@ def _pi_star_specs(op: EquivariantOperator, ctx: Context, source_offset=0,
 
 def operator_matrix(op: EquivariantOperator, degree, ctx: Context):
     """Matrix of the operator from the degree-d source component."""
-    from .polyspinor import _falling
-    src = ctx.graded_basis(degree, op.source_dim)
-    tgt = ctx.graded_basis(degree - op.order, op.target_dim)
-    entries = []
-    for deriv, mat in op.coefficients.items():
-        cols = mat.columns()
-        for mono in src.monos:
-            ff = _falling(mono, deriv)
-            if ff is None:
-                continue
-            target_mono = tuple(a - b for a, b in zip(mono, deriv))
-            scale = qi(ff)
-            for b in range(op.source_dim):
-                col = cols.get(b)
-                if not col:
-                    continue
-                cbase = src.index(mono, b)
-                for r, w in col.items():
-                    entries.append((tgt.index(target_mono, r), cbase, w * scale))
-    return SparseMatrix.from_entries(tgt.size, src.size, entries)
+    return assemble(op.spec, degree, ctx.graded_basis).matrix
 
 
 def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
@@ -290,7 +266,6 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
     """
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
-    from .polyspinor import assemble as _assemble
     src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
     gens = generators(ctx.n)
     op_mats = {}
@@ -310,10 +285,9 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
         shifts = s_spec.shifts()
         shift = shifts[0] if shifts else 0
         for d in range(0, test_degree + 1):
-            s_mat = _assemble(s_spec, d, ctx.basis_maker(op.source_dim)).matrix
+            s_mat = assemble(s_spec, d, ctx.graded_basis).matrix
             lhs = op_matrix(d + shift) @ s_mat
-            t_mat = _assemble(t_spec, d - op.order,
-                              ctx.basis_maker(op.target_dim)).matrix
+            t_mat = assemble(t_spec, d - op.order, ctx.graded_basis).matrix
             rhs = t_mat @ op_matrix(d)
             res = lhs - rhs
             tested += lhs.cols

@@ -9,9 +9,12 @@ An :class:`OperatorSpec` is a symbolic sum of terms
 
     coeff * x^mono * M * d^deriv
 
-with M a fiber matrix (None for the identity); specs are closed under sum,
-scaling and composition, and can either be applied directly to polynomials
-or assembled into an exact sparse matrix between graded components.
+with M a fiber matrix (None for the identity).  A spec maps polynomials
+with values in a ``dim``-dimensional fiber to polynomials with values in a
+``tdim``-dimensional one, so every M is tdim x dim.  Specs are closed under
+sum, scaling and composition.  :func:`assemble` is the one routine that
+turns a spec into an exact sparse matrix between graded components;
+:meth:`OperatorSpec.apply` goes through it.
 """
 
 from __future__ import annotations
@@ -216,14 +219,24 @@ class OpTerm:
 
 
 class OperatorSpec:
-    """Symbolic differential operator on fiber-valued polynomials."""
+    """Symbolic differential operator from dim- to tdim-valued polynomials.
 
-    __slots__ = ("n", "dim", "terms")
+    ``tdim`` defaults to ``dim``.  Every term matrix is tdim x dim, and an
+    identity term (mat None) needs tdim == dim.
+    """
 
-    def __init__(self, n, dim, terms=()):
+    __slots__ = ("n", "dim", "tdim", "terms")
+
+    def __init__(self, n, dim, terms=(), tdim=None):
         self.n = n
         self.dim = dim
+        self.tdim = dim if tdim is None else tdim
         self.terms = [t for t in terms if t.coeff]
+        for t in self.terms:
+            shape = (self.dim, self.dim) if t.mat is None else (t.mat.rows, t.mat.cols)
+            if shape != (self.tdim, self.dim):
+                raise ValueError("term of shape %dx%d in a %dx%d operator spec"
+                                 % (shape + (self.tdim, self.dim)))
 
     # -- constructors -------------------------------------------------------
 
@@ -265,14 +278,14 @@ class OperatorSpec:
     def fiber(cls, n, mat: SparseMatrix, coeff=QI_ONE):
         z = (0,) * n
         coeff = coeff if isinstance(coeff, GaussianRational) else qi(coeff)
-        return cls(n, mat.rows, [OpTerm(z, z, mat, coeff)])
+        return cls(n, mat.cols, [OpTerm(z, z, mat, coeff)], mat.rows)
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        if (self.n, self.dim) != (other.n, other.dim):
+        if (self.n, self.dim, self.tdim) != (other.n, other.dim, other.tdim):
             raise ValueError("operator spec shape mismatch")
-        return OperatorSpec(self.n, self.dim, list(self.terms) + list(other.terms))
+        return OperatorSpec(self.n, self.dim, self.terms + other.terms, self.tdim)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -281,17 +294,17 @@ class OperatorSpec:
         s = s if isinstance(s, GaussianRational) else qi(s)
         return OperatorSpec(self.n, self.dim,
                             [OpTerm(t.mono, t.deriv, t.mat, t.coeff * s)
-                             for t in self.terms])
+                             for t in self.terms], self.tdim)
 
     def compose(self, other):
         """self after other, normal-ordered exactly (Leibniz reordering)."""
-        if (self.n, self.dim) != (other.n, other.dim):
+        if (self.n, self.dim, self.tdim) != (other.n, other.dim, other.tdim):
             raise ValueError("operator spec shape mismatch")
         out = []
         for t1 in self.terms:
             for t2 in other.terms:
                 out.extend(_compose_terms(self.n, t1, t2))
-        return OperatorSpec(self.n, self.dim, out).combined()
+        return OperatorSpec(self.n, self.dim, out, self.tdim).combined()
 
     def combined(self):
         """Merge like terms (same mono/deriv; identity-fiber terms by sum)."""
@@ -312,7 +325,7 @@ class OperatorSpec:
         for key, m in matrices.items():
             if not m.is_zero():
                 terms.append(OpTerm(key[0], key[1], m, QI_ONE))
-        return OperatorSpec(self.n, self.dim, terms)
+        return OperatorSpec(self.n, self.dim, terms, self.tdim)
 
     def shifts(self):
         return sorted({t.shift for t in self.terms})
@@ -320,47 +333,28 @@ class OperatorSpec:
     # -- action --------------------------------------------------------------
 
     def apply(self, poly: SpinorPoly) -> SpinorPoly:
-        """Exact application; supports mixed-degree polynomials."""
+        """Exact application, one assembled matrix per degree and shift.
+
+        Supports mixed-degree polynomials and mixed-shift specs.
+        """
         if poly.n != self.n or poly.dim != self.dim:
             raise ValueError("polynomial shape mismatch")
-        acc_terms = {}
-        for t in self.terms:
-            cols = t.mat.columns() if t.mat is not None else None
-            for mono, vec in poly.terms.items():
-                ff = _falling(mono, t.deriv)
-                if ff is None:
-                    continue
-                target = tuple(a - b + c for a, b, c in zip(mono, t.deriv, t.mono))
-                scale = t.coeff if ff == 1 else t.coeff * qi(ff)
-                if cols is None:
-                    contrib = {i: v * scale for i, v in vec.items()}
-                else:
-                    contrib = {}
-                    for i, v in vec.items():
-                        col = cols.get(i)
-                        if not col:
-                            continue
-                        for r, w in col.items():
-                            x = contrib.get(r)
-                            nv = w * v if x is None else x + w * v
-                            contrib[r] = nv
-                    contrib = {r: v * scale for r, v in contrib.items() if v}
-                if not contrib:
-                    continue
-                tgt = acc_terms.setdefault(target, {})
-                for i, v in contrib.items():
-                    w = tgt.get(i)
-                    nv = v if w is None else w + v
-                    if nv:
-                        tgt[i] = nv
-                    elif i in tgt:
-                        del tgt[i]
-                if not tgt:
-                    del acc_terms[target]
-        return SpinorPoly(self.n, self.dim, acc_terms)
+        by_degree = {}
+        for mono, vec in poly.terms.items():
+            by_degree.setdefault(mono_degree(mono), {})[mono] = vec
+        out = SpinorPoly.zero(self.n, self.tdim)
+        for shift in self.shifts():
+            part = OperatorSpec(self.n, self.dim,
+                                [t for t in self.terms if t.shift == shift], self.tdim)
+            for degree, terms in by_degree.items():
+                op = assemble(part, degree)
+                coords = op.source.coordinates(SpinorPoly(self.n, self.dim, terms))
+                out = out + op.target.from_coordinates(op.matrix.mul_vec(coords))
+        return out
 
     def __repr__(self):
-        return "OperatorSpec(n=%d, dim=%d, %d terms)" % (self.n, self.dim, len(self.terms))
+        return "OperatorSpec(n=%d, dim=%d, tdim=%d, %d terms)" % (
+            self.n, self.dim, self.tdim, len(self.terms))
 
 
 def _falling(mono, deriv):
@@ -447,20 +441,23 @@ def _fiber_block(cols, dim, scale):
     return [(r, i, w * scale) for i in range(dim) for r, w in cols.get(i, {}).items()]
 
 
-def assemble(spec: OperatorSpec, src_degree, basis_cache=None) -> LinearOperator:
+def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
     """Exact matrix of a uniform-shift spec on the degree-d component.
 
-    A spec with mixed degree shifts is rejected ("non-homogeneous spec"); a
-    negative target degree yields a valid empty-codomain matrix.
+    ``bases(degree, dim)`` supplies the graded bases (a Context passes its
+    cached ``graded_basis``); by default fresh ones are built.  A spec with
+    mixed degree shifts is rejected ("non-homogeneous spec"); a negative
+    target degree yields a valid empty-codomain matrix.
     """
     shifts = spec.shifts()
     if len(shifts) > 1:
         raise ValueError("non-homogeneous spec: degree shifts %s" % shifts)
     shift = shifts[0] if shifts else 0
-    mk = basis_cache if basis_cache is not None else (
-        lambda d: GradedBasis(spec.n, spec.dim, d))
-    src = mk(src_degree)
-    tgt = mk(src_degree + shift)
+    if bases is None:
+        def bases(degree, dim):
+            return GradedBasis(spec.n, dim, degree)
+    src = bases(src_degree, spec.dim)
+    tgt = bases(src_degree + shift, spec.tdim)
     entries = []
     for t in spec.terms:
         cols = t.mat.columns() if t.mat is not None else None

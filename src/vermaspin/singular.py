@@ -156,10 +156,10 @@ def special_conformal_matrices(ctx: Context, lam, degree):
             if spec0 is None:
                 spec0 = verma_action(("g", i), rational(0), ctx.rep)
                 ctx.cache[spec_key] = spec0
-            base = assemble(spec0, degree, ctx.basis_maker(ctx.spinor_dim)).matrix
+            base = assemble(spec0, degree, ctx.graded_basis).matrix
             ctx.cache[base_key] = base
             dspec = OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))
-            delta = assemble(dspec, degree, ctx.basis_maker(ctx.spinor_dim)).matrix
+            delta = assemble(dspec, degree, ctx.graded_basis).matrix
             ctx.cache[del_key] = delta
         mat = base if not lam else base + delta.scale(qi(lam))
         out.append(mat)

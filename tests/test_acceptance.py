@@ -47,7 +47,7 @@ def test_criterion_1_osp_relations(ctx_factory):
         for (p, q) in all_signatures(n):
             ctx = ctx_factory(p, q)
             D, E, X = osp_generators(ctx.rep)
-            mk = ctx.basis_maker(ctx.spinor_dim)
+            mk = ctx.graded_basis
             for d in range(0, 7):
                 Dd = assemble(D, d, mk).matrix
                 Ed = assemble(E, d, mk).matrix
@@ -92,7 +92,7 @@ def test_criterion_2_representation_property(ctx_factory):
                 for g in sc.gens:
                     act[g] = (verma_action(g, lam, ctx.rep) if picture == "verma"
                               else function_action(g, lam, ctx.rep))
-                mk = ctx.basis_maker(ctx.spinor_dim)
+                mk = ctx.graded_basis
                 mats = {}
 
                 def at(g, d):
@@ -126,7 +126,7 @@ def test_criterion_3_contraction_equivalence(ctx_factory):
     lams = [rational(0), rational(7, 2), rational(-4, 3)]
     for (p, q) in cases:
         ctx = ctx_factory(p, q)
-        mk = ctx.basis_maker(ctx.spinor_dim)
+        mk = ctx.graded_basis
         for lam in lams:
             for defining, closed in invariant_contractions(lam, ctx.rep):
                 for d in range(0, 7):
@@ -146,7 +146,7 @@ def test_criterion_4_eigenvalue_formulas(ctx_factory):
         ctx = ctx_factory(n, 0)
         for lam in [rational(0), rational(5, 2), rational(-2, 7)]:
             cons = invariant_contractions(lam, ctx.rep)
-            mk = ctx.basis_maker(ctx.spinor_dim)
+            mk = ctx.graded_basis
             for m in range(0, 6):
                 mono = monogenic_basis(ctx, m)
                 mbasis = ctx.graded_basis(m)

@@ -179,3 +179,49 @@ def test_selftest_fails_under_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL exact scalars and kernels" in proc.stdout
+    # a check that raises something other than AssertionError is reported
+    # too, and the remaining checks still run
+    lines = proc.stdout.splitlines()
+    for name, _ in cli._selftest_checks():
+        assert any(line.startswith(("PASS " + name, "FAIL " + name)) for line in lines), name
+
+
+def _no_context(*args, **kwargs):
+    raise AssertionError("a Context was built past the size guard")
+
+
+def test_size_estimates_and_caps():
+    assert cli.component_dim(3, 6) == 28 * 2
+    assert cli.component_dim(6, 5) == 252 * 8
+    assert cli.component_dim(6, -1) == 8
+    # the README examples, the benchmark jobs and n = 6 at degree 8 fit
+    assert cli.component_dim(6, 8) < cli.MAX_COMPONENT_DIM
+    assert cli.component_dim(4, 6) < cli.MAX_COMPONENT_DIM
+    huge = cli.grid_points(rational(0), rational(10**9), rational(1, 1000))
+    assert huge == 10**12 + 1
+    assert cli.grid_points(rational(-1), rational(2), rational(1, 2)) == 7
+    assert cli.grid_points(rational(3, 2), rational(3, 2), rational(1)) == 1
+    assert cli.grid_points(rational(0), rational(1), rational(2, 3)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "3", "--lambda", "1", "--dmax", "1000000"],
+    ["scan", "--p", "2", "--q", "1", "--lambda-grid", "0..1:1", "--dmax", "1000000"],
+    ["fischer", "--p", "3", "--q", "3", "--dmax", "1000000"],
+    ["intertwiner", "--p", "3", "--kind", "dirac", "--a", "1", "--test-degree", "1000000"],
+    ["classify", "--p", "200", "--lambda", "1", "--dmax", "1"],
+])
+def test_component_size_guard(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "Context", _no_context)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "at most %d is allowed" % cli.MAX_COMPONENT_DIM in err
+
+
+def test_grid_size_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Context", _no_context)
+    top = cli.MAX_GRID_POINTS
+    code, _, err = run(capsys, "scan", "--p", "3", "--lambda-grid", "1..%d:1" % (top + 1))
+    assert code == 1
+    assert "grid has %d points; at most %d are allowed" % (top + 1, top) in err

@@ -2,7 +2,7 @@ import pytest
 
 from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix
 from vermaspin.polyspinor import SpinorPoly
-from vermaspin.fischer import monogenic_dim
+from vermaspin.fischer import apply_x_power, monogenic_basis, monogenic_dim
 from vermaspin.singular import singular_vectors
 from vermaspin.equivariant import (
     from_singular_vector,
@@ -110,6 +110,28 @@ def test_from_singular_vector_rejects_non_singular(ctx_factory):
     poly = SpinorPoly.monomial(3, 2, (1, 0, 0), 0)
     with pytest.raises(ValueError, match="singular"):
         from_singular_vector([poly], rational(1, 3), ctx)
+
+
+def test_from_singular_vector_rejects_non_singular_member(ctx_factory):
+    # a Dirac family plus a member that g_i does not kill
+    ctx = ctx_factory(3, 0)
+    lam_thm = -rational(ctx.n - 3, 2)
+    family = [apply_x_power(ctx, 1, SpinorPoly.constant(3, 2, b)) for b in range(2)]
+    assert from_singular_vector(family, lam_thm, ctx).order == 1
+    bad = SpinorPoly.monomial(3, 2, (0, 1, 0), 0)
+    with pytest.raises(ValueError, match="^family member is not a singular vector$"):
+        from_singular_vector(family + [bad], lam_thm, ctx)
+
+
+def test_from_singular_vector_rejects_non_rotation_closed(ctx_factory):
+    # one member of the multi-dimensional first-order twistor family is
+    # singular but spans no submodule
+    ctx = ctx_factory(3, 0)
+    family = monogenic_basis(ctx, 1).elements
+    assert len(family) > 1
+    lam_thm = rational(1) + HALF
+    with pytest.raises(ValueError, match="^family is not rotation-closed$"):
+        from_singular_vector(family[:1], lam_thm, ctx, kind="twistor")
 
 
 def test_from_solver_output_matches_canonical_family(ctx_factory):

@@ -94,10 +94,10 @@ def test_rotation_invariance(ctx_factory):
     for i in range(1, 4):
         for j in range(i + 1, 4):
             spec = verma_action(("l", i, j), lam, ctx.rep)
-            rot = assemble(spec, 2, ctx.basis_maker(ctx.spinor_dim)).matrix
+            rot = assemble(spec, 2, ctx.graded_basis).matrix
             images = [rot.mul_vec(v) for v in vecs]
             assert express_in_span(vecs, images, basis2.size) is not None
-            rot3 = assemble(spec, 3, ctx.basis_maker(ctx.spinor_dim)).matrix
+            rot3 = assemble(spec, 3, ctx.graded_basis).matrix
             x2 = x_mult_matrix(ctx, 2).matrix
             assert rot3 @ x2 == x2 @ rot
 

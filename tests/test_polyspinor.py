@@ -10,12 +10,13 @@ from vermaspin.polyspinor import (
     monomials,
     SpinorPoly,
     GradedBasis,
+    OpTerm,
     OperatorSpec,
     assemble,
     _falling,
 )
 from vermaspin.context import Context
-from vermaspin.equivariant import twistor
+from vermaspin.equivariant import dirac_power, twistor
 from vermaspin.realization import function_action, generators, verma_action
 from vermaspin.singular import special_conformal_matrices
 
@@ -132,17 +133,55 @@ def _random_spec(rng, ctx, shift):
 
 
 def test_assemble_apply_agreement_random():
+    # apply on a mixed-degree polynomial against the per-monomial oracle,
+    # one homogeneous part at a time
     rng = random.Random(23)
     ctx = Context(2, 1)
     for _ in range(12):
-        shift = rng.choice([-2, -1, 0, 1])
-        spec = _random_spec(rng, ctx, shift)
+        spec = _random_spec(rng, ctx, rng.choice([-2, -1, 0, 1]))
+        shifts = spec.shifts()
+        shift = shifts[0] if shifts else 0
+        poly = SpinorPoly.zero(ctx.n, ctx.spinor_dim)
+        want = SpinorPoly.zero(ctx.n, ctx.spinor_dim)
         for d in range(0, 5):
-            poly = _random_poly(rng, ctx, d)
-            op = assemble(spec, d, ctx.basis_maker(ctx.spinor_dim))
-            via_matrix = op.matrix.mul_vec(op.source.coordinates(poly))
-            direct = spec.apply(poly)
-            assert op.target.from_coordinates(via_matrix) == direct
+            part = _random_poly(rng, ctx, d)
+            poly = poly + part
+            image = _assemble_per_monomial(spec, d, ctx.graded_basis).mul_vec(
+                ctx.graded_basis(d).coordinates(part))
+            want = want + ctx.graded_basis(d + shift).from_coordinates(image)
+        assert len(poly.degrees()) > 1
+        assert spec.apply(poly) == want
+
+
+def test_apply_mixed_shift_spec():
+    # x_1 + d_1 on x_1^2 (x) e_0 + e_1
+    spec = OperatorSpec.coordinate(3, 2, 1) + OperatorSpec.derivative(3, 2, 1)
+    poly = SpinorPoly(3, 2, {(2, 0, 0): {0: QI_ONE}, (0, 0, 0): {1: QI_ONE}})
+    assert spec.apply(poly) == SpinorPoly(3, 2, {
+        (3, 0, 0): {0: QI_ONE}, (1, 0, 0): {0: qi(2), 1: QI_ONE}})
+
+
+def test_rectangular_spec_shapes():
+    z = (0, 0, 0)
+    d1 = (1, 0, 0)
+    mat = SparseMatrix.from_entries(3, 2, [(2, 0, qi(5)), (0, 1, QI_ONE)])
+    spec = OperatorSpec(3, 2, [OpTerm(z, d1, mat, QI_ONE)], tdim=3)
+    assert (spec.dim, spec.tdim) == (2, 3)
+    fib = OperatorSpec.fiber(3, mat)
+    assert (fib.dim, fib.tdim) == (2, 3)
+    op = assemble(spec, 2)
+    assert (op.matrix.rows, op.matrix.cols) == (3 * 3, 6 * 2)
+    assert (op.source.dim, op.target.dim) == (2, 3)
+    poly = SpinorPoly(3, 2, {(2, 0, 0): {0: QI_ONE, 1: qi(0, 1)}})
+    assert spec.apply(poly) == SpinorPoly(3, 3, {(1, 0, 0): {2: qi(10), 0: qi(0, 2)}})
+    with pytest.raises(ValueError, match="shape"):
+        OperatorSpec(3, 2, [OpTerm(z, d1, mat, QI_ONE)])
+    with pytest.raises(ValueError, match="shape"):
+        OperatorSpec(3, 2, [OpTerm(z, d1, None, QI_ONE)], tdim=3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        spec + OperatorSpec.derivative(3, 2, 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        spec.compose(OperatorSpec.derivative(3, 2, 1))
 
 
 def test_compose_matches_matrix_product():
@@ -153,11 +192,11 @@ def test_compose_matches_matrix_product():
         s2 = _random_spec(rng, ctx, rng.choice([-1, 0, 1]))
         comp = s2.compose(s1)
         for d in (2, 3):
-            m1 = assemble(s1, d, ctx.basis_maker(ctx.spinor_dim))
+            m1 = assemble(s1, d, ctx.graded_basis)
             sh = s1.shifts()
             sh = sh[0] if sh else 0
-            m2 = assemble(s2, d + sh, ctx.basis_maker(ctx.spinor_dim))
-            mc = assemble(comp, d, ctx.basis_maker(ctx.spinor_dim))
+            m2 = assemble(s2, d + sh, ctx.graded_basis)
+            mc = assemble(comp, d, ctx.graded_basis)
             assert mc.matrix == m2.matrix @ m1.matrix
 
 
@@ -174,11 +213,11 @@ def test_assemble_negative_target_is_empty():
     assert op.matrix.is_zero()
 
 
-def _assemble_per_monomial(spec, src_degree, mk):
+def _assemble_per_monomial(spec, src_degree, bases):
     """Oracle of assemble: every fiber product is recomputed per source monomial."""
     shifts = spec.shifts()
     shift = shifts[0] if shifts else 0
-    src, tgt = mk(src_degree), mk(src_degree + shift)
+    src, tgt = bases(src_degree, spec.dim), bases(src_degree + shift, spec.tdim)
     entries = []
     for t in spec.terms:
         cols = t.mat.columns() if t.mat is not None else None
@@ -221,20 +260,29 @@ def _action_specs(ctx, lam):
                               fiber_dim=family.target_dim)
 
 
+def _operator_specs(ctx):
+    """The rectangular specs of two Dirac powers and the first twistor operator."""
+    for op in (dirac_power(1, ctx, verify=False), dirac_power(3, ctx, verify=False),
+               twistor(1, ctx, verify=False)):
+        yield op.spec
+
+
 @pytest.mark.parametrize("lam", [rational(-3, 2), rational(0)])
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (3, 2)])
 def test_assemble_matches_per_monomial_oracle(p, q, lam):
     ctx = Context(p, q)
     dims = set()
-    for spec in _action_specs(ctx, lam):
+    shapes = set()
+    for spec in [*_action_specs(ctx, lam), *_operator_specs(ctx)]:
         dims.add(spec.dim)
-        mk = ctx.basis_maker(spec.dim)
+        shapes.add((spec.tdim, spec.dim))
         for d in range(5):
-            got = assemble(spec, d, mk).matrix
-            want = _assemble_per_monomial(spec, d, mk)
+            got = assemble(spec, d, ctx.graded_basis).matrix
+            want = _assemble_per_monomial(spec, d, ctx.graded_basis)
             assert got == want, (spec, d)
             assert _layout(got) == _layout(want), (spec, d)
     assert len(dims) == 2
+    assert any(tdim != dim for tdim, dim in shapes)
 
 
 def test_special_conformal_matrices_cold_and_warm():
@@ -267,6 +315,6 @@ def test_golden_files():
     ctx = Context(3, 0)
     from vermaspin.realization import osp_generators
     D, _, _ = osp_generators(ctx.rep)
-    op = assemble(D, 1, ctx.basis_maker(2))
+    op = assemble(D, 1, ctx.graded_basis)
     golden_op = json.load(open(os.path.join(DATA, "dirac_degree1.json")))
     assert op.to_json() == golden_op

@@ -52,12 +52,12 @@ def test_structure_constants_basic():
 
 
 def _assemble_all(ctx, act, degree):
-    return {g: assemble(act[g], degree, ctx.basis_maker(act[g].dim)).matrix
+    return {g: assemble(act[g], degree, ctx.graded_basis).matrix
             for g in act}
 
 
 def _bracket_check(ctx, act, sc, degrees):
-    mk = ctx.basis_maker(ctx.spinor_dim)
+    mk = ctx.graded_basis
     for d in degrees:
         for a in sc.gens:
             for b in sc.gens:
@@ -109,7 +109,7 @@ def test_osp_relations_on_components(ctx_factory):
     for (p, q) in [(3, 0), (1, 2), (2, 2)]:
         ctx = ctx_factory(p, q)
         D, E, X = osp_generators(ctx.rep)
-        mk = ctx.basis_maker(ctx.spinor_dim)
+        mk = ctx.graded_basis
         for d in range(0, 5):
             Dd = assemble(D, d, mk).matrix
             Ed = assemble(E, d, mk).matrix
@@ -154,7 +154,7 @@ def test_derivative_vector_power_commutators(ctx_factory):
     ctx = ctx_factory(2, 1)
     n, dim = ctx.n, ctx.spinor_dim
     _, _, X = osp_generators(ctx.rep)
-    mk = ctx.basis_maker(dim)
+    mk = ctx.graded_basis
     d0 = 2
     for k in range(1, 7):
         xk = _power(X, k)
@@ -186,7 +186,7 @@ def _power(spec, k):
 def test_contraction_sums_equal_closed_forms(ctx_factory, p, q):
     ctx = ctx_factory(p, q)
     for lam in (rational(1), rational(-2, 3)):
-        mk = ctx.basis_maker(ctx.spinor_dim)
+        mk = ctx.graded_basis
         for defining, closed in invariant_contractions(lam, ctx.rep):
             for d in range(0, 5):
                 assert assemble(defining, d, mk).matrix == assemble(closed, d, mk).matrix
@@ -200,7 +200,7 @@ def test_contraction_eigenvalue_instance():
 def test_contraction_eigenvalues_on_ladder(ctx_factory):
     ctx = ctx_factory(2, 1)
     lams = [rational(0), rational(5, 2), rational(-1, 3)]
-    mk = ctx.basis_maker(ctx.spinor_dim)
+    mk = ctx.graded_basis
     for lam in lams:
         cons = invariant_contractions(lam, ctx.rep)
         for m in range(0, 3):

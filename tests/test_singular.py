@@ -139,7 +139,7 @@ def test_rotation_invariance_of_kernel(ctx_factory):
     for i in range(1, 4):
         for j in range(i + 1, 4):
             rot = assemble(verma_action(("l", i, j), lam, ctx.rep), 1,
-                           ctx.basis_maker(ctx.spinor_dim)).matrix
+                           ctx.graded_basis).matrix
             images = [rot.mul_vec(v) for v in vecs]
             assert express_in_span(vecs, images, basis.size) is not None
 
