@@ -291,13 +291,16 @@ def _selftest_checks():
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
-        _check(GaussianRational.from_string(a.to_string()) == a)
-        _check(a * a / a == a)
+        _check(GaussianRational.from_string(a.to_string()) == a,
+               "string round trip of %s" % a.to_string())
+        _check(a * a / a == a, "a * a / a != a for a = %s" % a.to_string())
         m = SparseMatrix.from_dense([[qi(1), qi(0, 1)], [qi(0, -1), qi(1)]])
         red, piv = rref(m)
-        _check(piv == [0] and red.get(0, 1) == qi(0, 1))
+        _check(piv == [0] and red.get(0, 1) == qi(0, 1),
+               "rref of [[1, i], [-i, 1]]: pivots %s" % piv)
         ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
-        _check(ker == [{0: qi(1), 1: qi(0, 1)}])
+        _check(ker == [{0: qi(1), 1: qi(0, 1)}],
+               "nullspace of [[1, i]]: %d vectors" % len(ker))
 
     def gamma_relations():
         for (p, q) in [(3, 0), (1, 2), (2, 2), (5, 0), (3, 3)]:
@@ -306,10 +309,9 @@ def _selftest_checks():
             for i in range(1, rep.n + 1):
                 for j in range(i, rep.n + 1):
                     anti = rep.gamma(i) @ rep.gamma(j) + rep.gamma(j) @ rep.gamma(i)
-                    if i == j:
-                        _check(anti == SparseMatrix.identity(N, qi(-2 * rep.sig.eps(i))))
-                    else:
-                        _check(anti.is_zero())
+                    expect = (SparseMatrix.identity(N, qi(-2 * rep.sig.eps(i))) if i == j
+                              else SparseMatrix.zero(N, N))
+                    _check(anti == expect, "signature (%d,%d): {G_%d, G_%d}" % (p, q, i, j))
 
     def blades():
         sig = Signature(2, 2)
@@ -318,7 +320,8 @@ def _selftest_checks():
             for b2 in range(16):
                 prod = blade_product(CliffordElement(4, {b1: QI_ONE}),
                                      CliffordElement(4, {b2: QI_ONE}), sig)
-                _check(rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2))
+                _check(rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2),
+                       "signature (2,2): blades %d * %d" % (b1, b2))
 
     def osp_relations():
         for (p, q) in [(2, 1), (2, 2)]:
@@ -329,11 +332,13 @@ def _selftest_checks():
                 Dd = assemble(D, d, mk).matrix
                 Ed = assemble(E, d, mk).matrix
                 Xd = assemble(X, d, mk).matrix
+                where = "signature (%d,%d), degree %d: " % (p, q, d)
                 lhs = assemble(E, d - 1, mk).matrix @ Dd - Dd @ Ed
-                _check(lhs == Dd.scale(-1))
+                _check(lhs == Dd.scale(-1), where + "[E, D] = -D")
                 anti = assemble(D, d + 1, mk).matrix @ Xd + assemble(X, d - 1, mk).matrix @ Dd
-                _check(anti == Ed.scale(-2) - SparseMatrix.identity(Ed.rows).scale(ctx.n))
-                _check(assemble(E, d + 1, mk).matrix @ Xd - Xd @ Ed == Xd)
+                _check(anti == Ed.scale(-2) - SparseMatrix.identity(Ed.rows).scale(ctx.n),
+                       where + "{D, X} = -2E - n")
+                _check(assemble(E, d + 1, mk).matrix @ Xd - Xd @ Ed == Xd, where + "[E, X] = X")
 
     def brackets():
         ctx = Context(2, 1)
@@ -356,7 +361,8 @@ def _selftest_checks():
                         rhs = SparseMatrix.zero(lhs.rows, lhs.cols)
                         for g2, c in sc.bracket(a, b):
                             rhs = rhs + assemble(act[g2], d, mk).matrix.scale(c)
-                        _check(lhs == rhs, (picture, a, b, d))
+                        _check(lhs == rhs, "signature (2,1), %s picture, lambda 2/5: "
+                               "[%s, %s] at degree %d" % (picture, a, b, d))
 
     def contractions():
         ctx = Context(3, 0)
@@ -364,8 +370,10 @@ def _selftest_checks():
             cons = invariant_contractions(lam, ctx.rep)
             mk = ctx.graded_basis
             for d in range(0, 5):
-                for s, c in cons:
-                    _check(assemble(s, d, mk).matrix == assemble(c, d, mk).matrix)
+                for k, (s, c) in enumerate(cons, 1):
+                    _check(assemble(s, d, mk).matrix == assemble(c, d, mk).matrix,
+                           "signature (3,0), lambda %s: contraction C%d at degree %d"
+                           % (rational_to_string(lam), k, d))
 
     def ladder():
         ctx = Context(2, 1)
@@ -381,7 +389,7 @@ def _selftest_checks():
                     scalar = qi(-k) if k % 2 == 0 else qi(-(2 * m + ctx.n + k - 1))
                     expect = apply_x_power(ctx, k - 1, el).scale(scalar) if k else \
                         SpinorPoly.zero(ctx.n, ctx.spinor_dim)
-                    _check(img == expect)
+                    _check(img == expect, "signature (2,1): D X^%d on M_%d" % (k, m))
 
     def fischer_rule():
         import math
@@ -389,34 +397,52 @@ def _selftest_checks():
             ctx = Context(p, q)
             for d in range(0, 5):
                 total = sum(monogenic_dim(ctx, m) for m in range(d + 1))
-                _check(total == math.comb(d + ctx.n - 1, ctx.n - 1) * ctx.spinor_dim)
-        _check(all(monogenic_dim(Context(4, 0), m) == monogenic_dim(Context(2, 2), m)
-                   for m in range(4)))
+                expect = math.comb(d + ctx.n - 1, ctx.n - 1) * ctx.spinor_dim
+                _check(total == expect, "signature (%d,%d), degree %d: sum of dim M_m is %d, "
+                       "expected %d" % (p, q, d, total, expect))
+        for m in range(4):
+            _check(monogenic_dim(Context(4, 0), m) == monogenic_dim(Context(2, 2), m),
+                   "dim M_%d differs between signatures (4,0) and (2,2)" % m)
 
     def classification():
         ctx = Context(3, 0)
         rep = classify(ctx, rational(5, 2), 6)
-        _check(rep.match and rep.case == "twistor")
+        where = "signature (3,0), lambda 5/2, dmax 6: "
+        _check(rep.match and rep.case == "twistor",
+               where + "case %s, match %s" % (rep.case, rep.match))
         labels = sorted(c.label() for c in rep.found)
-        _check(labels == [(0, 0, 0, 2), (2, 0, 2, 6)])
-        _check(classify(ctx, rational(1), 6).case == "dirac-power")
-        _check(classify(ctx, rational(1, 5), 4).case == "generic")
+        _check(labels == [(0, 0, 0, 2), (2, 0, 2, 6)], where + "labels %s" % labels)
+        case = classify(ctx, rational(1), 6).case
+        _check(case == "dirac-power", "signature (3,0), lambda 1, dmax 6: case %s" % case)
+        case = classify(ctx, rational(1, 5), 4).case
+        _check(case == "generic", "signature (3,0), lambda 1/5, dmax 4: case %s" % case)
         # at realization parameter 3 the degree-1 kernel is M_1, and both
         # sides are its canonical basis
         a = singular_vectors(ctx, rational(3), 1)
         b = monogenic_basis(ctx, 1).elements
-        _check([x.terms for x in a] == [x.terms for x in b])
+        _check([x.terms for x in a] == [x.terms for x in b],
+               "signature (3,0), degree 1: singular vectors at parameter 3 are not M_1")
 
     def intertwining():
         ctx = Context(2, 1)
         op = dirac_power(1, ctx)
-        _check(op.dirac_symbol_ratio == qi(1))
-        _check(verify_intertwining(op, 3, ctx).residual_zero)
-        _check(not verify_intertwining(op, 2, ctx, source_offset=1).residual_zero)
+        _check(op.dirac_symbol_ratio == qi(1),
+               "signature (2,1): Dirac power 1 symbol ratio %s" % op.dirac_symbol_ratio)
+
+        def expect(operator, test_degree, zero, what, **offsets):
+            report = verify_intertwining(operator, test_degree, ctx, **offsets)
+            _check(report.residual_zero == zero,
+                   "signature (2,1), %s, test degree %d: residual_zero %s, first failure "
+                   "%s, max residual terms %d" % (what, test_degree, report.residual_zero,
+                                                  report.first_failure,
+                                                  report.max_residual_terms))
+
+        expect(op, 3, True, "Dirac power 1")
+        expect(op, 2, False, "Dirac power 1, source offset 1", source_offset=1)
         deriv = next(iter(op.coefficients))
-        _check(not verify_intertwining(op.perturbed(deriv, 0, 0), 2, ctx).residual_zero)
-        top = twistor(1, ctx)
-        _check(verify_intertwining(top, 3, ctx).residual_zero)
+        expect(op.perturbed(deriv, 0, 0), 2, False,
+               "Dirac power 1 perturbed at d^%s entry (0, 0)" % (deriv,))
+        expect(twistor(1, ctx), 3, True, "twistor 1")
 
     return [
         ("exact scalars and kernels", scalars),

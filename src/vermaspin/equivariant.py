@@ -5,7 +5,11 @@ the jet pairing <x^a (x) s, f> = (d^a <s, f>)(0), to a constant-coefficient
 differential operator acting on dual-spinor-valued polynomials.  The
 operator intertwines the function-picture actions of the two twists
 attached to the component; the verifier checks that property exactly,
-generator by generator, on polynomial test functions.
+generator by generator.  Both sides are constant-coefficient differential
+operators, so the residual op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered
+symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec per
+generator; only a residual that does not cancel is assembled, on every
+polynomial test degree, to report its size.
 
 Twist bookkeeping.  The operator stores the theorem twists of its source and
 target inducing modules (lambda_source, lambda_target = lambda_source -
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from .exact import (
     GaussianRational,
     SparseMatrix,
+    column_product,
     express_in_span,
     rational,
     rational_to_string,
@@ -177,7 +182,8 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     vecs = [basis.coordinates(sv) for sv in svs]
     if verify_singular:
         for mat in special_conformal_matrices(ctx, lam_real, degree):
-            if any(mat.mul_vec(v) for v in vecs):
+            cols = mat.columns()
+            if any(column_product(cols, v) for v in vecs):
                 raise ValueError("family member is not a singular vector")
     dim_s = ctx.spinor_dim
     coeffs = {}
@@ -211,8 +217,8 @@ def _family_rotations(vecs, degree, lam_real, ctx: Context):
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
             spec = verma_action(("l", i, j), lam_real, ctx.rep)
-            mat = assemble(spec, degree, ctx.graded_basis).matrix
-            images = [mat.mul_vec(v) for v in vecs]
+            cols = assemble(spec, degree, ctx.graded_basis).matrix.columns()
+            images = [column_product(cols, v) for v in vecs]
             coeffs = express_in_span(vecs, images, basis.size)
             if coeffs is None:
                 raise ValueError("family is not rotation-closed")
@@ -259,48 +265,36 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
                         source_offset=0, target_offset=0) -> IntertwiningReport:
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
 
-    The identity is checked as assembled matrices on every graded component
-    of degree <= test_degree (equivalently on every monomial test function up
-    to that degree), for every algebra generator.  A nonzero residual is
-    reported, not raised.
+    For every algebra generator Y the residual is normal-ordered into one
+    spec R_Y with :meth:`OperatorSpec.compose`.  An empty R_Y vanishes on
+    every degree.  Otherwise R_Y is assembled on every graded component of
+    degree <= test_degree; since assemble(A . B, d) equals
+    assemble(A, d + shift) @ assemble(B, d), that is exactly the matrix of
+    the residual on every monomial test function up to that degree.  A
+    nonzero residual is reported, not raised.
     """
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
     src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
     gens = generators(ctx.n)
-    op_mats = {}
-
-    def op_matrix(degree):
-        mat = op_mats.get(degree)
-        if mat is None:
-            mat = op_mats[degree] = operator_matrix(op, degree, ctx)
-        return mat
-
+    spec = op.spec
+    per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
     max_terms = 0
     first = None
-    tested = 0
     for gen in gens:
-        s_spec = src[gen]
-        t_spec = tgt[gen]
-        shifts = s_spec.shifts()
-        shift = shifts[0] if shifts else 0
-        for d in range(0, test_degree + 1):
-            s_mat = assemble(s_spec, d, ctx.graded_basis).matrix
-            lhs = op_matrix(d + shift) @ s_mat
-            t_mat = assemble(t_spec, d - op.order, ctx.graded_basis).matrix
-            rhs = t_mat @ op_matrix(d)
-            res = lhs - rhs
-            tested += lhs.cols
-            if not res.is_zero():
-                terms = res.num_entries()
-                if terms > max_terms:
-                    max_terms = terms
+        residual = (spec.compose(src[gen]) - tgt[gen].compose(spec)).combined()
+        if not residual.terms:
+            continue
+        for d in range(test_degree + 1):
+            terms = assemble(residual, d, ctx.graded_basis).matrix.num_entries()
+            if terms:
+                max_terms = max(max_terms, terms)
                 if first is None:
                     first = (gen, d)
     return IntertwiningReport(
         residual_zero=first is None,
         generators_checked=len(gens),
-        test_elements=tested,
+        test_elements=len(gens) * per_generator,
         max_residual_terms=max_terms,
         first_failure=first,
     )

@@ -33,6 +33,7 @@ __all__ = [
     "rank",
     "nullspace",
     "kernel_is_trivial_hint",
+    "column_product",
     "express_in_span",
 ]
 
@@ -567,14 +568,23 @@ def nullspace(m: SparseMatrix, modular_shortcut=True):
     return list(kernel.values())
 
 
-def _annihilates(cols, vec):
-    """m @ vec == 0, from m.columns(), walking only the columns vec touches."""
+def column_product(cols, vec):
+    """m @ vec from cols = m.columns(), walking only the columns vec touches.
+
+    Compute cols once per matrix and reuse it for every vector; the cost is
+    then the nnz of the touched columns, not of the whole matrix.
+    """
     out = {}
     for c, w in vec.items():
-        for r, v in cols.get(c, {}).items():
+        for r, v in cols.get(c, _EMPTY).items():
             x = out.get(r)
             out[r] = v * w if x is None else x + v * w
-    return not any(out.values())
+    return {r: v for r, v in out.items() if v}
+
+
+def _annihilates(cols, vec):
+    """m @ vec == 0, from m.columns()."""
+    return not column_product(cols, vec)
 
 
 def _canonical_basis(vectors, dim):

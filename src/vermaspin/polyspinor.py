@@ -297,17 +297,28 @@ class OperatorSpec:
                              for t in self.terms], self.tdim)
 
     def compose(self, other):
-        """self after other, normal-ordered exactly (Leibniz reordering)."""
-        if (self.n, self.dim, self.tdim) != (other.n, other.dim, other.tdim):
+        """self after other, normal-ordered exactly (Leibniz reordering).
+
+        other maps dim- to other.tdim-valued polynomials and self continues
+        from there, so self.dim == other.tdim; the result maps other.dim- to
+        self.tdim-valued polynomials.
+        """
+        if self.n != other.n or self.dim != other.tdim:
             raise ValueError("operator spec shape mismatch")
         out = []
         for t1 in self.terms:
             for t2 in other.terms:
                 out.extend(_compose_terms(self.n, t1, t2))
-        return OperatorSpec(self.n, self.dim, out, self.tdim).combined()
+        return OperatorSpec(self.n, other.dim, out, self.tdim).combined()
 
     def combined(self):
-        """Merge like terms (same mono/deriv; identity-fiber terms by sum)."""
+        """Merge like terms, one (mono, deriv) at a time.
+
+        Identity-fiber terms sum their coefficients.  Matrix terms first sum
+        the coefficients of each matrix object; a lone surviving matrix keeps
+        its summed coefficient, and several are scaled once each and added.
+        Terms that cancel are dropped.
+        """
         scalars = {}
         matrices = {}
         for t in self.terms:
@@ -315,16 +326,21 @@ class OperatorSpec:
             if t.mat is None:
                 scalars[key] = scalars.get(key, QI_ZERO) + t.coeff
             else:
-                cur = matrices.get(key)
-                add = t.mat.scale(t.coeff)
-                matrices[key] = add if cur is None else cur + add
-        terms = []
-        for key, c in scalars.items():
-            if c:
-                terms.append(OpTerm(key[0], key[1], None, c))
-        for key, m in matrices.items():
-            if not m.is_zero():
-                terms.append(OpTerm(key[0], key[1], m, QI_ONE))
+                by_mat = matrices.setdefault(key, {})
+                cur = by_mat.get(id(t.mat))
+                by_mat[id(t.mat)] = (t.mat, t.coeff if cur is None else cur[1] + t.coeff)
+        terms = [OpTerm(key[0], key[1], None, c) for key, c in scalars.items() if c]
+        for key, by_mat in matrices.items():
+            live = [(m, c) for m, c in by_mat.values() if c]
+            if len(live) == 1:
+                terms.append(OpTerm(key[0], key[1], *live[0]))
+                continue
+            total = None
+            for m, c in live:
+                m = m if c == QI_ONE else m.scale(c)
+                total = m if total is None else total + m
+            if total is not None and not total.is_zero():
+                terms.append(OpTerm(key[0], key[1], total, QI_ONE))
         return OperatorSpec(self.n, self.dim, terms, self.tdim)
 
     def shifts(self):

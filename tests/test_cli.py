@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -179,6 +180,12 @@ def test_selftest_fails_under_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL exact scalars and kernels" in proc.stdout
+    # a failing intertwining check names the signature, the test degree and
+    # the report's first failure and residual size
+    assert re.search(r"^FAIL equivariant intertwining +AssertionError: signature \(2,1\), "
+                     r".*test degree \d+: residual_zero False, first failure "
+                     r"\(\('[a-z]'(, \d+)*\), \d+\), max residual terms [1-9]",
+                     proc.stdout, re.M), proc.stdout
     # a check that raises something other than AssertionError is reported
     # too, and the remaining checks still run
     lines = proc.stdout.splitlines()

@@ -1,11 +1,15 @@
 import pytest
 
 from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix
-from vermaspin.polyspinor import SpinorPoly
+from vermaspin.polyspinor import SpinorPoly, assemble
 from vermaspin.fischer import apply_x_power, monogenic_basis, monogenic_dim
+from vermaspin.realization import generators
 from vermaspin.singular import singular_vectors
 from vermaspin.equivariant import (
+    IntertwiningReport,
+    _pi_star_specs,
     from_singular_vector,
+    operator_matrix,
     verify_intertwining,
     dirac_power,
     twistor,
@@ -91,6 +95,50 @@ def test_perturbation_is_detected(ctx_factory):
     report = verify_intertwining(bad, 2, ctx)
     assert not report.residual_zero
     assert report.first_failure is not None
+
+
+def _matrix_product_report(op, test_degree, ctx, source_offset=0, target_offset=0):
+    """Brute-force oracle: op_(d+s) pi_src(Y)_d - pi_tgt(Y)_(d-order) op_d as
+    two assembled matrix products per generator Y and degree d."""
+    src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
+    gens = generators(ctx.n)
+    max_terms, first, tested = 0, None, 0
+    for gen in gens:
+        shifts = src[gen].shifts()
+        shift = shifts[0] if shifts else 0
+        for d in range(test_degree + 1):
+            s_mat = assemble(src[gen], d, ctx.graded_basis).matrix
+            lhs = operator_matrix(op, d + shift, ctx) @ s_mat
+            t_mat = assemble(tgt[gen], d - op.order, ctx.graded_basis).matrix
+            res = lhs - t_mat @ operator_matrix(op, d, ctx)
+            tested += lhs.cols
+            if not res.is_zero():
+                max_terms = max(max_terms, res.num_entries())
+                if first is None:
+                    first = (gen, d)
+    return IntertwiningReport(first is None, len(gens), tested, max_terms, first)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (2, 2), (4, 1)])
+def test_symbolic_residual_matches_matrix_product_oracle(ctx_factory, sig):
+    # the same report as the matrix-product verifier, on the operators and on
+    # negative controls that leave a residual on some generator
+    ctx = ctx_factory(*sig)
+    controls = [dict(source_offset=s) for s in (1, -1)] + \
+        [dict(target_offset=t) for t in (1, -1)]
+    for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
+        deriv = sorted(op.coefficients)[0]
+        cases = [(op, {}, 4 if ctx.n == 3 else 3)]
+        # the controls fail at low degree already; keep their oracle cheap
+        low = max(op.order, 2)
+        cases.append((op.perturbed(deriv, 0, 0, qi(rational(1, 7))), {}, low))
+        cases += [(op, offsets, low) for offsets in controls]
+        for k, (variant, offsets, test_degree) in enumerate(cases):
+            report = verify_intertwining(variant, test_degree, ctx, **offsets).to_json()
+            oracle = _matrix_product_report(variant, test_degree, ctx, **offsets).to_json()
+            assert report == oracle, (op.kind, op.order, offsets)
+            assert report["residual_zero"] == (k == 0)
+            assert (report["max_residual_terms"] > 0) == (k > 0)
 
 
 def test_order_zero_operator_is_identity(ctx_factory):

@@ -16,7 +16,7 @@ from vermaspin.polyspinor import (
     _falling,
 )
 from vermaspin.context import Context
-from vermaspin.equivariant import dirac_power, twistor
+from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
 from vermaspin.realization import function_action, generators, verma_action
 from vermaspin.singular import special_conformal_matrices
 
@@ -180,8 +180,11 @@ def test_rectangular_spec_shapes():
         OperatorSpec(3, 2, [OpTerm(z, d1, None, QI_ONE)], tdim=3)
     with pytest.raises(ValueError, match="shape mismatch"):
         spec + OperatorSpec.derivative(3, 2, 1)
+    # compose needs self.dim == other.tdim: spec after d/dx_1 is 2 -> 3
+    after = spec.compose(OperatorSpec.derivative(3, 2, 1))
+    assert (after.dim, after.tdim) == (2, 3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        spec.compose(OperatorSpec.derivative(3, 2, 1))
+        OperatorSpec.derivative(3, 2, 1).compose(spec)
 
 
 def test_compose_matches_matrix_product():
@@ -198,6 +201,65 @@ def test_compose_matches_matrix_product():
             m2 = assemble(s2, d + sh, ctx.graded_basis)
             mc = assemble(comp, d, ctx.graded_basis)
             assert mc.matrix == m2.matrix @ m1.matrix
+
+
+def test_rectangular_compose_matches_matrix_product():
+    # twistor op.spec is rectangular (spinor -> family); the function-picture
+    # actions are square on either side of it
+    for sig in [(3, 0), (2, 1)]:
+        ctx = Context(*sig)
+        mk = ctx.graded_basis
+        op = twistor(1, ctx)
+        src, tgt = _pi_star_specs(op, ctx)
+        spec = op.spec
+        assert spec.dim != spec.tdim
+        for gen in generators(ctx.n):
+            shift = src[gen].shifts()[0]
+            after = spec.compose(src[gen])
+            before = tgt[gen].compose(spec)
+            assert (after.dim, after.tdim) == (before.dim, before.tdim) == (spec.dim, spec.tdim)
+            for d in range(4):
+                assert assemble(after, d, mk).matrix == \
+                    assemble(spec, d + shift, mk).matrix @ assemble(src[gen], d, mk).matrix
+                assert assemble(before, d, mk).matrix == \
+                    assemble(tgt[gen], d - op.order, mk).matrix @ assemble(spec, d, mk).matrix
+
+
+def _term_by_term(spec, degree):
+    """shift -> sum of the single-term matrices at that shift, zero sums dropped."""
+    out = {}
+    for t in spec.terms:
+        mat = assemble(OperatorSpec(spec.n, spec.dim, [t], spec.tdim), degree).matrix
+        out[t.shift] = mat + out[t.shift] if t.shift in out else mat
+    return {shift: mat for shift, mat in out.items() if not mat.is_zero()}
+
+
+def test_combined_groups_by_matrix_object():
+    ctx = Context(2, 1)
+    g1, g2 = ctx.rep.gamma(1), ctx.rep.gamma(2)
+    g1_copy = g1.scale(1)
+    assert g1_copy == g1 and g1_copy is not g1
+    m, d = (1, 0, 0), (0, 1, 1)
+    z = (0, 0, 0)
+    cancelling = [
+        OpTerm(m, d, g1, qi(3, 1)), OpTerm(m, d, g1, qi(-3, -1)),   # on one object
+        OpTerm(z, d, g1, qi(2)), OpTerm(z, d, g1_copy, qi(-2)),      # by value
+        OpTerm(z, d, g2, qi(1, 2)), OpTerm(z, d, g2, qi(-1, -2)),
+        OpTerm(m, z, None, qi(4)), OpTerm(m, z, None, qi(-4)),
+    ]
+    assert OperatorSpec(3, 2, cancelling).combined().terms == []
+    spec = OperatorSpec(3, 2, cancelling + [
+        OpTerm(m, z, g2, qi(1, 5)), OpTerm(m, z, g2, qi(-1, 5)),     # lone matrix, sum 10i
+        OpTerm(z, z, g1, QI_ONE), OpTerm(z, z, g2, qi(0, 1)),        # two matrices summed
+    ])
+    lone, pair = spec.combined().terms
+    assert (lone.mono, lone.deriv, lone.coeff) == (m, z, qi(0, 10)) and lone.mat is g2
+    assert (pair.mono, pair.deriv, pair.coeff) == (z, z, QI_ONE)
+    assert pair.mat == g1 + g2.scale(qi(0, 1))
+    for degree in range(4):
+        expect = _term_by_term(spec, degree)
+        assert _term_by_term(spec.combined(), degree) == expect
+        assert set(expect) <= {0, 1}
 
 
 def test_assemble_rejects_mixed_shift():
