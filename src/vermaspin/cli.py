@@ -287,7 +287,7 @@ def _selftest_checks():
     from .realization import (osp_generators, verma_action, function_action,
                               structure_constants, invariant_contractions)
     from .fischer import monogenic_dim, apply_x_power
-    from .singular import singular_vectors
+    from .singular import singular_vectors, contraction_identity_residual
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -423,6 +423,12 @@ def _selftest_checks():
         _check([x.terms for x in a] == [x.terms for x in b],
                "signature (3,0), degree 1: singular vectors at parameter 3 are not M_1")
 
+    def prefilter_identity():
+        for (p, q) in [(3, 0), (2, 1), (2, 2)]:
+            residual = contraction_identity_residual(Context(p, q))
+            _check(not residual.terms, "signature (%d,%d): sum_j x_j g_j(0) - C2(0) leaves "
+                   "%d terms" % (p, q, len(residual.terms)))
+
     def intertwining():
         ctx = Context(2, 1)
         op = dirac_power(1, ctx)
@@ -454,6 +460,7 @@ def _selftest_checks():
         ("monogenic ladder scalars", ladder),
         ("monogenic sum rule", fischer_rule),
         ("classification spot checks", classification),
+        ("contraction prefilter identity", prefilter_identity),
         ("equivariant intertwining", intertwining),
     ]
 
@@ -466,10 +473,10 @@ def cmd_selftest(args):
             check()
         except Exception as exc:
             failures += 1
-            print("FAIL %-28s %s: %s" % (name, type(exc).__name__, exc))
+            print("FAIL %-31s %s: %s" % (name, type(exc).__name__, exc))
             continue
         suffix = " (%.1fs)" % (time.time() - t0) if args.verbose else ""
-        print("PASS %-28s%s" % (name, suffix))
+        print("PASS %-31s%s" % (name, suffix))
     if failures:
         print("%d check(s) failed" % failures)
         return 1

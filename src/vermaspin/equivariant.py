@@ -37,7 +37,7 @@ from .exact import (
     rational_to_string,
     QI_ONE,
 )
-from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble
+from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
 from .realization import verma_action, function_action, generators
 from .fischer import monogenic_basis
 from .singular import special_conformal_matrices
@@ -266,7 +266,8 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
 
     For every algebra generator Y the residual is normal-ordered into one
-    spec R_Y with :meth:`OperatorSpec.compose`.  An empty R_Y vanishes on
+    spec R_Y: the Leibniz terms of both products, the second negated, are
+    merged in one pass.  An empty R_Y vanishes on
     every degree.  Otherwise R_Y is assembled on every graded component of
     degree <= test_degree; since assemble(A . B, d) equals
     assemble(A, d + shift) @ assemble(B, d), that is exactly the matrix of
@@ -282,7 +283,7 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
     max_terms = 0
     first = None
     for gen in gens:
-        residual = (spec.compose(src[gen]) - tgt[gen].compose(spec)).combined()
+        residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
         if not residual.terms:
             continue
         for d in range(test_degree + 1):

@@ -303,13 +303,7 @@ class OperatorSpec:
         from there, so self.dim == other.tdim; the result maps other.dim- to
         self.tdim-valued polynomials.
         """
-        if self.n != other.n or self.dim != other.tdim:
-            raise ValueError("operator spec shape mismatch")
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                out.extend(_compose_terms(self.n, t1, t2))
-        return OperatorSpec(self.n, other.dim, out, self.tdim).combined()
+        return _product_sum([(self, other)])
 
     def combined(self):
         """Merge like terms, one (mono, deriv) at a time.
@@ -319,29 +313,7 @@ class OperatorSpec:
         its summed coefficient, and several are scaled once each and added.
         Terms that cancel are dropped.
         """
-        scalars = {}
-        matrices = {}
-        for t in self.terms:
-            key = (t.mono, t.deriv)
-            if t.mat is None:
-                scalars[key] = scalars.get(key, QI_ZERO) + t.coeff
-            else:
-                by_mat = matrices.setdefault(key, {})
-                cur = by_mat.get(id(t.mat))
-                by_mat[id(t.mat)] = (t.mat, t.coeff if cur is None else cur[1] + t.coeff)
-        terms = [OpTerm(key[0], key[1], None, c) for key, c in scalars.items() if c]
-        for key, by_mat in matrices.items():
-            live = [(m, c) for m, c in by_mat.values() if c]
-            if len(live) == 1:
-                terms.append(OpTerm(key[0], key[1], *live[0]))
-                continue
-            total = None
-            for m, c in live:
-                m = m if c == QI_ONE else m.scale(c)
-                total = m if total is None else total + m
-            if total is not None and not total.is_zero():
-                terms.append(OpTerm(key[0], key[1], total, QI_ONE))
-        return OperatorSpec(self.n, self.dim, terms, self.tdim)
+        return _merged(self.n, self.dim, self.tdim, self.terms)
 
     def shifts(self):
         return sorted({t.shift for t in self.terms})
@@ -400,6 +372,49 @@ def _reorder_1d(d, m):
     return tuple(out)
 
 
+def _merged(n, dim, tdim, terms):
+    """The spec of an iterable of terms, like terms merged (see combined)."""
+    scalars = {}
+    matrices = {}
+    for t in terms:
+        key = (t.mono, t.deriv)
+        if t.mat is None:
+            scalars[key] = scalars.get(key, QI_ZERO) + t.coeff
+        else:
+            by_mat = matrices.setdefault(key, {})
+            cur = by_mat.get(id(t.mat))
+            by_mat[id(t.mat)] = (t.mat, t.coeff if cur is None else cur[1] + t.coeff)
+    out = [OpTerm(key[0], key[1], None, c) for key, c in scalars.items() if c]
+    for key, by_mat in matrices.items():
+        live = [(m, c) for m, c in by_mat.values() if c]
+        if len(live) == 1:
+            out.append(OpTerm(key[0], key[1], *live[0]))
+            continue
+        total = None
+        for m, c in live:
+            m = m if c == QI_ONE else m.scale(c)
+            total = m if total is None else total + m
+        if total is not None and not total.is_zero():
+            out.append(OpTerm(key[0], key[1], total, QI_ONE))
+    return OperatorSpec(n, dim, out, tdim)
+
+
+def _product_sum(pairs):
+    """Sum of a after b over the (a, b) pairs, normal-ordered and merged once.
+
+    Every pair must map the same source to the same target.  The Leibniz
+    terms of all products stream into one merge, so no product is merged
+    on its own first.
+    """
+    a0, b0 = pairs[0]
+    for a, b in pairs:
+        if (a.n, a.dim, a.tdim, b.dim) != (b.n, b.tdim, a0.tdim, b0.dim):
+            raise ValueError("operator spec shape mismatch")
+    raw = (t for a, b in pairs for t1 in a.terms for t2 in b.terms
+           for t in _compose_terms(a.n, t1, t2))
+    return _merged(a0.n, b0.dim, a0.tdim, raw)
+
+
 def _compose_terms(n, t1: OpTerm, t2: OpTerm):
     """Normal order (x^m1 M1 d^d1)(x^m2 M2 d^d2)."""
     mat = None
@@ -410,7 +425,7 @@ def _compose_terms(n, t1: OpTerm, t2: OpTerm):
     elif t2.mat is not None:
         mat = t2.mat
     base = t1.coeff * t2.coeff
-    if not base:
+    if not base or (mat is not None and mat.is_zero()):
         return []
     choices = [_reorder_1d(t1.deriv[k], t2.mono[k]) for k in range(n)]
     out = []

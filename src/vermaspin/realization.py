@@ -42,6 +42,7 @@ __all__ = [
     "verma_action",
     "function_action",
     "invariant_contractions",
+    "coordinate_contraction",
     "contraction_eigenvalue",
 ]
 
@@ -328,19 +329,25 @@ def invariant_contractions(lam, rep: GammaRep):
         sum3 = sum3 + OperatorSpec.derivative(n, dim, j, qi(sig.eps(j))).compose(g[j])
 
     half = qi(HALF)
-    XD = X.compose(D)
-    closed1 = (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF)) + XD.scale(half)) \
+    closed1 = (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF)) + X.compose(D).scale(half)) \
         .compose(D)
-    closed2 = X.compose(X).compose(D).compose(D).scale(-half) \
-        + (E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))).compose(E) \
-        + XD.scale(half)
     closed3 = (OperatorSpec.scalar(n, dim, qi(lam - 2)) + E.scale(-half)) \
         .compose(D).compose(D)
     return (
         (sum1.combined(), closed1.combined()),
-        (sum2.combined(), closed2.combined()),
+        (sum2.combined(), coordinate_contraction(lam, rep)),
         (sum3.combined(), closed3.combined()),
     )
+
+
+def coordinate_contraction(lam, rep: GammaRep):
+    """Closed form of C2: -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D."""
+    n, dim = rep.n, rep.spinor_dim
+    D, E, X = _osp_cached(rep)
+    half = qi(HALF)
+    return (X.compose(X).compose(D.compose(D)).scale(-half)
+            + (E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))).compose(E)
+            + X.compose(D).scale(half)).combined()
 
 
 def contraction_eigenvalue(idx, k, m, lam, n):

@@ -8,6 +8,15 @@ refines it into isotypic components by exact eigensplitting of the X*D
 operator, and the classifier compares the outcome against the case table of
 the classification theorems.
 
+Contraction prefilter: a singular vector is also killed by the coordinate
+contraction C2 = sum_j x_j g_j, which acts on each Fischer block X^k M_m by
+the scalar ``contraction_eigenvalue(2, k, m, lam, n)``.  A degree where every
+block scalar is nonzero has no singular vectors, so :func:`classify` skips
+it without assembling or eliminating anything.  The skip rests on the closed
+form of C2, which is checked symbolically once per Context
+(:func:`contraction_identity_residual`); if that check fails, ``classify``
+solves every degree.  :func:`singular_vectors` is never filtered.
+
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
 exactly one place (:func:`classify`).
@@ -27,8 +36,8 @@ from .exact import (
     qi,
 )
 from .exact import _canonical_basis
-from .polyspinor import SpinorPoly, assemble, OperatorSpec
-from .realization import verma_action
+from .polyspinor import SpinorPoly, assemble, OperatorSpec, _product_sum
+from .realization import verma_action, contraction_eigenvalue, coordinate_contraction
 from .fischer import monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
 
@@ -41,6 +50,7 @@ __all__ = [
     "isotypic_split",
     "label_isotypic",
     "predicted_components",
+    "contraction_identity_residual",
     "classify",
     "scan",
     "xd_eigenvalue",
@@ -151,12 +161,7 @@ def special_conformal_matrices(ctx: Context, lam, degree):
         base = ctx.cache.get(base_key)
         delta = ctx.cache.get(del_key)
         if base is None:
-            spec_key = ("sc-spec", i)
-            spec0 = ctx.cache.get(spec_key)
-            if spec0 is None:
-                spec0 = verma_action(("g", i), rational(0), ctx.rep)
-                ctx.cache[spec_key] = spec0
-            base = assemble(spec0, degree, ctx.graded_basis).matrix
+            base = assemble(_sc_spec(ctx, i), degree, ctx.graded_basis).matrix
             ctx.cache[base_key] = base
             dspec = OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))
             delta = assemble(dspec, degree, ctx.graded_basis).matrix
@@ -164,6 +169,16 @@ def special_conformal_matrices(ctx: Context, lam, degree):
         mat = base if not lam else base + delta.scale(qi(lam))
         out.append(mat)
     return out
+
+
+def _sc_spec(ctx: Context, i):
+    """The lambda-free special-conformal generator g_i(0), cached per Context."""
+    key = ("sc-spec", i)
+    spec = ctx.cache.get(key)
+    if spec is None:
+        spec = verma_action(("g", i), rational(0), ctx.rep)
+        ctx.cache[key] = spec
+    return spec
 
 
 def _combine(vectors, coeffs):
@@ -360,16 +375,52 @@ def predicted_components(lam_thm, n, d_max):
     return case, checkable, uncheckable
 
 
+def contraction_identity_residual(ctx: Context):
+    """sum_j x_j g_j(0) - C2(0), normal-ordered: empty when the closed form holds.
+
+    g_j(lam) = g_j(0) - lam d_j, so both sides move by the same -lam E and
+    the identity at lambda 0 holds at every lambda.
+    """
+    n, dim = ctx.n, ctx.spinor_dim
+    pairs = [(OperatorSpec.coordinate(n, dim, j), _sc_spec(ctx, j)) for j in range(1, n + 1)]
+    return (_product_sum(pairs) - coordinate_contraction(rational(0), ctx.rep)).combined()
+
+
+def _prefilter_sound(ctx: Context):
+    """Whether the C2 closed form passed its symbolic check, once per Context."""
+    key = ("c2-identity",)
+    ok = ctx.cache.get(key)
+    if ok is None:
+        ok = not contraction_identity_residual(ctx).terms
+        ctx.cache[key] = ok
+    return ok
+
+
+def _c2_has_zero_block(lam_real, degree, n):
+    """Some block X^k M_(degree-k) on which C2 acts by zero."""
+    return any(not contraction_eigenvalue(2, k, degree - k, lam_real, n)
+               for k in range(degree + 1))
+
+
 def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
-    """Solve every degree up to d_max and compare with the theorem table."""
+    """Find the singular vectors up to d_max and compare with the theorem table.
+
+    A degree is solved only when the coordinate contraction C2 has a zero
+    block X^k M_m there; every other degree has no singular vectors.  The
+    skip is taken only after the closed form of C2 passed its symbolic check
+    on this Context; otherwise every degree is solved.
+    """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     lam_thm = rational(lam_thm)
     lam_real = lam_thm + rational(ctx.n, 2)
     case, checkable, uncheckable = predicted_components(lam_thm, ctx.n, d_max)
     predicted = [(d, k, m, monogenic_dim(ctx, m)) for d, k, m in checkable]
+    filtered = _prefilter_sound(ctx)
     found = []
     for degree in range(0, d_max + 1):
+        if filtered and not _c2_has_zero_block(lam_real, degree, ctx.n):
+            continue
         polys = singular_vectors(ctx, lam_real, degree)
         for k, m, piece in isotypic_split(ctx, polys, degree):
             found.append(ComponentRecord(

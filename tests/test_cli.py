@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli
+from vermaspin import cli, singular
 from vermaspin.exact import rational
+from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
 
 
@@ -160,7 +161,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
 
 
 def test_selftest_fails_under_optimize_flag():
@@ -191,6 +192,15 @@ def test_selftest_fails_under_optimize_flag():
     lines = proc.stdout.splitlines()
     for name, _ in cli._selftest_checks():
         assert any(line.startswith(("PASS " + name, "FAIL " + name)) for line in lines), name
+
+
+def test_selftest_prefilter_check_names_the_signature(monkeypatch):
+    closed = singular.coordinate_contraction
+    monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
+                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    check = dict(cli._selftest_checks())["contraction prefilter identity"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\): .* leaves 1 terms$"):
+        check()
 
 
 def _no_context(*args, **kwargs):

@@ -14,6 +14,7 @@ from vermaspin.polyspinor import (
     OperatorSpec,
     assemble,
     _falling,
+    _product_sum,
 )
 from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
@@ -260,6 +261,24 @@ def test_combined_groups_by_matrix_object():
         expect = _term_by_term(spec, degree)
         assert _term_by_term(spec.combined(), degree) == expect
         assert set(expect) <= {0, 1}
+
+
+def test_compose_drops_zero_fiber_products():
+    # a fiber product that vanishes leaves no term, so a residual that
+    # cancels is empty and verify_intertwining assembles nothing for it
+    a = SparseMatrix.from_entries(2, 2, [(0, 0, QI_ONE)])
+    b = SparseMatrix.from_entries(2, 2, [(1, 1, QI_ONE)])
+    left = OperatorSpec.fiber(3, a).compose(OperatorSpec.derivative(3, 2, 1))
+    x1 = OperatorSpec.coordinate(3, 2, 1)
+    assert left.compose(x1.compose(OperatorSpec.fiber(3, b))).terms == []
+    # a d_1 x_1 a = a x_1 d_1 + a: both Leibniz terms survive
+    assert len(left.compose(x1.compose(OperatorSpec.fiber(3, a))).terms) == 2
+    ctx = Context(4, 0)
+    op = twistor(1, ctx)
+    src, tgt = _pi_star_specs(op, ctx, 0, 0)
+    for gen in generators(ctx.n):
+        residual = _product_sum([(op.spec, src[gen]), (tgt[gen].scale(-1), op.spec)])
+        assert residual.terms == [], gen
 
 
 def test_assemble_rejects_mixed_shift():

@@ -14,7 +14,7 @@ from vermaspin.realization import (
     invariant_contractions,
     contraction_eigenvalue,
 )
-from vermaspin.fischer import monogenic_basis, apply_x_power
+from vermaspin.fischer import monogenic_basis, apply_x_power, x_power_matrix
 
 
 def split_form(n, eps):
@@ -218,6 +218,25 @@ def test_contraction_eigenvalues_on_ladder(ctx_factory):
                         else:
                             expect = apply_x_power(ctx, k - drop, el).scale(scalar)
                         assert out == expect, (idx, k, m, str(lam))
+
+
+def test_coordinate_contraction_ladder_n6(ctx_factory):
+    # classify skips degrees by this scalar at n = 6 as well; at 11/2 the
+    # block X^0 M_2 has scalar zero
+    ctx = ctx_factory(3, 3)
+    for lam in (rational(0), rational(11, 2), rational(-2, 7)):
+        c2 = invariant_contractions(lam, ctx.rep)[1][0]
+        for m in range(3):
+            mbasis = ctx.graded_basis(m)
+            cols = [mbasis.coordinates(el) for el in monogenic_basis(ctx, m).elements]
+            basis_matrix = SparseMatrix.from_entries(
+                mbasis.size, len(cols),
+                ((r, j, v) for j, col in enumerate(cols) for r, v in col.items()))
+            for k in range(3):
+                ladder = x_power_matrix(ctx, k, m) @ basis_matrix
+                out = assemble(c2, k + m, ctx.graded_basis).matrix @ ladder
+                scalar = contraction_eigenvalue(2, k, m, lam, ctx.n)
+                assert out == ladder.scale(scalar), (str(lam), k, m)
 
 
 def test_derivative_contraction_kills_dirac_square_kernel(ctx_factory):

@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vermaspin import singular
+from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, express_in_span, nullspace, _canonical_basis)
-from vermaspin.polyspinor import SpinorPoly, assemble
+from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import verma_action, invariant_contractions
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power
 from vermaspin.singular import (
+    ClassificationReport,
+    ComponentRecord,
+    _chirality_dims,
     _combine,
     singular_vectors,
     special_conformal_matrices,
@@ -13,6 +19,7 @@ from vermaspin.singular import (
     label_isotypic,
     predicted_components,
     classify,
+    contraction_identity_residual,
     scan,
     xd_eigenvalue,
 )
@@ -253,3 +260,94 @@ def test_gamma_construction_independence(ctx_factory):
     assert ra.match and rb.match
     from vermaspin.equivariant import dirac_power, verify_intertwining
     assert verify_intertwining(dirac_power(1, b), 3, b).residual_zero
+
+
+def _classify_unfiltered(ctx, lam_thm, d_max):
+    """Oracle: classify with every degree solved, no contraction prefilter."""
+    lam_thm = rational(lam_thm)
+    case, checkable, uncheckable = predicted_components(lam_thm, ctx.n, d_max)
+    predicted = [(d, k, m, monogenic_dim(ctx, m)) for d, k, m in checkable]
+    found = []
+    for degree in range(d_max + 1):
+        polys = singular_vectors(ctx, lam_thm + rational(ctx.n, 2), degree)
+        for k, m, piece in isotypic_split(ctx, polys, degree):
+            found.append(ComponentRecord(
+                degree=degree, k=k, m=m, dim=len(piece),
+                chirality_dims=_chirality_dims(ctx, piece, k, m, degree)))
+    match = sorted(c.label() for c in found) == sorted(predicted)
+    return ClassificationReport(
+        n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, lam_thm=lam_thm, d_max=d_max, case=case,
+        found=found, predicted=predicted, uncheckable=uncheckable, match=match)
+
+
+# one twist per special case of each n, and two generic twists
+_ORACLE_TWISTS = {
+    3: [rational(5, 2), rational(1)],       # twistor, dirac-power
+    4: [rational(3, 2), rational(1, 2)],    # both, dirac-power
+    5: [rational(3, 2), rational(-1)],      # twistor, dirac-power
+}
+_GENERIC = [rational(1, 5), rational(-2, 7)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_matches_unfiltered_oracle(ctx_factory, n):
+    for p in range(n + 1):
+        ctx = ctx_factory(p, n - p)
+        for twist in _ORACLE_TWISTS[n] + _GENERIC:
+            expect = _classify_unfiltered(ctx, twist, 4).to_json()
+            assert classify(ctx, twist, 4).to_json() == expect, ((p, n - p), str(twist))
+
+
+def test_prefilter_keeps_a_degree_with_empty_kernel(ctx_factory):
+    # at (3,0), lambda 5/2, C2 has a zero block at degree 4 but nothing there
+    # is singular: the filter keeps the degree and the solver finds it empty
+    ctx = ctx_factory(3, 0)
+    lam_real = rational(5, 2) + rational(3, 2)
+    kept = [d for d in range(5) if singular._c2_has_zero_block(lam_real, d, 3)]
+    assert kept == [0, 2, 4]
+    assert singular_vectors(ctx, lam_real, 4) == []
+    assert classify(ctx, rational(5, 2), 4).to_json() \
+        == _classify_unfiltered(ctx, rational(5, 2), 4).to_json()
+
+
+@st.composite
+def _classify_cases(draw):
+    n = draw(st.sampled_from((3, 4)))
+    p = draw(st.integers(0, n))
+    den = draw(st.integers(1, 4))
+    num = draw(st.integers(-4 * den, 4 * den))
+    return (p, n - p), rational(num, den), draw(st.integers(1, 3))
+
+
+@given(_classify_cases())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_classify_matches_unfiltered_oracle_random(ctx_factory, case):
+    (p, q), lam_thm, d_max = case
+    ctx = ctx_factory(p, q)
+    report = classify(ctx, lam_thm, d_max)
+    assert report.match, report.to_text()
+    assert report.to_json() == _classify_unfiltered(ctx, lam_thm, d_max).to_json()
+
+
+def test_prefilter_falls_back_when_identity_fails(monkeypatch):
+    lam = rational(5, 2)
+    solved = []
+    solve = singular.singular_vectors
+
+    def counted(ctx, lam, degree):
+        solved.append(degree)
+        return solve(ctx, lam, degree)
+
+    monkeypatch.setattr(singular, "singular_vectors", counted)
+    expect = classify(Context(3, 0), lam, 4).to_json()
+    assert solved == [0, 2, 4]
+
+    closed = singular.coordinate_contraction
+    monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
+                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    ctx = Context(3, 0)
+    assert contraction_identity_residual(ctx).terms
+    solved.clear()
+    assert classify(ctx, lam, 4).to_json() == expect
+    assert solved == [0, 1, 2, 3, 4]
