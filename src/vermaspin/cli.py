@@ -301,6 +301,13 @@ def _selftest_checks():
         ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
         _check(ker == [{0: qi(1), 1: qi(0, 1)}],
                "nullspace of [[1, i]]: %d vectors" % len(ker))
+        # a non-unit Gaussian pivot, and a row with denominators
+        ker = nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]), modular_shortcut=False)
+        _check(ker == [{0: qi(1), 1: qi(-1, 1)}], "nullspace of [[2, 1+i]]: %s" % ker)
+        ker = nullspace(SparseMatrix.from_dense([[qi(rational(1, 2)), qi(0, rational(1, 3))]]),
+                        modular_shortcut=False)
+        _check(ker == [{0: qi(1), 1: qi(0, rational(3, 2))}],
+               "nullspace of [[1/2, i/3]]: %s" % ker)
 
     def gamma_relations():
         for (p, q) in [(3, 0), (1, 2), (2, 2), (5, 0), (3, 3)]:

@@ -294,15 +294,27 @@ def so_generator(i, j, rep: GammaRep) -> SparseMatrix:
 
 @dataclass
 class ChiralityProjector:
-    """Projectors onto the half-spinor subspaces (n even)."""
+    """Projectors onto the half-spinor subspaces (n even).
+
+    The volume element is diagonal +-1 in both gamma models, so each half is
+    spanned by fiber basis vectors: ``plus_index`` holds those of the + half.
+    """
 
     volume: SparseMatrix
     plus: SparseMatrix
     minus: SparseMatrix
+    plus_index: frozenset
+
+    def half(self, fiber_index):
+        """'+' or '-': the half-spinor subspace holding a fiber basis vector."""
+        return "+" if fiber_index in self.plus_index else "-"
 
 
 def chirality_split(rep: GammaRep) -> ChiralityProjector:
-    """(I +- G_vol)/2 with G_vol = c G_1 ... G_n scaled so G_vol^2 = I."""
+    """(I +- G_vol)/2 with G_vol = c G_1 ... G_n scaled so G_vol^2 = I.
+
+    Raises ValueError unless G_vol is diagonal with entries +-1.
+    """
     n = rep.n
     if n % 2 == 1:
         raise ValueError("no chirality split: dimension must be even")
@@ -311,8 +323,13 @@ def chirality_split(rep: GammaRep) -> ChiralityProjector:
         vol = vol @ g
     if vol @ vol != SparseMatrix.identity(rep.spinor_dim):
         vol = vol.scale(QI_I)
+    if len(vol.data) != rep.spinor_dim or any(
+            row.keys() != {r} or row[r] not in (QI_ONE, -QI_ONE) for r, row in vol.data.items()):
+        raise ValueError("no chirality split by fiber index: the volume element of the "
+                         "%s gamma model at n = %d is not diagonal +-1" % (rep.variant, n))
     ident = SparseMatrix.identity(rep.spinor_dim)
     half = qi(rational(1, 2))
     plus = (ident + vol).scale(half)
     minus = (ident - vol).scale(half)
-    return ChiralityProjector(volume=vol, plus=plus, minus=minus)
+    plus_index = frozenset(r for r, row in vol.data.items() if row[r] == QI_ONE)
+    return ChiralityProjector(volume=vol, plus=plus, minus=minus, plus_index=plus_index)

@@ -6,6 +6,13 @@ an element of Q(i) with reduced positive-denominator parts, and
 :class:`SparseMatrix`, a row-major map of nonzero entries.  There is no
 floating point anywhere in this package.
 
+Elimination (``rref``, ``rank``, ``nullspace`` and what is built on them)
+runs internally on Gaussian-integer rows: each row is cleared of its
+denominators on the way in, pivot rows are normalized by the conjugate of
+their pivot, rows are combined fraction-free and kept free of integer
+content, and results become GaussianRational only on the way out.  Kernel
+vectors are checked exactly against the matrix, in integers.
+
 Rationals are backed by ``gmpy2.mpq`` when available (much faster) and fall
 back to ``fractions.Fraction`` transparently.
 """
@@ -13,6 +20,7 @@ back to ``fractions.Fraction`` transparently.
 from __future__ import annotations
 
 import re as _re
+from math import gcd as _gcd, lcm as _lcm
 
 try:
     from gmpy2 import mpq as _Q
@@ -392,7 +400,8 @@ _EMPTY = {}
 
 
 # ---------------------------------------------------------------------------
-# elimination: one Gauss-Jordan loop, with field operations for Q(i) and F_p
+# elimination: one Gauss-Jordan loop, with row operations on Gaussian-integer
+# rows (for Q(i)) and on rows over F_p
 # ---------------------------------------------------------------------------
 
 
@@ -400,12 +409,12 @@ def _eliminate(rows, order, normalize, sub_scaled):
     """Gauss-Jordan on a list of dict rows, in place; returns [(col, row index)].
 
     Columns are pivoted in the given order.  A column's pivot is its sparsest
-    holder row (lowest index on ties); ``normalize(row, col)`` scales it to a
-    leading one and ``sub_scaled(target, row, factor)`` clears the column
-    from every other row, earlier pivot rows included.  A column index lists
-    the holders of each column and gains a row whenever fill-in appears, so
-    no step scans every row.  Entries that cancelled are skipped when their
-    column comes up, and a column leaves the index once it is pivoted.
+    holder row (lowest index on ties); ``normalize(row, col)`` rescales it and
+    ``sub_scaled(target, row, col)`` clears the column from every other row,
+    earlier pivot rows included.  A column index lists the holders of each
+    column and gains a row whenever fill-in appears, so no step scans every
+    row.  Entries that cancelled are skipped when their column comes up, and
+    a column leaves the index once it is pivoted.
     """
     holders = {}
     for i, row in enumerate(rows):
@@ -425,53 +434,107 @@ def _eliminate(rows, order, normalize, sub_scaled):
         for r2 in hold:
             row2 = rows[r2]
             fill = [k for k in row if k not in row2]
-            sub_scaled(row2, row, row2[c])
+            sub_scaled(row2, row, c)
             for k in fill:
                 holders[k].append(r2)
         pivots.append((c, r))
     return pivots
 
 
-def _normalize_row(row, c):
-    """row scaled to a leading one in column c, over Q(i)."""
-    piv = row[c]
-    if piv == QI_ONE:
-        return row
-    inv = QI_ONE / piv
-    return {k: v * inv for k, v in row.items()}
+# Q(i) runs on Gaussian-integer rows {col: (re, im)} of Python ints.  Each
+# row of the matrix is multiplied by the lcm of its denominators on the way
+# in, and a row is only ever replaced by an integer combination of rows, so
+# pivots, row spaces and kernels are exactly those over Q(i).  A normalized
+# pivot is a positive integer N, and every row is divided by its integer
+# content after each step.  Values become GaussianRational only on the way
+# out: an RREF row is divided by its pivot N, a kernel entry is -x/N.
 
 
-def _sub_scaled_row(target, source, factor):
-    """target -= factor * source, in place on dict rows over Q(i). factor nonzero."""
-    fre, fim = factor.re, factor.im
-    mk = GaussianRational._mk
-    for c, v in source.items():
-        vre, vim = v.re, v.im
-        tre = fre * vre - fim * vim
-        tim = fre * vim + fim * vre
-        w = target.get(c)
+def _gauss_rows(m: SparseMatrix):
+    """The rows of m as Gaussian-integer rows, each cleared of its denominators."""
+    out = []
+    for row in m.data.values():
+        den = 1
+        for v in row.values():
+            for q in (v.re, v.im):
+                if q.denominator != 1:
+                    den = _lcm(den, int(q.denominator))
+        out.append({c: (int(v.re.numerator) * (den // int(v.re.denominator)),
+                        int(v.im.numerator) * (den // int(v.im.denominator)))
+                    for c, v in row.items()})
+    return out
+
+
+def _divide_content(row):
+    """Divide a Gaussian-integer row, in place, by the gcd of all its parts."""
+    g = 0
+    for a, b in row.values():
+        g = _gcd(g, a, b)
+        if g == 1:
+            return
+    if g > 1:
+        for k, (a, b) in row.items():
+            row[k] = (a // g, b // g)
+
+
+def _normalize_row_gauss(row, c):
+    """row times the conjugate of its pivot, over its content: pivot N > 0."""
+    p, q = row[c]
+    if q or p < 0:
+        row = {k: (a * p + b * q, b * p - a * q) for k, (a, b) in row.items()}
+    _divide_content(row)
+    return row
+
+
+def _sub_scaled_row_gauss(target, source, c):
+    """target := N target - target[c] source, over its content, in place.
+
+    N = source[c] is the normalized pivot of source, so column c cancels.
+    """
+    n = source[c][0]
+    fre, fim = target[c]
+    g = _gcd(n, fre, fim)
+    if g != 1:
+        n, fre, fim = n // g, fre // g, fim // g
+    if n != 1:
+        for k, (a, b) in target.items():
+            target[k] = (n * a, n * b)
+    for k, (a, b) in source.items():
+        tre = fre * a - fim * b
+        tim = fre * b + fim * a
+        w = target.get(k)
         if w is None:
-            target[c] = mk(-tre, -tim)
+            target[k] = (-tre, -tim)
         else:
-            nre = w.re - tre
-            nim = w.im - tim
+            nre = w[0] - tre
+            nim = w[1] - tim
             if nre or nim:
-                target[c] = mk(nre, nim)
+                target[k] = (nre, nim)
             else:
-                del target[c]
+                del target[k]
+    _divide_content(target)
+
+
+def _gaussian(a, b, n):
+    """(a + b i) / n as a GaussianRational."""
+    return GaussianRational._mk(_Q(a, n), _Q(b, n))
 
 
 def rref(m: SparseMatrix):
     """The unique reduced row-echelon form of m and its pivot columns."""
-    rows = [dict(row) for row in m.data.values()]
-    pivots = _eliminate(rows, range(m.cols), _normalize_row, _sub_scaled_row)
-    data = {i: rows[r] for i, (_, r) in enumerate(pivots)}
+    rows = _gauss_rows(m)
+    pivots = _eliminate(rows, range(m.cols), _normalize_row_gauss, _sub_scaled_row_gauss)
+    data = {}
+    for i, (c, r) in enumerate(pivots):
+        n = rows[r][c][0]
+        data[i] = {k: _gaussian(a, b, n) for k, (a, b) in rows[r].items()}
     return SparseMatrix(m.rows, m.cols, data), [c for c, _ in pivots]
 
 
 def rank(m: SparseMatrix) -> int:
-    rows = [dict(row) for row in m.data.values()]
-    return len(_eliminate(rows, reversed(range(m.cols)), _normalize_row, _sub_scaled_row))
+    rows = _gauss_rows(m)
+    return len(_eliminate(rows, reversed(range(m.cols)),
+                          _normalize_row_gauss, _sub_scaled_row_gauss))
 
 
 # mod-p certificate: p = 1 (mod 4) so that -1 is a square and Q(i) maps
@@ -521,14 +584,16 @@ def _normalize_row_modp(row, c):
     return {k: v * inv % p for k, v in row.items()}
 
 
-def _sub_scaled_row_modp(target, source, factor):
+def _sub_scaled_row_modp(target, source, c):
+    """target -= target[c] * source over F_p, in place; source[c] is 1."""
     p = _CERT_P
-    for c, v in source.items():
-        t = (target.get(c, 0) - factor * v) % p
+    factor = target[c]
+    for k, v in source.items():
+        t = (target.get(k, 0) - factor * v) % p
         if t:
-            target[c] = t
+            target[k] = t
         else:
-            del target[c]
+            del target[k]
 
 
 def kernel_is_trivial_hint(m: SparseMatrix):
@@ -546,26 +611,54 @@ def nullspace(m: SparseMatrix, modular_shortcut=True):
     Each vector is a dict col -> GaussianRational with first nonzero entry 1;
     vectors are ordered by leading index.  Pivoting from the last column
     first leaves every pivot row with entries only in free columns left of
-    its pivot, so e_f - sum_c row_c[f] e_c is already the RREF basis vector
-    of free column f.  Every vector is checked against m before it is
-    returned.
+    its pivot, so e_f - sum_c (row_c[f] / N_c) e_c is already the RREF basis
+    vector of free column f.  Every vector is checked against m before it is
+    returned, in integers: L times the vector, with L the lcm of the pivots
+    N_c it uses, must be annihilated by the integer rows of m.
     """
     if modular_shortcut and kernel_is_trivial_hint(m):
         return []
-    rows = [dict(row) for row in m.data.values()]
-    pivots = _eliminate(rows, reversed(range(m.cols)), _normalize_row, _sub_scaled_row)
+    rows = _gauss_rows(m)
+    cols = _gauss_columns(rows)
+    pivots = _eliminate(rows, reversed(range(m.cols)), _normalize_row_gauss, _sub_scaled_row_gauss)
     pivot_cols = {c for c, _ in pivots}
-    kernel = {f: {f: QI_ONE} for f in range(m.cols) if f not in pivot_cols}
+    terms = {f: [] for f in range(m.cols) if f not in pivot_cols}  # f -> [(c, N_c, row_c[f])]
     for c, r in pivots:
-        for f, w in rows[r].items():
+        n = rows[r][c][0]
+        for f, x in rows[r].items():
             if f != c:
-                kernel[f][c] = -w
-    cols = m.columns()
-    for f, v in kernel.items():
-        if not _annihilates(cols, v):
+                terms[f].append((c, n, x))
+    kernel = []
+    for f, fterms in terms.items():
+        lcm = _lcm(*(n for _, n, _ in fterms))
+        w = {f: (lcm, 0)}
+        for c, n, (a, b) in fterms:
+            s = lcm // n
+            w[c] = (-a * s, -b * s)
+        if not _annihilates(cols, w):
             raise ArithmeticError("kernel vector of free column %d is not annihilated by "
                                   "the %dx%d matrix" % (f, m.rows, m.cols))
-    return list(kernel.values())
+        kernel.append({c: _gaussian(a, b, lcm) for c, (a, b) in w.items()})
+    return kernel
+
+
+def _gauss_columns(rows):
+    """col -> {row index -> (re, im)} of a list of Gaussian-integer rows."""
+    out = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out.setdefault(c, {})[i] = v
+    return out
+
+
+def _annihilates(cols, vec):
+    """m @ vec == 0 in Gaussian integers, from the columns of m's integer rows."""
+    re, im = {}, {}
+    for c, (wr, wi) in vec.items():
+        for r, (a, b) in cols.get(c, _EMPTY).items():
+            re[r] = re.get(r, 0) + a * wr - b * wi
+            im[r] = im.get(r, 0) + a * wi + b * wr
+    return not any(re.values()) and not any(im.values())
 
 
 def column_product(cols, vec):
@@ -580,11 +673,6 @@ def column_product(cols, vec):
             x = out.get(r)
             out[r] = v * w if x is None else x + v * w
     return {r: v for r, v in out.items() if v}
-
-
-def _annihilates(cols, vec):
-    """m @ vec == 0, from m.columns()."""
-    return not column_product(cols, vec)
 
 
 def _canonical_basis(vectors, dim):

@@ -6,13 +6,18 @@ the direct sum of X^b M_a over a, b >= 0.  Everything here is computed by
 exact kernel extraction and exact linear solves; no dimension formula is
 assumed anywhere (dimensions are later *checked* against the telescoping
 rule, not produced by it).
+
+For even n, M_a = M_a^+ + M_a^- splits by chirality (Delanghe, Sommen and
+Soucek 1992): D anticommutes with the volume element, and in both gamma
+models that element is diagonal +-1, so each kernel vector is tagged by the
+half its support lies in; no projection or second elimination is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import SparseMatrix, nullspace, express_in_span, _canonical_basis
+from .exact import SparseMatrix, nullspace, express_in_span
 from .polyspinor import SpinorPoly, assemble
 from .realization import _osp_cached
 from .context import Context
@@ -73,7 +78,14 @@ def x_power_matrix(ctx: Context, k, degree):
 
 
 def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
-    """Exact basis of M_a = ker D in degree a, chirality-refined for even n."""
+    """Exact basis of M_a = ker D in degree a, chirality-refined for even n.
+
+    The basis is the RREF basis of the kernel.  For even n, D anticommutes
+    with the volume element, which is diagonal in the fiber, so elimination
+    never mixes the two halves and every RREF kernel vector lies in one of
+    them: the + vectors come first, then the - vectors, each in kernel order
+    (together the RREF bases of M_a^+ and M_a^-).
+    """
     if a < 0:
         raise ValueError("degree must be nonnegative")
     key = ("monogenic", a)
@@ -84,20 +96,19 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     op = dirac_matrix(ctx, a)
     kernel = nullspace(op.matrix, modular_shortcut=False)
     if ctx.chirality is None:
-        elements = [basis.from_coordinates(v) for v in kernel]
-        tags = [None] * len(elements)
+        vectors, tags = kernel, [None] * len(kernel)
     else:
-        elements, tags = [], []
-        for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
-            projected = []
-            for v in kernel:
-                poly = basis.from_coordinates(v).fiber_map(proj)
-                if not poly.is_zero():
-                    projected.append(basis.coordinates(poly))
-            for v in _canonical_basis(projected, basis.size):
-                elements.append(basis.from_coordinates(v))
-                tags.append(tag)
-    out = MonogenicBasis(degree=a, elements=elements, chirality=tags)
+        halves = {"+": [], "-": []}
+        for v in kernel:
+            sides = {ctx.chirality.half(i % basis.dim) for i in v}
+            if len(sides) != 1:
+                raise ArithmeticError("degree %d: a monogenic kernel vector touches both "
+                                      "chirality halves" % a)
+            halves[sides.pop()].append(v)
+        vectors = halves["+"] + halves["-"]
+        tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
+    out = MonogenicBasis(degree=a, elements=[basis.from_coordinates(v) for v in vectors],
+                         chirality=tags)
     ctx.cache[key] = out
     return out
 

@@ -131,15 +131,6 @@ class SpinorPoly:
         degs = self.degrees()
         return degs[0] if len(degs) == 1 else None
 
-    def fiber_map(self, mat: SparseMatrix):
-        """Apply a fiber matrix pointwise: terms become mat @ vec."""
-        out = {}
-        for m, vec in self.terms.items():
-            nv = mat.mul_vec(vec)
-            if nv:
-                out[m] = nv
-        return SpinorPoly(self.n, mat.rows, out)
-
     def to_json(self):
         terms = []
         for m in sorted(self.terms, reverse=True):

@@ -30,6 +30,7 @@ from functools import reduce
 from .exact import (
     SparseMatrix,
     nullspace,
+    rank,
     express_in_span,
     rational,
     rational_to_string,
@@ -293,15 +294,8 @@ def label_isotypic(ctx: Context, poly: SpinorPoly) -> IsotypicLabel:
         raise ValueError("not isotypic")
     chirality = None
     if ctx.chirality is not None:
-        stripped = ctx.graded_basis(m).from_coordinates(chain[k])
-        plus = stripped.fiber_map(ctx.chirality.plus)
-        minus = stripped.fiber_map(ctx.chirality.minus)
-        if minus.is_zero() and not plus.is_zero():
-            chirality = "+"
-        elif plus.is_zero() and not minus.is_zero():
-            chirality = "-"
-        else:
-            chirality = "mixed"
+        sides = {ctx.chirality.half(i % ctx.spinor_dim) for i in chain[k]}
+        chirality = sides.pop() if len(sides) == 1 else "mixed"
     return IsotypicLabel(k=k, m=m, chirality=chirality)
 
 
@@ -309,7 +303,6 @@ def _chirality_dims(ctx: Context, piece_polys, k, m, degree):
     """Dimensions of the +/- halves of an isotypic piece (even n only)."""
     if ctx.chirality is None:
         return None
-    mbasis = ctx.graded_basis(m)
     stripped = []
     for poly in piece_polys:
         vec = ctx.graded_basis(degree).coordinates(poly)
@@ -317,12 +310,13 @@ def _chirality_dims(ctx: Context, piece_polys, k, m, degree):
         for _ in range(k):
             vec = dirac_matrix(ctx, deg).matrix.mul_vec(vec)
             deg -= 1
-        stripped.append(mbasis.from_coordinates(vec))
+        stripped.append(vec)
     dims = {}
-    for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
-        projected = [mbasis.coordinates(s.fiber_map(proj)) for s in stripped]
-        projected = [v for v in projected if v]
-        dims[tag] = len(_canonical_basis(projected, mbasis.size))
+    for tag in ("+", "-"):
+        rows = [{i: v for i, v in vec.items() if ctx.chirality.half(i % ctx.spinor_dim) == tag}
+                for vec in stripped]
+        rows = [row for row in rows if row]
+        dims[tag] = rank(SparseMatrix(len(rows), ctx.graded_basis(m).size, dict(enumerate(rows))))
     return dims
 
 

@@ -152,6 +152,30 @@ def test_chirality_split():
         chirality_split(build_gamma_rep(Signature(3, 0)))
 
 
+def test_chirality_index_set_every_even_signature():
+    # both gamma models have a diagonal +-1 volume element at n = 4, 6, 8,
+    # so each half is spanned by fiber basis vectors
+    for n in (4, 6, 8):
+        for p in range(n + 1):
+            for variant in ("standard", "alt"):
+                ch = chirality_split(build_gamma_rep(Signature(p, n - p), variant=variant))
+                assert len(ch.plus_index) == 2 ** (n // 2 - 1)
+                for r in range(2 ** (n // 2)):
+                    sign = QI_ONE if ch.half(r) == "+" else -QI_ONE
+                    assert ch.volume.data[r] == {r: sign}
+
+
+def test_chirality_split_rejects_non_diagonal_volume():
+    class StubRep:
+        # G_1 = diag(1, -1), G_2 = [[0, 1], [1, 0]]: G_1 G_2 squares to -I
+        n, spinor_dim, variant = 2, 2, "stub"
+        gammas = [SparseMatrix.from_dense([[qi(1), qi(0)], [qi(0), qi(-1)]]),
+                  SparseMatrix.from_dense([[qi(0), qi(1)], [qi(1), qi(0)]])]
+
+    with pytest.raises(ValueError, match="not diagonal"):
+        chirality_split(StubRep())
+
+
 def rank_of(m):
     from vermaspin.exact import rank
     return rank(m)

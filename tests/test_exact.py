@@ -248,13 +248,16 @@ def _densify(vec, ncols):
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, big=False):
     """Sparse Q(i) matrices with dependent and duplicate rows, rows shuffled.
 
-    Denominators are small, or the certificate prime itself.
+    Denominators are small, or the certificate prime itself.  With ``big``,
+    numerators reach 10^6 and denominators 10^4, so rows grow large integer
+    contents and lcm scalings inside the elimination.
     """
-    den = st.one_of(st.integers(min_value=1, max_value=6), st.just(_CERT_P))
-    part = st.builds(rational, st.integers(min_value=-4, max_value=4), den)
+    top_num, top_den = (10 ** 6, 10 ** 4) if big else (4, 6)
+    den = st.one_of(st.integers(min_value=1, max_value=top_den), st.just(_CERT_P))
+    part = st.builds(rational, st.integers(min_value=-top_num, max_value=top_num), den)
     entry = st.builds(qi, part, part)
     cols = draw(st.integers(min_value=1, max_value=6))
     col = st.integers(min_value=0, max_value=cols - 1)
@@ -291,6 +294,29 @@ def test_engine_matches_dense_oracle(m):
         assert kernel == []
 
 
+@given(sparse_matrices(big=True))
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_dense_oracle_large_entries(m):
+    # large contents and row lcms inside the Gaussian-integer elimination
+    test_engine_matches_dense_oracle.hypothesis.inner_test(m)
+
+
+def test_integer_rows_keep_content_and_denominators_exact():
+    # non-unit Gaussian pivots and rows with denominators: the pivot row is
+    # multiplied by its conjugate pivot, rows by the lcm of their denominators
+    assert nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]),
+                     modular_shortcut=False) == [{0: QI_ONE, 1: qi(-1, 1)}]
+    red, piv = rref(SparseMatrix.from_dense([[qi(1, 1), qi(2)], [qi(3, 3), qi(6)]]))
+    assert piv == [0] and red.data == {0: {0: QI_ONE, 1: qi(1, -1)}}
+    half, third = qi(rational(1, 2)), qi(0, rational(1, 3))
+    assert nullspace(SparseMatrix.from_dense([[half, third]]), modular_shortcut=False) \
+        == [{0: QI_ONE, 1: qi(0, rational(3, 2))}]
+    big = qi(rational(10 ** 6 + 1, 9999), rational(-7, 10 ** 4))
+    m = SparseMatrix.from_dense([[big, qi(1)], [big * big, big]])
+    assert rank(m) == 1
+    assert nullspace(m, modular_shortcut=False) == [{0: QI_ONE, 1: -big}]
+
+
 def test_denominator_divisible_by_cert_prime():
     # p divides a denominator: the certificate must abstain, the kernel stays exact
     tiny = qi(rational(1, _CERT_P))
@@ -312,15 +338,15 @@ def test_kernel_check_runs_under_optimize_flag():
 
         if __debug__:
             raise SystemExit("expected python -O")
-        sub = exact._sub_scaled_row
+        sub = exact._sub_scaled_row_gauss
 
-        def corrupted(target, source, factor):
-            sub(target, source, factor)
-            for k in target:
-                target[k] = target[k] * 2
+        def corrupted(target, source, col):
+            sub(target, source, col)
+            for k, (a, b) in target.items():
+                target[k] = (2 * a, 2 * b)
                 break
 
-        exact._sub_scaled_row = corrupted
+        exact._sub_scaled_row_gauss = corrupted
         m = SparseMatrix.from_dense([[qi(1), qi(1), qi(1)], [qi(1), qi(2), qi(3)]])
         print(nullspace(m, modular_shortcut=False))
     """)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vermaspin.exact import qi, rational, express_in_span
+from vermaspin.exact import qi, rational, express_in_span, nullspace, _canonical_basis
 from vermaspin.polyspinor import SpinorPoly, assemble, monomials
 from vermaspin.realization import verma_action
 from vermaspin.fischer import (
@@ -50,6 +50,37 @@ def test_chirality_halves_equal_n4(ctx_factory):
     plus = sum(1 for t in basis.chirality if t == "+")
     minus = sum(1 for t in basis.chirality if t == "-")
     assert plus == minus == len(basis.elements) // 2
+
+
+def _projected_monogenic_basis(ctx, a):
+    """Oracle: project ker D onto each half with the fiber projectors, then RREF."""
+    basis = ctx.graded_basis(a)
+    kernel = nullspace(dirac_matrix(ctx, a).matrix, modular_shortcut=False)
+    elements, tags = [], []
+    for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
+        projected = []
+        for v in kernel:
+            coords = {basis.index(mono, i): w
+                      for mono, vec in basis.from_coordinates(v).terms.items()
+                      for i, w in proj.mul_vec(vec).items()}
+            if coords:
+                projected.append(coords)
+        for v in _canonical_basis(projected, basis.size):
+            elements.append(basis.from_coordinates(v))
+            tags.append(tag)
+    return elements, tags
+
+
+@pytest.mark.parametrize("n,dmax", [(4, 4), (6, 3)])
+def test_chirality_tags_match_projection_oracle(ctx_factory, n, dmax):
+    for p in range(n + 1):
+        for variant in ("standard", "alt"):
+            ctx = ctx_factory(p, n - p, variant)
+            for a in range(dmax + 1):
+                basis = monogenic_basis(ctx, a)
+                elements, tags = _projected_monogenic_basis(ctx, a)
+                assert basis.elements == elements, (p, variant, a)
+                assert basis.chirality == tags, (p, variant, a)
 
 
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (4, 0), (2, 2), (5, 0), (2, 3)])

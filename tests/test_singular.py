@@ -104,6 +104,23 @@ def test_label_examples(ctx_factory):
     assert (lab.k, lab.m) == (0, 1)
 
 
+def test_chirality_of_labels_and_piece_dims(ctx_factory):
+    # X^k applied to one chirality half of M_m keeps that half's tag; a sum of
+    # both halves is mixed, and the piece dimensions count each half
+    ctx = ctx_factory(2, 2)
+    mono = monogenic_basis(ctx, 1)
+    halves = {tag: [el for el, t in zip(mono.elements, mono.chirality) if t == tag]
+              for tag in ("+", "-")}
+    for k in (0, 2):
+        for tag, els in halves.items():
+            piece = [apply_x_power(ctx, k, el) for el in els]
+            assert {label_isotypic(ctx, v).chirality for v in piece} == {tag}
+            other = "-" if tag == "+" else "+"
+            assert _chirality_dims(ctx, piece, k, 1, k + 1) == {tag: len(els), other: 0}
+        both = apply_x_power(ctx, k, halves["+"][0] + halves["-"][0])
+        assert label_isotypic(ctx, both).chirality == "mixed"
+
+
 def test_label_rejects_mixed_component(ctx_factory):
     ctx = ctx_factory(3, 0)
     v = SpinorPoly.constant(3, 2, 0)
