@@ -17,6 +17,7 @@ import math
 import re
 import sys
 import time
+from fractions import Fraction
 
 from .exact import rational, rational_from_string, rational_to_string, qi
 from .context import Context
@@ -294,6 +295,13 @@ def _selftest_checks():
         _check(GaussianRational.from_string(a.to_string()) == a,
                "string round trip of %s" % a.to_string())
         _check(a * a / a == a, "a * a / a != a for a = %s" % a.to_string())
+        # one canonical integer triple (a + b i) / d per scalar
+        b = qi(rational(1, 2), rational(1, 3))
+        _check(b._d == 6, "qi(1/2, 1/3) stores d = %d, not 6" % b._d)
+        one = qi(rational(1, 2)) * 2
+        _check(one._d == 1 and one == 1 and one == Fraction(1)
+               and hash(one) == hash(1) == hash(Fraction(1)),
+               "qi(1/2) * 2 = %r is not the integer 1" % one)
         m = SparseMatrix.from_dense([[qi(1), qi(0, 1)], [qi(0, -1), qi(1)]])
         red, piv = rref(m)
         _check(piv == [0] and red.get(0, 1) == qi(0, 1),

@@ -2,7 +2,7 @@
 
 Everything downstream (Clifford matrices, operator assembly, kernel
 computations) runs on the two types defined here: :class:`GaussianRational`,
-an element of Q(i) with reduced positive-denominator parts, and
+an element of Q(i) stored as one canonical integer triple (a + b i) / d, and
 :class:`SparseMatrix`, a row-major map of nonzero entries.  There is no
 floating point anywhere in this package.
 
@@ -13,13 +13,15 @@ their pivot, rows are combined fraction-free and kept free of integer
 content, and results become GaussianRational only on the way out.  Kernel
 vectors are checked exactly against the matrix, in integers.
 
-Rationals are backed by ``gmpy2.mpq`` when available (much faster) and fall
-back to ``fractions.Fraction`` transparently.
+Q(i) arithmetic runs on Python ints alone.  The plain rationals of
+``rational()`` and ``rational_from_string`` (the twists) are backed by
+``gmpy2.mpq`` when available and fall back to ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import re as _re
+from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 
 try:
@@ -70,63 +72,91 @@ def rational_to_string(q):
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i); immutable, hashable, exact."""
+    """An element (a + b i) / d of Q(i); immutable, hashable, exact.
 
-    __slots__ = ("re", "im")
+    Stored as one triple of Python ints with d > 0 and gcd(a, b, d) == 1.
+    That form is unique, so equal values have equal triples; ``re`` and
+    ``im`` are the exact rationals a/d and b/d.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _Q(re))
-        object.__setattr__(self, "im", _Q(im))
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _Q(re), _Q(im)
+        rn, rd = int(re.numerator), int(re.denominator)
+        imn, imd = int(im.numerator), int(im.denominator)
+        # both parts are reduced, so gcd(a, b, lcm) is already 1
+        d = _lcm(rd, imd)
+        self._a, self._b, self._d = rn * (d // rd), imn * (d // imd), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self):
+        return _Q(self._a, self._d)
 
-    @staticmethod
-    def _mk(re, im):
-        # fast path: re/im already backend rationals
-        z = object.__new__(GaussianRational)
-        object.__setattr__(z, "re", re)
-        object.__setattr__(z, "im", im)
-        return z
+    @property
+    def im(self):
+        return _Q(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational._mk(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _canonical(self._a + other._a, self._b + other._b, 1)
+            return _gaussian(self._a + other._a, self._b + other._b, d)
+        return _gaussian(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational._mk(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _canonical(self._a - other._a, self._b - other._b, 1)
+            return _gaussian(self._a - other._a, self._b - other._b, d)
+        return _gaussian(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational._mk(a * c - b * d, a * d + b * c)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _canonical(a * c - b * e, a * e + b * c, 1)
+        return _gaussian(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational._mk((a * c + b * d) / n, (b * c - a * d) / n)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _gaussian(a * f, b * f, d * c)
+        return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return GaussianRational._mk(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return GaussianRational._mk(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     def inverse(self):
         return QI_ONE / self
@@ -134,55 +164,85 @@ class GaussianRational:
     # -- predicates / hashing --------------------------------------------
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, type(_Q(0)))):
-            return self.im == 0 and self.re == other
+        if other.__class__ is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, _RATIONALS):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real value hashes like the int or rational it equals
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(_Q(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def is_rational(self):
-        return self.im == 0
+        return not self._b
 
     # -- formatting -------------------------------------------------------
 
     def to_string(self):
         """Canonical form: 'a/b', 'c/d*i' or 'a/b+c/d*i' / 'a/b-c/d*i'."""
-        if self.im == 0:
+        if not self._b:
             return rational_to_string(self.re)
-        if self.re == 0:
+        if not self._a:
             return rational_to_string(self.im) + "*i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return rational_to_string(self.re) + sign + rational_to_string(abs(self.im)) + "*i"
 
     @staticmethod
     def from_string(s):
         s = s.strip().replace(" ", "")
         if _re.fullmatch(r"[+-]?\d+(?:/\d+)?", s):
-            return GaussianRational(rational_from_string(s))
-        # a real part is only split off before a sign, so "12*i" stays 12i
-        m = _re.fullmatch(
-            r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?"
-            r"(?P<im>[+-]?(?:\d+(?:/\d+)?\*?)?)i",
-            s,
-        )
-        if not m:
-            raise ValueError("not a Gaussian rational: %r" % (s,))
-        im = m.group("im").rstrip("*")
-        if im in ("", "+", "-"):
-            im += "1"
-        re_val = rational_from_string(m.group("re")) if m.group("re") else _Q(0)
-        return GaussianRational(re_val, rational_from_string(im))
+            re_part, im_part = s, "0"
+        else:
+            # a real part is only split off before a sign, so "12*i" stays 12i
+            m = _re.fullmatch(
+                r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?"
+                r"(?P<im>[+-]?(?:\d+(?:/\d+)?\*?)?)i",
+                s,
+            )
+            if not m:
+                raise ValueError("not a Gaussian rational: %r" % (s,))
+            re_part = m.group("re") or "0"
+            im_part = m.group("im").rstrip("*")
+            if im_part in ("", "+", "-"):
+                im_part += "1"
+        try:
+            return GaussianRational(rational_from_string(re_part), rational_from_string(im_part))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in Gaussian rational: %r" % (s,)) from None
 
     def __repr__(self):
         return "GaussianRational(%s)" % self.to_string()
+
+
+_RATIONALS = (Fraction, type(_Q(0)))
+
+
+def _canonical(a, b, d):
+    """(a + b i) / d from a triple already in canonical form."""
+    z = object.__new__(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _gaussian(a, b, d):
+    """(a + b i) / d as a GaussianRational: d != 0, reduced to canonical form."""
+    g = _gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _canonical(a, b, d)
 
 
 def _coerce(x):
@@ -454,14 +514,12 @@ def _gauss_rows(m: SparseMatrix):
     """The rows of m as Gaussian-integer rows, each cleared of its denominators."""
     out = []
     for row in m.data.values():
-        den = 1
-        for v in row.values():
-            for q in (v.re, v.im):
-                if q.denominator != 1:
-                    den = _lcm(den, int(q.denominator))
-        out.append({c: (int(v.re.numerator) * (den // int(v.re.denominator)),
-                        int(v.im.numerator) * (den // int(v.im.denominator)))
-                    for c, v in row.items()})
+        den = _lcm(*(v._d for v in row.values()))
+        if den == 1:
+            out.append({c: (v._a, v._b) for c, v in row.items()})
+        else:
+            out.append({c: (v._a * (den // v._d), v._b * (den // v._d))
+                        for c, v in row.items()})
     return out
 
 
@@ -515,11 +573,6 @@ def _sub_scaled_row_gauss(target, source, c):
     _divide_content(target)
 
 
-def _gaussian(a, b, n):
-    """(a + b i) / n as a GaussianRational."""
-    return GaussianRational._mk(_Q(a, n), _Q(b, n))
-
-
 def rref(m: SparseMatrix):
     """The unique reduced row-echelon form of m and its pivot columns."""
     rows = _gauss_rows(m)
@@ -564,13 +617,13 @@ def _modp_rows(m: SparseMatrix):
     for row in m.data.values():
         out = {}
         for c, v in row.items():
-            bn, bd = int(v.re.numerator), int(v.re.denominator)
-            cn, cd = int(v.im.numerator), int(v.im.denominator)
-            if bd % p == 0 or cd % p == 0:
+            d = v._d
+            if d == 1:
+                val = (v._a + v._b * s) % p
+            elif d % p == 0:
                 return None
-            a = bn if bd == 1 else bn * pow(bd, -1, p)
-            b = cn if cd == 1 else cn * pow(cd, -1, p)
-            val = (a + b * s) % p
+            else:
+                val = (v._a + v._b * s) * pow(d, -1, p) % p
             if val:
                 out[c] = val
         if out:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -50,10 +51,29 @@ def test_field_axioms(a, b, c):
     assert a * QI_ONE == a
 
 
-@given(gaussians())
-@settings(max_examples=60, deadline=None)
+def big_gaussians():
+    """Parts with numerators to 10^6 and denominators to 10^4, or _CERT_P."""
+    den = st.one_of(st.integers(min_value=1, max_value=10 ** 4), st.just(_CERT_P))
+    part = st.builds(rational, st.integers(min_value=-10 ** 6, max_value=10 ** 6), den)
+    return st.builds(qi, part, part)
+
+
+@given(st.one_of(gaussians(), big_gaussians()))
+@settings(max_examples=100, deadline=None)
 def test_string_roundtrip(a):
     assert GaussianRational.from_string(a.to_string()) == a
+
+
+@given(st.one_of(st.text(max_size=10),
+                 st.text(alphabet="0123456789+-*/i ", max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_from_string_fuzz(s):
+    # any text parses to a value that round-trips, or raises ValueError
+    try:
+        z = GaussianRational.from_string(s)
+    except ValueError:
+        return
+    assert GaussianRational.from_string(z.to_string()) == z
 
 
 def test_string_forms():
@@ -70,6 +90,96 @@ def test_string_forms():
         GaussianRational.from_string("0.5")
     with pytest.raises(ValueError):
         rational_from_string("1e-3")
+    for zero_den in ("1/0", "2-1/0*i", "1/00i"):
+        with pytest.raises(ValueError):
+            GaussianRational.from_string(zero_den)
+
+
+# -- scalars against an oracle of (Fraction, Fraction) pairs ------------------
+#
+# The oracle shares no arithmetic with the package; the elimination tests
+# below use it too.
+
+_Z = (Fraction(0), Fraction(0))
+
+
+def _pair(z):
+    return (Fraction(int(z.re.numerator), int(z.re.denominator)),
+            Fraction(int(z.im.numerator), int(z.im.denominator)))
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _triple(z):
+    return z._a, z._b, z._d
+
+
+def _assert_canonical(z):
+    a, b, d = _triple(z)
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+@given(big_gaussians(), big_gaussians())
+@settings(max_examples=200, deadline=None)
+def test_scalar_ops_match_pair_oracle(z, w):
+    x, y = _pair(z), _pair(w)
+    expected = {
+        "+": (x[0] + y[0], x[1] + y[1]),
+        "-": (x[0] - y[0], x[1] - y[1]),
+        "*": _mul(x, y),
+        "neg": (-x[0], -x[1]),
+        "conj": (x[0], -x[1]),
+        "1-z": (1 - x[0], -x[1]),
+        "-2z": (-2 * x[0], -2 * x[1]),
+    }
+    got = {"+": z + w, "-": z - w, "*": z * w, "neg": -z, "conj": z.conjugate(),
+           "1-z": 1 - z, "-2z": -2 * z}
+    if y != _Z:
+        expected["/"] = _mul(x, _inv(y))
+        got["/"] = z / w
+    if x != _Z:
+        expected["inverse"] = _inv(x)
+        got["inverse"] = z.inverse()
+    for op, v in got.items():
+        assert _pair(v) == expected[op], op
+        _assert_canonical(v)
+        # equal values have equal triples, however they were reached
+        assert _triple(v) == _triple(qi(*expected[op])), op
+    assert bool(z) == (x != _Z)
+    assert _triple((z + w) - w) == _triple(z)
+    assert _triple(z * w) == _triple(w * z)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.one_of(st.integers(min_value=1, max_value=10 ** 4), st.just(_CERT_P)))
+@settings(max_examples=100, deadline=None)
+def test_real_scalars_compare_and_hash_like_int_and_fraction(num, den):
+    q = Fraction(num, den)
+    z = qi(q)
+    _assert_canonical(z)
+    assert z == q and q == z and hash(z) == hash(q)
+    assert (z == q.numerator) == (q.denominator == 1)
+    w = qi(num)
+    assert w == num and num == w and hash(w) == hash(num) == hash(Fraction(num))
+    assert qi(q, 1) != q
+
+
+def test_division_by_zero_raises():
+    z = qi(rational(1, 2), 3)
+    for zero in (QI_ZERO, 0, rational(0), qi(0, 0) * z):
+        with pytest.raises(ZeroDivisionError):
+            z / zero
+    with pytest.raises(ZeroDivisionError):
+        QI_ZERO.inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / QI_ZERO
 
 
 def test_rref_identity():
@@ -185,25 +295,7 @@ def test_matrix_json_roundtrip():
 
 # -- the elimination engine against a dense Fraction oracle -----------------
 #
-# Scalars of the oracle are (re, im) pairs of Fractions, so it shares no
-# arithmetic with the package.
-
-_Z = (Fraction(0), Fraction(0))
-
-
-def _pair(z):
-    return (Fraction(int(z.re.numerator), int(z.re.denominator)),
-            Fraction(int(z.im.numerator), int(z.im.denominator)))
-
-
-def _mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _inv(x):
-    n = x[0] * x[0] + x[1] * x[1]
-    return (x[0] / n, -x[1] / n)
-
+# Scalars of the oracle are the (re, im) pairs of Fractions above.
 
 def _dense_rref(rows, ncols):
     """Textbook Gauss-Jordan: first nonzero row pivots, columns left to right."""
@@ -327,6 +419,18 @@ def test_denominator_divisible_by_cert_prime():
     singular = SparseMatrix.from_dense([[tiny, qi(1)], [qi(1), qi(_CERT_P)]])
     assert not kernel_is_trivial_hint(singular)
     assert nullspace(singular) == [{0: QI_ONE, 1: -tiny}]
+
+
+def test_imaginary_denominator_divisible_by_cert_prime():
+    # p divides only the denominator of the imaginary part: one test of the
+    # common denominator makes the certificate abstain
+    tiny = qi(0, rational(1, _CERT_P))
+    line = SparseMatrix.from_dense([[tiny, qi(1)]])
+    assert not kernel_is_trivial_hint(line)
+    assert nullspace(line) == [{0: QI_ONE, 1: -tiny}]
+    invertible = SparseMatrix.from_dense([[tiny + qi(1), qi(0)], [qi(0), qi(1)]])
+    assert not kernel_is_trivial_hint(invertible)
+    assert nullspace(invertible) == []
 
 
 def test_kernel_check_runs_under_optimize_flag():
