@@ -288,7 +288,8 @@ def _selftest_checks():
     from .realization import (osp_generators, verma_action, function_action,
                               structure_constants, invariant_contractions)
     from .fischer import monogenic_dim, apply_x_power
-    from .singular import singular_vectors, contraction_identity_residual
+    from .singular import (singular_vectors, contraction_identity_residual,
+                           contraction_lambda_residual)
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -439,10 +440,17 @@ def _selftest_checks():
                "signature (3,0), degree 1: singular vectors at parameter 3 are not M_1")
 
     def prefilter_identity():
+        sums = {1: "sum_j gamma_j g_j(0) - C1(0)", 2: "sum_j x_j g_j(0) - C2(0)",
+                3: "sum_j eps_j d_j g_j(0) - C3(0)"}
+        lambda_parts = {1: "lambda part of C1: sum_j gamma_j d_j - D",
+                        3: "lambda part of C3: sum_j eps_j d_j^2 + D^2"}
         for (p, q) in [(3, 0), (2, 1), (2, 2)]:
-            residual = contraction_identity_residual(Context(p, q))
-            _check(not residual.terms, "signature (%d,%d): sum_j x_j g_j(0) - C2(0) leaves "
-                   "%d terms" % (p, q, len(residual.terms)))
+            ctx = Context(p, q)
+            residuals = [(sums[i], contraction_identity_residual(ctx, i)) for i in (2, 1, 3)]
+            residuals += [(lambda_parts[i], contraction_lambda_residual(ctx, i)) for i in (1, 3)]
+            for what, residual in residuals:
+                _check(residual.is_zero(), "signature (%d,%d): %s leaves %d terms"
+                       % (p, q, what, len(residual.terms)))
 
     def intertwining():
         ctx = Context(2, 1)

@@ -306,6 +306,23 @@ class OperatorSpec:
         """
         return _merged(self.n, self.dim, self.tdim, self.terms)
 
+    def is_zero(self):
+        """Whether the spec is the zero operator.
+
+        Normal-ordered terms with distinct (mono, deriv) are independent, so
+        the spec is zero exactly when, for every (mono, deriv), its identity
+        terms and matrix terms sum to the zero matrix.  ``combined()`` keeps
+        identity and matrix terms apart, so an empty ``terms`` list is not
+        the test.
+        """
+        folded = {}
+        for t in self.combined().terms:
+            key = (t.mono, t.deriv)
+            mat = SparseMatrix.identity(self.dim, t.coeff) if t.mat is None \
+                else t.mat.scale(t.coeff)
+            folded[key] = mat if key not in folded else folded[key] + mat
+        return all(mat.is_zero() for mat in folded.values())
+
     def shifts(self):
         return sorted({t.shift for t in self.terms})
 

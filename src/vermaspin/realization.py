@@ -42,7 +42,9 @@ __all__ = [
     "verma_action",
     "function_action",
     "invariant_contractions",
+    "clifford_contraction",
     "coordinate_contraction",
+    "derivative_contraction",
     "contraction_eigenvalue",
 ]
 
@@ -309,15 +311,13 @@ def invariant_contractions(lam, rep: GammaRep):
     """The Clifford, coordinate, and derivative contractions of the
     special-conformal action, each as a (defining_sum, closed_form) pair.
 
-    Closed forms:
-
-        C1 = (E - lam + 3/2 + 1/2 X D) D
-        C2 = -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D
-        C3 = (lam - 1/2 E - 2) D^2
+    The defining sums are C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
+    C3 = sum_j eps_j d_j g_j; the closed forms are
+    :func:`clifford_contraction`, :func:`coordinate_contraction` and
+    :func:`derivative_contraction`.
     """
     n, dim = rep.n, rep.spinor_dim
     sig = rep.sig
-    D, E, X = _osp_cached(rep)
     g = {i: verma_action(("g", i), lam, rep) for i in range(1, n + 1)}
 
     sum1 = OperatorSpec.zero(n, dim)
@@ -328,16 +328,19 @@ def invariant_contractions(lam, rep: GammaRep):
         sum2 = sum2 + OperatorSpec.coordinate(n, dim, j).compose(g[j])
         sum3 = sum3 + OperatorSpec.derivative(n, dim, j, qi(sig.eps(j))).compose(g[j])
 
-    half = qi(HALF)
-    closed1 = (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF)) + X.compose(D).scale(half)) \
-        .compose(D)
-    closed3 = (OperatorSpec.scalar(n, dim, qi(lam - 2)) + E.scale(-half)) \
-        .compose(D).compose(D)
     return (
-        (sum1.combined(), closed1.combined()),
+        (sum1.combined(), clifford_contraction(lam, rep)),
         (sum2.combined(), coordinate_contraction(lam, rep)),
-        (sum3.combined(), closed3.combined()),
+        (sum3.combined(), derivative_contraction(lam, rep)),
     )
+
+
+def clifford_contraction(lam, rep: GammaRep):
+    """Closed form of C1: (E - lam + 3/2 + 1/2 X D) D."""
+    n, dim = rep.n, rep.spinor_dim
+    D, E, X = _osp_cached(rep)
+    return (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF)) + X.compose(D).scale(qi(HALF))) \
+        .compose(D).combined()
 
 
 def coordinate_contraction(lam, rep: GammaRep):
@@ -350,23 +353,41 @@ def coordinate_contraction(lam, rep: GammaRep):
             + X.compose(D).scale(half)).combined()
 
 
+def derivative_contraction(lam, rep: GammaRep):
+    """Closed form of C3: (lam - 1/2 E - 2) D^2."""
+    n, dim = rep.n, rep.spinor_dim
+    D, E, _ = _osp_cached(rep)
+    return (OperatorSpec.scalar(n, dim, qi(lam - 2)) + E.scale(qi(-HALF))) \
+        .compose(D).compose(D).combined()
+
+
 def contraction_eigenvalue(idx, k, m, lam, n):
     """Exact scalar of contraction ``idx`` on the component X^k M_m.
 
     Contraction 1 maps into X^(k-1) M_m, contraction 2 preserves X^k M_m,
-    contraction 3 maps into X^(k-2) M_m.
+    contraction 3 maps into X^(k-2) M_m.  With lam = a/b the scalars are
+
+        C1:  -k ((k - n + 3)/2 - lam)                   k even
+             -(2m + n + k - 1) ((k + 2m + 2)/2 - lam)   k odd
+        C2:  (m + k) (m + k - lam + (n + 1)/2) - k (2m + n + k - 1)/2
+        C3:  k (2m + n + k - 2) (lam - (m + k + 2)/2)   k even
+             (k - 1) (2m + n + k - 1) (lam - (m + k + 2)/2)   k odd
+
+    each computed in integers over the common denominator 2b.
     """
-    k_, m_, lam = rational(k), rational(m), rational(lam)
-    n_ = rational(n)
+    lam = rational(lam)
+    a, b = lam.numerator, lam.denominator
     if idx == 1:
         if k % 2 == 0:
-            return qi(-k_ * (k_ * HALF - lam - n_ * HALF + 3 * HALF))
-        return qi(-(2 * m_ + n_ + k_ - 1) * (k_ * HALF - lam + m_ + 1))
-    if idx == 2:
-        return qi((m_ + k_) * (m_ + k_ - lam + n_ * HALF + HALF)
-                  - HALF * k_ * (2 * m_ + n_ + k_ - 1))
-    if idx == 3:
-        if k % 2 == 0:
-            return qi(k_ * (2 * m_ + n_ + k_ - 2) * (lam - HALF * (m_ + k_ + 2)))
-        return qi((k_ - 1) * (2 * m_ + n_ + k_ - 1) * (lam - HALF * (m_ + k_ + 2)))
-    raise ValueError("contraction index must be 1, 2 or 3")
+            num = -k * ((k - n + 3) * b - 2 * a)
+        else:
+            num = -(2 * m + n + k - 1) * ((k + 2 * m + 2) * b - 2 * a)
+    elif idx == 2:
+        s = m + k
+        num = (s * (2 * s + n + 1) - k * (2 * m + n + k - 1)) * b - 2 * s * a
+    elif idx == 3:
+        ladder = k * (2 * m + n + k - 2) if k % 2 == 0 else (k - 1) * (2 * m + n + k - 1)
+        num = ladder * (2 * a - (m + k + 2) * b)
+    else:
+        raise ValueError("contraction index must be 1, 2 or 3")
+    return qi(rational(num, 2 * b))

@@ -3,19 +3,24 @@
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
 system; the solver computes that joint kernel as one exact nullspace of the
-stacked system (the mod-p certificate skips provably trivial kernels),
-refines it into isotypic components by exact eigensplitting of the X*D
-operator, and the classifier compares the outcome against the case table of
-the classification theorems.
+stacked system, refines it into isotypic components by exact eigensplitting
+of the X*D operator, and the classifier compares the outcome against the
+case table of the classification theorems.
 
-Contraction prefilter: a singular vector is also killed by the coordinate
-contraction C2 = sum_j x_j g_j, which acts on each Fischer block X^k M_m by
-the scalar ``contraction_eigenvalue(2, k, m, lam, n)``.  A degree where every
-block scalar is nonzero has no singular vectors, so :func:`classify` skips
-it without assembling or eliminating anything.  The skip rests on the closed
-form of C2, which is checked symbolically once per Context
-(:func:`contraction_identity_residual`); if that check fails, ``classify``
-solves every degree.  :func:`singular_vectors` is never filtered.
+Contraction prefilter: a singular vector is also killed by the three
+invariant contractions C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
+C3 = sum_j eps_j d_j g_j.  On a Fischer block X^k M_m, C2 acts by the scalar
+``contraction_eigenvalue(2, k, m, lam, n)``, and C1 and C3 are scalars times
+the ladder maps into X^(k-1) M_m and X^(k-2) M_m.  The images of distinct
+blocks land in distinct blocks, so a degree where no block has all three
+scalars zero has no singular vectors, and :func:`classify` skips it without
+assembling or eliminating anything.  The skip rests on the closed forms of
+the contractions, which are checked symbolically once per Context
+(:func:`contraction_identity_residual`, :func:`contraction_lambda_residual`):
+if the C2 check fails, ``classify`` solves every degree; if the C1/C3 check
+fails, it solves every degree that C2 keeps.  The C1/C3 check runs only when
+C2 keeps a degree that C1 or C3 would drop.  :func:`singular_vectors` is
+never filtered.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
@@ -38,7 +43,14 @@ from .exact import (
 )
 from .exact import _canonical_basis
 from .polyspinor import SpinorPoly, assemble, OperatorSpec, _product_sum
-from .realization import verma_action, contraction_eigenvalue, coordinate_contraction
+from .realization import (
+    verma_action,
+    contraction_eigenvalue,
+    clifford_contraction,
+    coordinate_contraction,
+    derivative_contraction,
+    _osp_cached,
+)
 from .fischer import monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
 
@@ -52,6 +64,7 @@ __all__ = [
     "label_isotypic",
     "predicted_components",
     "contraction_identity_residual",
+    "contraction_lambda_residual",
     "classify",
     "scan",
     "xd_eigenvalue",
@@ -198,9 +211,15 @@ def _combine(vectors, coeffs):
 
 
 def singular_vectors(ctx: Context, lam, degree):
-    """Canonical basis of the joint kernel: one nullspace of the stacked system."""
+    """Canonical basis of the joint kernel: one exact nullspace of the stacked system.
+
+    The mod-p certificate is not tried: :func:`classify` asks only for
+    degrees whose contractions allow singular vectors, where it would not
+    succeed.
+    """
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
-    return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
+    return [ctx.graded_basis(degree).from_coordinates(v)
+            for v in nullspace(stacked, modular_shortcut=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,40 +388,82 @@ def predicted_components(lam_thm, n, d_max):
     return case, checkable, uncheckable
 
 
-def contraction_identity_residual(ctx: Context):
-    """sum_j x_j g_j(0) - C2(0), normal-ordered: empty when the closed form holds.
+def contraction_identity_residual(ctx: Context, idx=2):
+    """Defining sum minus closed form of contraction ``idx`` at lambda 0.
 
-    g_j(lam) = g_j(0) - lam d_j, so both sides move by the same -lam E and
-    the identity at lambda 0 holds at every lambda.
+    The residual is normal-ordered; it is the zero operator (``is_zero()``)
+    when the closed form holds at lambda 0.  g_j(lam) = g_j(0) - lam d_j, so
+    both sides are affine in lambda: for C2 they move by the same -lam E,
+    for C1 and C3 by the multiples of lambda that
+    :func:`contraction_lambda_residual` compares.
     """
     n, dim = ctx.n, ctx.spinor_dim
-    pairs = [(OperatorSpec.coordinate(n, dim, j), _sc_spec(ctx, j)) for j in range(1, n + 1)]
-    return (_product_sum(pairs) - coordinate_contraction(rational(0), ctx.rep)).combined()
+    left, closed = {
+        1: (lambda j: OperatorSpec.fiber(n, ctx.rep.gamma(j)), clifford_contraction),
+        2: (lambda j: OperatorSpec.coordinate(n, dim, j), coordinate_contraction),
+        3: (lambda j: OperatorSpec.derivative(n, dim, j, qi(ctx.sig.eps(j))),
+            derivative_contraction),
+    }[idx]
+    pairs = [(left(j), _sc_spec(ctx, j)) for j in range(1, n + 1)]
+    return (_product_sum(pairs) - closed(rational(0), ctx.rep)).combined()
 
 
-def _prefilter_sound(ctx: Context):
-    """Whether the C2 closed form passed its symbolic check, once per Context."""
-    key = ("c2-identity",)
+def contraction_lambda_residual(ctx: Context, idx):
+    """The lambda coefficient of C1 (idx 1) or C3 (idx 3), defining sum minus closed form.
+
+    The defining sums move by -lam sum_j gamma_j d_j and -lam sum_j eps_j d_j^2,
+    the closed forms by -lam D and +lam D^2; the residuals are
+    sum_j gamma_j d_j - D and sum_j eps_j d_j^2 + D^2.
+    """
+    n, dim = ctx.n, ctx.spinor_dim
+    D = _osp_cached(ctx.rep)[0]
+    if idx == 1:
+        pairs = [(OperatorSpec.fiber(n, ctx.rep.gamma(j)), OperatorSpec.derivative(n, dim, j))
+                 for j in range(1, n + 1)]
+        return (_product_sum(pairs) - D).combined()
+    if idx == 3:
+        pairs = [(OperatorSpec.derivative(n, dim, j, qi(ctx.sig.eps(j))),
+                  OperatorSpec.derivative(n, dim, j)) for j in range(1, n + 1)]
+        return _product_sum(pairs + [(D, D)]).combined()
+    raise ValueError("only C1 and C3 have a lambda residual")
+
+
+def _closed_forms_sound(ctx: Context, idxs):
+    """Whether the closed forms of the contractions ``idxs`` passed their
+    symbolic checks; once per Context and set of contractions."""
+    key = ("contraction-identity", idxs)
     ok = ctx.cache.get(key)
     if ok is None:
-        ok = not contraction_identity_residual(ctx).terms
+        ok = all(contraction_identity_residual(ctx, i).is_zero()
+                 and (i == 2 or contraction_lambda_residual(ctx, i).is_zero()) for i in idxs)
         ctx.cache[key] = ok
     return ok
 
 
+def _zero_block(lam_real, degree, n, idxs):
+    """Some block X^k M_(degree-k) on which every contraction in ``idxs`` acts by zero.
+
+    C1 vanishes on k = 0 and C3 on k < 2, where their scalars are 0.
+    """
+    return any(all(not contraction_eigenvalue(i, k, degree - k, lam_real, n) for i in idxs)
+               for k in range(degree + 1))
+
+
 def _c2_has_zero_block(lam_real, degree, n):
     """Some block X^k M_(degree-k) on which C2 acts by zero."""
-    return any(not contraction_eigenvalue(2, k, degree - k, lam_real, n)
-               for k in range(degree + 1))
+    return _zero_block(lam_real, degree, n, (2,))
 
 
 def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     """Find the singular vectors up to d_max and compare with the theorem table.
 
-    A degree is solved only when the coordinate contraction C2 has a zero
-    block X^k M_m there; every other degree has no singular vectors.  The
-    skip is taken only after the closed form of C2 passed its symbolic check
-    on this Context; otherwise every degree is solved.
+    A degree is solved only when some block X^k M_m there has all three
+    contraction scalars zero; every other degree has no singular vectors.
+    Skips by C2 are taken only after the closed form of C2 passed its
+    symbolic check on this Context, else every degree is solved.  Further
+    skips by C1 and C3 are taken only after their closed forms passed theirs,
+    else every degree C2 keeps is solved.  The C1/C3 check runs only when a
+    degree could be skipped by it.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -410,10 +471,13 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     lam_real = lam_thm + rational(ctx.n, 2)
     case, checkable, uncheckable = predicted_components(lam_thm, ctx.n, d_max)
     predicted = [(d, k, m, monogenic_dim(ctx, m)) for d, k, m in checkable]
-    filtered = _prefilter_sound(ctx)
+    filtered = _closed_forms_sound(ctx, (2,))
     found = []
     for degree in range(0, d_max + 1):
         if filtered and not _c2_has_zero_block(lam_real, degree, ctx.n):
+            continue
+        if filtered and not _zero_block(lam_real, degree, ctx.n, (2, 1, 3)) \
+                and _closed_forms_sound(ctx, (1, 3)):
             continue
         polys = singular_vectors(ctx, lam_real, degree)
         for k, m, piece in isotypic_split(ctx, polys, degree):

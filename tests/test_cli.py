@@ -201,6 +201,14 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): .* leaves 1 terms$"):
         check()
+    monkeypatch.setattr(singular, "coordinate_contraction", closed)
+    closed3 = singular.derivative_contraction
+    monkeypatch.setattr(singular, "derivative_contraction", lambda lam, rep: closed3(lam, rep)
+                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    check = dict(cli._selftest_checks())["contraction prefilter identity"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\): sum_j eps_j d_j g_j\(0\) "
+                                             r"- C3\(0\) leaves \d+ terms$"):
+        check()
 
 
 def _no_context(*args, **kwargs):

@@ -18,7 +18,8 @@ from vermaspin.polyspinor import (
 )
 from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
-from vermaspin.realization import function_action, generators, verma_action
+from vermaspin.realization import (
+    function_action, generators, invariant_contractions, verma_action)
 from vermaspin.singular import special_conformal_matrices
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -279,6 +280,31 @@ def test_compose_drops_zero_fiber_products():
     for gen in generators(ctx.n):
         residual = _product_sum([(op.spec, src[gen]), (tgt[gen].scale(-1), op.spec)])
         assert residual.terms == [], gen
+
+
+def test_is_zero_folds_identity_terms_into_matrix_sums():
+    # C3 at (3,2): eps_j d_j^2 puts gamma_j^2 = -eps_j on the fiber as a
+    # matrix, the closed form keeps identity terms, and combined() leaves both
+    ctx = Context(3, 2)
+    defining, closed = invariant_contractions(rational(4), ctx.rep)[2]
+    residual = (defining - closed).combined()
+    assert residual.terms
+    assert residual.is_zero()
+    for degree in (2, 3, 4):
+        assert assemble(residual, degree, ctx.graded_basis).matrix.is_zero(), degree
+    z = (0, 0, 0)
+    assert not OperatorSpec.scalar(3, 2, qi(0, 1)).is_zero()
+    assert not OperatorSpec.coordinate(3, 2, 2, qi(-1)).is_zero()
+    g1, g2 = Context(2, 1).rep.gamma(1), Context(2, 1).rep.gamma(2)
+    assert not OperatorSpec(3, 2, [OpTerm(z, z, g1, QI_ONE), OpTerm(z, z, g2, qi(-1))]).is_zero()
+    assert OperatorSpec(3, 2, [OpTerm(z, z, g1, qi(2)), OpTerm(z, z, g1.scale(-2), QI_ONE)]).is_zero()
+    # an identity term and a matrix that is minus the identity cancel
+    minus_one = SparseMatrix.identity(2, qi(-1))
+    assert OperatorSpec(3, 2, [OpTerm(z, z, None, QI_ONE),
+                               OpTerm(z, z, minus_one, QI_ONE)]).is_zero()
+    assert not OperatorSpec(3, 2, [OpTerm(z, z, None, qi(2)),
+                                   OpTerm(z, z, minus_one, QI_ONE)]).is_zero()
+    assert OperatorSpec.zero(3, 2).is_zero()
 
 
 def test_assemble_rejects_mixed_shift():

@@ -239,6 +239,31 @@ def test_coordinate_contraction_ladder_n6(ctx_factory):
                 assert out == ladder.scale(scalar), (str(lam), k, m)
 
 
+def test_clifford_and_derivative_contraction_ladder_n6(ctx_factory):
+    # classify also skips degrees by the C1 and C3 scalars: C1 maps X^k M_m
+    # to X^(k-1) M_m and C3 to X^(k-2) M_m, each by its scalar
+    ctx = ctx_factory(3, 3)
+    lam = rational(-2, 7)
+    cons = invariant_contractions(lam, ctx.rep)
+    for m in range(3):
+        mbasis = ctx.graded_basis(m)
+        cols = [mbasis.coordinates(el) for el in monogenic_basis(ctx, m).elements]
+        basis_matrix = SparseMatrix.from_entries(
+            mbasis.size, len(cols),
+            ((r, j, v) for j, col in enumerate(cols) for r, v in col.items()))
+        for k in range(3):
+            ladder = x_power_matrix(ctx, k, m) @ basis_matrix
+            for idx, drop in ((1, 1), (3, 2)):
+                out = assemble(cons[idx - 1][0], k + m, ctx.graded_basis).matrix @ ladder
+                if k < drop:
+                    assert out.is_zero(), (idx, k, m)
+                    continue
+                scalar = contraction_eigenvalue(idx, k, m, lam, ctx.n)
+                assert scalar
+                expect = (x_power_matrix(ctx, k - drop, m) @ basis_matrix).scale(scalar)
+                assert out == expect, (idx, k, m)
+
+
 def test_derivative_contraction_kills_dirac_square_kernel(ctx_factory):
     # the derivative contraction has a right factor D^2
     ctx = ctx_factory(3, 0)

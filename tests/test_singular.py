@@ -20,6 +20,7 @@ from vermaspin.singular import (
     predicted_components,
     classify,
     contraction_identity_residual,
+    contraction_lambda_residual,
     scan,
     xd_eigenvalue,
 )
@@ -358,7 +359,7 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
 
     monkeypatch.setattr(singular, "singular_vectors", counted)
     expect = classify(Context(3, 0), lam, 4).to_json()
-    assert solved == [0, 2, 4]
+    assert solved == [0, 2]
 
     closed = singular.coordinate_contraction
     monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
@@ -368,3 +369,70 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     solved.clear()
     assert classify(ctx, lam, 4).to_json() == expect
     assert solved == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("closed_form", ["clifford_contraction", "derivative_contraction"])
+def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, closed_form):
+    # a wrong C1 or C3 closed form leaves the C2 skips standing: degree 4 at
+    # (3,0), lambda 5/2 is kept by C2 and solved again, with the same report
+    lam = rational(5, 2)
+    expect = classify(Context(3, 0), lam, 4).to_json()
+    solved = []
+    solve = singular.singular_vectors
+
+    def counted(ctx, lam, degree):
+        solved.append(degree)
+        return solve(ctx, lam, degree)
+
+    monkeypatch.setattr(singular, "singular_vectors", counted)
+    closed = getattr(singular, closed_form)
+    monkeypatch.setattr(singular, closed_form, lambda lam, rep: closed(lam, rep)
+                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    ctx = Context(3, 0)
+    idx = 1 if closed_form == "clifford_contraction" else 3
+    assert not contraction_identity_residual(ctx, idx).is_zero()
+    assert classify(ctx, lam, 4).to_json() == expect
+    assert solved == [0, 2, 4]
+
+
+def test_lambda_residuals_catch_a_wrong_lambda_coefficient(monkeypatch, ctx_factory):
+    ctx = ctx_factory(2, 1)
+    for idx in (1, 3):
+        assert contraction_lambda_residual(ctx, idx).is_zero()
+    D = singular._osp_cached(ctx.rep)[0]
+    monkeypatch.setattr(singular, "_osp_cached", lambda rep: (D.scale(2),) + (None, None))
+    for idx in (1, 3):
+        assert not contraction_lambda_residual(Context(2, 1), idx).is_zero()
+    ctx = Context(2, 1)
+    assert not singular._closed_forms_sound(ctx, (1, 3))
+    assert singular._closed_forms_sound(ctx, (2,))
+
+
+def test_sharp_prefilter_keeps_exactly_the_predicted_degrees():
+    # scalars only: the degrees where some block has C1, C2 and C3 all zero
+    # are the degrees of the case table; C2 alone keeps more of them
+    wider = 0
+    for n in range(3, 9):
+        for den in (1, 2, 3, 4, 5, 7):
+            for num in range(-40, 41):
+                lam_thm = rational(num, den)
+                lam_real = lam_thm + rational(n, 2)
+                _, checkable, _ = predicted_components(lam_thm, n, 10)
+                kept = [d for d in range(11)
+                        if singular._zero_block(lam_real, d, n, (2, 1, 3))]
+                assert kept == sorted({d for d, _, _ in checkable}), (n, str(lam_thm))
+                wider += kept != [d for d in range(11)
+                                  if singular._c2_has_zero_block(lam_real, d, n)]
+    assert wider > 0
+
+
+def test_classify_never_calls_the_certificate(monkeypatch):
+    from vermaspin import exact
+
+    def refuse(m):
+        raise AssertionError("certificate called on a %dx%d system" % (m.rows, m.cols))
+
+    monkeypatch.setattr(exact, "kernel_is_trivial_hint", refuse)
+    report = classify(Context(4, 0), rational(3, 2), 6)
+    assert report.match
+    assert sorted(c.label()[:3] for c in report.found) == [(0, 0, 0), (1, 0, 1), (5, 5, 0)]
