@@ -307,14 +307,13 @@ def _selftest_checks():
         red, piv = rref(m)
         _check(piv == [0] and red.get(0, 1) == qi(0, 1),
                "rref of [[1, i], [-i, 1]]: pivots %s" % piv)
-        ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
+        ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]), modular_shortcut=True)
         _check(ker == [{0: qi(1), 1: qi(0, 1)}],
                "nullspace of [[1, i]]: %d vectors" % len(ker))
         # a non-unit Gaussian pivot, and a row with denominators
-        ker = nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]), modular_shortcut=False)
+        ker = nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]))
         _check(ker == [{0: qi(1), 1: qi(-1, 1)}], "nullspace of [[2, 1+i]]: %s" % ker)
-        ker = nullspace(SparseMatrix.from_dense([[qi(rational(1, 2)), qi(0, rational(1, 3))]]),
-                        modular_shortcut=False)
+        ker = nullspace(SparseMatrix.from_dense([[qi(rational(1, 2)), qi(0, rational(1, 3))]]))
         _check(ker == [{0: qi(1), 1: qi(0, rational(3, 2))}],
                "nullspace of [[1/2, i/3]]: %s" % ker)
 
@@ -449,8 +448,8 @@ def _selftest_checks():
             residuals = [(sums[i], contraction_identity_residual(ctx, i)) for i in (2, 1, 3)]
             residuals += [(lambda_parts[i], contraction_lambda_residual(ctx, i)) for i in (1, 3)]
             for what, residual in residuals:
-                _check(residual.is_zero(), "signature (%d,%d): %s leaves %d terms"
-                       % (p, q, what, len(residual.terms)))
+                live = residual.nonzero_keys()
+                _check(live == 0, "signature (%d,%d): %s leaves %d terms" % (p, q, what, live))
 
     def intertwining():
         ctx = Context(2, 1)

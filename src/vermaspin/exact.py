@@ -182,9 +182,6 @@ class GaussianRational:
             return hash(self._a) if self._d == 1 else hash(_Q(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
-    def is_rational(self):
-        return not self._b
-
     # -- formatting -------------------------------------------------------
 
     def to_string(self):
@@ -658,7 +655,7 @@ def kernel_is_trivial_hint(m: SparseMatrix):
     return len(pivots) == m.cols
 
 
-def nullspace(m: SparseMatrix, modular_shortcut=True):
+def nullspace(m: SparseMatrix, modular_shortcut=False):
     """Exact basis of {v : m v = 0}, canonical (RREF of the kernel).
 
     Each vector is a dict col -> GaussianRational with first nonzero entry 1;
@@ -667,7 +664,9 @@ def nullspace(m: SparseMatrix, modular_shortcut=True):
     its pivot, so e_f - sum_c (row_c[f] / N_c) e_c is already the RREF basis
     vector of free column f.  Every vector is checked against m before it is
     returned, in integers: L times the vector, with L the lcm of the pivots
-    N_c it uses, must be annihilated by the integer rows of m.
+    N_c it uses, must be annihilated by the integer rows of m.  With
+    ``modular_shortcut`` the mod-p certificate runs first, and a kernel it
+    proves trivial is returned as [] without elimination.
     """
     if modular_shortcut and kernel_is_trivial_hint(m):
         return []

@@ -94,7 +94,7 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
         return cached
     basis = ctx.graded_basis(a)
     op = dirac_matrix(ctx, a)
-    kernel = nullspace(op.matrix, modular_shortcut=False)
+    kernel = nullspace(op.matrix)
     if ctx.chirality is None:
         vectors, tags = kernel, [None] * len(kernel)
     else:

@@ -12,15 +12,19 @@ An :class:`OperatorSpec` is a symbolic sum of terms
 with M a fiber matrix (None for the identity).  A spec maps polynomials
 with values in a ``dim``-dimensional fiber to polynomials with values in a
 ``tdim``-dimensional one, so every M is tdim x dim.  Specs are closed under
-sum, scaling and composition.  :func:`assemble` is the one routine that
-turns a spec into an exact sparse matrix between graded components;
-:meth:`OperatorSpec.apply` goes through it.
+sum, scaling and composition; composition streams the terms of one
+Leibniz kernel, ``_leibniz``, into ``_merged``, the merge of ``combined()``.
+:func:`assemble` is the one routine that turns a spec into an exact sparse
+matrix between graded components; :meth:`OperatorSpec.apply` goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import add
+from typing import NamedTuple
 
 from .exact import (
     GaussianRational,
@@ -195,8 +199,7 @@ class GradedBasis:
         return SpinorPoly(self.n, self.dim, terms)
 
 
-@dataclass(frozen=True)
-class OpTerm:
+class OpTerm(NamedTuple):
     """One summand coeff * x^mono * mat * d^deriv."""
 
     mono: tuple
@@ -244,10 +247,7 @@ class OperatorSpec:
     @classmethod
     def coordinate(cls, n, dim, i, coeff=QI_ONE):
         """Multiplication by x_i (1-based)."""
-        z = (0,) * n
-        coeff = coeff if isinstance(coeff, GaussianRational) else qi(coeff)
-        mono = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return cls(n, dim, [OpTerm(mono, z, None, coeff)])
+        return cls.monomial_mult(n, dim, i, 1, coeff)
 
     @classmethod
     def monomial_mult(cls, n, dim, i, power, coeff=QI_ONE):
@@ -292,7 +292,7 @@ class OperatorSpec:
 
         other maps dim- to other.tdim-valued polynomials and self continues
         from there, so self.dim == other.tdim; the result maps other.dim- to
-        self.tdim-valued polynomials.
+        self.tdim-valued polynomials.  The result is already merged.
         """
         return _product_sum([(self, other)])
 
@@ -306,14 +306,12 @@ class OperatorSpec:
         """
         return _merged(self.n, self.dim, self.tdim, self.terms)
 
-    def is_zero(self):
-        """Whether the spec is the zero operator.
+    def nonzero_keys(self):
+        """How many (mono, deriv) keys carry a nonzero fiber operator.
 
-        Normal-ordered terms with distinct (mono, deriv) are independent, so
-        the spec is zero exactly when, for every (mono, deriv), its identity
-        terms and matrix terms sum to the zero matrix.  ``combined()`` keeps
-        identity and matrix terms apart, so an empty ``terms`` list is not
-        the test.
+        Normal-ordered terms of distinct keys are independent.  Per key, the
+        identity and matrix terms, which ``combined()`` keeps apart, are
+        summed into one matrix, so cancelling terms are not counted.
         """
         folded = {}
         for t in self.combined().terms:
@@ -321,7 +319,11 @@ class OperatorSpec:
             mat = SparseMatrix.identity(self.dim, t.coeff) if t.mat is None \
                 else t.mat.scale(t.coeff)
             folded[key] = mat if key not in folded else folded[key] + mat
-        return all(mat.is_zero() for mat in folded.values())
+        return sum(1 for mat in folded.values() if not mat.is_zero())
+
+    def is_zero(self):
+        """Whether the spec is the zero operator: no key is nonzero."""
+        return self.nonzero_keys() == 0
 
     def shifts(self):
         return sorted({t.shift for t in self.terms})
@@ -381,17 +383,17 @@ def _reorder_1d(d, m):
 
 
 def _merged(n, dim, tdim, terms):
-    """The spec of an iterable of terms, like terms merged (see combined)."""
+    """The spec of (mono, deriv, mat, coeff) tuples, like terms merged (see combined)."""
     scalars = {}
     matrices = {}
-    for t in terms:
-        key = (t.mono, t.deriv)
-        if t.mat is None:
-            scalars[key] = scalars.get(key, QI_ZERO) + t.coeff
+    for mono, deriv, mat, coeff in terms:
+        key = (mono, deriv)
+        if mat is None:
+            scalars[key] = scalars.get(key, QI_ZERO) + coeff
         else:
             by_mat = matrices.setdefault(key, {})
-            cur = by_mat.get(id(t.mat))
-            by_mat[id(t.mat)] = (t.mat, t.coeff if cur is None else cur[1] + t.coeff)
+            cur = by_mat.get(id(mat))
+            by_mat[id(mat)] = (mat, coeff if cur is None else cur[1] + coeff)
     out = [OpTerm(key[0], key[1], None, c) for key, c in scalars.items() if c]
     for key, by_mat in matrices.items():
         live = [(m, c) for m, c in by_mat.values() if c]
@@ -418,39 +420,45 @@ def _product_sum(pairs):
     for a, b in pairs:
         if (a.n, a.dim, a.tdim, b.dim) != (b.n, b.tdim, a0.tdim, b0.dim):
             raise ValueError("operator spec shape mismatch")
-    raw = (t for a, b in pairs for t1 in a.terms for t2 in b.terms
-           for t in _compose_terms(a.n, t1, t2))
-    return _merged(a0.n, b0.dim, a0.tdim, raw)
+    return _merged(a0.n, b0.dim, a0.tdim, _leibniz(pairs))
 
 
-def _compose_terms(n, t1: OpTerm, t2: OpTerm):
-    """Normal order (x^m1 M1 d^d1)(x^m2 M2 d^d2)."""
-    mat = None
-    if t1.mat is not None and t2.mat is not None:
-        mat = t1.mat @ t2.mat
-    elif t1.mat is not None:
-        mat = t1.mat
-    elif t2.mat is not None:
-        mat = t2.mat
-    base = t1.coeff * t2.coeff
-    if not base or (mat is not None and mat.is_zero()):
-        return []
-    choices = [_reorder_1d(t1.deriv[k], t2.mono[k]) for k in range(n)]
-    out = []
+def _leibniz(pairs):
+    """Normal-ordered (mono, deriv, mat, coeff) terms of a after b, over the pairs.
 
-    def rec(k, coeff, sub):
-        if k == n:
-            mono = tuple(t1.mono[i] + t2.mono[i] - sub[i] for i in range(n))
-            deriv = tuple(t1.deriv[i] + t2.deriv[i] - sub[i] for i in range(n))
-            out.append(OpTerm(mono, deriv, mat, coeff))
-            return
-        for s, c in choices[k]:
-            sub[k] = s
-            rec(k + 1, coeff if c == 1 else coeff * qi(c), sub)
-        sub[k] = 0
-
-    rec(0, base, [0] * n)
-    return out
+    (x^m1 M1 d^d1)(x^m2 M2 d^d2) is the sum over s of the Leibniz factors
+    times x^(m1+m2-s) M1 M2 d^(d1+d2-s), s running only over the coordinates
+    where d1 and m2 are both nonzero.  Each fiber product is computed once
+    per call, keyed by the operands' ids (all alive for the whole call); a
+    zero fiber matrix or product yields no term (None is the identity).
+    """
+    products = {}
+    for a, b in pairs:
+        for m1, d1, M1, c1 in a.terms:
+            moving = [k for k, e in enumerate(d1) if e]
+            for m2, d2, M2, c2 in b.terms:
+                key = (id(M1), id(M2))
+                try:
+                    mat = products[key]
+                except KeyError:
+                    mat = M2 if M1 is None else M1 if M2 is None else M1 @ M2
+                    mat = products[key] = mat if mat is None or not mat.is_zero() else False
+                if mat is False:
+                    continue
+                mono = tuple(map(add, m1, m2))
+                deriv = tuple(map(add, d1, d2))
+                coeff = c1 * c2
+                inter = [k for k in moving if m2[k]]
+                if not inter:
+                    yield mono, deriv, mat, coeff
+                    continue
+                for choice in product(*[_reorder_1d(d1[k], m2[k]) for k in inter]):
+                    mo, de, f = list(mono), list(deriv), 1
+                    for k, (s, c) in zip(inter, choice):
+                        mo[k] -= s
+                        de[k] -= s
+                        f *= c
+                    yield tuple(mo), tuple(de), mat, coeff if f == 1 else coeff * f
 
 
 @dataclass

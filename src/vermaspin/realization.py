@@ -233,8 +233,6 @@ def function_action(gen, lam, rep: GammaRep, module="spinor",
         dim = fiber_dim
 
         def fib(i, j):
-            if i == j:
-                return None
             if i < j:
                 return fiber_matrices[(i, j)]
             m = fiber_matrices[(j, i)]
@@ -259,10 +257,7 @@ def function_action(gen, lam, rep: GammaRep, module="spinor",
             OperatorSpec.derivative(n, dim, i))
         spec = spec + OperatorSpec.coordinate(n, dim, i).compose(
             OperatorSpec.derivative(n, dim, j))
-        m = fib(i, j)
-        if m is not None:
-            spec = spec + OperatorSpec.fiber(n, m)
-        return spec
+        return spec + OperatorSpec.fiber(n, fib(i, j))
     if kind == "g":
         i = gen[1]
         out = OperatorSpec.zero(n, dim)
@@ -274,10 +269,9 @@ def function_action(gen, lam, rep: GammaRep, module="spinor",
         out = out + OperatorSpec.coordinate(n, dim, i).compose(E)
         out = out + OperatorSpec.coordinate(n, dim, i, qi(lam + n * HALF))
         for j in range(1, n + 1):
-            m = fib(i, j)
-            if m is not None:
+            if j != i:  # the (i, i) rotation is zero
                 out = out + OperatorSpec.coordinate(n, dim, j).compose(
-                    OperatorSpec.fiber(n, m))
+                    OperatorSpec.fiber(n, fib(i, j)))
         return out.combined()
     raise ValueError("unknown generator %r" % (gen,))
 

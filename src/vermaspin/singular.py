@@ -218,8 +218,7 @@ def singular_vectors(ctx: Context, lam, degree):
     succeed.
     """
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
-    return [ctx.graded_basis(degree).from_coordinates(v)
-            for v in nullspace(stacked, modular_shortcut=False)]
+    return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def isotypic_split(ctx: Context, polys, degree):
             [(r, j, coeffs[j][r]) for j in range(kdim) for r in range(kdim) if coeffs[j][r]]
             + [(j, j, -c) for j in range(kdim)],
         )
-        sub = nullspace(shifted, modular_shortcut=False)
+        sub = nullspace(shifted)
         if not sub:
             continue
         piece_vecs = _canonical_basis(

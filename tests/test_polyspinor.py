@@ -14,7 +14,10 @@ from vermaspin.polyspinor import (
     OperatorSpec,
     assemble,
     _falling,
+    _leibniz,
+    _merged,
     _product_sum,
+    _reorder_1d,
 )
 from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
@@ -280,6 +283,148 @@ def test_compose_drops_zero_fiber_products():
     for gen in generators(ctx.n):
         residual = _product_sum([(op.spec, src[gen]), (tgt[gen].scale(-1), op.spec)])
         assert residual.terms == [], gen
+
+
+def _compose_terms_oracle(n, t1, t2):
+    """Normal order (x^m1 M1 d^d1)(x^m2 M2 d^d2) by recursion over all n
+    coordinates, one OpTerm per Leibniz term and one fiber product per pair."""
+    mat = None
+    if t1.mat is not None and t2.mat is not None:
+        mat = t1.mat @ t2.mat
+    elif t1.mat is not None:
+        mat = t1.mat
+    elif t2.mat is not None:
+        mat = t2.mat
+    base = t1.coeff * t2.coeff
+    if not base or (mat is not None and mat.is_zero()):
+        return []
+    choices = [_reorder_1d(t1.deriv[k], t2.mono[k]) for k in range(n)]
+    out = []
+
+    def rec(k, coeff, sub):
+        if k == n:
+            mono = tuple(t1.mono[i] + t2.mono[i] - sub[i] for i in range(n))
+            deriv = tuple(t1.deriv[i] + t2.deriv[i] - sub[i] for i in range(n))
+            out.append(OpTerm(mono, deriv, mat, coeff))
+            return
+        for s, c in choices[k]:
+            sub[k] = s
+            rec(k + 1, coeff if c == 1 else coeff * qi(c), sub)
+        sub[k] = 0
+
+    rec(0, base, [0] * n)
+    return out
+
+
+def _product_sum_oracle(pairs):
+    a0, b0 = pairs[0]
+    raw = (t for a, b in pairs for t1 in a.terms for t2 in b.terms
+           for t in _compose_terms_oracle(a.n, t1, t2))
+    return _merged(a0.n, b0.dim, a0.tdim, raw)
+
+
+def _by_shift(spec, degree):
+    """shift -> assembled matrix of the terms of that shift, zero ones dropped."""
+    out = {}
+    for shift in spec.shifts():
+        part = OperatorSpec(spec.n, spec.dim, [t for t in spec.terms if t.shift == shift],
+                            spec.tdim)
+        mat = assemble(part, degree).matrix
+        if not mat.is_zero():
+            out[shift] = mat
+    return out
+
+
+def _sparse_matrix(rng, rows, cols):
+    """One to three random nonzero entries, so that products often vanish."""
+    entries = [(rng.randrange(rows), rng.randrange(cols),
+                qi(rng.choice([-2, -1, 1, 2]), rng.randint(-1, 1))) for _ in range(rng.randint(1, 3))]
+    return SparseMatrix.from_entries(rows, cols, entries)
+
+
+def _random_factor(rng, n, rows, cols, pool):
+    """A spec rows x cols: identity terms when square, matrices drawn from a
+    shared pool so that one object sits in several terms."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(rng.randint(0, 2) for _ in range(n))
+        deriv = tuple(rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in range(n))
+        mats = pool[(rows, cols)]
+        mat = None if rows == cols and rng.random() < 0.3 else rng.choice(mats)
+        terms.append(OpTerm(mono, deriv, mat, qi(rng.randint(-3, 3) or 1, rng.randint(-1, 1))))
+    return OperatorSpec(n, cols, terms, rows)
+
+
+def test_leibniz_kernel_matches_recursive_oracle():
+    n, src, tgt = 3, 2, 3
+    rng = random.Random(41)
+    # two interacting coordinates: d_1^2 d_2 after x_1^2 x_2 M
+    g = SparseMatrix.from_entries(3, 2, [(0, 0, QI_ONE), (2, 1, qi(0, 1))])
+    dd = OperatorSpec(n, 3, [OpTerm((0, 0, 1), (2, 1, 0), None, qi(2))])
+    xm = OperatorSpec(n, 2, [OpTerm((2, 1, 0), (0, 0, 1), g, QI_ONE)], 3)
+    cases = [[(dd, xm)]]
+    for _ in range(30):
+        pool = {(r, c): [_sparse_matrix(rng, r, c) for _ in range(2)]
+                + [SparseMatrix.zero(r, c)] for r in (2, 3) for c in (2, 3)}
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            mid = rng.choice([2, 3])
+            pairs.append((_random_factor(rng, n, tgt, mid, pool),
+                          _random_factor(rng, n, mid, src, pool)))
+        cases.append(pairs)
+    seen = set()
+    for pairs in cases:
+        got, want = _product_sum(pairs), _product_sum_oracle(pairs)
+        assert (got.dim, got.tdim) == (want.dim, want.tdim) == (src, tgt)
+        assert got.is_zero() == want.is_zero()
+        assert got.nonzero_keys() == want.nonzero_keys()
+        for degree in range(4):
+            assert _by_shift(got, degree) == _by_shift(want, degree), degree
+        for a, b in pairs:
+            for t1 in a.terms:
+                for t2 in b.terms:
+                    inter = sum(1 for k in range(n) if t1.deriv[k] and t2.mono[k])
+                    zero = any(m is not None and m.is_zero() for m in (t1.mat, t2.mat)) or (
+                        None not in (t1.mat, t2.mat) and (t1.mat @ t2.mat).is_zero())
+                    seen.add((min(inter, 2), t1.mat is None or t2.mat is None, zero))
+    # every kind of pair occurred: 0, 1 and 2+ interacting coordinates,
+    # identity terms, zero matrices and zero products
+    assert {(i, ident, z) for i in range(3) for ident in (False, True)
+            for z in (False, True)} <= seen
+
+
+def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
+    ctx = Context(2, 1)
+    g1, g2 = ctx.rep.gamma(1), ctx.rep.gamma(2)
+    zero = SparseMatrix.zero(2, 2)
+    a = OperatorSpec(3, 2, [OpTerm((1, 0, 0), (1, 0, 0), g1, QI_ONE),
+                            OpTerm((0, 1, 0), (0, 0, 0), g1, qi(2)),
+                            OpTerm((0, 0, 0), (0, 1, 0), g2, QI_ONE),
+                            OpTerm((0, 0, 0), (0, 0, 0), None, QI_ONE)])
+    b = OperatorSpec(3, 2, [OpTerm((1, 0, 0), (0, 0, 0), g2, QI_ONE),
+                            OpTerm((0, 1, 0), (0, 0, 1), g2, qi(0, 1)),
+                            OpTerm((0, 0, 1), (0, 0, 0), g1, QI_ONE)])
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append((id(self), id(other)))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    got = _product_sum([(a, b), (b, a)])
+    distinct = {(id(t1.mat), id(t2.mat)) for x, y in [(a, b), (b, a)]
+                for t1 in x.terms for t2 in y.terms if None not in (t1.mat, t2.mat)}
+    assert sorted(calls) == sorted(distinct) and len(calls) == 4
+    monkeypatch.setattr(SparseMatrix, "__matmul__", matmul)
+    for degree in range(4):
+        assert _by_shift(got, degree) == _by_shift(_product_sum_oracle([(a, b), (b, a)]), degree)
+    # a zero fiber matrix, alone or in a product, contributes no term
+    x1 = OperatorSpec.coordinate(3, 2, 1)
+    zero_fiber = OperatorSpec.fiber(3, zero)
+    assert list(_leibniz([(zero_fiber, x1)])) == []
+    assert list(_leibniz([(x1, zero_fiber), (zero_fiber, a)])) == []
+    assert len(list(_leibniz([(x1, zero_fiber), (x1, x1)]))) == 1
 
 
 def test_is_zero_folds_identity_terms_into_matrix_sums():
