@@ -307,7 +307,7 @@ def _selftest_checks():
         red, piv = rref(m)
         _check(piv == [0] and red.get(0, 1) == qi(0, 1),
                "rref of [[1, i], [-i, 1]]: pivots %s" % piv)
-        ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]), modular_shortcut=True)
+        ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
         _check(ker == [{0: qi(1), 1: qi(0, 1)}],
                "nullspace of [[1, i]]: %d vectors" % len(ker))
         # a non-unit Gaussian pivot, and a row with denominators

@@ -309,6 +309,18 @@ class ChiralityProjector:
         """'+' or '-': the half-spinor subspace holding a fiber basis vector."""
         return "+" if fiber_index in self.plus_index else "-"
 
+    def half_of(self, fiber_indices, degree):
+        """'+' or '-': the one half holding every given fiber index.
+
+        Reads the chirality of a vector off its support.  Raises
+        ArithmeticError naming ``degree`` when the indices touch both halves.
+        """
+        sides = {self.half(i) for i in fiber_indices}
+        if len(sides) != 1:
+            raise ArithmeticError("degree %d: a kernel vector touches both chirality halves"
+                                  % degree)
+        return sides.pop()
+
 
 def chirality_split(rep: GammaRep) -> ChiralityProjector:
     """(I +- G_vol)/2 with G_vol = c G_1 ... G_n scaled so G_vol^2 = I.

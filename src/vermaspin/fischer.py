@@ -100,11 +100,7 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     else:
         halves = {"+": [], "-": []}
         for v in kernel:
-            sides = {ctx.chirality.half(i % basis.dim) for i in v}
-            if len(sides) != 1:
-                raise ArithmeticError("degree %d: a monogenic kernel vector touches both "
-                                      "chirality halves" % a)
-            halves[sides.pop()].append(v)
+            halves[ctx.chirality.half_of((i % basis.dim for i in v), a)].append(v)
         vectors = halves["+"] + halves["-"]
         tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
     out = MonogenicBasis(degree=a, elements=[basis.from_coordinates(v) for v in vectors],

@@ -35,7 +35,6 @@ from functools import reduce
 from .exact import (
     SparseMatrix,
     nullspace,
-    rank,
     express_in_span,
     rational,
     rational_to_string,
@@ -211,12 +210,7 @@ def _combine(vectors, coeffs):
 
 
 def singular_vectors(ctx: Context, lam, degree):
-    """Canonical basis of the joint kernel: one exact nullspace of the stacked system.
-
-    The mod-p certificate is not tried: :func:`classify` asks only for
-    degrees whose contractions allow singular vectors, where it would not
-    succeed.
-    """
+    """Canonical basis of the joint kernel: one exact nullspace of the stacked system."""
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
     return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
 
@@ -317,25 +311,21 @@ def label_isotypic(ctx: Context, poly: SpinorPoly) -> IsotypicLabel:
     return IsotypicLabel(k=k, m=m, chirality=chirality)
 
 
-def _chirality_dims(ctx: Context, piece_polys, k, m, degree):
-    """Dimensions of the +/- halves of an isotypic piece (even n only)."""
+def _chirality_dims(ctx: Context, piece_polys, k, degree):
+    """Dimensions of the +/- halves of the M_m part of an isotypic piece (even n only).
+
+    The g_i and X D commute with the volume element, which is diagonal +-1 in
+    the fiber, so every RREF piece vector lies in one fiber half.  X
+    anticommutes with it, so X^k u lies in the half of u for even k and in
+    the other half for odd k.
+    """
     if ctx.chirality is None:
         return None
-    stripped = []
+    dims = {"+": 0, "-": 0}
     for poly in piece_polys:
-        vec = ctx.graded_basis(degree).coordinates(poly)
-        deg = degree
-        for _ in range(k):
-            vec = dirac_matrix(ctx, deg).matrix.mul_vec(vec)
-            deg -= 1
-        stripped.append(vec)
-    dims = {}
-    for tag in ("+", "-"):
-        rows = [{i: v for i, v in vec.items() if ctx.chirality.half(i % ctx.spinor_dim) == tag}
-                for vec in stripped]
-        rows = [row for row in rows if row]
-        dims[tag] = rank(SparseMatrix(len(rows), ctx.graded_basis(m).size, dict(enumerate(rows))))
-    return dims
+        fiber = (i for vec in poly.terms.values() for i in vec)
+        dims[ctx.chirality.half_of(fiber, degree)] += 1
+    return dims if k % 2 == 0 else {"+": dims["-"], "-": dims["+"]}
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
         for k, m, piece in isotypic_split(ctx, polys, degree):
             found.append(ComponentRecord(
                 degree=degree, k=k, m=m, dim=len(piece),
-                chirality_dims=_chirality_dims(ctx, piece, k, m, degree),
+                chirality_dims=_chirality_dims(ctx, piece, k, degree),
             ))
     match = sorted(c.label() for c in found) == sorted(predicted)
     return ClassificationReport(

@@ -23,8 +23,12 @@ from vermaspin.exact import (
     express_in_span,
     QI_ONE,
     QI_ZERO,
-    _CERT_P,
 )
+
+# A 31-bit prime, 1 (mod 4): the modulus of the former mod-p kernel
+# certificate.  Draws with it as a denominator keep huge denominators in the
+# elimination tests.
+_CERT_P = 2147483629
 
 
 def small_rationals():
@@ -232,7 +236,7 @@ def test_rank_nullity_random():
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
         m = _random_matrix(rng, rows, cols)
-        basis = nullspace(m, modular_shortcut=False)
+        basis = nullspace(m)
         assert rank(m) + len(basis) == cols
         for v in basis:
             assert not m.mul_vec(v)
@@ -254,14 +258,7 @@ def test_modular_certificate_is_sound():
     for _ in range(20):
         m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
         if kernel_is_trivial_hint(m):
-            assert nullspace(m, modular_shortcut=False) == []
-
-
-def test_nullspace_shortcut_agrees():
-    rng = random.Random(17)
-    for _ in range(15):
-        m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
-        assert nullspace(m, modular_shortcut=True) == nullspace(m)
+            assert nullspace(m) == []
 
 
 def test_express_in_span():
@@ -343,7 +340,7 @@ def _densify(vec, ncols):
 def sparse_matrices(draw, big=False):
     """Sparse Q(i) matrices with dependent and duplicate rows, rows shuffled.
 
-    Denominators are small, or the certificate prime itself.  With ``big``,
+    Denominators are small, or the 31-bit prime ``_CERT_P``.  With ``big``,
     numerators reach 10^6 and denominators 10^4, so rows grow large integer
     contents and lcm scalings inside the elimination.
     """
@@ -380,10 +377,8 @@ def test_engine_matches_dense_oracle(m):
     assert [_densify(got.data[i], m.cols) for i in range(len(pivots))] == red
     assert sorted(got.data) == list(range(len(pivots)))
     assert rank(m) == len(pivots)
-    for shortcut in (True, False):
-        assert [_densify(v, m.cols) for v in nullspace(m, modular_shortcut=shortcut)] == kernel
-    if kernel_is_trivial_hint(m):
-        assert kernel == []
+    assert [_densify(v, m.cols) for v in nullspace(m)] == kernel
+    assert kernel_is_trivial_hint(m) == (kernel == [])
 
 
 @given(sparse_matrices(big=True))
@@ -396,24 +391,23 @@ def test_engine_matches_dense_oracle_large_entries(m):
 def test_integer_rows_keep_content_and_denominators_exact():
     # non-unit Gaussian pivots and rows with denominators: the pivot row is
     # multiplied by its conjugate pivot, rows by the lcm of their denominators
-    assert nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]),
-                     modular_shortcut=False) == [{0: QI_ONE, 1: qi(-1, 1)}]
+    assert nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]])) == [{0: QI_ONE, 1: qi(-1, 1)}]
     red, piv = rref(SparseMatrix.from_dense([[qi(1, 1), qi(2)], [qi(3, 3), qi(6)]]))
     assert piv == [0] and red.data == {0: {0: QI_ONE, 1: qi(1, -1)}}
     half, third = qi(rational(1, 2)), qi(0, rational(1, 3))
-    assert nullspace(SparseMatrix.from_dense([[half, third]]), modular_shortcut=False) \
+    assert nullspace(SparseMatrix.from_dense([[half, third]])) \
         == [{0: QI_ONE, 1: qi(0, rational(3, 2))}]
     big = qi(rational(10 ** 6 + 1, 9999), rational(-7, 10 ** 4))
     m = SparseMatrix.from_dense([[big, qi(1)], [big * big, big]])
     assert rank(m) == 1
-    assert nullspace(m, modular_shortcut=False) == [{0: QI_ONE, 1: -big}]
+    assert nullspace(m) == [{0: QI_ONE, 1: -big}]
 
 
 def test_denominator_divisible_by_cert_prime():
-    # p divides a denominator: the certificate must abstain, the kernel stays exact
+    # p divides a denominator: the kernel and the triviality test stay exact
     tiny = qi(rational(1, _CERT_P))
     invertible = SparseMatrix.from_dense([[tiny, qi(0)], [qi(0), qi(1)]])
-    assert not kernel_is_trivial_hint(invertible)
+    assert kernel_is_trivial_hint(invertible)
     assert nullspace(invertible) == []
     # second row is p times the first
     singular = SparseMatrix.from_dense([[tiny, qi(1)], [qi(1), qi(_CERT_P)]])
@@ -422,14 +416,13 @@ def test_denominator_divisible_by_cert_prime():
 
 
 def test_imaginary_denominator_divisible_by_cert_prime():
-    # p divides only the denominator of the imaginary part: one test of the
-    # common denominator makes the certificate abstain
+    # p divides only the denominator of the imaginary part
     tiny = qi(0, rational(1, _CERT_P))
     line = SparseMatrix.from_dense([[tiny, qi(1)]])
     assert not kernel_is_trivial_hint(line)
     assert nullspace(line) == [{0: QI_ONE, 1: -tiny}]
     invertible = SparseMatrix.from_dense([[tiny + qi(1), qi(0)], [qi(0), qi(1)]])
-    assert not kernel_is_trivial_hint(invertible)
+    assert kernel_is_trivial_hint(invertible)
     assert nullspace(invertible) == []
 
 
@@ -452,7 +445,7 @@ def test_kernel_check_runs_under_optimize_flag():
 
         exact._sub_scaled_row_gauss = corrupted
         m = SparseMatrix.from_dense([[qi(1), qi(1), qi(1)], [qi(1), qi(2), qi(3)]])
-        print(nullspace(m, modular_shortcut=False))
+        print(nullspace(m))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

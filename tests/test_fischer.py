@@ -55,7 +55,7 @@ def test_chirality_halves_equal_n4(ctx_factory):
 def _projected_monogenic_basis(ctx, a):
     """Oracle: project ker D onto each half with the fiber projectors, then RREF."""
     basis = ctx.graded_basis(a)
-    kernel = nullspace(dirac_matrix(ctx, a).matrix, modular_shortcut=False)
+    kernel = nullspace(dirac_matrix(ctx, a).matrix)
     elements, tags = [], []
     for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
         projected = []
@@ -81,6 +81,20 @@ def test_chirality_tags_match_projection_oracle(ctx_factory, n, dmax):
                 elements, tags = _projected_monogenic_basis(ctx, a)
                 assert basis.elements == elements, (p, variant, a)
                 assert basis.chirality == tags, (p, variant, a)
+
+
+def test_monogenic_basis_rejects_a_kernel_vector_touching_both_halves(monkeypatch):
+    from vermaspin import fischer
+    from vermaspin.context import Context
+
+    ctx = Context(2, 2)
+    kernel = nullspace(dirac_matrix(ctx, 1).matrix)
+    sides = [{ctx.chirality.half(i % ctx.spinor_dim) for i in v} for v in kernel]
+    plus, minus = kernel[sides.index({"+"})], kernel[sides.index({"-"})]
+    mixed = {**plus, **minus}  # disjoint supports: the sum of the two
+    monkeypatch.setattr(fischer, "nullspace", lambda m: [mixed])
+    with pytest.raises(ArithmeticError, match="degree 1: .*both chirality halves"):
+        monogenic_basis(ctx, 1)
 
 
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (4, 0), (2, 2), (5, 0), (2, 3)])

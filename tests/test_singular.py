@@ -4,10 +4,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from vermaspin import singular
 from vermaspin.context import Context
 from vermaspin.exact import (
-    SparseMatrix, QI_ONE, QI_ZERO, qi, rational, express_in_span, nullspace, _canonical_basis)
+    SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
+    _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import verma_action, invariant_contractions
-from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power
+from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
 from vermaspin.singular import (
     ClassificationReport,
     ComponentRecord,
@@ -75,7 +76,7 @@ def _iterated_singular_vectors(ctx, lam, degree):
         )
         vectors = [
             _combine(vectors, [coeffs.get(j, QI_ZERO) for j in range(len(vectors))])
-            for coeffs in nullspace(restricted, modular_shortcut=False)
+            for coeffs in nullspace(restricted)
         ]
     return [basis.from_coordinates(v) for v in _canonical_basis(vectors, basis.size)]
 
@@ -105,21 +106,47 @@ def test_label_examples(ctx_factory):
     assert (lab.k, lab.m) == (0, 1)
 
 
+def _chirality_dims_by_rank(ctx, piece_polys, k, m, degree):
+    """Oracle: strip X^k off with D^k, then the rank of each half's coordinates."""
+    if ctx.chirality is None:
+        return None
+    stripped = []
+    for poly in piece_polys:
+        vec = ctx.graded_basis(degree).coordinates(poly)
+        deg = degree
+        for _ in range(k):
+            vec = dirac_matrix(ctx, deg).matrix.mul_vec(vec)
+            deg -= 1
+        stripped.append(vec)
+    dims = {}
+    for tag in ("+", "-"):
+        rows = [{i: v for i, v in vec.items() if ctx.chirality.half(i % ctx.spinor_dim) == tag}
+                for vec in stripped]
+        rows = [row for row in rows if row]
+        dims[tag] = rank(SparseMatrix(len(rows), ctx.graded_basis(m).size, dict(enumerate(rows))))
+    return dims
+
+
 def test_chirality_of_labels_and_piece_dims(ctx_factory):
     # X^k applied to one chirality half of M_m keeps that half's tag; a sum of
-    # both halves is mixed, and the piece dimensions count each half
+    # both halves is mixed, and the piece dimensions count each half.  For odd
+    # k, X^k moves the vector into the other fiber half, and the tag stays.
     ctx = ctx_factory(2, 2)
     mono = monogenic_basis(ctx, 1)
     halves = {tag: [el for el, t in zip(mono.elements, mono.chirality) if t == tag]
               for tag in ("+", "-")}
-    for k in (0, 2):
+    for k in (0, 1, 2, 3):
         for tag, els in halves.items():
             piece = [apply_x_power(ctx, k, el) for el in els]
             assert {label_isotypic(ctx, v).chirality for v in piece} == {tag}
             other = "-" if tag == "+" else "+"
-            assert _chirality_dims(ctx, piece, k, 1, k + 1) == {tag: len(els), other: 0}
+            want = {tag: len(els), other: 0}
+            assert _chirality_dims(ctx, piece, k, k + 1) == want
+            assert _chirality_dims_by_rank(ctx, piece, k, 1, k + 1) == want
         both = apply_x_power(ctx, k, halves["+"][0] + halves["-"][0])
         assert label_isotypic(ctx, both).chirality == "mixed"
+        with pytest.raises(ArithmeticError, match="degree %d: .*both chirality halves" % (k + 1)):
+            _chirality_dims(ctx, [both], k, k + 1)
 
 
 def test_label_rejects_mixed_component(ctx_factory):
@@ -291,7 +318,7 @@ def _classify_unfiltered(ctx, lam_thm, d_max):
         for k, m, piece in isotypic_split(ctx, polys, degree):
             found.append(ComponentRecord(
                 degree=degree, k=k, m=m, dim=len(piece),
-                chirality_dims=_chirality_dims(ctx, piece, k, m, degree)))
+                chirality_dims=_chirality_dims_by_rank(ctx, piece, k, m, degree)))
     match = sorted(c.label() for c in found) == sorted(predicted)
     return ClassificationReport(
         n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, lam_thm=lam_thm, d_max=d_max, case=case,
