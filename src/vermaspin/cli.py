@@ -40,9 +40,9 @@ class _Parser(argparse.ArgumentParser):
 def _rational_arg(s):
     try:
         return rational_from_string(s)
-    except ValueError:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            "expected an exact rational like 5/2 (floats are not accepted): %r" % s)
+            "expected an exact rational like 5/2 (floats are not accepted); %s" % exc)
 
 
 # Past these caps a command exits 1 at once, in place of hanging or raising
@@ -70,9 +70,12 @@ def _parse_grid(s):
     if not m:
         raise argparse.ArgumentTypeError(
             "expected a grid like -4..4:1/2 with exact rational bounds and step")
-    a = rational_from_string(m.group("a"))
-    b = rational_from_string(m.group("b"))
-    step = rational_from_string(m.group("s"))
+    try:
+        a = rational_from_string(m.group("a"))
+        b = rational_from_string(m.group("b"))
+        step = rational_from_string(m.group("s"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("grid %r: %s" % (s, exc))
     if step <= 0 or b < a:
         raise argparse.ArgumentTypeError("grid must have positive step and a <= b")
     count = grid_points(a, b, step)
@@ -132,13 +135,18 @@ def build_parser():
 
 def _context(args, degree):
     """The Context of the signature, once the top degree's size passes the cap."""
-    if args.p < 0 or args.q < 0 or args.p + args.q < 3:
+    n = args.p + args.q
+    if args.p < 0 or args.q < 0 or n < 3:
         raise SystemExit(_fail("n >= 3 required"))
-    size = component_dim(args.p + args.q, degree)
+    if n // 2 >= MAX_COMPONENT_DIM.bit_length():
+        # the fiber 2^(n // 2) alone is past the cap; do not compute it
+        raise SystemExit(_fail("n = %d has a 2^%d-dimensional spinor fiber; at most %d is allowed"
+                               % (n, n // 2, MAX_COMPONENT_DIM)))
+    size = component_dim(n, degree)
     if size > MAX_COMPONENT_DIM:
         raise SystemExit(_fail(
             "degree %d in n = %d has a %d-dimensional component; at most %d is allowed"
-            % (degree, args.p + args.q, size, MAX_COMPONENT_DIM)))
+            % (degree, n, size, MAX_COMPONENT_DIM)))
     return Context(args.p, args.q, variant=args.variant)
 
 
@@ -171,9 +179,9 @@ def _json_dump(obj):
 
 
 def cmd_classify(args):
-    ctx = _context(args, args.dmax)
     if args.dmax < 1:
         return _fail("dmax must be at least 1")
+    ctx = _context(args, args.dmax)
     report = classify(ctx, args.lam, args.dmax)
     if args.format == "json":
         _emit(_json_dump(report.to_json()), args.output)
@@ -201,9 +209,9 @@ def report_csv_rows(report: ClassificationReport):
 
 
 def cmd_scan(args):
-    ctx = _context(args, args.dmax)
     if args.dmax < 1:
         return _fail("dmax must be at least 1")
+    ctx = _context(args, args.dmax)
     reports = scan(ctx, args.grid, args.dmax)
     all_match = all(r.match for r in reports)
     if args.format == "json":
@@ -222,9 +230,9 @@ def cmd_scan(args):
 
 
 def cmd_fischer(args):
-    ctx = _context(args, args.dmax)
     if args.dmax < 0:
         return _fail("dmax must be nonnegative")
+    ctx = _context(args, args.dmax)
     spaces = []
     for d in range(args.dmax + 1):
         basis = monogenic_basis(ctx, d)
@@ -289,7 +297,7 @@ def _selftest_checks():
                               structure_constants, invariant_contractions)
     from .fischer import monogenic_dim, apply_x_power
     from .singular import (singular_vectors, contraction_identity_residual,
-                           contraction_lambda_residual)
+                           contraction_lambda_residual, xd_eigenvalue)
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -401,7 +409,7 @@ def _selftest_checks():
                     img = ctx.graded_basis(m + k - 1).from_coordinates(
                         dirac_matrix(ctx, m + k).matrix.mul_vec(
                             ctx.graded_basis(m + k).coordinates(xk)))
-                    scalar = qi(-k) if k % 2 == 0 else qi(-(2 * m + ctx.n + k - 1))
+                    scalar = xd_eigenvalue(k, m, ctx.n)
                     expect = apply_x_power(ctx, k - 1, el).scale(scalar) if k else \
                         SpinorPoly.zero(ctx.n, ctx.spinor_dim)
                     _check(img == expect, "signature (2,1): D X^%d on M_%d" % (k, m))

@@ -56,12 +56,14 @@ def rational(num, den=1):
 
 
 def rational_from_string(s):
-    """Parse 'a' or 'a/b' into an exact rational; floats are rejected."""
+    """Parse 'a' or 'a/b' into an exact rational; floats and b = 0 are rejected."""
     s = s.strip()
     if not _re.fullmatch(r"[+-]?\d+(/\d+)?", s):
         raise ValueError("not an exact rational: %r" % (s,))
     if "/" in s:
         num, den = s.split("/")
+        if not int(den):
+            raise ValueError("zero denominator: %r" % (s,))
         return _Q(int(num), int(den))
     return _Q(int(s))
 
@@ -213,10 +215,7 @@ class GaussianRational:
             im_part = m.group("im").rstrip("*")
             if im_part in ("", "+", "-"):
                 im_part += "1"
-        try:
-            return GaussianRational(rational_from_string(re_part), rational_from_string(im_part))
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in Gaussian rational: %r" % (s,)) from None
+        return GaussianRational(rational_from_string(re_part), rational_from_string(im_part))
 
     def __repr__(self):
         return "GaussianRational(%s)" % self.to_string()

@@ -3,9 +3,9 @@
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
 system; the solver computes that joint kernel as one exact nullspace of the
-stacked system, refines it into isotypic components by exact eigensplitting
-of the X*D operator, and the classifier compares the outcome against the
-case table of the classification theorems.
+stacked system, sorts its basis vectors into the components X^k M_m by
+their exact X*D eigenvalues, and the classifier compares the outcome against
+the case table of the classification theorems.
 
 Contraction prefilter: a singular vector is also killed by the three
 invariant contractions C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
@@ -32,16 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .exact import (
-    SparseMatrix,
-    nullspace,
-    express_in_span,
-    rational,
-    rational_to_string,
-    qi,
-)
-from .exact import _canonical_basis
-from .polyspinor import SpinorPoly, assemble, OperatorSpec, _product_sum
+from .exact import SparseMatrix, QI_ZERO, nullspace, rational, rational_to_string, qi
+from .polyspinor import assemble, OperatorSpec, _product_sum
 from .realization import (
     verma_action,
     contraction_eigenvalue,
@@ -54,13 +46,11 @@ from .fischer import monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
 
 __all__ = [
-    "IsotypicLabel",
     "ComponentRecord",
     "ClassificationReport",
     "singular_vectors",
     "special_conformal_matrices",
     "isotypic_split",
-    "label_isotypic",
     "predicted_components",
     "contraction_identity_residual",
     "contraction_lambda_residual",
@@ -70,15 +60,6 @@ __all__ = [
 ]
 
 HALF = rational(1, 2)
-
-
-@dataclass(frozen=True)
-class IsotypicLabel:
-    """Component tag: v in X^k M_m, with optional chirality of the M_m part."""
-
-    k: int
-    m: int
-    chirality: str | None = None
 
 
 @dataclass
@@ -194,21 +175,6 @@ def _sc_spec(ctx: Context, i):
     return spec
 
 
-def _combine(vectors, coeffs):
-    out = {}
-    for vec, c in zip(vectors, coeffs):
-        if not c:
-            continue
-        for idx, v in vec.items():
-            w = out.get(idx)
-            nv = v * c if w is None else w + v * c
-            if nv:
-                out[idx] = nv
-            elif idx in out:
-                del out[idx]
-    return out
-
-
 def singular_vectors(ctx: Context, lam, degree):
     """Canonical basis of the joint kernel: one exact nullspace of the stacked system."""
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
@@ -237,78 +203,30 @@ def xd_matrix(ctx: Context, degree):
 
 
 def isotypic_split(ctx: Context, polys, degree):
-    """Split a joint-kernel basis into isotypic pieces X^k M_(degree-k).
+    """Group a joint-kernel basis into its isotypic pieces X^k M_(degree-k).
 
-    The kernel is a direct sum of such pieces, on each of which X D acts by
-    a known integer scalar, so the refinement is a sequence of exact
-    nullspace computations of (R - c I) on the coefficient space.
+    X D acts on X^k M_(degree-k) by ``xd_eigenvalue(k, degree-k, n)``, and
+    these scalars are distinct within a degree, so each vector is tagged by
+    the scalar read off its leading entry, after an exact check that X D maps
+    it to that multiple of itself.  The pieces keep the given order; a
+    sub-list of an RREF basis is the RREF basis of its own span.
     """
     if not polys:
         return []
     basis = ctx.graded_basis(degree)
-    vecs = [basis.coordinates(p) for p in polys]
     xd = xd_matrix(ctx, degree)
-    images = [xd.mul_vec(v) for v in vecs]
-    coeffs = express_in_span(vecs, images, basis.size)
-    if coeffs is None:
-        raise ValueError("kernel is not X D invariant")  # impossible for true kernels
-    kdim = len(vecs)
-    pieces = []
-    total = 0
-    for k in range(degree + 1):
-        c = xd_eigenvalue(k, degree - k, ctx.n)
-        shifted = SparseMatrix.from_entries(
-            kdim, kdim,
-            [(r, j, coeffs[j][r]) for j in range(kdim) for r in range(kdim) if coeffs[j][r]]
-            + [(j, j, -c) for j in range(kdim)],
-        )
-        sub = nullspace(shifted)
-        if not sub:
-            continue
-        piece_vecs = _canonical_basis(
-            [_combine(vecs, [s.get(j, qi(0)) for j in range(kdim)]) for s in sub],
-            basis.size)
-        polys_piece = [basis.from_coordinates(v) for v in piece_vecs]
-        pieces.append((k, degree - k, polys_piece))
-        total += len(polys_piece)
-    if total != kdim:
-        raise ValueError("isotypic refinement lost dimensions (%d of %d)" % (total, kdim))
-    return pieces
-
-
-def label_isotypic(ctx: Context, poly: SpinorPoly) -> IsotypicLabel:
-    """Label a single vector lying in one component X^k M_m.
-
-    k is found by exact repeated application of the Dirac matrix; a vector
-    mixing several components raises ValueError("not isotypic").
-    """
-    d = poly.homogeneous_degree()
-    if d is None:
-        raise ValueError("not homogeneous")
-    basis = ctx.graded_basis(d)
-    vec = basis.coordinates(poly)
-    if not vec:
-        raise ValueError("zero polynomial has no isotypic label")
-    chain = [vec]
-    cur = vec
-    deg = d
-    while cur:
-        cur = dirac_matrix(ctx, deg).matrix.mul_vec(cur)
-        chain.append(cur)
-        deg -= 1
-    k = len(chain) - 2  # number of applications before reaching zero, minus one
-    m = d - k
-    # consistency: the ladder scalar structure pins membership in X^k M_m
-    ev = xd_eigenvalue(k, m, ctx.n)
-    xdv = xd_matrix(ctx, d).mul_vec(vec)
-    expect = {i: v * ev for i, v in vec.items() if v * ev}
-    if xdv != expect:
-        raise ValueError("not isotypic")
-    chirality = None
-    if ctx.chirality is not None:
-        sides = {ctx.chirality.half(i % ctx.spinor_dim) for i in chain[k]}
-        chirality = sides.pop() if len(sides) == 1 else "mixed"
-    return IsotypicLabel(k=k, m=m, chirality=chirality)
+    k_of = {xd_eigenvalue(k, degree - k, ctx.n): k for k in range(degree + 1)}
+    pieces = {}
+    for poly in polys:
+        vec = basis.coordinates(poly)
+        image = xd.mul_vec(vec)
+        lead = min(vec)
+        c = image.get(lead, QI_ZERO) / vec[lead]
+        if c not in k_of or image != {i: v * c for i, v in vec.items() if v * c}:
+            raise ValueError("degree %d: a kernel vector is not an X D eigenvector "
+                             "of any component X^k M_m" % degree)
+        pieces.setdefault(k_of[c], []).append(poly)
+    return [(k, degree - k, pieces[k]) for k in sorted(pieces)]
 
 
 def _chirality_dims(ctx: Context, piece_polys, k, degree):

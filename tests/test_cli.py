@@ -71,6 +71,33 @@ def test_float_lambda_rejected(capsys):
     assert "exact rational" in err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["classify", "--p", "3", "--lambda", "1/0"], "1/0"),
+    (["scan", "--p", "3", "--lambda-grid", "0..1:1/0"], "1/0"),
+    (["scan", "--p", "3", "--lambda-grid", "-1/0..1:1"], "-1/0"),
+])
+def test_zero_denominator_rejected(capsys, monkeypatch, argv, bad):
+    monkeypatch.setattr(cli, "Context", _no_context)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "zero denominator: '%s'" % bad in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "3", "--lambda", "1", "--dmax", "0"],
+    ["scan", "--p", "3", "--lambda-grid", "0..1:1", "--dmax", "-1"],
+    ["fischer", "--p", "3", "--dmax", "-1"],
+])
+def test_bad_dmax_rejected_before_the_context(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "Context", _no_context)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "dmax must be" in err
+
+
 def test_unknown_command_rejected(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -235,9 +262,19 @@ def test_size_estimates_and_caps():
     ["fischer", "--p", "3", "--q", "3", "--dmax", "1000000"],
     ["intertwiner", "--p", "3", "--kind", "dirac", "--a", "1", "--test-degree", "1000000"],
     ["classify", "--p", "200", "--lambda", "1", "--dmax", "1"],
+    ["classify", "--p", "0", "--q", "1000000000000", "--lambda", "1", "--dmax", "1"],
 ])
 def test_component_size_guard(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "Context", _no_context)
+    size = cli.component_dim
+
+    def bounded(n, degree):
+        # a huge n is rejected before its 2^(n // 2) fiber is computed
+        if n > 64:
+            raise AssertionError("component_dim called at n = %d" % n)
+        return size(n, degree)
+
+    monkeypatch.setattr(cli, "component_dim", bounded)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -95,8 +95,11 @@ def test_string_forms():
     with pytest.raises(ValueError):
         rational_from_string("1e-3")
     for zero_den in ("1/0", "2-1/0*i", "1/00i"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero denominator"):
             GaussianRational.from_string(zero_den)
+    for zero_den in ("1/0", "-3/000"):
+        with pytest.raises(ValueError, match="zero denominator: '%s'" % zero_den):
+            rational_from_string(zero_den)
 
 
 # -- scalars against an oracle of (Fraction, Fraction) pairs ------------------

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vermaspin import singular
+from vermaspin import exact, singular
 from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
@@ -13,20 +15,119 @@ from vermaspin.singular import (
     ClassificationReport,
     ComponentRecord,
     _chirality_dims,
-    _combine,
     singular_vectors,
     special_conformal_matrices,
     isotypic_split,
-    label_isotypic,
     predicted_components,
     classify,
     contraction_identity_residual,
     contraction_lambda_residual,
     scan,
     xd_eigenvalue,
+    xd_matrix,
 )
 
 HALF = rational(1, 2)
+
+
+def _combine(vectors, coeffs):
+    """The sparse vector sum_j coeffs[j] * vectors[j]."""
+    out = {}
+    for vec, c in zip(vectors, coeffs):
+        if not c:
+            continue
+        for idx, v in vec.items():
+            w = out.get(idx)
+            nv = v * c if w is None else w + v * c
+            if nv:
+                out[idx] = nv
+            elif idx in out:
+                del out[idx]
+    return out
+
+
+def _eigensplit(ctx, polys, degree):
+    """Oracle for ``isotypic_split``: a general exact eigensplit of X D on the kernel.
+
+    X D is written in the kernel basis with ``express_in_span``, each
+    eigenspace (R - c I) is one exact nullspace, and each piece is put back
+    in RREF form.
+    """
+    if not polys:
+        return []
+    basis = ctx.graded_basis(degree)
+    vecs = [basis.coordinates(p) for p in polys]
+    xd = xd_matrix(ctx, degree)
+    images = [xd.mul_vec(v) for v in vecs]
+    coeffs = express_in_span(vecs, images, basis.size)
+    if coeffs is None:
+        raise ValueError("kernel is not X D invariant")  # impossible for true kernels
+    kdim = len(vecs)
+    pieces = []
+    total = 0
+    for k in range(degree + 1):
+        c = xd_eigenvalue(k, degree - k, ctx.n)
+        shifted = SparseMatrix.from_entries(
+            kdim, kdim,
+            [(r, j, coeffs[j][r]) for j in range(kdim) for r in range(kdim) if coeffs[j][r]]
+            + [(j, j, -c) for j in range(kdim)],
+        )
+        sub = nullspace(shifted)
+        if not sub:
+            continue
+        piece_vecs = _canonical_basis(
+            [_combine(vecs, [s.get(j, qi(0)) for j in range(kdim)]) for s in sub],
+            basis.size)
+        polys_piece = [basis.from_coordinates(v) for v in piece_vecs]
+        pieces.append((k, degree - k, polys_piece))
+        total += len(polys_piece)
+    if total != kdim:
+        raise ValueError("isotypic refinement lost dimensions (%d of %d)" % (total, kdim))
+    return pieces
+
+
+@dataclass(frozen=True)
+class IsotypicLabel:
+    """Component tag: v in X^k M_m, with optional chirality of the M_m part."""
+
+    k: int
+    m: int
+    chirality: str | None = None
+
+
+def label_isotypic(ctx, poly):
+    """Oracle label of a single vector lying in one component X^k M_m.
+
+    k is found by exact repeated application of the Dirac matrix; a vector
+    mixing several components raises ValueError("not isotypic").
+    """
+    d = poly.homogeneous_degree()
+    if d is None:
+        raise ValueError("not homogeneous")
+    basis = ctx.graded_basis(d)
+    vec = basis.coordinates(poly)
+    if not vec:
+        raise ValueError("zero polynomial has no isotypic label")
+    chain = [vec]
+    cur = vec
+    deg = d
+    while cur:
+        cur = dirac_matrix(ctx, deg).matrix.mul_vec(cur)
+        chain.append(cur)
+        deg -= 1
+    k = len(chain) - 2  # number of applications before reaching zero, minus one
+    m = d - k
+    # consistency: the ladder scalar structure pins membership in X^k M_m
+    ev = xd_eigenvalue(k, m, ctx.n)
+    xdv = xd_matrix(ctx, d).mul_vec(vec)
+    expect = {i: v * ev for i, v in vec.items() if v * ev}
+    if xdv != expect:
+        raise ValueError("not isotypic")
+    chirality = None
+    if ctx.chirality is not None:
+        sides = {ctx.chirality.half(i % ctx.spinor_dim) for i in chain[k]}
+        chirality = sides.pop() if len(sides) == 1 else "mixed"
+    return IsotypicLabel(k=k, m=m, chirality=chirality)
 
 
 def test_degree_zero_kernel_is_everything(ctx_factory):
@@ -155,6 +256,8 @@ def test_label_rejects_mixed_component(ctx_factory):
     mixed = apply_x_power(ctx, 2, v) + monogenic_basis(ctx, 2).elements[0]
     with pytest.raises(ValueError, match="not isotypic"):
         label_isotypic(ctx, mixed)
+    with pytest.raises(ValueError, match="degree 2: .*not an X D eigenvector"):
+        isotypic_split(ctx, [mixed], 2)
 
 
 def test_xd_eigenvalues_separate_components():
@@ -170,6 +273,24 @@ def test_isotypic_split_counts(ctx_factory):
     svs = singular_vectors(ctx, rational(7, 2), 1)
     pieces = isotypic_split(ctx, svs, 1)
     assert [(k, m, len(b)) for k, m, b in pieces] == [(0, 1, monogenic_dim(ctx, 1))]
+    assert [(k, m, len(b)) for k, m, b in _eigensplit(ctx, svs, 1)] == \
+        [(0, 1, monogenic_dim(ctx, 1))]
+
+
+def test_isotypic_split_runs_no_elimination(monkeypatch):
+    # the tag pass is X D products and scalar checks only
+    ctx = Context(2, 2)
+    svs = singular_vectors(ctx, rational(7, 2), 1)
+    expect = isotypic_split(ctx, svs, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isotypic_split eliminated")
+
+    for module, name in [(exact, "nullspace"), (exact, "rref"), (exact, "_canonical_basis"),
+                         (exact, "express_in_span"), (singular, "nullspace")]:
+        monkeypatch.setattr(module, name, refuse)
+    ctx.cache.pop(("xd", 1))
+    assert isotypic_split(ctx, svs, 1) == expect
 
 
 def test_weight_consistency(ctx_factory):
@@ -308,14 +429,21 @@ def test_gamma_construction_independence(ctx_factory):
 
 
 def _classify_unfiltered(ctx, lam_thm, d_max):
-    """Oracle: classify with every degree solved, no contraction prefilter."""
+    """Oracle: classify with every degree solved, no contraction prefilter.
+
+    Each degree is split by the general eigensplit, and ``isotypic_split``
+    must give the same pieces, also at the degrees the prefilter skips.
+    """
     lam_thm = rational(lam_thm)
     case, checkable, uncheckable = predicted_components(lam_thm, ctx.n, d_max)
     predicted = [(d, k, m, monogenic_dim(ctx, m)) for d, k, m in checkable]
     found = []
     for degree in range(d_max + 1):
         polys = singular_vectors(ctx, lam_thm + rational(ctx.n, 2), degree)
-        for k, m, piece in isotypic_split(ctx, polys, degree):
+        pieces = _eigensplit(ctx, polys, degree)
+        # the production tag pass gives the same pieces, vector for vector
+        assert isotypic_split(ctx, polys, degree) == pieces, (str(lam_thm), degree)
+        for k, m, piece in pieces:
             found.append(ComponentRecord(
                 degree=degree, k=k, m=m, dim=len(piece),
                 chirality_dims=_chirality_dims_by_rank(ctx, piece, k, m, degree)))
@@ -334,13 +462,21 @@ _ORACLE_TWISTS = {
 _GENERIC = [rational(1, 5), rational(-2, 7)]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def _oracle_sweep(n):
+    """(signatures, twists, d_max) of the oracle sweep at n; n = 6 is a smaller spot check."""
+    if n == 6:
+        return [(6, 0), (4, 2), (3, 3)], [rational(-3, 2), rational(3, 2)], 3  # dirac-power, both
+    return [(p, n - p) for p in range(n + 1)], _ORACLE_TWISTS[n] + _GENERIC, 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_classify_matches_unfiltered_oracle(ctx_factory, n):
-    for p in range(n + 1):
-        ctx = ctx_factory(p, n - p)
-        for twist in _ORACLE_TWISTS[n] + _GENERIC:
-            expect = _classify_unfiltered(ctx, twist, 4).to_json()
-            assert classify(ctx, twist, 4).to_json() == expect, ((p, n - p), str(twist))
+    signatures, twists, d_max = _oracle_sweep(n)
+    for p, q in signatures:
+        ctx = ctx_factory(p, q)
+        for twist in twists:
+            expect = _classify_unfiltered(ctx, twist, d_max).to_json()
+            assert classify(ctx, twist, d_max).to_json() == expect, ((p, q), str(twist))
 
 
 def test_prefilter_keeps_a_degree_with_empty_kernel(ctx_factory):
