@@ -236,7 +236,7 @@ def cmd_fischer(args):
     spaces = []
     for d in range(args.dmax + 1):
         basis = monogenic_basis(ctx, d)
-        entry = {"d": d, "dim": len(basis.elements)}
+        entry = {"d": d, "dim": len(basis.vectors)}
         if ctx.chirality is not None:
             entry["components"] = {
                 "+": sum(1 for t in basis.chirality if t == "+"),

@@ -15,10 +15,11 @@ half its support lies in; no projection or second elimination is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exact import SparseMatrix, nullspace, express_in_span
-from .polyspinor import SpinorPoly, assemble
+from .polyspinor import GradedBasis, SpinorPoly, assemble
 from .realization import _osp_cached
 from .context import Context
 
@@ -37,11 +38,20 @@ __all__ = [
 
 @dataclass
 class MonogenicBasis:
-    """Canonical basis of M_a, with per-element chirality tags for even n."""
+    """Canonical basis of M_a, with per-element chirality tags for even n.
+
+    ``vectors`` are the kernel's coordinate dicts in the degree-a graded
+    basis; the ``elements`` polynomials are built from them on first use.
+    """
 
     degree: int
-    elements: list
+    vectors: list
     chirality: list  # '+', '-' or None per element
+    basis: GradedBasis = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self):
+        return [self.basis.from_coordinates(v) for v in self.vectors]
 
 
 @dataclass
@@ -55,13 +65,11 @@ class FischerComponent:
 
 def dirac_matrix(ctx: Context, degree):
     """Assembled Dirac operator on the degree-d component (cached)."""
-    D, _, _ = _osp_cached(ctx.rep)
-    return ctx.assemble_cached("dirac", D, degree)
+    return ctx.assemble_cached("dirac", _osp_cached(ctx.rep).D, degree)
 
 
 def x_mult_matrix(ctx: Context, degree):
-    _, _, X = _osp_cached(ctx.rep)
-    return ctx.assemble_cached("xmult", X, degree)
+    return ctx.assemble_cached("xmult", _osp_cached(ctx.rep).X, degree)
 
 
 def x_power_matrix(ctx: Context, k, degree):
@@ -103,14 +111,13 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
             halves[ctx.chirality.half_of((i % basis.dim for i in v), a)].append(v)
         vectors = halves["+"] + halves["-"]
         tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
-    out = MonogenicBasis(degree=a, elements=[basis.from_coordinates(v) for v in vectors],
-                         chirality=tags)
+    out = MonogenicBasis(degree=a, vectors=vectors, chirality=tags, basis=basis)
     ctx.cache[key] = out
     return out
 
 
 def monogenic_dim(ctx: Context, a) -> int:
-    return len(monogenic_basis(ctx, a).elements)
+    return len(monogenic_basis(ctx, a).vectors)
 
 
 def fischer_decompose(ctx: Context, poly: SpinorPoly):
@@ -132,9 +139,8 @@ def fischer_decompose(ctx: Context, poly: SpinorPoly):
         m = d - k
         mono = monogenic_basis(ctx, m)
         xk = x_power_matrix(ctx, k, m)
-        mbasis = ctx.graded_basis(m)
-        for j, el in enumerate(mono.elements):
-            columns.append(xk.mul_vec(mbasis.coordinates(el)))
+        for j, vec in enumerate(mono.vectors):
+            columns.append(xk.mul_vec(vec))
             slots.append((k, m, j))
     coeffs = express_in_span(columns, [target], basis.size)
     if coeffs is None:

@@ -23,6 +23,8 @@ special-conformal formulas that drive the classification.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .exact import (
     GaussianRational,
     SparseMatrix,
@@ -194,7 +196,7 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
     if kind == "f":
         return OperatorSpec.coordinate(n, dim, gen[1], qi(-1))
     if kind == "h":
-        _, E, _ = _osp_cached(rep)
+        E = _osp_cached(rep).E
         return E.scale(-1) + OperatorSpec.scalar(n, dim, qi(lam - n * HALF - 1))
     if kind == "l":
         i, j = gen[1], gen[2]
@@ -206,12 +208,12 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
         return spec + OperatorSpec.fiber(n, so_generator(i, j, rep))
     if kind == "g":
         i = gen[1]
-        D, E, _ = _osp_cached(rep)
+        o = _osp_cached(rep)
         half_eps = qi(sig.eps(i) * HALF)
-        term1 = OperatorSpec.coordinate(n, dim, i, half_eps).compose(D).compose(D)
-        inner = E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))
+        term1 = OperatorSpec.coordinate(n, dim, i, half_eps).compose(o.DD)
+        inner = o.E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))
         term2 = OperatorSpec.derivative(n, dim, i).compose(inner)
-        term3 = OperatorSpec.fiber(n, rep.gamma(i), half_eps).compose(D)
+        term3 = OperatorSpec.fiber(n, rep.gamma(i), half_eps).compose(o.D)
         return (term1 + term2 + term3).combined()
     raise ValueError("unknown generator %r" % (gen,))
 
@@ -284,14 +286,27 @@ def _euler(n, dim):
     return E
 
 
+class _OspProducts(NamedTuple):
+    """The osp(1|2) triple and the products the special-conformal formulas reuse."""
+
+    D: OperatorSpec
+    E: OperatorSpec
+    X: OperatorSpec
+    DD: OperatorSpec  # D o D
+    XX: OperatorSpec  # X o X
+    XD: OperatorSpec  # X o D
+
+
 _OSP_CACHE = {}
 
 
-def _osp_cached(rep: GammaRep):
+def _osp_cached(rep: GammaRep) -> _OspProducts:
+    """D, E, X and the products D^2, X^2, X D, composed once per gamma model."""
     key = (rep.sig, rep.variant)
     out = _OSP_CACHE.get(key)
     if out is None:
-        out = osp_generators(rep)
+        D, E, X = osp_generators(rep)
+        out = _OspProducts(D, E, X, D.compose(D), X.compose(X), X.compose(D))
         _OSP_CACHE[key] = out
     return out
 
@@ -330,29 +345,29 @@ def invariant_contractions(lam, rep: GammaRep):
 
 
 def clifford_contraction(lam, rep: GammaRep):
-    """Closed form of C1: (E - lam + 3/2 + 1/2 X D) D."""
+    """Closed form of C1: (E - lam + 3/2) D + 1/2 X D^2."""
     n, dim = rep.n, rep.spinor_dim
-    D, E, X = _osp_cached(rep)
-    return (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF)) + X.compose(D).scale(qi(HALF))) \
-        .compose(D).combined()
+    o = _osp_cached(rep)
+    return ((o.E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF))).compose(o.D)
+            + o.X.compose(o.DD).scale(qi(HALF))).combined()
 
 
 def coordinate_contraction(lam, rep: GammaRep):
     """Closed form of C2: -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D."""
     n, dim = rep.n, rep.spinor_dim
-    D, E, X = _osp_cached(rep)
+    o = _osp_cached(rep)
     half = qi(HALF)
-    return (X.compose(X).compose(D.compose(D)).scale(-half)
-            + (E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))).compose(E)
-            + X.compose(D).scale(half)).combined()
+    return (o.XX.compose(o.DD).scale(-half)
+            + (o.E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))).compose(o.E)
+            + o.XD.scale(half)).combined()
 
 
 def derivative_contraction(lam, rep: GammaRep):
     """Closed form of C3: (lam - 1/2 E - 2) D^2."""
     n, dim = rep.n, rep.spinor_dim
-    D, E, _ = _osp_cached(rep)
-    return (OperatorSpec.scalar(n, dim, qi(lam - 2)) + E.scale(qi(-HALF))) \
-        .compose(D).compose(D).combined()
+    o = _osp_cached(rep)
+    return (OperatorSpec.scalar(n, dim, qi(lam - 2)) + o.E.scale(qi(-HALF))) \
+        .compose(o.DD).combined()
 
 
 def contraction_eigenvalue(idx, k, m, lam, n):

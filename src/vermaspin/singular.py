@@ -2,10 +2,15 @@
 
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
-system; the solver computes that joint kernel as one exact nullspace of the
-stacked system, sorts its basis vectors into the components X^k M_m by
-their exact X*D eigenvalues, and the classifier compares the outcome against
-the case table of the classification theorems.
+system.  :func:`classify` solves that system only on the Fischer blocks
+X^k M_m a singular vector can lie in: the columns of block k are X^k applied
+to the monogenic basis of M_m, one exact nullspace solves the stacked g_i on
+all kept blocks at once, and each kernel vector is labelled by the block
+(and, for even n, the chirality half of M_m) its support lies in.  The
+outcome is compared against the case table of the classification theorems.
+:func:`singular_vectors` solves a whole degree, and :func:`isotypic_split`
+sorts such a kernel into blocks by exact X*D eigenvalues; ``classify`` calls
+neither.
 
 Contraction prefilter: a singular vector is also killed by the three
 invariant contractions C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
@@ -14,13 +19,14 @@ C3 = sum_j eps_j d_j g_j.  On a Fischer block X^k M_m, C2 acts by the scalar
 the ladder maps into X^(k-1) M_m and X^(k-2) M_m.  The images of distinct
 blocks land in distinct blocks, so a degree where no block has all three
 scalars zero has no singular vectors, and :func:`classify` skips it without
-assembling or eliminating anything.  The skip rests on the closed forms of
-the contractions, which are checked symbolically once per Context
+assembling or eliminating anything; at a kept degree a singular vector has
+no part in a block where C2's scalar is nonzero, so only the blocks where it
+is zero are solved.  Both rest on the closed forms of the contractions,
+which are checked symbolically once per Context
 (:func:`contraction_identity_residual`, :func:`contraction_lambda_residual`):
-if the C2 check fails, ``classify`` solves every degree; if the C1/C3 check
-fails, it solves every degree that C2 keeps.  The C1/C3 check runs only when
-C2 keeps a degree that C1 or C3 would drop.  :func:`singular_vectors` is
-never filtered.
+if the C2 check fails, ``classify`` solves every degree on all of its blocks;
+if the C1/C3 check fails, it solves every degree that C2 keeps.  The C1/C3
+check runs only when C2 keeps a degree that C1 or C3 would drop.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
@@ -42,7 +48,7 @@ from .realization import (
     derivative_contraction,
     _osp_cached,
 )
-from .fischer import monogenic_dim, dirac_matrix, x_mult_matrix
+from .fischer import monogenic_basis, monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
 
 __all__ = [
@@ -176,9 +182,67 @@ def _sc_spec(ctx: Context, i):
 
 
 def singular_vectors(ctx: Context, lam, degree):
-    """Canonical basis of the joint kernel: one exact nullspace of the stacked system."""
+    """Canonical basis of the whole degree's joint kernel: one exact nullspace
+    of the stacked system.  :func:`classify` solves on Fischer blocks instead
+    (:func:`_solve_blocks`); this full-degree solve is its reference."""
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
     return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
+
+
+def _solve_blocks(ctx: Context, lam, degree, ks):
+    """The joint kernel on the Fischer blocks X^k M_(degree-k), k in ``ks``,
+    as one ComponentRecord per block where it is nonzero, in ascending k.
+
+    The columns of block k are X^k applied to the monogenic basis of
+    M_(degree-k); the stacked g_i are multiplied onto all columns at once and
+    solved by one exact nullspace.  The joint kernel is Spin-invariant, and
+    the blocks of one degree, and for even n the chirality halves of each
+    M_m, are pairwise non-isomorphic, so every canonical kernel vector lies
+    in the columns of one (block, half) slot.  A vector touching two slots
+    raises ArithmeticError naming the degree and the slots.  The half counted
+    is that of the M_m part, its monogenic tag; X^k moves it into the other
+    fiber half for odd k.  Solving all blocks of a degree requires their
+    columns to number the degree's whole basis.
+    """
+    rows = ctx.graded_basis(degree).size
+    data = {}
+    slots = []  # column -> (k, chirality tag of the M_m part)
+    for k in ks:
+        m = degree - k
+        mono = monogenic_basis(ctx, m)
+        col0 = len(slots)
+        block = SparseMatrix.from_entries(
+            ctx.graded_basis(m).size, col0 + len(mono.vectors),
+            ((r, col0 + j, v) for j, vec in enumerate(mono.vectors) for r, v in vec.items()))
+        for t in range(k):
+            block = x_mult_matrix(ctx, m + t).matrix @ block
+        for r, row in block.data.items():
+            data.setdefault(r, {}).update(row)
+        slots.extend((k, tag) for tag in mono.chirality)
+    if len(ks) == degree + 1 and len(slots) != rows:
+        raise ArithmeticError("degree %d: the Fischer blocks give %d columns, the degree has %d"
+                              % (degree, len(slots), rows))
+    columns = SparseMatrix(rows, len(slots), data)
+    stacked = reduce(SparseMatrix.stack_below,
+                     [g @ columns for g in special_conformal_matrices(ctx, lam, degree)])
+    dims = {}
+    for vec in nullspace(stacked):
+        touched = {slots[c] for c in vec}
+        if len(touched) != 1:
+            raise ArithmeticError("degree %d: a kernel vector touches the blocks %s" % (
+                degree, ", ".join("X^%d M_%d%s" % (k, degree - k, tag or "")
+                                  for k, tag in sorted(touched, key=str))))
+        slot = touched.pop()
+        dims[slot] = dims.get(slot, 0) + 1
+    out = []
+    for k in ks:
+        halves = {tag: dims.get((k, tag), 0) for tag in ("+", "-")}
+        dim = dims.get((k, None), 0) + halves["+"] + halves["-"]
+        if dim:
+            out.append(ComponentRecord(
+                degree=degree, k=k, m=degree - k, dim=dim,
+                chirality_dims=None if ctx.chirality is None else halves))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +291,6 @@ def isotypic_split(ctx: Context, polys, degree):
                              "of any component X^k M_m" % degree)
         pieces.setdefault(k_of[c], []).append(poly)
     return [(k, degree - k, pieces[k]) for k in sorted(pieces)]
-
-
-def _chirality_dims(ctx: Context, piece_polys, k, degree):
-    """Dimensions of the +/- halves of the M_m part of an isotypic piece (even n only).
-
-    The g_i and X D commute with the volume element, which is diagonal +-1 in
-    the fiber, so every RREF piece vector lies in one fiber half.  X
-    anticommutes with it, so X^k u lies in the half of u for even k and in
-    the other half for odd k.
-    """
-    if ctx.chirality is None:
-        return None
-    dims = {"+": 0, "-": 0}
-    for poly in piece_polys:
-        fiber = (i for vec in poly.terms.values() for i in vec)
-        dims[ctx.chirality.half_of(fiber, degree)] += 1
-    return dims if k % 2 == 0 else {"+": dims["-"], "-": dims["+"]}
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +394,14 @@ def _closed_forms_sound(ctx: Context, idxs):
     return ok
 
 
-def _zero_block(lam_real, degree, n, idxs):
-    """Some block X^k M_(degree-k) on which every contraction in ``idxs`` acts by zero.
+def _zero_blocks(lam_real, degree, n, idxs):
+    """The k of the blocks X^k M_(degree-k) on which every contraction in
+    ``idxs`` acts by zero.
 
     C1 vanishes on k = 0 and C3 on k < 2, where their scalars are 0.
     """
-    return any(all(not contraction_eigenvalue(i, k, degree - k, lam_real, n) for i in idxs)
-               for k in range(degree + 1))
-
-
-def _c2_has_zero_block(lam_real, degree, n):
-    """Some block X^k M_(degree-k) on which C2 acts by zero."""
-    return _zero_block(lam_real, degree, n, (2,))
+    return [k for k in range(degree + 1)
+            if all(not contraction_eigenvalue(i, k, degree - k, lam_real, n) for i in idxs)]
 
 
 def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
@@ -366,11 +409,13 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
 
     A degree is solved only when some block X^k M_m there has all three
     contraction scalars zero; every other degree has no singular vectors.
-    Skips by C2 are taken only after the closed form of C2 passed its
-    symbolic check on this Context, else every degree is solved.  Further
-    skips by C1 and C3 are taken only after their closed forms passed theirs,
-    else every degree C2 keeps is solved.  The C1/C3 check runs only when a
-    degree could be skipped by it.
+    A kept degree is solved by :func:`_solve_blocks` on the blocks where the
+    C2 scalar is zero.  Skips by C2, of degrees and of blocks, are taken only
+    after the closed form of C2 passed its symbolic check on this Context,
+    else every degree is solved on all of its blocks.  Further skips by C1
+    and C3 are taken only after their closed forms passed theirs, else every
+    degree C2 keeps is solved.  The C1/C3 check runs only when a degree could
+    be skipped by it.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -381,17 +426,15 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     filtered = _closed_forms_sound(ctx, (2,))
     found = []
     for degree in range(0, d_max + 1):
-        if filtered and not _c2_has_zero_block(lam_real, degree, ctx.n):
-            continue
-        if filtered and not _zero_block(lam_real, degree, ctx.n, (2, 1, 3)) \
-                and _closed_forms_sound(ctx, (1, 3)):
-            continue
-        polys = singular_vectors(ctx, lam_real, degree)
-        for k, m, piece in isotypic_split(ctx, polys, degree):
-            found.append(ComponentRecord(
-                degree=degree, k=k, m=m, dim=len(piece),
-                chirality_dims=_chirality_dims(ctx, piece, k, degree),
-            ))
+        ks = list(range(degree + 1))
+        if filtered:
+            ks = _zero_blocks(lam_real, degree, ctx.n, (2,))
+            if not ks:
+                continue
+            if not _zero_blocks(lam_real, degree, ctx.n, (2, 1, 3)) \
+                    and _closed_forms_sound(ctx, (1, 3)):
+                continue
+        found.extend(_solve_blocks(ctx, lam_real, degree, ks))
     match = sorted(c.label() for c in found) == sorted(predicted)
     return ClassificationReport(
         n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, lam_thm=lam_thm, d_max=d_max,

@@ -13,6 +13,10 @@ from vermaspin.realization import (
     function_action,
     invariant_contractions,
     contraction_eigenvalue,
+    clifford_contraction,
+    coordinate_contraction,
+    derivative_contraction,
+    _osp_cached,
 )
 from vermaspin.fischer import monogenic_basis, apply_x_power, x_power_matrix
 
@@ -190,6 +194,47 @@ def test_contraction_sums_equal_closed_forms(ctx_factory, p, q):
         for defining, closed in invariant_contractions(lam, ctx.rep):
             for d in range(0, 5):
                 assert assemble(defining, d, mk).matrix == assemble(closed, d, mk).matrix
+
+
+def _old_chains(lam, rep):
+    """g_i(lam) and the closed forms C1, C2, C3, each composed step by step
+    from a fresh D, E, X, as before the products D^2, X^2, X D were stored."""
+    n, dim = rep.n, rep.spinor_dim
+    D, E, X = osp_generators(rep)
+    half = rational(1, 2)
+    g = []
+    for i in range(1, n + 1):
+        half_eps = qi(rep.sig.eps(i) * rational(1, 2))
+        g.append((OperatorSpec.coordinate(n, dim, i, half_eps).compose(D).compose(D)
+                  + OperatorSpec.derivative(n, dim, i).compose(
+                      E + OperatorSpec.scalar(n, dim, qi(-lam + n * half + half)))
+                  + OperatorSpec.fiber(n, rep.gamma(i), half_eps).compose(D)).combined())
+    c1 = (E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * half)) + X.compose(D).scale(qi(half))) \
+        .compose(D)
+    c2 = (X.compose(X).compose(D.compose(D)).scale(qi(-half))
+          + (E + OperatorSpec.scalar(n, dim, qi(-lam + n * half + half))).compose(E)
+          + X.compose(D).scale(qi(half)))
+    c3 = (OperatorSpec.scalar(n, dim, qi(lam - 2)) + E.scale(qi(-half))).compose(D).compose(D)
+    return g, (c1, c2, c3)
+
+
+@pytest.mark.parametrize("p,q", [(3, 0), (2, 2), (3, 2), (3, 3)])
+def test_stored_osp_products_match_the_old_chains(ctx_factory, p, q):
+    # D^2, X^2 and X D are composed once per gamma model; every operator
+    # built from them equals the step-by-step composition
+    rep = ctx_factory(p, q).rep
+    o = _osp_cached(rep)
+    assert (o.DD - o.D.compose(o.D)).is_zero() and (o.XX - o.X.compose(o.X)).is_zero()
+    assert (o.XD - o.X.compose(o.D)).is_zero()
+    g, _ = _old_chains(rational(0), rep)
+    for i, old in enumerate(g, start=1):
+        assert (verma_action(("g", i), rational(0), rep) - old).is_zero(), i
+    for lam in (rational(0), rational(7, 3)):
+        new = (clifford_contraction(lam, rep), coordinate_contraction(lam, rep),
+               derivative_contraction(lam, rep))
+        for idx, (a, b) in enumerate(zip(new, _old_chains(lam, rep)[1]), start=1):
+            assert (a - b).is_zero(), (idx, str(lam))
+            assert not a.is_zero()
 
 
 def test_contraction_eigenvalue_instance():

@@ -1,4 +1,10 @@
-from dataclasses import dataclass
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +20,6 @@ from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dir
 from vermaspin.singular import (
     ClassificationReport,
     ComponentRecord,
-    _chirality_dims,
     singular_vectors,
     special_conformal_matrices,
     isotypic_split,
@@ -205,6 +210,23 @@ def test_label_examples(ctx_factory):
     m1 = monogenic_basis(ctx, 1).elements[0]
     lab = label_isotypic(ctx, m1)
     assert (lab.k, lab.m) == (0, 1)
+
+
+def _chirality_dims(ctx, piece_polys, k, degree):
+    """Oracle: the +/- dimensions of the M_m part of a piece, read off its supports.
+
+    The g_i and X D commute with the volume element, which is diagonal +-1 in
+    the fiber, so every RREF piece vector lies in one fiber half.  X
+    anticommutes with it, so X^k u lies in the half of u for even k and in
+    the other half for odd k.
+    """
+    if ctx.chirality is None:
+        return None
+    dims = {"+": 0, "-": 0}
+    for poly in piece_polys:
+        fiber = (i for vec in poly.terms.values() for i in vec)
+        dims[ctx.chirality.half_of(fiber, degree)] += 1
+    return dims if k % 2 == 0 else {"+": dims["-"], "-": dims["+"]}
 
 
 def _chirality_dims_by_rank(ctx, piece_polys, k, m, degree):
@@ -465,7 +487,8 @@ _GENERIC = [rational(1, 5), rational(-2, 7)]
 def _oracle_sweep(n):
     """(signatures, twists, d_max) of the oracle sweep at n; n = 6 is a smaller spot check."""
     if n == 6:
-        return [(6, 0), (4, 2), (3, 3)], [rational(-3, 2), rational(3, 2)], 3  # dirac-power, both
+        # dirac-power (X^1 M_0), both (M_1, X^5 M_0 beyond d_max), dirac-power (X^3 M_0)
+        return [(6, 0), (4, 2), (3, 3)], [rational(-3, 2), rational(3, 2), rational(-1, 2)], 3
     return [(p, n - p) for p in range(n + 1)], _ORACLE_TWISTS[n] + _GENERIC, 4
 
 
@@ -484,7 +507,7 @@ def test_prefilter_keeps_a_degree_with_empty_kernel(ctx_factory):
     # is singular: the filter keeps the degree and the solver finds it empty
     ctx = ctx_factory(3, 0)
     lam_real = rational(5, 2) + rational(3, 2)
-    kept = [d for d in range(5) if singular._c2_has_zero_block(lam_real, d, 3)]
+    kept = [d for d in range(5) if singular._zero_blocks(lam_real, d, 3, (2,))]
     assert kept == [0, 2, 4]
     assert singular_vectors(ctx, lam_real, 4) == []
     assert classify(ctx, rational(5, 2), 4).to_json() \
@@ -511,18 +534,25 @@ def test_classify_matches_unfiltered_oracle_random(ctx_factory, case):
     assert report.to_json() == _classify_unfiltered(ctx, lam_thm, d_max).to_json()
 
 
-def test_prefilter_falls_back_when_identity_fails(monkeypatch):
-    lam = rational(5, 2)
+def _spy_solve_blocks(monkeypatch):
+    """Record (degree, blocks) of every block solve."""
     solved = []
-    solve = singular.singular_vectors
+    solve = singular._solve_blocks
 
-    def counted(ctx, lam, degree):
-        solved.append(degree)
-        return solve(ctx, lam, degree)
+    def counted(ctx, lam, degree, ks):
+        solved.append((degree, list(ks)))
+        return solve(ctx, lam, degree, ks)
 
-    monkeypatch.setattr(singular, "singular_vectors", counted)
+    monkeypatch.setattr(singular, "_solve_blocks", counted)
+    return solved
+
+
+def test_prefilter_falls_back_when_identity_fails(monkeypatch):
+    # with C2's closed form unverified, every degree is solved on all of its blocks
+    lam = rational(5, 2)
+    solved = _spy_solve_blocks(monkeypatch)
     expect = classify(Context(3, 0), lam, 4).to_json()
-    assert solved == [0, 2]
+    assert solved == [(0, [0]), (2, [0])]
 
     closed = singular.coordinate_contraction
     monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
@@ -531,23 +561,17 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     assert contraction_identity_residual(ctx).terms
     solved.clear()
     assert classify(ctx, lam, 4).to_json() == expect
-    assert solved == [0, 1, 2, 3, 4]
+    assert solved == [(d, list(range(d + 1))) for d in range(5)]
 
 
 @pytest.mark.parametrize("closed_form", ["clifford_contraction", "derivative_contraction"])
 def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, closed_form):
     # a wrong C1 or C3 closed form leaves the C2 skips standing: degree 4 at
-    # (3,0), lambda 5/2 is kept by C2 and solved again, with the same report
+    # (3,0), lambda 5/2 is kept by C2 and its C2 block X^2 M_2 solved, with
+    # the same report
     lam = rational(5, 2)
     expect = classify(Context(3, 0), lam, 4).to_json()
-    solved = []
-    solve = singular.singular_vectors
-
-    def counted(ctx, lam, degree):
-        solved.append(degree)
-        return solve(ctx, lam, degree)
-
-    monkeypatch.setattr(singular, "singular_vectors", counted)
+    solved = _spy_solve_blocks(monkeypatch)
     closed = getattr(singular, closed_form)
     monkeypatch.setattr(singular, closed_form, lambda lam, rep: closed(lam, rep)
                         + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
@@ -555,7 +579,105 @@ def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, cl
     idx = 1 if closed_form == "clifford_contraction" else 3
     assert not contraction_identity_residual(ctx, idx).is_zero()
     assert classify(ctx, lam, 4).to_json() == expect
-    assert solved == [0, 2, 4]
+    assert solved == [(0, [0]), (2, [0]), (4, [2])]
+
+
+def test_classify_solves_blocks_not_whole_degrees(monkeypatch):
+    # classify never runs the full-degree solve or the X D tag pass
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called a full-degree solver")
+
+    monkeypatch.setattr(singular, "singular_vectors", refuse)
+    monkeypatch.setattr(singular, "isotypic_split", refuse)
+    monkeypatch.setattr(singular, "xd_matrix", refuse)
+    solved = _spy_solve_blocks(monkeypatch)
+    report = classify(Context(2, 2), rational(3, 2), 6)
+    assert report.match
+    assert solved == [(0, [0]), (1, [0]), (5, [5])]
+
+
+def test_block_solve_has_the_blocks_columns(monkeypatch):
+    # at (4,0), lambda 3/2 the kept degree 5 is solved on X^5 M_0 alone:
+    # 4 columns, not the 224 of the whole degree
+    ctx = Context(4, 0)
+    assert ctx.graded_basis(5).size == 224
+    shapes = []
+    solve = singular.nullspace
+
+    def spied(m):
+        shapes.append(m.cols)
+        return solve(m)
+
+    monkeypatch.setattr(singular, "nullspace", spied)
+    report = classify(ctx, rational(3, 2), 5)
+    assert report.match
+    assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
+    assert shapes == [4, monogenic_dim(ctx, 1), 4]
+
+
+def test_block_solve_covers_the_whole_degree_on_all_blocks(ctx_factory):
+    # on all blocks the block solve finds the full-degree kernel, split by the oracle
+    for (p, q), lam_thm, degree in [((3, 0), rational(1), 3), ((2, 2), rational(3, 2), 1),
+                                    ((2, 2), rational(1, 2), 3), ((2, 1), rational(5, 2), 2)]:
+        ctx = ctx_factory(p, q)
+        lam = lam_thm + rational(ctx.n, 2)
+        pieces = _eigensplit(ctx, singular_vectors(ctx, lam, degree), degree)
+        expect = [(degree, k, m, len(piece), _chirality_dims_by_rank(ctx, piece, k, m, degree))
+                  for k, m, piece in pieces]
+        records = singular._solve_blocks(ctx, lam, degree, range(degree + 1))
+        assert [c.label() + (c.chirality_dims,) for c in records] == expect, (p, q)
+        assert records
+
+
+def _mixed_kernel(m):
+    """A nullspace stand-in: one vector on the first and the last column."""
+    return [{0: QI_ONE, m.cols - 1: QI_ONE}]
+
+
+@pytest.mark.parametrize("sig, degree, ks, names", [
+    ((3, 0), 1, [0, 1], "X^0 M_1, X^1 M_0"),
+    ((2, 2), 0, [0], "X^0 M_0+, X^0 M_0-"),
+], ids=["two-blocks", "two-halves"])
+def test_block_solve_rejects_a_vector_touching_two_slots(monkeypatch, sig, degree, ks, names):
+    monkeypatch.setattr(singular, "nullspace", _mixed_kernel)
+    message = "degree %d: a kernel vector touches the blocks %s" % (degree, names)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        singular._solve_blocks(Context(*sig), rational(3), degree, ks)
+
+
+def test_block_solve_rejects_an_incomplete_fischer_basis(monkeypatch):
+    # on all blocks of a degree, the columns must span the whole degree
+    full = singular.monogenic_basis
+
+    def short(ctx, m):
+        mono = full(ctx, m)
+        return replace(mono, vectors=mono.vectors[1:], chirality=mono.chirality[1:])
+
+    monkeypatch.setattr(singular, "monogenic_basis", short)
+    with pytest.raises(ArithmeticError,
+                       match="degree 2: the Fischer blocks give 9 columns, the degree has 12"):
+        singular._solve_blocks(Context(3, 0), rational(3), 2, range(3))
+
+
+def test_block_solve_guard_runs_under_optimize_flag():
+    script = textwrap.dedent("""
+        from vermaspin import singular
+        from vermaspin.context import Context
+        from vermaspin.exact import QI_ONE, rational
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        singular.nullspace = lambda m: [{0: QI_ONE, m.cols - 1: QI_ONE}]
+        singular._solve_blocks(Context(3, 0), rational(3), 1, [0, 1])
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "ArithmeticError: degree 1: a kernel vector touches the blocks X^0 M_1, X^1 M_0" \
+        in proc.stderr
 
 
 def test_lambda_residuals_catch_a_wrong_lambda_coefficient(monkeypatch, ctx_factory):
@@ -573,7 +695,8 @@ def test_lambda_residuals_catch_a_wrong_lambda_coefficient(monkeypatch, ctx_fact
 
 def test_sharp_prefilter_keeps_exactly_the_predicted_degrees():
     # scalars only: the degrees where some block has C1, C2 and C3 all zero
-    # are the degrees of the case table; C2 alone keeps more of them
+    # are the degrees of the case table; C2 alone keeps more of them, with
+    # at most one zero block per degree
     wider = 0
     for n in range(3, 9):
         for den in (1, 2, 3, 4, 5, 7):
@@ -582,10 +705,11 @@ def test_sharp_prefilter_keeps_exactly_the_predicted_degrees():
                 lam_real = lam_thm + rational(n, 2)
                 _, checkable, _ = predicted_components(lam_thm, n, 10)
                 kept = [d for d in range(11)
-                        if singular._zero_block(lam_real, d, n, (2, 1, 3))]
+                        if singular._zero_blocks(lam_real, d, n, (2, 1, 3))]
                 assert kept == sorted({d for d, _, _ in checkable}), (n, str(lam_thm))
-                wider += kept != [d for d in range(11)
-                                  if singular._c2_has_zero_block(lam_real, d, n)]
+                c2 = [singular._zero_blocks(lam_real, d, n, (2,)) for d in range(11)]
+                assert all(len(ks) <= 1 for ks in c2), (n, str(lam_thm))
+                wider += kept != [d for d, ks in enumerate(c2) if ks]
     assert wider > 0
 
 
