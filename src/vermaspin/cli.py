@@ -293,8 +293,8 @@ def _selftest_checks():
     from .exact import GaussianRational, SparseMatrix, nullspace, rref, QI_ONE
     from .clifford import Signature, build_gamma_rep, CliffordElement, blade_product
     from .polyspinor import SpinorPoly, assemble
-    from .realization import (osp_generators, verma_action, function_action,
-                              structure_constants, invariant_contractions)
+    from .realization import (osp_generators, verma_action, function_action, spinor_fiber,
+                              dual_fiber, structure_constants, invariant_contractions)
     from .fischer import monogenic_dim, apply_x_power
     from .singular import (singular_vectors, contraction_identity_residual,
                            contraction_lambda_residual, xd_eigenvalue)
@@ -367,11 +367,12 @@ def _selftest_checks():
         ctx = Context(2, 1)
         lam = rational(2, 5)
         sc = structure_constants(ctx.sig)
+        fiber = dual_fiber(spinor_fiber(ctx.rep))
         for picture in ("verma", "function"):
             act = {}
             for g in sc.gens:
                 act[g] = (verma_action(g, lam, ctx.rep) if picture == "verma"
-                          else function_action(g, lam, ctx.rep, module="dual-spinor"))
+                          else function_action(g, lam, ctx.rep, fiber))
             mk = ctx.graded_basis
             for d in (0, 1, 2):
                 for a in sc.gens:
@@ -450,11 +451,12 @@ def _selftest_checks():
         sums = {1: "sum_j gamma_j g_j(0) - C1(0)", 2: "sum_j x_j g_j(0) - C2(0)",
                 3: "sum_j eps_j d_j g_j(0) - C3(0)"}
         lambda_parts = {1: "lambda part of C1: sum_j gamma_j d_j - D",
+                        2: "lambda part of C2: sum_j x_j d_j - E",
                         3: "lambda part of C3: sum_j eps_j d_j^2 + D^2"}
         for (p, q) in [(3, 0), (2, 1), (2, 2)]:
             ctx = Context(p, q)
             residuals = [(sums[i], contraction_identity_residual(ctx, i)) for i in (2, 1, 3)]
-            residuals += [(lambda_parts[i], contraction_lambda_residual(ctx, i)) for i in (1, 3)]
+            residuals += [(lambda_parts[i], contraction_lambda_residual(ctx, i)) for i in (2, 1, 3)]
             for what, residual in residuals:
                 live = residual.nonzero_keys()
                 _check(live == 0, "signature (%d,%d): %s leaves %d terms" % (p, q, what, live))
@@ -546,7 +548,7 @@ def main(argv=None):
         code = handlers[args.command](args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         code = _fail(str(exc))
     return code
 

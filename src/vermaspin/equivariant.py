@@ -38,7 +38,7 @@ from .exact import (
     QI_ONE,
 )
 from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
-from .realization import verma_action, function_action, generators
+from .realization import verma_action, function_action, generators, spinor_fiber, dual_fiber
 from .fischer import monogenic_basis
 from .singular import special_conformal_matrices
 from .context import Context
@@ -245,14 +245,13 @@ def _pi_star_specs(op: EquivariantOperator, ctx: Context, source_offset=0,
     nu_src, nu_tgt = op.pi_star_pair()
     lam_pi_src = nu_src + 1 + source_offset
     lam_pi_tgt = nu_tgt + 1 + target_offset
-    dual_rot = {key: m.transpose().scale(-1) for key, m in op.family_rotations.items()}
+    src_fiber = dual_fiber(spinor_fiber(ctx.rep))
+    tgt_fiber = dual_fiber(op.family_rotations)
     src = {}
     tgt = {}
     for gen in generators(ctx.n):
-        src[gen] = function_action(gen, lam_pi_src, ctx.rep, module="dual-spinor")
-        tgt[gen] = function_action(gen, lam_pi_tgt, ctx.rep,
-                                   fiber_matrices=dual_rot,
-                                   fiber_dim=op.target_dim)
+        src[gen] = function_action(gen, lam_pi_src, ctx.rep, src_fiber)
+        tgt[gen] = function_action(gen, lam_pi_tgt, ctx.rep, tgt_fiber)
     return src, tgt
 
 

@@ -16,20 +16,15 @@ shortcut.  Kernel vectors are checked exactly against the matrix, in
 integers.
 
 Q(i) arithmetic runs on Python ints alone.  The plain rationals of
-``rational()`` and ``rational_from_string`` (the twists) are backed by
-``gmpy2.mpq`` when available and fall back to ``fractions.Fraction``.
+``rational()`` and ``rational_from_string`` (the twists) are
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
+from fractions import Fraction as _Q
 from math import gcd as _gcd, lcm as _lcm
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # gmpy2 is optional: the "gmpy2" extra
-    from fractions import Fraction as _Q
 
 __all__ = [
     "GaussianRational",
@@ -90,8 +85,8 @@ class GaussianRational:
             self._a, self._b, self._d = re, im, 1
             return
         re, im = _Q(re), _Q(im)
-        rn, rd = int(re.numerator), int(re.denominator)
-        imn, imd = int(im.numerator), int(im.denominator)
+        rn, rd = re.numerator, re.denominator
+        imn, imd = im.numerator, im.denominator
         # both parts are reduced, so gcd(a, b, lcm) is already 1
         d = _lcm(rd, imd)
         self._a, self._b, self._d = rn * (d // rd), imn * (d // imd), d
@@ -175,7 +170,7 @@ class GaussianRational:
             return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, int):
             return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, _RATIONALS):
+        if isinstance(other, _Q):
             return (not self._b and self._a == other.numerator
                     and self._d == other.denominator)
         return NotImplemented
@@ -219,9 +214,6 @@ class GaussianRational:
 
     def __repr__(self):
         return "GaussianRational(%s)" % self.to_string()
-
-
-_RATIONALS = (Fraction, type(_Q(0)))
 
 
 def _canonical(a, b, d):

@@ -74,6 +74,8 @@ def x_mult_matrix(ctx: Context, degree):
 
 def x_power_matrix(ctx: Context, k, degree):
     """Matrix of multiplication by X^k from degree d to degree d + k."""
+    if k < 0:
+        raise ValueError("X^%d: the power must be at least 0" % k)
     key = ("xpow", k, degree)
     m = ctx.cache.get(key)
     if m is None:

@@ -182,6 +182,10 @@ class GradedBasis:
 
     def coordinates(self, poly: SpinorPoly):
         """Sparse coordinate vector of a homogeneous polynomial."""
+        if (poly.n, poly.dim) != (self.n, self.dim):
+            raise ValueError("a polynomial in %d variables with %d-dimensional values is not in "
+                             "the basis of %d variables with %d-dimensional values"
+                             % (poly.n, poly.dim, self.n, self.dim))
         out = {}
         for m, vec in poly.terms.items():
             base = self._mono_index[m] * self.dim

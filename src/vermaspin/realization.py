@@ -12,8 +12,8 @@ Two pictures of the same algebra act on fiber-valued polynomials:
 The module also provides the abstract (n+2)x(n+2) matrix model of the
 algebra (used to compute structure constants independently of any operator
 realization), the osp(1|2) triple D, E, X, and the three invariant
-contractions of the special-conformal action in both their defining-sum and
-closed forms.
+contractions of the special-conformal action, each stated once in
+``_CONTRACTIONS`` and built from there as a defining sum and a closed form.
 
 Known convention pin (see the package README): within ``verma_action`` the
 grading element's constant is lambda - n/2 - 1, the unique value for which
@@ -23,18 +23,11 @@ special-conformal formulas that drive the classification.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .exact import (
-    GaussianRational,
-    SparseMatrix,
-    QI_ONE,
-    qi,
-    rational,
-    express_in_span,
-)
+from .exact import SparseMatrix, QI_ONE, qi, rational, express_in_span
 from .clifford import GammaRep, Signature, so_generator
-from .polyspinor import OperatorSpec
+from .polyspinor import OperatorSpec, _product_sum
 
 __all__ = [
     "generators",
@@ -43,7 +36,11 @@ __all__ = [
     "osp_generators",
     "verma_action",
     "function_action",
+    "spinor_fiber",
+    "dual_fiber",
     "invariant_contractions",
+    "contraction_sum",
+    "contraction_slope",
     "clifford_contraction",
     "coordinate_contraction",
     "derivative_contraction",
@@ -148,16 +145,13 @@ def osp_generators(rep: GammaRep):
     n, dim = rep.n, rep.spinor_dim
     sig = rep.sig
     D = OperatorSpec.zero(n, dim)
-    E = OperatorSpec.zero(n, dim)
     X = OperatorSpec.zero(n, dim)
     for j in range(1, n + 1):
         D = D + OperatorSpec.fiber(n, rep.gamma(j)).compose(
             OperatorSpec.derivative(n, dim, j))
-        E = E + OperatorSpec.coordinate(n, dim, j).compose(
-            OperatorSpec.derivative(n, dim, j))
         X = X + OperatorSpec.fiber(n, rep.gamma(j)).compose(
             OperatorSpec.coordinate(n, dim, j)).scale(sig.eps(j))
-    return D, E, X
+    return D, _euler(n, dim), X
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +159,15 @@ def osp_generators(rep: GammaRep):
 # ---------------------------------------------------------------------------
 
 
-def _dual_so_generator(i, j, rep):
-    """Negative transpose of the rotation action: the dual fiber action."""
-    return so_generator(i, j, rep).transpose().scale(-1)
+def spinor_fiber(rep: GammaRep):
+    """The spinor rotations as the map (i, j) -> matrix, i < j, of :func:`function_action`."""
+    return {(i, j): so_generator(i, j, rep)
+            for i in range(1, rep.n + 1) for j in range(i + 1, rep.n + 1)}
 
 
-def _fiber_action(i, j, rep, module):
-    if module == "spinor":
-        return so_generator(i, j, rep)
-    if module == "dual-spinor":
-        return _dual_so_generator(i, j, rep)
-    raise ValueError("unknown module %r" % (module,))
+def dual_fiber(fiber):
+    """The dual fiber: the negative transpose of every rotation matrix."""
+    return {key: m.transpose().scale(-1) for key, m in fiber.items()}
 
 
 def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
@@ -218,40 +210,29 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
     raise ValueError("unknown generator %r" % (gen,))
 
 
-def function_action(gen, lam, rep: GammaRep, module="spinor",
-                    fiber_matrices=None, fiber_dim=None) -> OperatorSpec:
+def function_action(gen, lam, rep: GammaRep, fiber) -> OperatorSpec:
     """Action of a generator in the non-compact function picture.
 
-    ``module`` selects the fiber: "spinor", "dual-spinor", or — via
-    ``fiber_matrices`` (a map (i, j) -> SparseMatrix for i < j, already
-    dualized) — an arbitrary fiber with trivially acting grading element.
-    The grading element acts by E + lam + n/2 on every such fiber.
+    ``fiber`` maps each pair (i, j), i < j, to the matrix of its rotation
+    generator on the fiber, e.g. :func:`spinor_fiber` or its
+    :func:`dual_fiber`; the fiber dimension is read off those matrices.  The
+    grading element acts by E + lam + n/2 on every fiber.
     """
     n = rep.n
     sig = rep.sig
-    if fiber_matrices is not None:
-        if fiber_dim is None:
-            raise ValueError("fiber_dim required with fiber_matrices")
-        dim = fiber_dim
+    dim = fiber[(1, 2)].cols
 
-        def fib(i, j):
-            if i < j:
-                return fiber_matrices[(i, j)]
-            m = fiber_matrices[(j, i)]
-            # pair(i,j) = -eps_i eps_j pair(j,i) as abstract generators
-            return m.scale(-sig.eps(i) * sig.eps(j))
-    else:
-        dim = rep.spinor_dim
-
-        def fib(i, j):
-            return _fiber_action(i, j, rep, module)
+    def fib(i, j):
+        if i < j:
+            return fiber[(i, j)]
+        # pair(i,j) = -eps_i eps_j pair(j,i) as abstract generators
+        return fiber[(j, i)].scale(-sig.eps(i) * sig.eps(j))
 
     kind = gen[0]
     if kind == "f":
         return OperatorSpec.derivative(n, dim, gen[1], qi(-1))
     if kind == "h":
-        E = _euler(n, dim)
-        return E + OperatorSpec.scalar(n, dim, qi(lam + n * HALF))
+        return _euler(n, dim) + OperatorSpec.scalar(n, dim, qi(lam + n * HALF))
     if kind == "l":
         i, j = gen[1], gen[2]
         eij = qi(sig.eps(i) * sig.eps(j))
@@ -267,8 +248,7 @@ def function_action(gen, lam, rep: GammaRep, module="spinor",
         for j in range(1, n + 1):
             out = out + OperatorSpec.monomial_mult(n, dim, j, 2, -half_eps * sig.eps(j)) \
                 .compose(OperatorSpec.derivative(n, dim, i))
-        E = _euler(n, dim)
-        out = out + OperatorSpec.coordinate(n, dim, i).compose(E)
+        out = out + OperatorSpec.coordinate(n, dim, i).compose(_euler(n, dim))
         out = out + OperatorSpec.coordinate(n, dim, i, qi(lam + n * HALF))
         for j in range(1, n + 1):
             if j != i:  # the (i, i) rotation is zero
@@ -316,58 +296,77 @@ def _osp_cached(rep: GammaRep) -> _OspProducts:
 # ---------------------------------------------------------------------------
 
 
+class _Contraction(NamedTuple):
+    """C = sum_j left(rep, j) g_j, whose closed form is at_zero(o) + lam * slope(o)
+    for the stored osp(1|2) products o of the gamma model."""
+
+    left: Callable
+    at_zero: Callable
+    slope: Callable
+
+
+def _shifted_euler(o: _OspProducts, c):
+    return o.E + OperatorSpec.scalar(o.E.n, o.E.dim, qi(c))
+
+
+_CONTRACTIONS = {
+    # C1 = sum_j gamma_j g_j = (E - lam + 3/2) D + 1/2 X D^2
+    1: _Contraction(
+        lambda rep, j: OperatorSpec.fiber(rep.n, rep.gamma(j)),
+        lambda o: _shifted_euler(o, 3 * HALF).compose(o.D) + o.X.compose(o.DD).scale(HALF),
+        lambda o: o.D.scale(-1)),
+    # C2 = sum_j x_j g_j = -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D
+    2: _Contraction(
+        lambda rep, j: OperatorSpec.coordinate(rep.n, rep.spinor_dim, j),
+        lambda o: (o.XX.compose(o.DD).scale(-HALF) + o.XD.scale(HALF)
+                   + _shifted_euler(o, (o.E.n + 1) * HALF).compose(o.E)),
+        lambda o: o.E.scale(-1)),
+    # C3 = sum_j eps_j d_j g_j = (lam - 1/2 E - 2) D^2
+    3: _Contraction(
+        lambda rep, j: OperatorSpec.derivative(rep.n, rep.spinor_dim, j, qi(rep.sig.eps(j))),
+        lambda o: _shifted_euler(o, 4).compose(o.DD).scale(-HALF),
+        lambda o: o.DD),
+}
+
+
+def contraction_sum(idx, rep: GammaRep, right):
+    """sum_j left_j o right(j) for contraction ``idx``, normal-ordered once;
+    right(j) = g_j(lam) gives the defining sum of C_idx."""
+    left = _CONTRACTIONS[idx].left
+    return _product_sum([(left(rep, j), right(j)) for j in range(1, rep.n + 1)])
+
+
+def contraction_slope(idx, rep: GammaRep):
+    """The lambda slope of contraction ``idx``'s closed form: -D, -E or D^2."""
+    return _CONTRACTIONS[idx].slope(_osp_cached(rep))
+
+
+def _closed_form(idx, lam, rep: GammaRep):
+    c, o = _CONTRACTIONS[idx], _osp_cached(rep)
+    return (c.at_zero(o) + c.slope(o).scale(lam)).combined()
+
+
 def invariant_contractions(lam, rep: GammaRep):
-    """The Clifford, coordinate, and derivative contractions of the
-    special-conformal action, each as a (defining_sum, closed_form) pair.
-
-    The defining sums are C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
-    C3 = sum_j eps_j d_j g_j; the closed forms are
-    :func:`clifford_contraction`, :func:`coordinate_contraction` and
-    :func:`derivative_contraction`.
-    """
-    n, dim = rep.n, rep.spinor_dim
-    sig = rep.sig
-    g = {i: verma_action(("g", i), lam, rep) for i in range(1, n + 1)}
-
-    sum1 = OperatorSpec.zero(n, dim)
-    sum2 = OperatorSpec.zero(n, dim)
-    sum3 = OperatorSpec.zero(n, dim)
-    for j in range(1, n + 1):
-        sum1 = sum1 + OperatorSpec.fiber(n, rep.gamma(j)).compose(g[j])
-        sum2 = sum2 + OperatorSpec.coordinate(n, dim, j).compose(g[j])
-        sum3 = sum3 + OperatorSpec.derivative(n, dim, j, qi(sig.eps(j))).compose(g[j])
-
-    return (
-        (sum1.combined(), clifford_contraction(lam, rep)),
-        (sum2.combined(), coordinate_contraction(lam, rep)),
-        (sum3.combined(), derivative_contraction(lam, rep)),
-    )
+    """The Clifford, coordinate and derivative contractions C1, C2 and C3 of
+    the special-conformal action, each as a (defining_sum, closed_form) pair."""
+    g = {j: verma_action(("g", j), lam, rep) for j in range(1, rep.n + 1)}
+    return tuple((contraction_sum(idx, rep, g.get), _closed_form(idx, lam, rep))
+                 for idx in (1, 2, 3))
 
 
 def clifford_contraction(lam, rep: GammaRep):
     """Closed form of C1: (E - lam + 3/2) D + 1/2 X D^2."""
-    n, dim = rep.n, rep.spinor_dim
-    o = _osp_cached(rep)
-    return ((o.E + OperatorSpec.scalar(n, dim, qi(-lam + 3 * HALF))).compose(o.D)
-            + o.X.compose(o.DD).scale(qi(HALF))).combined()
+    return _closed_form(1, lam, rep)
 
 
 def coordinate_contraction(lam, rep: GammaRep):
     """Closed form of C2: -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D."""
-    n, dim = rep.n, rep.spinor_dim
-    o = _osp_cached(rep)
-    half = qi(HALF)
-    return (o.XX.compose(o.DD).scale(-half)
-            + (o.E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))).compose(o.E)
-            + o.XD.scale(half)).combined()
+    return _closed_form(2, lam, rep)
 
 
 def derivative_contraction(lam, rep: GammaRep):
     """Closed form of C3: (lam - 1/2 E - 2) D^2."""
-    n, dim = rep.n, rep.spinor_dim
-    o = _osp_cached(rep)
-    return (OperatorSpec.scalar(n, dim, qi(lam - 2)) + o.E.scale(qi(-HALF))) \
-        .compose(o.DD).combined()
+    return _closed_form(3, lam, rep)
 
 
 def contraction_eigenvalue(idx, k, m, lam, n):

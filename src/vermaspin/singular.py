@@ -22,9 +22,11 @@ scalars zero has no singular vectors, and :func:`classify` skips it without
 assembling or eliminating anything; at a kept degree a singular vector has
 no part in a block where C2's scalar is nonzero, so only the blocks where it
 is zero are solved.  Both rest on the closed forms of the contractions,
-which are checked symbolically once per Context
-(:func:`contraction_identity_residual`, :func:`contraction_lambda_residual`):
-if the C2 check fails, ``classify`` solves every degree on all of its blocks;
+which are affine in lambda, C(lam) = C(0) + lam * slope.  Both parts of each
+closed form used are checked symbolically once per Context: C(0) against the
+defining sum at lambda 0 (:func:`contraction_identity_residual`) and the
+slope against the defining sum's (:func:`contraction_lambda_residual`).  If
+the C2 check fails, ``classify`` solves every degree on all of its blocks;
 if the C1/C3 check fails, it solves every degree that C2 keeps.  The C1/C3
 check runs only when C2 keeps a degree that C1 or C3 would drop.
 
@@ -39,14 +41,15 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .exact import SparseMatrix, QI_ZERO, nullspace, rational, rational_to_string, qi
-from .polyspinor import assemble, OperatorSpec, _product_sum
+from .polyspinor import assemble, OperatorSpec
 from .realization import (
     verma_action,
     contraction_eigenvalue,
+    contraction_sum,
+    contraction_slope,
     clifford_contraction,
     coordinate_contraction,
     derivative_contraction,
-    _osp_cached,
 )
 from .fischer import monogenic_basis, monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
@@ -346,50 +349,30 @@ def contraction_identity_residual(ctx: Context, idx=2):
     """Defining sum minus closed form of contraction ``idx`` at lambda 0.
 
     The residual is normal-ordered; it is the zero operator (``is_zero()``)
-    when the closed form holds at lambda 0.  g_j(lam) = g_j(0) - lam d_j, so
-    both sides are affine in lambda: for C2 they move by the same -lam E,
-    for C1 and C3 by the multiples of lambda that
-    :func:`contraction_lambda_residual` compares.
+    when the closed form holds at lambda 0.  Both sides are affine in lambda;
+    :func:`contraction_lambda_residual` compares their slopes.
     """
-    n, dim = ctx.n, ctx.spinor_dim
-    left, closed = {
-        1: (lambda j: OperatorSpec.fiber(n, ctx.rep.gamma(j)), clifford_contraction),
-        2: (lambda j: OperatorSpec.coordinate(n, dim, j), coordinate_contraction),
-        3: (lambda j: OperatorSpec.derivative(n, dim, j, qi(ctx.sig.eps(j))),
-            derivative_contraction),
-    }[idx]
-    pairs = [(left(j), _sc_spec(ctx, j)) for j in range(1, n + 1)]
-    return (_product_sum(pairs) - closed(rational(0), ctx.rep)).combined()
+    closed = (clifford_contraction, coordinate_contraction, derivative_contraction)[idx - 1]
+    return (contraction_sum(idx, ctx.rep, lambda j: _sc_spec(ctx, j))
+            - closed(rational(0), ctx.rep)).combined()
 
 
 def contraction_lambda_residual(ctx: Context, idx):
-    """The lambda coefficient of C1 (idx 1) or C3 (idx 3), defining sum minus closed form.
-
-    The defining sums move by -lam sum_j gamma_j d_j and -lam sum_j eps_j d_j^2,
-    the closed forms by -lam D and +lam D^2; the residuals are
-    sum_j gamma_j d_j - D and sum_j eps_j d_j^2 + D^2.
-    """
+    """The lambda slope of contraction ``idx``, defining sum minus closed form:
+    g_j(lam) = g_j(0) - lam d_j, so the sum's slope is sum_j left_j (-d_j)."""
     n, dim = ctx.n, ctx.spinor_dim
-    D = _osp_cached(ctx.rep)[0]
-    if idx == 1:
-        pairs = [(OperatorSpec.fiber(n, ctx.rep.gamma(j)), OperatorSpec.derivative(n, dim, j))
-                 for j in range(1, n + 1)]
-        return (_product_sum(pairs) - D).combined()
-    if idx == 3:
-        pairs = [(OperatorSpec.derivative(n, dim, j, qi(ctx.sig.eps(j))),
-                  OperatorSpec.derivative(n, dim, j)) for j in range(1, n + 1)]
-        return _product_sum(pairs + [(D, D)]).combined()
-    raise ValueError("only C1 and C3 have a lambda residual")
+    return (contraction_sum(idx, ctx.rep, lambda j: OperatorSpec.derivative(n, dim, j, qi(-1)))
+            - contraction_slope(idx, ctx.rep)).combined()
 
 
 def _closed_forms_sound(ctx: Context, idxs):
-    """Whether the closed forms of the contractions ``idxs`` passed their
-    symbolic checks; once per Context and set of contractions."""
+    """Whether both parts of the closed forms of the contractions ``idxs``
+    passed their symbolic checks; once per Context and set of contractions."""
     key = ("contraction-identity", idxs)
     ok = ctx.cache.get(key)
     if ok is None:
         ok = all(contraction_identity_residual(ctx, i).is_zero()
-                 and (i == 2 or contraction_lambda_residual(ctx, i).is_zero()) for i in idxs)
+                 and contraction_lambda_residual(ctx, i).is_zero() for i in idxs)
         ctx.cache[key] = ok
     return ok
 

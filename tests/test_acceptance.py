@@ -16,6 +16,7 @@ from vermaspin.realization import (
     osp_generators,
     verma_action,
     function_action,
+    spinor_fiber,
     structure_constants,
     invariant_contractions,
     contraction_eigenvalue,
@@ -86,12 +87,13 @@ def test_criterion_2_representation_property(ctx_factory):
     for (p, q) in [(3, 0), (2, 1), (4, 0), (2, 2)]:
         ctx = ctx_factory(p, q)
         sc = structure_constants(ctx.sig)
+        fiber = spinor_fiber(ctx.rep)
         for lam in _random_rationals(41 + ctx.n, 3):
             for picture in ("verma", "function"):
                 act = {}
                 for g in sc.gens:
                     act[g] = (verma_action(g, lam, ctx.rep) if picture == "verma"
-                              else function_action(g, lam, ctx.rep))
+                              else function_action(g, lam, ctx.rep, fiber))
                 mk = ctx.graded_basis
                 mats = {}
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, singular
+from vermaspin import cli, realization, singular
 from vermaspin.exact import rational
 from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
@@ -172,6 +172,15 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(path.read_text())["case"] == "generic"
 
 
+def test_unwritable_output_file_is_an_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "classify", "--p", "3", "--q", "0",
+                         "--lambda", "1/5", "--dmax", "2", "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_mismatch_exit_code(capsys, monkeypatch):
     # a theorem mismatch is a first-class outcome with its own exit code
     fake = ClassificationReport(n=3, p=3, q=0, lam_thm=rational(1), d_max=2,
@@ -235,6 +244,15 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): sum_j eps_j d_j g_j\(0\) "
                                              r"- C3\(0\) leaves 1 terms$"):
+        check()
+    monkeypatch.setattr(singular, "derivative_contraction", closed3)
+    # a wrong lambda slope of C2 fails its lambda part, which names it
+    entry = realization._CONTRACTIONS[2]
+    monkeypatch.setitem(realization._CONTRACTIONS, 2,
+                        entry._replace(slope=lambda o: entry.slope(o).scale(2)))
+    check = dict(cli._selftest_checks())["contraction prefilter identity"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\): lambda part of C2: "
+                                             r"sum_j x_j d_j - E leaves 3 terms$"):
         check()
 
 

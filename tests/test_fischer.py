@@ -13,6 +13,7 @@ from vermaspin.fischer import (
     apply_x_power,
     dirac_matrix,
     x_mult_matrix,
+    x_power_matrix,
 )
 
 
@@ -230,3 +231,22 @@ def test_dirac_chain_on_ladder(ctx_factory):
                 vec = dirac_matrix(ctx, deg).matrix.mul_vec(
                     ctx.graded_basis(deg).coordinates(cur))
                 assert not vec
+
+
+def test_wrong_shape_polynomials_and_negative_powers_are_rejected(ctx_factory):
+    # the basis of (3,0) has 3 variables and 2-dimensional values
+    ctx = ctx_factory(3, 0)
+    wide = SpinorPoly.monomial(3, 4, (1, 0, 0), 3)
+    shapes = "3 variables with 4-dimensional values is not in the basis of 3 variables " \
+             "with 2-dimensional values"
+    with pytest.raises(ValueError, match=shapes):
+        fischer_decompose(ctx, wide)
+    with pytest.raises(ValueError, match=shapes):
+        apply_x_power(ctx, 1, wide)
+    with pytest.raises(ValueError, match="4 variables with 2-dimensional values is not in the "
+                                         "basis of 3 variables"):
+        apply_x_power(ctx, 1, SpinorPoly.monomial(4, 2, (1, 0, 0, 0), 0))
+    with pytest.raises(ValueError, match=r"X\^-1: the power must be at least 0"):
+        apply_x_power(ctx, -1, SpinorPoly.monomial(3, 2, (1, 0, 0), 0))
+    with pytest.raises(ValueError, match=r"X\^-2"):
+        x_power_matrix(ctx, -2, 1)

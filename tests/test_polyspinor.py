@@ -22,7 +22,7 @@ from vermaspin.polyspinor import (
 from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
 from vermaspin.realization import (
-    function_action, generators, invariant_contractions, verma_action)
+    dual_fiber, function_action, generators, invariant_contractions, spinor_fiber, verma_action)
 from vermaspin.singular import special_conformal_matrices
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -503,13 +503,12 @@ def _action_specs(ctx, lam):
     dimension differs from the spinor dimension.
     """
     family = twistor(1, ctx, verify=False)
-    dual_rot = {key: m.transpose().scale(-1) for key, m in family.family_rotations.items()}
+    spinor = spinor_fiber(ctx.rep)
+    fibers = [spinor, dual_fiber(spinor), dual_fiber(family.family_rotations)]
     for gen in generators(ctx.n):
         yield verma_action(gen, lam, ctx.rep)
-        yield function_action(gen, lam, ctx.rep, module="spinor")
-        yield function_action(gen, lam, ctx.rep, module="dual-spinor")
-        yield function_action(gen, lam, ctx.rep, fiber_matrices=dual_rot,
-                              fiber_dim=family.target_dim)
+        for fiber in fibers:
+            yield function_action(gen, lam, ctx.rep, fiber)
 
 
 def _operator_specs(ctx):

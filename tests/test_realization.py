@@ -11,6 +11,8 @@ from vermaspin.realization import (
     osp_generators,
     verma_action,
     function_action,
+    spinor_fiber,
+    dual_fiber,
     invariant_contractions,
     contraction_eigenvalue,
     clifford_contraction,
@@ -90,7 +92,10 @@ def test_function_action_is_representation(ctx_factory, module):
     ctx = ctx_factory(2, 1)
     lam = rational(5, 3)
     sc = structure_constants(ctx.sig)
-    act = {g: function_action(g, lam, ctx.rep, module=module) for g in sc.gens}
+    fiber = spinor_fiber(ctx.rep)
+    if module == "dual-spinor":
+        fiber = dual_fiber(fiber)
+    act = {g: function_action(g, lam, ctx.rep, fiber) for g in sc.gens}
     _bracket_check(ctx, act, sc, [0, 1, 2])
 
 
@@ -145,10 +150,11 @@ def test_verma_action_examples(ctx_factory):
 def test_function_action_examples(ctx_factory):
     ctx = ctx_factory(3, 0)
     lam = rational(2, 5)
-    f1 = function_action(("f", 1), lam, ctx.rep)
+    fiber = spinor_fiber(ctx.rep)
+    f1 = function_action(("f", 1), lam, ctx.rep, fiber)
     x1v = SpinorPoly.monomial(3, 2, (1, 0, 0), 0)
     assert f1.apply(x1v) == SpinorPoly.constant(3, 2, 0, qi(-1))
-    h = function_action(("h",), lam, ctx.rep)
+    h = function_action(("h",), lam, ctx.rep, fiber)
     v = SpinorPoly.constant(3, 2, 0)
     assert h.apply(v) == v.scale(qi(lam + rational(3, 2)))
 

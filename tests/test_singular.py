@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vermaspin import exact, singular
+from vermaspin import exact, realization, singular
 from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
@@ -680,17 +680,30 @@ def test_block_solve_guard_runs_under_optimize_flag():
         in proc.stderr
 
 
-def test_lambda_residuals_catch_a_wrong_lambda_coefficient(monkeypatch, ctx_factory):
+@pytest.mark.parametrize("idx", [1, 2, 3])
+def test_closed_form_check_catches_a_wrong_lambda_slope(monkeypatch, ctx_factory, idx):
+    # a wrong slope for C_idx alone fails the check of exactly the sets that
+    # hold idx, and classify returns the same report through the fallback
     ctx = ctx_factory(2, 1)
-    for idx in (1, 3):
-        assert contraction_lambda_residual(ctx, idx).is_zero()
-    D = singular._osp_cached(ctx.rep)[0]
-    monkeypatch.setattr(singular, "_osp_cached", lambda rep: (D.scale(2),) + (None, None))
-    for idx in (1, 3):
-        assert not contraction_lambda_residual(Context(2, 1), idx).is_zero()
-    ctx = Context(2, 1)
-    assert not singular._closed_forms_sound(ctx, (1, 3))
-    assert singular._closed_forms_sound(ctx, (2,))
+    for i in (1, 2, 3):
+        assert contraction_lambda_residual(ctx, i).is_zero()
+    lam = rational(5, 2)
+    expect = classify(Context(3, 0), lam, 4).to_json()
+    solved = _spy_solve_blocks(monkeypatch)
+    entry = realization._CONTRACTIONS[idx]
+    monkeypatch.setitem(realization._CONTRACTIONS, idx,
+                        entry._replace(slope=lambda o: entry.slope(o).scale(2)))
+    for sig in ((2, 1), (3, 0)):
+        ctx = Context(*sig)
+        assert contraction_identity_residual(ctx, idx).is_zero()
+        assert not contraction_lambda_residual(ctx, idx).is_zero()
+        for idxs in ((1,), (2,), (3,), (1, 3), (2, 1, 3)):
+            assert singular._closed_forms_sound(ctx, idxs) == (idx not in idxs), (sig, idxs)
+    assert classify(Context(3, 0), lam, 4).to_json() == expect
+    if idx == 2:
+        assert solved == [(d, list(range(d + 1))) for d in range(5)]
+    else:
+        assert solved == [(0, [0]), (2, [0]), (4, [2])]
 
 
 def test_sharp_prefilter_keeps_exactly_the_predicted_degrees():

@@ -29,6 +29,7 @@ def test_tracer_installs_and_restores_every_binding():
         tracer.uninstall()
     assert {attr for _, attr, _ in originals} >= {
         "isotypic_split", "xd_matrix", "singular_vectors", "classify",
-        "kernel_is_trivial_hint", "operator_matrix", "nullspace"}
+        "kernel_is_trivial_hint", "operator_matrix", "nullspace",
+        "function_action", "verma_action", "osp_generators"}
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
