@@ -294,7 +294,9 @@ def _selftest_checks():
     from .clifford import Signature, build_gamma_rep, CliffordElement, blade_product
     from .polyspinor import SpinorPoly, assemble
     from .realization import (osp_generators, verma_action, function_action, spinor_fiber,
-                              dual_fiber, structure_constants, invariant_contractions)
+                              dual_fiber, structure_constants, invariant_contractions,
+                              bracket_multiple)
+    from .equivariant import _generating_plan
     from .fischer import monogenic_dim, apply_x_power
     from .singular import (singular_vectors, contraction_identity_residual,
                            contraction_lambda_residual, xd_eigenvalue)
@@ -387,6 +389,16 @@ def _selftest_checks():
                             rhs = rhs + assemble(act[g2], d, mk).matrix.scale(c)
                         _check(lhs == rhs, "signature (2,1), %s picture, lambda 2/5: "
                                "[%s, %s] at degree %d" % (picture, a, b, d))
+
+    def generating_plan():
+        # every generator the verifier derives is one bracket of earlier ones
+        for (p, q) in [(3, 0), (2, 1), (1, 2), (2, 2), (5, 0), (3, 3)]:
+            sig = Signature(p, q)
+            for y, a, b in _generating_plan(sig.n):
+                if a is not None:
+                    _check(bracket_multiple(a, b, y, sig) is not None,
+                           "signature (%d,%d): [%s, %s] is not a nonzero multiple of %s"
+                           % (p, q, a, b, y))
 
     def contractions():
         ctx = Context(3, 0)
@@ -488,6 +500,7 @@ def _selftest_checks():
         ("blade/gamma homomorphism", blades),
         ("osp(1|2) relations", osp_relations),
         ("representation brackets", brackets),
+        ("generating-set plan", generating_plan),
         ("contraction closed forms", contractions),
         ("monogenic ladder scalars", ladder),
         ("monogenic sum rule", fischer_rule),

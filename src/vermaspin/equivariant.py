@@ -4,12 +4,15 @@ A family of singular vectors spanning one isotypic component dualizes, via
 the jet pairing <x^a (x) s, f> = (d^a <s, f>)(0), to a constant-coefficient
 differential operator acting on dual-spinor-valued polynomials.  The
 operator intertwines the function-picture actions of the two twists
-attached to the component; the verifier checks that property exactly,
-generator by generator.  Both sides are constant-coefficient differential
+attached to the component; the verifier checks that property exactly on a
+Lie generating set.  Both sides are constant-coefficient differential
 operators, so the residual op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered
-symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec per
-generator; only a residual that does not cancel is assembled, on every
-polynomial test degree, to report its size.
+symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec for
+the seeds f_1..f_n, h and g_1; every other generator Y is reached by one
+bracket [A, B] = c Y and needs no residual of its own when op intertwines A
+and B and both actions satisfy that bracket exactly (see
+``verify_intertwining``).  Only a residual that does not cancel is
+assembled, on every polynomial test degree, to report its size.
 
 Twist bookkeeping.  The operator stores the theorem twists of its source and
 target inducing modules (lambda_source, lambda_target = lambda_source -
@@ -38,7 +41,8 @@ from .exact import (
     QI_ONE,
 )
 from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
-from .realization import verma_action, function_action, generators, spinor_fiber, dual_fiber
+from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
+                          bracket_multiple)
 from .fischer import monogenic_basis
 from .singular import special_conformal_matrices
 from .context import Context
@@ -260,37 +264,85 @@ def operator_matrix(op: EquivariantOperator, degree, ctx: Context):
     return assemble(op.spec, degree, ctx.graded_basis).matrix
 
 
+def _generating_plan(n):
+    """Every generator with the bracket that reaches it, parents first.
+
+    Entries are (Y, A, B).  The seeds f_1..f_n, h and g_1 carry A = B = None;
+    then l_1j comes from [f_j, g_1], g_j from [l_1j, g_1] and l_ij from
+    [l_1i, l_1j], each a nonzero multiple of Y (:func:`bracket_multiple`).
+    """
+    seeds = [("f", i) for i in range(1, n + 1)] + [("h",), ("g", 1)]
+    plan = [(gen, None, None) for gen in seeds]
+    plan += [(("l", 1, j), ("f", j), ("g", 1)) for j in range(2, n + 1)]
+    plan += [(("g", j), ("l", 1, j), ("g", 1)) for j in range(2, n + 1)]
+    plan += [(("l", i, j), ("l", 1, i), ("l", 1, j))
+             for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+    return plan
+
+
+def _bracket_closes(pi, a, b, y, c):
+    """Whether [pi(a), pi(b)] - c pi(y) normal-orders to zero."""
+    one = OperatorSpec.scalar(pi[y].n, pi[y].dim, QI_ONE)
+    return _product_sum([(pi[a], pi[b]), (pi[b].scale(-1), pi[a]),
+                         (pi[y].scale(-c), one)]).is_zero()
+
+
 def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
                         source_offset=0, target_offset=0) -> IntertwiningReport:
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
 
-    For every algebra generator Y the residual is normal-ordered into one
-    spec R_Y: the Leibniz terms of both products, the second negated, are
-    merged in one pass.  An empty R_Y vanishes on
-    every degree.  Otherwise R_Y is assembled on every graded component of
-    degree <= test_degree; since assemble(A . B, d) equals
-    assemble(A, d + shift) @ assemble(B, d), that is exactly the matrix of
-    the residual on every monomial test function up to that degree.  A
-    nonzero residual is reported, not raised.
+    The generators are taken in the order of :func:`_generating_plan`.  A
+    generator Y = [A, B] / c is established without a residual of its own
+    when three things hold: R_A and R_B are zero operators; the abstract
+    model gives [A, B] = c Y with c != 0 and no other generator; and
+    [pi(A), pi(B)] - c pi(Y) normal-orders to zero for the source and for
+    the target action.  Then
+
+        c op pi_src(Y) = op [pi_src(A), pi_src(B)]
+                       = [pi_tgt(A), pi_tgt(B)] op = c pi_tgt(Y) op,
+
+    so R_Y is zero as an operator.  Every other generator, the seeds
+    f_1..f_n, h and g_1 among them, has its residual normal-ordered into
+    one spec R_Y: the Leibniz terms of both products, the second negated,
+    are merged in one pass.  A zero R_Y vanishes on every degree.
+    Otherwise R_Y is assembled on every graded component of degree <=
+    test_degree; since assemble(A . B, d) equals assemble(A, d + shift) @
+    assemble(B, d), that is exactly the matrix of the residual on every
+    monomial test function up to that degree.  A nonzero residual is
+    reported, not raised: ``first_failure`` is the first failing generator
+    in :func:`generators` order, and ``max_residual_terms`` the largest
+    residual, which is always one computed directly.  ``generators_checked``
+    counts every generator, established directly or by a bracket identity.
     """
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
     src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
     gens = generators(ctx.n)
+    plan = _generating_plan(ctx.n)
+    if len(plan) != len(gens) or {y for y, _, _ in plan} != set(gens):
+        raise ValueError("the generating plan does not list every generator once")
     spec = op.spec
     per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
+    zero = set()
+    failures = {}
     max_terms = 0
-    first = None
-    for gen in gens:
+    for gen, a, b in plan:
+        if a in zero and b in zero:
+            c = bracket_multiple(a, b, gen, ctx.sig)
+            if c is not None and _bracket_closes(src, a, b, gen, c) \
+                    and _bracket_closes(tgt, a, b, gen, c):
+                zero.add(gen)
+                continue
         residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
-        if not residual.terms:
+        if residual.is_zero():
+            zero.add(gen)
             continue
         for d in range(test_degree + 1):
             terms = assemble(residual, d, ctx.graded_basis).matrix.num_entries()
             if terms:
                 max_terms = max(max_terms, terms)
-                if first is None:
-                    first = (gen, d)
+                failures.setdefault(gen, d)
+    first = next(((gen, failures[gen]) for gen in gens if gen in failures), None)
     return IntertwiningReport(
         residual_zero=first is None,
         generators_checked=len(gens),

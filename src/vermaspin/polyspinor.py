@@ -187,10 +187,16 @@ class GradedBasis:
                              "the basis of %d variables with %d-dimensional values"
                              % (poly.n, poly.dim, self.n, self.dim))
         out = {}
-        for m, vec in poly.terms.items():
-            base = self._mono_index[m] * self.dim
-            for i, v in vec.items():
-                out[base + i] = v
+        try:
+            for m, vec in poly.terms.items():
+                base = self._mono_index[m] * self.dim
+                for i, v in vec.items():
+                    out[base + i] = v
+        except KeyError:
+            degree = poly.homogeneous_degree()
+            raise ValueError("a polynomial of %s is not in the basis of degree %d"
+                             % ("mixed degree" if degree is None else "degree %d" % degree,
+                                self.degree)) from None
         return out
 
     def from_coordinates(self, coords):

@@ -33,6 +33,7 @@ __all__ = [
     "generators",
     "conformal_matrix",
     "structure_constants",
+    "bracket_multiple",
     "osp_generators",
     "verma_action",
     "function_action",
@@ -130,6 +131,21 @@ class structure_constants:
         out = [(g, c) for g, c in zip(self.gens, coeffs[0]) if c]
         self._cache[key] = out
         return out
+
+
+def bracket_multiple(a, b, y, sig: Signature):
+    """The constant c != 0 with [a, b] = c y in the abstract model, or None.
+
+    c is read off one entry of y's matrix, and the whole commutator is then
+    compared with c times that matrix exactly.  The generator matrices are
+    linearly independent, so equality means that y is the only generator in
+    the expansion of [a, b].
+    """
+    ma, mb, my = (conformal_matrix(g, sig) for g in (a, b, y))
+    comm = ma @ mb - mb @ ma
+    row, col, v = next(my.entries())
+    c = comm.get(row, col) / v
+    return c if c and comm == my.scale(c) else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, realization, singular
+from vermaspin import cli, equivariant, realization, singular
 from vermaspin.exact import rational
 from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
@@ -197,7 +197,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("PASS") == 11
+    assert out.count("PASS") == 12
 
 
 def test_selftest_fails_under_optimize_flag():
@@ -253,6 +253,20 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): lambda part of C2: "
                                              r"sum_j x_j d_j - E leaves 3 terms$"):
+        check()
+
+
+def test_selftest_plan_check_names_the_signature_and_generator(monkeypatch):
+    # g_2 planned from [f_2, g_1] = -l_12 is no multiple of g_2
+    plan = equivariant._generating_plan
+
+    def wrong(n):
+        return [(y, ("f", 2), b) if y == ("g", 2) else (y, a, b) for y, a, b in plan(n)]
+
+    monkeypatch.setattr(equivariant, "_generating_plan", wrong)
+    check = dict(cli._selftest_checks())["generating-set plan"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\): \[\('f', 2\), \('g', 1\)\] "
+                                             r"is not a nonzero multiple of \('g', 2\)$"):
         check()
 
 

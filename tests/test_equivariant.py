@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from vermaspin import equivariant
 from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix
-from vermaspin.polyspinor import SpinorPoly, assemble
+from vermaspin.polyspinor import SpinorPoly, assemble, _product_sum
 from vermaspin.fischer import apply_x_power, monogenic_basis, monogenic_dim
 from vermaspin.realization import generators
 from vermaspin.singular import singular_vectors
 from vermaspin.equivariant import (
     IntertwiningReport,
+    _generating_plan,
     _pi_star_specs,
     from_singular_vector,
     operator_matrix,
@@ -139,6 +148,155 @@ def test_symbolic_residual_matches_matrix_product_oracle(ctx_factory, sig):
             assert report == oracle, (op.kind, op.order, offsets)
             assert report["residual_zero"] == (k == 0)
             assert (report["max_residual_terms"] > 0) == (k > 0)
+
+
+def _verify_all_generators(op, test_degree, ctx, source_offset=0, target_offset=0):
+    """Oracle: the residual op . pi_src(Y) - pi_tgt(Y) . op normal-ordered
+    directly for every generator Y, with no bracket identity."""
+    if test_degree < op.order:
+        raise ValueError("test degree below operator order")
+    src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
+    gens = generators(ctx.n)
+    spec = op.spec
+    per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
+    max_terms, first = 0, None
+    for gen in gens:
+        residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
+        if not residual.terms:
+            continue
+        for d in range(test_degree + 1):
+            terms = assemble(residual, d, ctx.graded_basis).matrix.num_entries()
+            if terms:
+                max_terms = max(max_terms, terms)
+                if first is None:
+                    first = (gen, d)
+    return IntertwiningReport(first is None, len(gens), len(gens) * per_generator,
+                              max_terms, first)
+
+
+def _direct_generators(op, test_degree, ctx, **offsets):
+    """verify_intertwining's report, and the generators whose residual it
+    normal-ordered: the _product_sum calls that take op.spec, whose
+    coefficient matrices are the very objects of op.coefficients."""
+    coefficients = {id(m) for m in op.coefficients.values()}
+    names = {}
+    direct = []
+    pi_star_specs, product_sum = equivariant._pi_star_specs, equivariant._product_sum
+
+    def spy_specs(*args, **kwargs):
+        src, tgt = pi_star_specs(*args, **kwargs)
+        names.update((id(spec), gen) for gen, spec in src.items())
+        return src, tgt
+
+    def spy_sum(pairs):
+        operands = [x for pair in pairs for x in pair]
+        if any(id(t.mat) in coefficients for x in operands for t in x.terms):
+            direct.append(next(names[id(x)] for x in operands if id(x) in names))
+        return product_sum(pairs)
+
+    equivariant._pi_star_specs, equivariant._product_sum = spy_specs, spy_sum
+    try:
+        report = verify_intertwining(op, test_degree, ctx, **offsets)
+    finally:
+        equivariant._pi_star_specs, equivariant._product_sum = pi_star_specs, product_sum
+    return report, direct
+
+
+def _seeds(n):
+    return [("f", i) for i in range(1, n + 1)] + [("h",), ("g", 1)]
+
+
+_SIGNATURES = [(p, n - p) for n in (3, 4, 5) for p in range(n, -1, -1)]
+
+
+@pytest.mark.parametrize("sig", _SIGNATURES, ids="{0[0]},{0[1]}".format)
+def test_generating_set_matches_all_generators_oracle(ctx_factory, sig):
+    # every report field equals the oracle's, for the operators and for
+    # negative controls that leave a residual on some generator; a failing
+    # seed leaves every generator to be normal-ordered, so the twist offsets
+    # run on the first-order operators only, where that is cheap
+    ctx = ctx_factory(*sig)
+    offsets = [dict(source_offset=s) for s in (1, -1, HALF, -HALF)] + \
+        [dict(target_offset=t) for t in (1, -1, HALF, -HALF)]
+    for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
+        deriv = sorted(op.coefficients)[0]
+        # the controls fail at low degree already; keep their oracle cheap
+        low = max(op.order, 2)
+        cases = [(op, {}, 3), (op.perturbed(deriv, 0, 0, qi(rational(1, 7))), {}, low)]
+        cases += [(op, o, low) for o in offsets if op.order == 1]
+        for k, (variant, o, test_degree) in enumerate(cases):
+            report = verify_intertwining(variant, test_degree, ctx, **o)
+            assert report == _verify_all_generators(variant, test_degree, ctx, **o), \
+                (op.kind, op.order, o)
+            assert report.residual_zero == (k == 0)
+
+
+def test_only_the_seeds_are_normal_ordered(ctx_factory):
+    ctx = ctx_factory(3, 2)
+    op = dirac_power(3, ctx)
+    report, direct = _direct_generators(op, 3, ctx)
+    assert report.residual_zero
+    assert report == _verify_all_generators(op, 3, ctx)
+    assert sorted(direct) == sorted(_seeds(ctx.n))
+
+
+def _doubled_rotation_case(ctx):
+    """Double the (2, 3) rotation of the target family, so that the target
+    action is no longer a representation: the bracket identities that reach
+    l_23, g_2 and g_3 use that matrix and fail, so exactly those generators
+    join the seeds in being normal-ordered, and the report is the oracle's.
+    Raises instead of asserting, so it also checks under python -O."""
+    op = twistor(1, ctx)
+    rotations = dict(op.family_rotations)
+    rotations[(2, 3)] = rotations[(2, 3)].scale(2)
+    bad = replace(op, family_rotations=rotations)
+    report, direct = _direct_generators(bad, 3, ctx)
+    oracle = _verify_all_generators(bad, 3, ctx)
+    expect = _seeds(ctx.n) + [("l", 2, 3), ("g", 2), ("g", 3)]
+    if sorted(direct) != sorted(expect):
+        raise AssertionError("normal-ordered %s, expected %s" % (direct, expect))
+    if report != oracle or report.residual_zero:
+        raise AssertionError("report %s, oracle %s" % (report, oracle))
+
+
+def test_a_broken_target_representation_is_normal_ordered(ctx_factory):
+    _doubled_rotation_case(ctx_factory(2, 1))
+
+
+def test_broken_representation_check_runs_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        from vermaspin.context import Context
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        tests = runpy.run_path(sys.argv[1])
+        tests["_doubled_rotation_case"](Context(2, 1))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_wrong_plan_entry_is_normal_ordered(monkeypatch, ctx_factory):
+    # g_2 "derived" from [f_2, g_1] = -l_12 fails the abstract-model check,
+    # so its residual is normal-ordered and the report is unchanged
+    ctx = ctx_factory(3, 0)
+    plan = [(("g", 2), ("f", 2), ("g", 1)) if y == ("g", 2) else (y, a, b)
+            for y, a, b in _generating_plan(ctx.n)]
+    monkeypatch.setattr(equivariant, "_generating_plan", lambda n: plan)
+    op = twistor(1, ctx)
+    report, direct = _direct_generators(op, 3, ctx)
+    assert report.residual_zero and report == _verify_all_generators(op, 3, ctx)
+    assert sorted(direct) == sorted(_seeds(ctx.n) + [("g", 2)])
+    monkeypatch.setattr(equivariant, "_generating_plan", lambda n: plan[:-1])
+    with pytest.raises(ValueError, match="^the generating plan does not list every "
+                                         "generator once$"):
+        verify_intertwining(op, 3, ctx)
 
 
 def test_order_zero_operator_is_identity(ctx_factory):

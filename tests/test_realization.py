@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from vermaspin import realization
+from vermaspin.clifford import Signature
 from vermaspin.exact import SparseMatrix, qi, rational, QI_ONE
 from vermaspin.polyspinor import SpinorPoly, OperatorSpec, assemble, monomials
 from vermaspin.realization import (
     generators,
     conformal_matrix,
     structure_constants,
+    bracket_multiple,
     osp_generators,
     verma_action,
     function_action,
@@ -55,6 +58,36 @@ def test_structure_constants_basic():
     assert sc.bracket(("h",), ("g", 2)) == [(("g", 2), qi(1))]
     # the diagonal translation/special bracket is minus the grading element
     assert sc.bracket(("f", 1), ("g", 1)) == [(("h",), qi(-1))]
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 3)])
+def test_bracket_multiple_matches_structure_constants(p, q):
+    # c for every triple (a, b, y) exactly when [a, b] expands to c y alone
+    sig = Signature(p, q)
+    sc = structure_constants(sig)
+    for a in sc.gens:
+        for b in sc.gens:
+            expansion = sc.bracket(a, b)
+            for y in sc.gens:
+                expect = expansion[0][1] if [g for g, _ in expansion] == [y] else None
+                assert bracket_multiple(a, b, y, sig) == expect, (a, b, y)
+
+
+def test_bracket_multiple_compares_the_whole_matrix(monkeypatch):
+    # a model where l_12 carries one more entry: [f_2, g_1] = -l_12 still
+    # matches l_12 on the entry c is read off, but no longer everywhere
+    sig = Signature(3, 0)
+    assert bracket_multiple(("f", 2), ("g", 1), ("l", 1, 2), sig) == qi(-1)
+    model = realization.conformal_matrix
+
+    def extended(gen, sig):
+        m = model(gen, sig)
+        if gen == ("l", 1, 2):
+            m = m + SparseMatrix.from_entries(m.rows, m.cols, [(m.rows - 1, m.cols - 1, QI_ONE)])
+        return m
+
+    monkeypatch.setattr(realization, "conformal_matrix", extended)
+    assert bracket_multiple(("f", 2), ("g", 1), ("l", 1, 2), sig) is None
 
 
 def _assemble_all(ctx, act, degree):

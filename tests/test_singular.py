@@ -315,6 +315,18 @@ def test_isotypic_split_runs_no_elimination(monkeypatch):
     assert isotypic_split(ctx, svs, 1) == expect
 
 
+def test_isotypic_split_rejects_a_polynomial_of_the_wrong_degree():
+    # a degree-2 monomial offered as a degree-1 vector names both degrees
+    poly = SpinorPoly.monomial(3, 2, (2, 0, 0), 0)
+    with pytest.raises(ValueError, match="^a polynomial of degree 2 is not in the basis of "
+                                         "degree 1$"):
+        isotypic_split(Context(3, 0), [poly], 1)
+    mixed = poly + SpinorPoly.monomial(3, 2, (1, 0, 0), 1)
+    with pytest.raises(ValueError, match="^a polynomial of mixed degree is not in the basis "
+                                         "of degree 1$"):
+        Context(3, 0).graded_basis(1).coordinates(mixed)
+
+
 def test_weight_consistency(ctx_factory):
     # singular vectors are exact eigenvectors of the grading action with the
     # coherent eigenvalue -d + lam - n/2 - 1
