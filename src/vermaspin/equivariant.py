@@ -186,8 +186,7 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     vecs = [basis.coordinates(sv) for sv in svs]
     if verify_singular:
         for mat in special_conformal_matrices(ctx, lam_real, degree):
-            cols = mat.columns()
-            if any(column_product(cols, v) for v in vecs):
+            if any(column_product(mat, vecs)):
                 raise ValueError("family member is not a singular vector")
     dim_s = ctx.spinor_dim
     coeffs = {}
@@ -221,8 +220,7 @@ def _family_rotations(vecs, degree, lam_real, ctx: Context):
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
             spec = verma_action(("l", i, j), lam_real, ctx.rep)
-            cols = assemble(spec, degree, ctx.graded_basis).matrix.columns()
-            images = [column_product(cols, v) for v in vecs]
+            images = column_product(assemble(spec, degree, ctx.graded_basis).matrix, vecs)
             coeffs = express_in_span(vecs, images, basis.size)
             if coeffs is None:
                 raise ValueError("family is not rotation-closed")

@@ -3,15 +3,21 @@
 Everything downstream (Clifford matrices, operator assembly, kernel
 computations) runs on the two types defined here: :class:`GaussianRational`,
 an element of Q(i) stored as one canonical integer triple (a + b i) / d, and
-:class:`SparseMatrix`, a row-major map of nonzero entries.  There is no
+:class:`SparseMatrix`, Gaussian-integer rows {row: {col: (a, b)}} of Python
+ints over one denominator per matrix, in canonical form.  There is no
 floating point anywhere in this package.
 
+Every matrix operation runs on those integer rows: construction, sums,
+scaling, products, transposes, stacks and products with vectors bring their
+operands to a common denominator and divide the result by its content once.
+GaussianRational is the boundary type: values go in through the constructor
+and ``from_entries``, and come out of ``get``, ``entries``, ``columns``,
+``mul_vec``, kernel vectors and coefficient lists.
+
 Elimination (``rref``, ``rank``, ``nullspace`` and what is built on them)
-runs internally on Gaussian-integer rows: each row is cleared of its
-denominators on the way in, pivot rows are normalized by the conjugate of
-their pivot, rows are combined fraction-free and kept free of integer
-content, and results become GaussianRational only on the way out.  One
-Gauss-Jordan loop does all of it; there is no modular or floating-point
+copies the integer rows, normalizes pivot rows by the conjugate of their
+pivot, combines rows fraction-free and keeps them free of integer content.
+One Gauss-Jordan loop does all of it; there is no modular or floating-point
 shortcut.  Kernel vectors are checked exactly against the matrix, in
 integers.
 
@@ -244,6 +250,7 @@ def _coerce(x):
 QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
 QI_I = GaussianRational(0, 1)
+_MINUS_ONE = GaussianRational(-1)
 
 
 def qi(re, im=0):
@@ -259,35 +266,42 @@ def qi(re, im=0):
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q(i), row-major.
 
-    ``data`` maps row -> {col -> GaussianRational}; zero entries and empty
-    rows are never stored.
+    Stored as Gaussian-integer rows ``num`` = {row: {col: (a, b)}} of Python
+    ints over one denominator ``den`` > 0: the entry at (row, col) is
+    (a + b i) / den.  The form is canonical: no zero entry and no empty row
+    is stored, gcd(den, every a and b) == 1, and the zero matrix has
+    den == 1.  Equal matrices therefore have equal (rows, cols, den, num),
+    and every operation runs on Python ints.
+
+    ``GaussianRational`` is the boundary type.  The constructor takes
+    ``data`` = {row: {col: value}} and ``from_entries`` takes
+    (row, col, value) triples; both drop zeros.  ``get``, ``entries``,
+    ``columns``, ``mul_vec`` and the read-only ``data`` view give
+    GaussianRational values.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        self.data = data if data is not None else {}
+        m = _from_values(
+            rows, cols, ((r, c, v) for r, row in (data or _EMPTY).items() for c, v in row.items()))
+        self.rows, self.cols, self.num, self.den = rows, cols, m.num, m.den
 
     @classmethod
     def from_entries(cls, rows, cols, entries):
-        data = {}
-        for r, c, v in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
-            v = _coerce(v)
-            if v:
-                row = data.setdefault(r, {})
-                w = row.get(c)
-                nv = v if w is None else w + v
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-        for r in [r for r, row in data.items() if not row]:
-            del data[r]
-        return cls(rows, cols, data)
+        """The matrix of (row, col, value) triples; repeated positions are summed."""
+        return _from_values(rows, cols, entries)
+
+    @classmethod
+    def from_int_blocks(cls, rows, cols, placed, den):
+        """The matrix of (row offset, col offset, block) triples, each block a
+        list of (row, col, a, b) entries meaning (a + b i) / den at the offset
+        position.
+
+        Every a + b i must be nonzero and every position inside the shape;
+        repeated positions are summed.
+        """
+        return _reduced(rows, cols, _accumulate(placed), den)
 
     @classmethod
     def from_dense(cls, rows_list):
@@ -301,35 +315,112 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n, scale=QI_ONE):
         scale = _coerce(scale)
-        data = {i: {i: scale} for i in range(n)} if scale else {}
-        return cls(n, n, data)
+        if not (scale and n):
+            return cls.zero(n, n)
+        v = (scale._a, scale._b)
+        return _matrix(n, n, {i: {i: v} for i in range(n)}, scale._d)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, {})
+        return _matrix(rows, cols, {}, 1)
+
+    @classmethod
+    def combination(cls, pairs):
+        """The sum of c * m over the (m, c) pairs, matrices of one shape, in
+        one pass over their integer rows."""
+        if not pairs:
+            raise ValueError("empty linear combination")
+        rows, cols = pairs[0][0].rows, pairs[0][0].cols
+        live = []
+        den = 1
+        for m, c in pairs:
+            if m.rows != rows or m.cols != cols:
+                raise ValueError("shape mismatch")
+            if c.__class__ is not GaussianRational:
+                c = _coerce(c)
+            if m.num and (c._a or c._b):
+                live.append((m, c))
+                den = _lcm(den, m.den * c._d)
+        num = {}
+        for m, c in live:
+            s = den // (m.den * c._d)
+            p, q = c._a * s, c._b * s
+            for r, row in m.num.items():
+                tgt = num.get(r)
+                if tgt is None:
+                    num[r] = dict(row) if p == 1 and not q else \
+                        {k: (a * p - b * q, a * q + b * p) for k, (a, b) in row.items()}
+                    continue
+                for k, (a, b) in row.items():
+                    x, y = a * p - b * q, a * q + b * p
+                    w = tgt.get(k)
+                    if w is not None:
+                        x += w[0]
+                        y += w[1]
+                        if not (x or y):
+                            del tgt[k]
+                            continue
+                    tgt[k] = (x, y)
+        if len(live) > 1:
+            for r in [r for r, row in num.items() if not row]:
+                del num[r]
+        return _reduced(rows, cols, num, den)
+
+    @classmethod
+    def hstack(cls, blocks):
+        """Horizontal stack [b_0 b_1 ...] of matrices with equal row counts."""
+        if not blocks:
+            raise ValueError("empty horizontal stack")
+        rows = blocks[0].rows
+        if any(b.rows != rows for b in blocks):
+            raise ValueError("row mismatch in horizontal stack")
+        den = _lcm(*(b.den for b in blocks))
+        num = {}
+        offset = 0
+        for b in blocks:
+            s = den // b.den
+            for r, row in b.num.items():
+                num.setdefault(r, {}).update(
+                    {offset + c: (a * s, x * s) for c, (a, x) in row.items()})
+            offset += b.cols
+        # canonical: for each prime of den, the block holding its highest power has
+        # a part that the prime does not divide
+        return _matrix(rows, offset, num, den)
 
     # -- access -----------------------------------------------------------
 
+    @property
+    def data(self):
+        """Read-only view {row: {col: GaussianRational}}, built on every access."""
+        den = self.den
+        return {r: {c: _gaussian(a, b, den) for c, (a, b) in row.items()}
+                for r, row in self.num.items()}
+
     def get(self, r, c):
-        return self.data.get(r, _EMPTY).get(c, QI_ZERO)
+        w = self.num.get(r, _EMPTY).get(c)
+        return QI_ZERO if w is None else _gaussian(w[0], w[1], self.den)
 
     def entries(self):
         """Sorted (row, col, value) triples."""
-        for r in sorted(self.data):
-            row = self.data[r]
+        den = self.den
+        for r in sorted(self.num):
+            row = self.num[r]
             for c in sorted(row):
-                yield r, c, row[c]
+                a, b = row[c]
+                yield r, c, _gaussian(a, b, den)
 
     def num_entries(self):
-        return sum(len(row) for row in self.data.values())
+        return sum(len(row) for row in self.num.values())
 
     def is_zero(self):
-        return not self.data
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols, self.den, self.num) \
+            == (other.rows, other.cols, other.den, other.num)
+
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, %d entries)" % (self.rows, self.cols, self.num_entries())
@@ -337,99 +428,84 @@ class SparseMatrix:
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
-        self._check_shape(other)
-        data = {r: dict(row) for r, row in self.data.items()}
-        for r, row in other.data.items():
-            tgt = data.setdefault(r, {})
-            for c, v in row.items():
-                w = tgt.get(c)
-                nv = v if w is None else w + v
-                if nv:
-                    tgt[c] = nv
-                elif c in tgt:
-                    del tgt[c]
-            if not tgt:
-                del data[r]
-        return SparseMatrix(self.rows, self.cols, data)
+        return SparseMatrix.combination([(self, QI_ONE), (other, QI_ONE)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return SparseMatrix.combination([(self, QI_ONE), (other, _MINUS_ONE)])
 
     def __neg__(self):
-        return self.scale(-1)
+        return self.scale(_MINUS_ONE)
 
     def scale(self, s):
-        s = _coerce(s)
-        if not s:
-            return SparseMatrix.zero(self.rows, self.cols)
-        return SparseMatrix(
-            self.rows, self.cols,
-            {r: {c: v * s for c, v in row.items()} for r, row in self.data.items()},
-        )
+        return SparseMatrix.combination([(self, s)])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        data = {}
-        odata = other.data
-        for r, row in self.data.items():
+        num = {}
+        onum = other.num
+        for r, row in self.num.items():
             acc = {}
-            for k, v in row.items():
-                orow = odata.get(k)
-                if not orow:
+            for k, (a, b) in row.items():
+                orow = onum.get(k)
+                if orow is None:
                     continue
-                for c, w in orow.items():
-                    x = acc.get(c)
-                    nv = v * w if x is None else x + v * w
-                    acc[c] = nv
-            acc = {c: v for c, v in acc.items() if v}
+                for c, (x, y) in orow.items():
+                    w = acc.get(c)
+                    if w is None:
+                        acc[c] = (a * x - b * y, a * y + b * x)
+                    else:
+                        acc[c] = (w[0] + a * x - b * y, w[1] + a * y + b * x)
+            acc = {c: w for c, w in acc.items() if w[0] or w[1]}
             if acc:
-                data[r] = acc
-        return SparseMatrix(self.rows, other.cols, data)
+                num[r] = acc
+        return _reduced(self.rows, other.cols, num, self.den * other.den)
 
     def transpose(self):
-        data = {}
-        for r, row in self.data.items():
+        num = {}
+        for r, row in self.num.items():
             for c, v in row.items():
-                data.setdefault(c, {})[r] = v
-        return SparseMatrix(self.cols, self.rows, data)
+                num.setdefault(c, {})[r] = v
+        return _matrix(self.cols, self.rows, num, self.den)
 
     def columns(self):
         """col -> {row -> value} view (computed, not cached)."""
+        den = self.den
         out = {}
-        for r, row in self.data.items():
-            for c, v in row.items():
-                out.setdefault(c, {})[r] = v
+        for r, row in self.num.items():
+            for c, (a, b) in row.items():
+                out.setdefault(c, {})[r] = _gaussian(a, b, den)
         return out
 
     def mul_vec(self, vec):
         """Matrix times sparse column vector (dict col -> value)."""
+        vden, ivec = _int_vector(vec)
+        den = self.den * vden
         out = {}
-        for r, row in self.data.items():
-            acc = None
-            for c, v in row.items():
-                w = vec.get(c)
-                if w is None:
-                    continue
-                t = v * w
-                acc = t if acc is None else acc + t
-            if acc is not None and acc:
-                out[r] = acc
+        for r, row in self.num.items():
+            re = im = 0
+            for c, (a, b) in row.items():
+                w = ivec.get(c)
+                if w is not None:
+                    x, y = w
+                    re += a * x - b * y
+                    im += a * y + b * x
+            if re or im:
+                out[r] = _gaussian(re, im, den)
         return out
 
     def stack_below(self, other):
         """Vertical stack [self; other]."""
         if self.cols != other.cols:
             raise ValueError("column mismatch in vertical stack")
-        data = {r: dict(row) for r, row in self.data.items()}
-        for r, row in other.data.items():
-            data[r + self.rows] = dict(row)
-        return SparseMatrix(self.rows + other.rows, self.cols, data)
-
-    def _check_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        den = _lcm(self.den, other.den)
+        num = _scaled_rows(self.num, den // self.den)
+        for r, row in _scaled_rows(other.num, den // other.den).items():
+            num[r + self.rows] = row
+        # canonical: for each prime of den, the half holding its highest power has
+        # a part that the prime does not divide
+        return _matrix(self.rows + other.rows, self.cols, num, den)
 
     def to_json(self):
         return {
@@ -444,6 +520,103 @@ class SparseMatrix:
             obj["rows"], obj["cols"],
             ((r, c, GaussianRational.from_string(s)) for r, c, s in obj["entries"]),
         )
+
+
+def _matrix(rows, cols, num, den):
+    """A SparseMatrix of Gaussian-integer rows already in canonical form."""
+    m = object.__new__(SparseMatrix)
+    m.rows = rows
+    m.cols = cols
+    m.num = num
+    m.den = den
+    return m
+
+
+def _reduced(rows, cols, num, den):
+    """A SparseMatrix of nonzero Gaussian-integer rows over den > 0, divided
+    in place by the gcd of den and every part."""
+    g = 1 if den == 1 else _common_factor(num, den)
+    if g != 1:
+        for r, row in num.items():
+            num[r] = {c: (a // g, b // g) for c, (a, b) in row.items()}
+        den //= g
+    return _matrix(rows, cols, num, den)
+
+
+def _common_factor(num, g):
+    """The gcd of g and every part of the rows, found once it reaches 1."""
+    for row in num.values():
+        for a, b in row.values():
+            g = _gcd(g, a, b)
+            if g == 1:
+                return 1
+    return g
+
+
+def _scaled_rows(num, s):
+    """A copy of Gaussian-integer rows times the integer s."""
+    if s == 1:
+        return {r: dict(row) for r, row in num.items()}
+    return {r: {c: (a * s, b * s) for c, (a, b) in row.items()} for r, row in num.items()}
+
+
+def _from_values(rows, cols, entries):
+    """The SparseMatrix of (row, col, value) triples: values coerced to Q(i),
+    brought to their common denominator and summed; zeros are dropped."""
+    items = []
+    den = 1
+    for r, c, v in entries:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
+        if v.__class__ is not GaussianRational:
+            v = _coerce(v)
+        if v._a or v._b:
+            items.append((r, c, v))
+            if den % v._d:
+                den = _lcm(den, v._d)
+    if den == 1:
+        block = [(r, c, v._a, v._b) for r, c, v in items]
+    else:
+        block = [(r, c, v._a * (den // v._d), v._b * (den // v._d)) for r, c, v in items]
+    return _reduced(rows, cols, _accumulate([(0, 0, block)]), den)
+
+
+def _accumulate(placed):
+    """Rows {row: {col: (a, b)}} of blocks of nonzero Gaussian-integer
+    (row, col, a, b) entries, each block placed at its (row, col) offset,
+    summed at repeated positions; cancelled entries and rows left empty are
+    dropped."""
+    num = {}
+    for r0, c0, block in placed:
+        for r, c, a, b in block:
+            r += r0
+            row = num.get(r)
+            if row is None:
+                num[r] = {c + c0: (a, b)}
+                continue
+            c += c0
+            w = row.get(c)
+            if w is None:
+                row[c] = (a, b)
+                continue
+            a += w[0]
+            b += w[1]
+            if a or b:
+                row[c] = (a, b)
+            else:
+                del row[c]
+    for r in [r for r, row in num.items() if not row]:
+        del num[r]
+    return num
+
+
+def _int_vector(vec):
+    """(den, {index: (a, b)}) of a sparse vector of values over their common
+    denominator; zeros are dropped."""
+    vals = [(c, v if v.__class__ is GaussianRational else _coerce(v)) for c, v in vec.items()]
+    den = _lcm(*{v._d for _, v in vals})
+    return den, {c: (v._a * (den // v._d), v._b * (den // v._d))
+                 for c, v in vals if v._a or v._b}
 
 
 _EMPTY = {}
@@ -492,26 +665,17 @@ def _eliminate(rows, order):
     return pivots
 
 
-# Q(i) runs on Gaussian-integer rows {col: (re, im)} of Python ints.  Each
-# row of the matrix is multiplied by the lcm of its denominators on the way
-# in, and a row is only ever replaced by an integer combination of rows, so
-# pivots, row spaces and kernels are exactly those over Q(i).  A normalized
-# pivot is a positive integer N, and every row is divided by its integer
-# content after each step.  Values become GaussianRational only on the way
-# out: an RREF row is divided by its pivot N, a kernel entry is -x/N.
+# Elimination runs on copies of the matrix's Gaussian-integer rows
+# {col: (re, im)}, which are den times the rows over Q(i).  A row is only
+# ever replaced by an integer combination of rows, so pivots, row spaces and
+# kernels are exactly those over Q(i).  A normalized pivot is a positive
+# integer N, and every row is divided by its integer content after each
+# step.  An RREF row is divided by its pivot N, a kernel entry is -x/N.
 
 
 def _gauss_rows(m: SparseMatrix):
-    """The rows of m as Gaussian-integer rows, each cleared of its denominators."""
-    out = []
-    for row in m.data.values():
-        den = _lcm(*(v._d for v in row.values()))
-        if den == 1:
-            out.append({c: (v._a, v._b) for c, v in row.items()})
-        else:
-            out.append({c: (v._a * (den // v._d), v._b * (den // v._d))
-                        for c, v in row.items()})
-    return out
+    """The rows of m as Gaussian-integer rows: copies of its numerator rows."""
+    return [dict(row) for row in m.num.values()]
 
 
 def _divide_content(row):
@@ -568,11 +732,12 @@ def rref(m: SparseMatrix):
     """The unique reduced row-echelon form of m and its pivot columns."""
     rows = _gauss_rows(m)
     pivots = _eliminate(rows, range(m.cols))
-    data = {}
+    den = _lcm(*(rows[r][c][0] for c, r in pivots))
+    num = {}
     for i, (c, r) in enumerate(pivots):
-        n = rows[r][c][0]
-        data[i] = {k: _gaussian(a, b, n) for k, (a, b) in rows[r].items()}
-    return SparseMatrix(m.rows, m.cols, data), [c for c, _ in pivots]
+        row, s = rows[r], den // rows[r][c][0]
+        num[i] = row if s == 1 else {k: (a * s, b * s) for k, (a, b) in row.items()}
+    return _reduced(m.rows, m.cols, num, den), [c for c, _ in pivots]
 
 
 def rank(m: SparseMatrix) -> int:
@@ -603,7 +768,7 @@ def nullspace(m: SparseMatrix):
     N_c it uses, must be annihilated by the integer rows of m.
     """
     rows = _gauss_rows(m)
-    cols = _gauss_columns(rows)
+    cols = _gauss_columns(enumerate(rows))
     pivots = _eliminate(rows, reversed(range(m.cols)))
     pivot_cols = {c for c, _ in pivots}
     terms = {f: [] for f in range(m.cols) if f not in pivot_cols}  # f -> [(c, N_c, row_c[f])]
@@ -627,9 +792,9 @@ def nullspace(m: SparseMatrix):
 
 
 def _gauss_columns(rows):
-    """col -> {row index -> (re, im)} of a list of Gaussian-integer rows."""
+    """col -> {row -> (re, im)} of (row, Gaussian-integer row) pairs."""
     out = {}
-    for i, row in enumerate(rows):
+    for i, row in rows:
         for c, v in row.items():
             out.setdefault(c, {})[i] = v
     return out
@@ -645,18 +810,24 @@ def _annihilates(cols, vec):
     return not any(re.values()) and not any(im.values())
 
 
-def column_product(cols, vec):
-    """m @ vec from cols = m.columns(), walking only the columns vec touches.
+def column_product(m: SparseMatrix, vecs):
+    """[m @ v for v in vecs], each walking only the columns v touches.
 
-    Compute cols once per matrix and reuse it for every vector; the cost is
-    then the nnz of the touched columns, not of the whole matrix.
+    The integer columns of m are built once for all the vectors; the cost
+    is then the nnz of the touched columns, not of the whole matrix.
     """
-    out = {}
-    for c, w in vec.items():
-        for r, v in cols.get(c, _EMPTY).items():
-            x = out.get(r)
-            out[r] = v * w if x is None else x + v * w
-    return {r: v for r, v in out.items() if v}
+    cols = _gauss_columns(m.num.items())
+    out = []
+    for vec in vecs:
+        vden, ivec = _int_vector(vec)
+        den = m.den * vden
+        re, im = {}, {}
+        for c, (x, y) in ivec.items():
+            for r, (a, b) in cols.get(c, _EMPTY).items():
+                re[r] = re.get(r, 0) + a * x - b * y
+                im[r] = im.get(r, 0) + a * y + b * x
+        out.append({r: _gaussian(a, im[r], den) for r, a in re.items() if a or im[r]})
+    return out
 
 
 def _canonical_basis(vectors, dim):
@@ -666,7 +837,9 @@ def _canonical_basis(vectors, dim):
         ((i, c, v) for i, vec in enumerate(vectors) for c, v in vec.items()),
     )
     red, pivots = rref(mat)
-    return [dict(red.data[i]) for i in range(len(pivots))]
+    den = red.den
+    return [{c: _gaussian(a, b, den) for c, (a, b) in red.num[i].items()}
+            for i in range(len(pivots))]
 
 
 def express_in_span(basis, targets, dim):
@@ -677,24 +850,21 @@ def express_in_span(basis, targets, dim):
     if some target is outside the span.
     """
     k = len(basis)
-    nt = len(targets)
-    rows = {}
-    for j, vec in enumerate(basis):
-        for i, v in vec.items():
-            rows.setdefault(i, {})[j] = v
-    for t, vec in enumerate(targets):
-        for i, v in vec.items():
-            rows.setdefault(i, {})[k + t] = v
-    mat = SparseMatrix(len(rows), k + nt,
-                       {ri: row for ri, row in enumerate(rows.values())})
+    vectors = list(basis) + list(targets)
+    # row i of the system is coordinate i of every vector
+    mat = SparseMatrix.from_entries(
+        dim, len(vectors),
+        ((i, j, v) for j, vec in enumerate(vectors) for i, v in vec.items()))
     red, pivots = rref(mat)
-    if any(p >= k for p in pivots):
+    if pivots and pivots[-1] >= k:
         return None
-    piv_of_col = {c: i for i, c in enumerate(pivots)}
+    den = red.den
     out = []
-    for t in range(nt):
+    for t in range(k, len(vectors)):
         coeffs = [QI_ZERO] * k
-        for c, i in piv_of_col.items():
-            coeffs[c] = red.data.get(i, _EMPTY).get(k + t, QI_ZERO)
+        for i, c in enumerate(pivots):
+            w = red.num[i].get(t)
+            if w is not None:
+                coeffs[c] = _gaussian(w[0], w[1], den)
         out.append(coeffs)
     return out

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import add
+from math import lcm
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .exact import (
@@ -311,8 +312,8 @@ class OperatorSpec:
 
         Identity-fiber terms sum their coefficients.  Matrix terms first sum
         the coefficients of each matrix object; a lone surviving matrix keeps
-        its summed coefficient, and several are scaled once each and added.
-        Terms that cancel are dropped.
+        its summed coefficient, and several become one
+        ``SparseMatrix.combination``.  Terms that cancel are dropped.
         """
         return _merged(self.n, self.dim, self.tdim, self.terms)
 
@@ -323,13 +324,13 @@ class OperatorSpec:
         identity and matrix terms, which ``combined()`` keeps apart, are
         summed into one matrix, so cancelling terms are not counted.
         """
+        ident = SparseMatrix.identity(self.dim)
         folded = {}
         for t in self.combined().terms:
-            key = (t.mono, t.deriv)
-            mat = SparseMatrix.identity(self.dim, t.coeff) if t.mat is None \
-                else t.mat.scale(t.coeff)
-            folded[key] = mat if key not in folded else folded[key] + mat
-        return sum(1 for mat in folded.values() if not mat.is_zero())
+            folded.setdefault((t.mono, t.deriv), []).append(
+                (ident if t.mat is None else t.mat, t.coeff))
+        return sum(1 for pairs in folded.values()
+                   if not SparseMatrix.combination(pairs).is_zero())
 
     def is_zero(self):
         """Whether the spec is the zero operator: no key is nonzero."""
@@ -410,12 +411,10 @@ def _merged(n, dim, tdim, terms):
         if len(live) == 1:
             out.append(OpTerm(key[0], key[1], *live[0]))
             continue
-        total = None
-        for m, c in live:
-            m = m if c == QI_ONE else m.scale(c)
-            total = m if total is None else total + m
-        if total is not None and not total.is_zero():
-            out.append(OpTerm(key[0], key[1], total, QI_ONE))
+        if live:
+            total = SparseMatrix.combination(live)
+            if not total.is_zero():
+                out.append(OpTerm(key[0], key[1], total, QI_ONE))
     return OperatorSpec(n, dim, out, tdim)
 
 
@@ -487,15 +486,19 @@ class LinearOperator:
         return obj
 
 
-def _fiber_block(cols, dim, scale):
-    """(row, col, value) triples of scale * M on one monomial's fiber block.
+def _fiber_block(mat, dim, p, q):
+    """(row, col, a, b) Gaussian-integer entries of (p + q i) times the
+    numerator rows of M on one monomial's fiber block.
 
-    ``cols`` is M.columns(), or None for the identity.  Entries come in fiber
-    column order, then in the column's own order.
+    ``mat`` is M, or None for the identity.  Entries come in fiber column
+    order, then in the column's own order.
     """
-    if cols is None:
-        return [(i, i, scale) for i in range(dim)]
-    return [(r, i, w * scale) for i in range(dim) for r, w in cols.get(i, {}).items()]
+    if mat is None:
+        return [(i, i, p, q) for i in range(dim)]
+    block = [(r, i, p * x - q * y, p * y + q * x)
+             for r, row in mat.num.items() for i, (x, y) in row.items()]
+    block.sort(key=itemgetter(1))
+    return block
 
 
 def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
@@ -504,7 +507,9 @@ def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
     ``bases(degree, dim)`` supplies the graded bases (a Context passes its
     cached ``graded_basis``); by default fresh ones are built.  A spec with
     mixed degree shifts is rejected ("non-homogeneous spec"); a negative
-    target degree yields a valid empty-codomain matrix.
+    target degree yields a valid empty-codomain matrix.  The matrix is built
+    as Gaussian-integer entries over one denominator, the lcm over the terms
+    of coeff's denominator times M's.
     """
     shifts = spec.shifts()
     if len(shifts) > 1:
@@ -515,21 +520,26 @@ def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
             return GradedBasis(spec.n, dim, degree)
     src = bases(src_degree, spec.dim)
     tgt = bases(src_degree + shift, spec.tdim)
-    entries = []
-    for t in spec.terms:
-        cols = t.mat.columns() if t.mat is not None else None
+    term_dens = [t.coeff._d * (1 if t.mat is None else t.mat.den) for t in spec.terms]
+    den = lcm(*term_dens)
+    falls = {}  # deriv -> the falling factor of every source monomial
+    placed = []
+    for t, term_den in zip(spec.terms, term_dens):
+        s = den // term_den
+        p, q = t.coeff._a * s, t.coeff._b * s
+        ffs = falls.get(t.deriv)
+        if ffs is None:
+            ffs = falls[t.deriv] = [_falling(mono, t.deriv) for mono in src.monos]
+        move = tuple(c - b for b, c in zip(t.deriv, t.mono))
         blocks = {}
-        for mono in src.monos:
-            ff = _falling(mono, t.deriv)
+        for k, (mono, ff) in enumerate(zip(src.monos, ffs)):
             if ff is None:
                 continue
             block = blocks.get(ff)
             if block is None:
-                scale = t.coeff if ff == 1 else t.coeff * qi(ff)
-                block = blocks[ff] = _fiber_block(cols, spec.dim, scale)
-            target_mono = tuple(a - b + c for a, b, c in zip(mono, t.deriv, t.mono))
-            col_base = src.index(mono, 0)
-            row_base = tgt.index(target_mono, 0)
-            entries.extend((row_base + r, col_base + i, v) for r, i, v in block)
-    matrix = SparseMatrix.from_entries(tgt.size, src.size, entries)
+                block = blocks[ff] = _fiber_block(t.mat, spec.dim, p * ff, q * ff)
+            col_base = k * spec.dim
+            row_base = tgt.index(tuple(map(add, mono, move)), 0)
+            placed.append((row_base, col_base, block))
+    matrix = SparseMatrix.from_int_blocks(tgt.size, src.size, placed, den)
     return LinearOperator(matrix, src, tgt)

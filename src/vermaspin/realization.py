@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .exact import SparseMatrix, QI_ONE, qi, rational, express_in_span
 from .clifford import GammaRep, Signature, so_generator
-from .polyspinor import OperatorSpec, _product_sum
+from .polyspinor import OpTerm, OperatorSpec, _product_sum
 
 __all__ = [
     "generators",
@@ -258,28 +258,25 @@ def function_action(gen, lam, rep: GammaRep, fiber) -> OperatorSpec:
             OperatorSpec.derivative(n, dim, j))
         return spec + OperatorSpec.fiber(n, fib(i, j))
     if kind == "g":
+        # -1/2 eps_i sum_j eps_j x_j^2 d_i + x_i (E + lam + n/2) + sum_j x_j pair(i, j),
+        # normal-ordered once; the (i, i) rotation is zero
         i = gen[1]
-        out = OperatorSpec.zero(n, dim)
         half_eps = qi(sig.eps(i) * HALF)
-        for j in range(1, n + 1):
-            out = out + OperatorSpec.monomial_mult(n, dim, j, 2, -half_eps * sig.eps(j)) \
-                .compose(OperatorSpec.derivative(n, dim, i))
-        out = out + OperatorSpec.coordinate(n, dim, i).compose(_euler(n, dim))
-        out = out + OperatorSpec.coordinate(n, dim, i, qi(lam + n * HALF))
-        for j in range(1, n + 1):
-            if j != i:  # the (i, i) rotation is zero
-                out = out + OperatorSpec.coordinate(n, dim, j).compose(
-                    OperatorSpec.fiber(n, fib(i, j)))
-        return out.combined()
+        d_i = OperatorSpec.derivative(n, dim, i)
+        pairs = [(OperatorSpec.monomial_mult(n, dim, j, 2, -half_eps * sig.eps(j)), d_i)
+                 for j in range(1, n + 1)]
+        pairs.append((OperatorSpec.coordinate(n, dim, i),
+                      function_action(("h",), lam, rep, fiber)))
+        pairs += [(OperatorSpec.coordinate(n, dim, j), OperatorSpec.fiber(n, fib(i, j)))
+                  for j in range(1, n + 1) if j != i]
+        return _product_sum(pairs)
     raise ValueError("unknown generator %r" % (gen,))
 
 
 def _euler(n, dim):
-    E = OperatorSpec.zero(n, dim)
-    for j in range(1, n + 1):
-        E = E + OperatorSpec.coordinate(n, dim, j).compose(
-            OperatorSpec.derivative(n, dim, j))
-    return E
+    """E = sum_j x_j d_j, whose terms are already normal-ordered."""
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return OperatorSpec(n, dim, [OpTerm(e, e, None, QI_ONE) for e in units])
 
 
 class _OspProducts(NamedTuple):

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .exact import SparseMatrix, QI_ZERO, nullspace, rational, rational_to_string, qi
+from .exact import SparseMatrix, QI_ONE, QI_ZERO, nullspace, rational, rational_to_string, qi
 from .polyspinor import assemble, OperatorSpec
 from .realization import (
     verma_action,
@@ -169,7 +169,7 @@ def special_conformal_matrices(ctx: Context, lam, degree):
             dspec = OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))
             delta = assemble(dspec, degree, ctx.graded_basis).matrix
             ctx.cache[del_key] = delta
-        mat = base if not lam else base + delta.scale(qi(lam))
+        mat = base if not lam else SparseMatrix.combination([(base, QI_ONE), (delta, qi(lam))])
         out.append(mat)
     return out
 
@@ -208,24 +208,22 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     columns to number the degree's whole basis.
     """
     rows = ctx.graded_basis(degree).size
-    data = {}
+    blocks = []
     slots = []  # column -> (k, chirality tag of the M_m part)
     for k in ks:
         m = degree - k
         mono = monogenic_basis(ctx, m)
-        col0 = len(slots)
         block = SparseMatrix.from_entries(
-            ctx.graded_basis(m).size, col0 + len(mono.vectors),
-            ((r, col0 + j, v) for j, vec in enumerate(mono.vectors) for r, v in vec.items()))
+            ctx.graded_basis(m).size, len(mono.vectors),
+            ((r, j, v) for j, vec in enumerate(mono.vectors) for r, v in vec.items()))
         for t in range(k):
             block = x_mult_matrix(ctx, m + t).matrix @ block
-        for r, row in block.data.items():
-            data.setdefault(r, {}).update(row)
+        blocks.append(block)
         slots.extend((k, tag) for tag in mono.chirality)
     if len(ks) == degree + 1 and len(slots) != rows:
         raise ArithmeticError("degree %d: the Fischer blocks give %d columns, the degree has %d"
                               % (degree, len(slots), rows))
-    columns = SparseMatrix(rows, len(slots), data)
+    columns = SparseMatrix.hstack(blocks)
     stacked = reduce(SparseMatrix.stack_below,
                      [g @ columns for g in special_conformal_matrices(ctx, lam, degree)])
     dims = {}

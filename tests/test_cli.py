@@ -164,6 +164,17 @@ def test_intertwiner_even_order_config_error(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize("kind, a, message", [
+    ("dirac", "2", "order of a Dirac power must be odd"),
+    ("twistor", "0", "twistor order must be a positive integer"),
+])
+def test_intertwiner_bad_order_rejected(capsys, kind, a, message):
+    code, out, err = run(capsys, "intertwiner", "--p", "3", "--kind", kind, "--a", a)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", "--p", "3", "--q", "0",

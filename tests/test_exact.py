@@ -21,6 +21,7 @@ from vermaspin.exact import (
     nullspace,
     kernel_is_trivial_hint,
     express_in_span,
+    column_product,
     QI_ONE,
     QI_ZERO,
 )
@@ -291,6 +292,108 @@ def test_matrix_algebra():
 def test_matrix_json_roundtrip():
     m = SparseMatrix.from_dense([[qi(rational(1, 3)), qi(0, -1)], [qi(0), qi(5)]])
     assert SparseMatrix.from_json(m.to_json()) == m
+
+
+def test_every_construction_drops_stored_zeros():
+    # the raw constructor normalizes like from_entries: no zero entry, no empty row
+    m = SparseMatrix(2, 2, {0: {0: QI_ZERO}})
+    assert m.is_zero() and m == SparseMatrix.zero(2, 2) and m.num_entries() == 0
+    line = SparseMatrix(1, 2, {0: {0: QI_ZERO, 1: qi(1)}})
+    red, piv = rref(line)
+    assert piv == [1] and red == SparseMatrix.from_dense([[QI_ZERO, QI_ONE]])
+    assert express_in_span([{0: qi(1), 1: QI_ZERO}], [{0: qi(2)}], 2) == [[qi(2)]]
+    assert nullspace(line) == [{0: QI_ONE}]
+
+
+# -- SparseMatrix against a dict-of-GaussianRational oracle -------------------
+#
+# The reference of a matrix is its shape and a map (row, col) -> nonzero
+# GaussianRational; every operation is recomputed on it entry by entry.
+
+
+def _ref_sum(triples):
+    out = {}
+    for r, c, v in triples:
+        out[(r, c)] = out.get((r, c), QI_ZERO) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_matches(m, rows, cols, ref):
+    """m has the shape and values of ref, and is in canonical form."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.den > 0 and (m.den == 1 or m.num)
+    for r, row in m.num.items():
+        assert row and 0 <= r < rows
+        for c, (a, b) in row.items():
+            assert (a or b) and 0 <= c < cols
+    assert gcd(m.den, *(x for row in m.num.values() for v in row.values() for x in v)) == 1
+    assert list(m.entries()) == [(r, c, ref[(r, c)]) for r, c in sorted(ref)]
+    assert all(m.get(r, c) == ref.get((r, c), QI_ZERO) for r in range(rows) for c in range(cols))
+    assert m.data == {r: {c: v for (r2, c), v in ref.items() if r2 == r} for r, _ in ref}
+    assert m.num_entries() == len(ref) and m.is_zero() == (not ref)
+
+
+@st.composite
+def entry_lists(draw, rows, cols):
+    """(row, col, value) triples with repeated and cancelling positions."""
+    pos = st.tuples(st.integers(min_value=0, max_value=rows - 1),
+                    st.integers(min_value=0, max_value=cols - 1))
+    value = st.one_of(gaussians(), big_gaussians())
+    out = [(r, c, v) for (r, c), v in draw(st.lists(st.tuples(pos, value), max_size=rows * cols + 2))]
+    if out:
+        out += [(r, c, -v) for r, c, v in draw(st.lists(st.sampled_from(out), max_size=2))]
+    return draw(st.permutations(out))
+
+
+def scalars():
+    """Real, imaginary, zero and general scalars, with denominators."""
+    return st.one_of(st.builds(qi, small_rationals()), st.builds(qi, st.just(0), small_rationals()),
+                     st.just(QI_ZERO), gaussians(), big_gaussians())
+
+
+@st.composite
+def oracle_cases(draw):
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    a, b = draw(entry_lists(rows, inner)), draw(entry_lists(rows, inner))
+    c = draw(entry_lists(inner, cols))
+    vec = {k: draw(scalars()) for k in draw(st.sets(st.integers(min_value=0, max_value=inner - 1)))}
+    return rows, inner, cols, a, b, c, vec, draw(scalars())
+
+
+@given(oracle_cases())
+@settings(max_examples=120, deadline=None)
+def test_sparse_matrix_matches_dict_oracle(case):
+    rows, inner, cols, a_list, b_list, c_list, vec, s = case
+    A = SparseMatrix.from_entries(rows, inner, a_list)
+    B = SparseMatrix.from_entries(rows, inner, b_list)
+    C = SparseMatrix.from_entries(inner, cols, c_list)
+    a, b, c = _ref_sum(a_list), _ref_sum(b_list), _ref_sum(c_list)
+    for m, ref, shape in ((A, a, (rows, inner)), (B, b, (rows, inner)), (C, c, (inner, cols))):
+        _assert_matches(m, *shape, ref)
+    _assert_matches(A + B, rows, inner, _ref_sum([(r, x, v) for (r, x), v in (*a.items(), *b.items())]))
+    _assert_matches(A - B, rows, inner, _ref_sum([(r, x, v) for (r, x), v in a.items()]
+                                                 + [(r, x, -v) for (r, x), v in b.items()]))
+    _assert_matches(-A, rows, inner, {k: -v for k, v in a.items()})
+    _assert_matches(A.scale(s), rows, inner, {k: v * s for k, v in a.items() if v * s})
+    _assert_matches(A @ C, rows, cols, _ref_sum(
+        [(r, y, v * w) for (r, k), v in a.items() for (k2, y), w in c.items() if k == k2]))
+    _assert_matches(A.transpose(), inner, rows, {(x, r): v for (r, x), v in a.items()})
+    _assert_matches(A.stack_below(B), 2 * rows, inner,
+                    {**a, **{(r + rows, x): v for (r, x), v in b.items()}})
+    _assert_matches(SparseMatrix.hstack([A, B]), rows, 2 * inner,
+                    {**a, **{(r, x + inner): v for (r, x), v in b.items()}})
+    _assert_matches(SparseMatrix.identity(rows, s), rows, rows,
+                    {(r, r): s for r in range(rows) if s})
+    dense = {r: {x: a.get((r, x), QI_ZERO) for x in range(inner)} for r in range(rows)}
+    _assert_matches(SparseMatrix(rows, inner, dense), rows, inner, a)
+    _assert_matches(SparseMatrix(rows, inner, {r: {} for r in range(rows)}), rows, inner, {})
+    product = _ref_sum([(r, 0, v * vec[k]) for (r, k), v in a.items() if k in vec])
+    assert A.mul_vec(vec) == {r: v for (r, _), v in product.items()}
+    assert column_product(A, [vec, {}]) == [A.mul_vec(vec), {}]
+    assert A.columns() == {x: {r: v for (r, x2), v in a.items() if x2 == x} for _, x in a}
+    assert (A == B) == (a == b) and (A != B) == (a != b)
+    assert A == SparseMatrix.from_entries(rows, inner, [(r, x, v) for (r, x), v in reversed(a.items())])
+    assert SparseMatrix.from_json(A.to_json()) == A
 
 
 # -- the elimination engine against a dense Fraction oracle -----------------

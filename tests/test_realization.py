@@ -132,6 +132,43 @@ def test_function_action_is_representation(ctx_factory, module):
     _bracket_check(ctx, act, sc, [0, 1, 2])
 
 
+def _function_action_g_chain(i, lam, rep, fiber):
+    """g_i of the function picture summed one composition at a time, as
+    before it was normal-ordered by one product sum."""
+    n, sig = rep.n, rep.sig
+    dim = fiber[(1, 2)].cols
+    half_eps = qi(sig.eps(i) * rational(1, 2))
+    euler = OperatorSpec.zero(n, dim)
+    for j in range(1, n + 1):
+        euler = euler + OperatorSpec.coordinate(n, dim, j).compose(
+            OperatorSpec.derivative(n, dim, j))
+    out = OperatorSpec.zero(n, dim)
+    for j in range(1, n + 1):
+        out = out + OperatorSpec.monomial_mult(n, dim, j, 2, -half_eps * sig.eps(j)) \
+            .compose(OperatorSpec.derivative(n, dim, i))
+    out = out + OperatorSpec.coordinate(n, dim, i).compose(euler)
+    out = out + OperatorSpec.coordinate(n, dim, i, qi(lam + n * rational(1, 2)))
+    for j in range(1, n + 1):
+        if j != i:
+            pair = fiber[(i, j)] if i < j else fiber[(j, i)].scale(-sig.eps(i) * sig.eps(j))
+            out = out + OperatorSpec.coordinate(n, dim, j).compose(OperatorSpec.fiber(n, pair))
+    return out.combined()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_function_action_g_matches_the_composition_chain(ctx_factory, n):
+    for p in range(n, -1, -1):
+        rep = ctx_factory(p, n - p).rep
+        spinor = spinor_fiber(rep)
+        for fiber in (spinor, dual_fiber(spinor)):
+            for lam in (rational(0), rational(-5, 3)):
+                for i in range(1, n + 1):
+                    new = function_action(("g", i), lam, rep, fiber)
+                    assert (new - _function_action_g_chain(i, lam, rep, fiber)).is_zero(), \
+                        ((p, n - p), i, str(lam))
+                    assert not new.is_zero()
+
+
 def test_osp_examples(ctx_factory):
     ctx = ctx_factory(3, 0)
     D, E, X = osp_generators(ctx.rep)
