@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from .exact import (
     GaussianRational,
     SparseMatrix,
-    column_product,
     express_in_span,
     rational,
     rational_to_string,
@@ -183,10 +182,10 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     degree = degrees.pop()
     lam_real = lam_thm + rational(ctx.n, 2)
     basis = ctx.graded_basis(degree)
-    vecs = [basis.coordinates(sv) for sv in svs]
+    family = SparseMatrix.from_columns(basis.size, [basis.coordinates(sv) for sv in svs])
     if verify_singular:
         for mat in special_conformal_matrices(ctx, lam_real, degree):
-            if any(column_product(mat, vecs)):
+            if not (mat @ family).is_zero():
                 raise ValueError("family member is not a singular vector")
     dim_s = ctx.spinor_dim
     coeffs = {}
@@ -199,7 +198,7 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
         mono: SparseMatrix.from_entries(len(svs), dim_s, entries)
         for mono, entries in coeffs.items()
     }
-    rotations = _family_rotations(vecs, degree, lam_real, ctx)
+    rotations = _family_rotations(family, degree, lam_real, ctx)
     return EquivariantOperator(
         n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
@@ -208,27 +207,23 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     )
 
 
-def _family_rotations(vecs, degree, lam_real, ctx: Context):
+def _family_rotations(family, degree, lam_real, ctx: Context):
     """Rotation action on the family span, solved exactly per generator pair.
 
-    ``vecs`` are the family's coordinate vectors at ``degree``.  Raises if
-    the family is not closed under the rotation action (i.e. is not an
-    isotypic submodule).
+    ``family`` is the matrix whose columns are the family's coordinate
+    vectors at ``degree``; the action of l_ij is the X with
+    l_ij @ family == family @ X.  Raises if the family is not closed under
+    the rotation action (i.e. is not an isotypic submodule).
     """
-    basis = ctx.graded_basis(degree)
     out = {}
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
             spec = verma_action(("l", i, j), lam_real, ctx.rep)
-            images = column_product(assemble(spec, degree, ctx.graded_basis).matrix, vecs)
-            coeffs = express_in_span(vecs, images, basis.size)
-            if coeffs is None:
+            rotation = express_in_span(
+                family, assemble(spec, degree, ctx.graded_basis).matrix @ family)
+            if rotation is None:
                 raise ValueError("family is not rotation-closed")
-            out[(i, j)] = SparseMatrix.from_entries(
-                len(vecs), len(vecs),
-                ((r, c, coeffs[c][r]) for c in range(len(vecs))
-                 for r in range(len(vecs)) if coeffs[c][r]),
-            )
+            out[(i, j)] = rotation
     return out
 
 

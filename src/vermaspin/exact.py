@@ -8,18 +8,21 @@ ints over one denominator per matrix, in canonical form.  There is no
 floating point anywhere in this package.
 
 Every matrix operation runs on those integer rows: construction, sums,
-scaling, products, transposes, stacks and products with vectors bring their
-operands to a common denominator and divide the result by its content once.
-GaussianRational is the boundary type: values go in through the constructor
-and ``from_entries``, and come out of ``get``, ``entries``, ``columns``,
-``mul_vec``, kernel vectors and coefficient lists.
+scaling, products, transposes and stacks bring their operands to a common
+denominator and divide the result by its content once.  ``@`` is the one
+product loop: a product with vectors is ``m @ SparseMatrix.from_columns(rows,
+vecs)``, where ``from_columns`` is the one place a list of sparse vectors
+becomes a matrix, and ``mul_vec`` is that product for one vector.
+GaussianRational is the boundary type: values go in through the constructor,
+``from_entries`` and ``from_columns``, and come out of ``get``, ``entries``,
+``columns``, ``mul_vec`` and kernel vectors.
 
 Elimination (``rref``, ``rank``, ``nullspace`` and what is built on them)
 copies the integer rows, normalizes pivot rows by the conjugate of their
 pivot, combines rows fraction-free and keeps them free of integer content.
 One Gauss-Jordan loop does all of it; there is no modular or floating-point
-shortcut.  Kernel vectors are checked exactly against the matrix, in
-integers.
+shortcut.  The kernel is checked exactly against the matrix, in integers,
+by one product; ``express_in_span`` takes and returns matrices.
 
 Q(i) arithmetic runs on Python ints alone.  The plain rationals of
 ``rational()`` and ``rational_from_string`` (the twists) are
@@ -46,7 +49,6 @@ __all__ = [
     "rank",
     "nullspace",
     "kernel_is_trivial_hint",
-    "column_product",
     "express_in_span",
 ]
 
@@ -274,10 +276,11 @@ class SparseMatrix:
     and every operation runs on Python ints.
 
     ``GaussianRational`` is the boundary type.  The constructor takes
-    ``data`` = {row: {col: value}} and ``from_entries`` takes
-    (row, col, value) triples; both drop zeros.  ``get``, ``entries``,
-    ``columns``, ``mul_vec`` and the read-only ``data`` view give
-    GaussianRational values.
+    ``data`` = {row: {col: value}}, ``from_entries`` takes (row, col, value)
+    triples and ``from_columns`` a list of sparse column vectors; all three
+    check bounds and drop zeros.  ``get``, ``entries``, ``columns``,
+    ``mul_vec`` and the read-only ``data`` view give GaussianRational values.
+    ``__matmul__`` is the only product loop.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
@@ -291,6 +294,13 @@ class SparseMatrix:
     def from_entries(cls, rows, cols, entries):
         """The matrix of (row, col, value) triples; repeated positions are summed."""
         return _from_values(rows, cols, entries)
+
+    @classmethod
+    def from_columns(cls, rows, vecs):
+        """The rows x len(vecs) matrix whose column j is the sparse vector
+        vecs[j] (dict row -> value)."""
+        return _from_values(
+            rows, len(vecs), ((r, j, v) for j, vec in enumerate(vecs) for r, v in vec.items()))
 
     @classmethod
     def from_int_blocks(cls, rows, cols, placed, den):
@@ -479,21 +489,8 @@ class SparseMatrix:
         return out
 
     def mul_vec(self, vec):
-        """Matrix times sparse column vector (dict col -> value)."""
-        vden, ivec = _int_vector(vec)
-        den = self.den * vden
-        out = {}
-        for r, row in self.num.items():
-            re = im = 0
-            for c, (a, b) in row.items():
-                w = ivec.get(c)
-                if w is not None:
-                    x, y = w
-                    re += a * x - b * y
-                    im += a * y + b * x
-            if re or im:
-                out[r] = _gaussian(re, im, den)
-        return out
+        """Matrix times sparse column vector (dict col -> value), as a dict."""
+        return (self @ SparseMatrix.from_columns(self.cols, [vec])).columns().get(0, {})
 
     def stack_below(self, other):
         """Vertical stack [self; other]."""
@@ -608,15 +605,6 @@ def _accumulate(placed):
     for r in [r for r, row in num.items() if not row]:
         del num[r]
     return num
-
-
-def _int_vector(vec):
-    """(den, {index: (a, b)}) of a sparse vector of values over their common
-    denominator; zeros are dropped."""
-    vals = [(c, v if v.__class__ is GaussianRational else _coerce(v)) for c, v in vec.items()]
-    den = _lcm(*{v._d for _, v in vals})
-    return den, {c: (v._a * (den // v._d), v._b * (den // v._d))
-                 for c, v in vals if v._a or v._b}
 
 
 _EMPTY = {}
@@ -763,12 +751,13 @@ def nullspace(m: SparseMatrix):
     vectors are ordered by leading index.  Pivoting from the last column
     first leaves every pivot row with entries only in free columns left of
     its pivot, so e_f - sum_c (row_c[f] / N_c) e_c is already the RREF basis
-    vector of free column f.  Every vector is checked against m before it is
-    returned, in integers: L times the vector, with L the lcm of the pivots
-    N_c it uses, must be annihilated by the integer rows of m.
+    vector of free column f.  The kernel is checked against m before it is
+    returned, in integers and in one product: row j of K is L_j times vector
+    j, with L_j the lcm of the pivots N_c it uses, and K @ m^T (the transpose
+    of m @ K^T) must be zero.  A failure raises ArithmeticError naming the
+    first free column whose vector m does not annihilate.
     """
     rows = _gauss_rows(m)
-    cols = _gauss_columns(enumerate(rows))
     pivots = _eliminate(rows, reversed(range(m.cols)))
     pivot_cols = {c for c, _ in pivots}
     terms = {f: [] for f in range(m.cols) if f not in pivot_cols}  # f -> [(c, N_c, row_c[f])]
@@ -778,56 +767,20 @@ def nullspace(m: SparseMatrix):
             if f != c:
                 terms[f].append((c, n, x))
     kernel = []
-    for f, fterms in terms.items():
+    knum = {}  # the integer rows of K
+    for j, (f, fterms) in enumerate(terms.items()):
         lcm = _lcm(*(n for _, n, _ in fterms))
-        w = {f: (lcm, 0)}
+        w = knum[j] = {f: (lcm, 0)}
         for c, n, (a, b) in fterms:
             s = lcm // n
             w[c] = (-a * s, -b * s)
-        if not _annihilates(cols, w):
-            raise ArithmeticError("kernel vector of free column %d is not annihilated by "
-                                  "the %dx%d matrix" % (f, m.rows, m.cols))
         kernel.append({c: _gaussian(a, b, lcm) for c, (a, b) in w.items()})
+    residual = _matrix(len(kernel), m.cols, knum, 1) @ m.transpose()
+    if not residual.is_zero():
+        j = min(residual.num)
+        raise ArithmeticError("kernel vector of free column %d is not annihilated by "
+                              "the %dx%d matrix" % (list(terms)[j], m.rows, m.cols))
     return kernel
-
-
-def _gauss_columns(rows):
-    """col -> {row -> (re, im)} of (row, Gaussian-integer row) pairs."""
-    out = {}
-    for i, row in rows:
-        for c, v in row.items():
-            out.setdefault(c, {})[i] = v
-    return out
-
-
-def _annihilates(cols, vec):
-    """m @ vec == 0 in Gaussian integers, from the columns of m's integer rows."""
-    re, im = {}, {}
-    for c, (wr, wi) in vec.items():
-        for r, (a, b) in cols.get(c, _EMPTY).items():
-            re[r] = re.get(r, 0) + a * wr - b * wi
-            im[r] = im.get(r, 0) + a * wi + b * wr
-    return not any(re.values()) and not any(im.values())
-
-
-def column_product(m: SparseMatrix, vecs):
-    """[m @ v for v in vecs], each walking only the columns v touches.
-
-    The integer columns of m are built once for all the vectors; the cost
-    is then the nnz of the touched columns, not of the whole matrix.
-    """
-    cols = _gauss_columns(m.num.items())
-    out = []
-    for vec in vecs:
-        vden, ivec = _int_vector(vec)
-        den = m.den * vden
-        re, im = {}, {}
-        for c, (x, y) in ivec.items():
-            for r, (a, b) in cols.get(c, _EMPTY).items():
-                re[r] = re.get(r, 0) + a * x - b * y
-                im[r] = im.get(r, 0) + a * y + b * x
-        out.append({r: _gaussian(a, im[r], den) for r, a in re.items() if a or im[r]})
-    return out
 
 
 def _canonical_basis(vectors, dim):
@@ -842,29 +795,22 @@ def _canonical_basis(vectors, dim):
             for i in range(len(pivots))]
 
 
-def express_in_span(basis, targets, dim):
-    """Solve sum_j x_j basis[j] = t exactly for each target t.
+def express_in_span(basis: SparseMatrix, targets: SparseMatrix):
+    """X with basis @ X == targets, exactly, or None when some column of
+    targets is outside the column span of basis.
 
-    basis and targets are sparse vectors (dict index -> GaussianRational) in a
-    space of dimension ``dim``.  Returns a list of coefficient lists, or None
-    if some target is outside the span.
+    X is basis.cols x targets.cols, read off the RREF of [basis targets]:
+    row c of X is the targets part of the RREF row whose pivot is basis
+    column c, and the rows at non-pivot basis columns are zero.  Row counts
+    must agree (ValueError otherwise).
     """
-    k = len(basis)
-    vectors = list(basis) + list(targets)
-    # row i of the system is coordinate i of every vector
-    mat = SparseMatrix.from_entries(
-        dim, len(vectors),
-        ((i, j, v) for j, vec in enumerate(vectors) for i, v in vec.items()))
-    red, pivots = rref(mat)
+    k = basis.cols
+    red, pivots = rref(SparseMatrix.hstack([basis, targets]))
     if pivots and pivots[-1] >= k:
         return None
-    den = red.den
-    out = []
-    for t in range(k, len(vectors)):
-        coeffs = [QI_ZERO] * k
-        for i, c in enumerate(pivots):
-            w = red.num[i].get(t)
-            if w is not None:
-                coeffs[c] = _gaussian(w[0], w[1], den)
-        out.append(coeffs)
-    return out
+    num = {}
+    for i, c in enumerate(pivots):
+        row = {t - k: w for t, w in red.num[i].items() if t >= k}
+        if row:
+            num[c] = row
+    return _reduced(k, targets.cols, num, red.den)

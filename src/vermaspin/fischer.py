@@ -134,23 +134,21 @@ def fischer_decompose(ctx: Context, poly: SpinorPoly):
             return []
         raise ValueError("non-homogeneous input")
     basis = ctx.graded_basis(d)
-    target = basis.coordinates(poly)
-    columns = []
+    blocks = []
     slots = []
     for k in range(d + 1):
         m = d - k
         mono = monogenic_basis(ctx, m)
-        xk = x_power_matrix(ctx, k, m)
-        for j, vec in enumerate(mono.vectors):
-            columns.append(xk.mul_vec(vec))
-            slots.append((k, m, j))
-    coeffs = express_in_span(columns, [target], basis.size)
+        blocks.append(x_power_matrix(ctx, k, m)
+                      @ SparseMatrix.from_columns(ctx.graded_basis(m).size, mono.vectors))
+        slots.extend((k, m, j) for j in range(len(mono.vectors)))
+    coeffs = express_in_span(SparseMatrix.hstack(blocks),
+                             SparseMatrix.from_columns(basis.size, [basis.coordinates(poly)]))
     if coeffs is None:
         raise ValueError("polynomial escapes the monogenic decomposition")
     parts = {}
-    for (k, m, j), c in zip(slots, coeffs[0]):
-        if not c:
-            continue
+    for slot, c in sorted(coeffs.columns().get(0, {}).items()):
+        k, m, j = slots[slot]
         mono = monogenic_basis(ctx, m)
         cur = parts.get((k, m))
         add = mono.elements[j].scale(c)

@@ -107,7 +107,8 @@ class structure_constants:
         self._mats = {g: conformal_matrix(g, sig) for g in self.gens}
         N = sig.n + 2
         self._dim = N
-        self._basis_vecs = [self._flatten(self._mats[g]) for g in self.gens]
+        self._basis = SparseMatrix.from_columns(
+            N * N, [self._flatten(self._mats[g]) for g in self.gens])
         self._cache = {}
 
     def _flatten(self, m: SparseMatrix):
@@ -124,11 +125,12 @@ class structure_constants:
             return self._cache[key]
         ma, mb = self._mats[a], self._mats[b]
         comm = ma @ mb - mb @ ma
-        coeffs = express_in_span(self._basis_vecs, [self._flatten(comm)],
-                                 self._dim * self._dim)
+        coeffs = express_in_span(
+            self._basis, SparseMatrix.from_columns(self._basis.rows, [self._flatten(comm)]))
         if coeffs is None:
             raise ValueError("bracket escaped the algebra: %r, %r" % (a, b))
-        out = [(g, c) for g, c in zip(self.gens, coeffs[0]) if c]
+        column = coeffs.columns().get(0, {})
+        out = [(g, column[j]) for j, g in enumerate(self.gens) if j in column]
         self._cache[key] = out
         return out
 

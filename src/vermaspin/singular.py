@@ -213,9 +213,7 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     for k in ks:
         m = degree - k
         mono = monogenic_basis(ctx, m)
-        block = SparseMatrix.from_entries(
-            ctx.graded_basis(m).size, len(mono.vectors),
-            ((r, j, v) for j, vec in enumerate(mono.vectors) for r, v in vec.items()))
+        block = SparseMatrix.from_columns(ctx.graded_basis(m).size, mono.vectors)
         for t in range(k):
             block = x_mult_matrix(ctx, m + t).matrix @ block
         blocks.append(block)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vermaspin import exact
 from vermaspin.exact import (
     GaussianRational,
     SparseMatrix,
@@ -21,7 +22,6 @@ from vermaspin.exact import (
     nullspace,
     kernel_is_trivial_hint,
     express_in_span,
-    column_product,
     QI_ONE,
     QI_ZERO,
 )
@@ -269,13 +269,31 @@ def test_express_in_span():
     b1 = {0: qi(1), 1: qi(2)}
     b2 = {1: qi(0, 1)}
     target = {0: qi(3), 1: qi(6, -2)}
-    coeffs = express_in_span([b1, b2], [target], 2)
-    assert coeffs is not None
-    c1, c2 = coeffs[0]
+    basis = SparseMatrix.from_columns(2, [b1, b2])
+    coeffs = express_in_span(basis, SparseMatrix.from_columns(2, [target]))
+    assert coeffs is not None and (coeffs.rows, coeffs.cols) == (2, 1)
+    c1, c2 = coeffs.get(0, 0), coeffs.get(1, 0)
     assert c1 == qi(3) and c2 == qi(-2)
     recon = {0: c1 * b1[0], 1: c1 * b1[1] + c2 * b2[1]}
     assert recon == target
-    assert express_in_span([b1], [{2: qi(1)}], 3) is None
+    assert basis @ coeffs == SparseMatrix.from_columns(2, [target])
+    assert express_in_span(SparseMatrix.from_columns(3, [b1]),
+                           SparseMatrix.from_columns(3, [{2: qi(1)}])) is None
+
+
+def test_express_in_span_rejects_mismatched_row_counts():
+    basis = SparseMatrix.from_columns(2, [{0: qi(1)}])
+    with pytest.raises(ValueError, match="row mismatch"):
+        express_in_span(basis, SparseMatrix.from_columns(3, [{0: qi(1)}]))
+
+
+def test_mul_vec_rejects_an_index_outside_the_matrix():
+    # the vector becomes a column through from_columns, which checks bounds
+    m = SparseMatrix.from_dense([[qi(1), qi(2)]])
+    with pytest.raises(IndexError, match=r"entry \(5, 0\) outside 2x1"):
+        m.mul_vec({5: qi(1)})
+    with pytest.raises(IndexError):
+        SparseMatrix.from_columns(2, [{0: qi(1)}, {-1: qi(1)}])
 
 
 def test_matrix_algebra():
@@ -301,7 +319,9 @@ def test_every_construction_drops_stored_zeros():
     line = SparseMatrix(1, 2, {0: {0: QI_ZERO, 1: qi(1)}})
     red, piv = rref(line)
     assert piv == [1] and red == SparseMatrix.from_dense([[QI_ZERO, QI_ONE]])
-    assert express_in_span([{0: qi(1), 1: QI_ZERO}], [{0: qi(2)}], 2) == [[qi(2)]]
+    assert express_in_span(SparseMatrix.from_columns(2, [{0: qi(1), 1: QI_ZERO}]),
+                           SparseMatrix.from_columns(2, [{0: qi(2)}])) \
+        == SparseMatrix.from_dense([[qi(2)]])
     assert nullspace(line) == [{0: QI_ONE}]
 
 
@@ -389,7 +409,9 @@ def test_sparse_matrix_matches_dict_oracle(case):
     _assert_matches(SparseMatrix(rows, inner, {r: {} for r in range(rows)}), rows, inner, {})
     product = _ref_sum([(r, 0, v * vec[k]) for (r, k), v in a.items() if k in vec])
     assert A.mul_vec(vec) == {r: v for (r, _), v in product.items()}
-    assert column_product(A, [vec, {}]) == [A.mul_vec(vec), {}]
+    V = SparseMatrix.from_columns(inner, [vec, {}])
+    _assert_matches(V, inner, 2, {(k, 0): v for k, v in vec.items() if v})
+    _assert_matches(A @ V, rows, 2, product)
     assert A.columns() == {x: {r: v for (r, x2), v in a.items() if x2 == x} for _, x in a}
     assert (A == B) == (a == b) and (A != B) == (a != b)
     assert A == SparseMatrix.from_entries(rows, inner, [(r, x, v) for (r, x), v in reversed(a.items())])
@@ -560,3 +582,47 @@ def test_kernel_check_runs_under_optimize_flag():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "ArithmeticError: kernel vector of free column 0" in proc.stderr
     assert "2x3 matrix" in proc.stderr
+
+
+def _nullspace_with_off_pivot_increment():
+    """nullspace of [[1, 2, 3], [0, 1, 5]] with every normalized pivot row
+    given +1 at its first non-pivot entry."""
+    normalize = exact._normalize_row_gauss
+
+    def corrupted(row, c):
+        row = normalize(row, c)
+        for k, (a, b) in row.items():
+            if k != c:
+                row[k] = (a + 1, b)
+                break
+        return row
+
+    exact._normalize_row_gauss = corrupted
+    try:
+        return nullspace(SparseMatrix.from_dense([[qi(1), qi(2), qi(3)], [qi(0), qi(1), qi(5)]]))
+    finally:
+        exact._normalize_row_gauss = normalize
+
+
+def test_kernel_check_names_the_first_failing_free_column():
+    # the one-product kernel check must catch the corruption, in process
+    # and under python -O
+    message = "kernel vector of free column 0 is not annihilated by the 2x3 matrix"
+    m = SparseMatrix.from_dense([[qi(1), qi(2), qi(3)], [qi(0), qi(1), qi(5)]])
+    assert nullspace(m) == [{0: QI_ONE, 1: qi(rational(-5, 7)), 2: qi(rational(1, 7))}]
+    with pytest.raises(ArithmeticError, match=message):
+        _nullspace_with_off_pivot_increment()
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        runpy.run_path(sys.argv[1])["_nullspace_with_off_pivot_increment"]()
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "ArithmeticError: " + message in proc.stderr

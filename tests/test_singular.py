@@ -62,9 +62,8 @@ def _eigensplit(ctx, polys, degree):
         return []
     basis = ctx.graded_basis(degree)
     vecs = [basis.coordinates(p) for p in polys]
-    xd = xd_matrix(ctx, degree)
-    images = [xd.mul_vec(v) for v in vecs]
-    coeffs = express_in_span(vecs, images, basis.size)
+    family = SparseMatrix.from_columns(basis.size, vecs)
+    coeffs = express_in_span(family, xd_matrix(ctx, degree) @ family)
     if coeffs is None:
         raise ValueError("kernel is not X D invariant")  # impossible for true kernels
     kdim = len(vecs)
@@ -72,11 +71,7 @@ def _eigensplit(ctx, polys, degree):
     total = 0
     for k in range(degree + 1):
         c = xd_eigenvalue(k, degree - k, ctx.n)
-        shifted = SparseMatrix.from_entries(
-            kdim, kdim,
-            [(r, j, coeffs[j][r]) for j in range(kdim) for r in range(kdim) if coeffs[j][r]]
-            + [(j, j, -c) for j in range(kdim)],
-        )
+        shifted = coeffs - SparseMatrix.identity(kdim, c)
         sub = nullspace(shifted)
         if not sub:
             continue
@@ -342,13 +337,12 @@ def test_rotation_invariance_of_kernel(ctx_factory):
     lam = rational(3)
     svs = singular_vectors(ctx, lam, 1)
     basis = ctx.graded_basis(1)
-    vecs = [basis.coordinates(sv) for sv in svs]
+    family = SparseMatrix.from_columns(basis.size, [basis.coordinates(sv) for sv in svs])
     for i in range(1, 4):
         for j in range(i + 1, 4):
             rot = assemble(verma_action(("l", i, j), lam, ctx.rep), 1,
                            ctx.graded_basis).matrix
-            images = [rot.mul_vec(v) for v in vecs]
-            assert express_in_span(vecs, images, basis.size) is not None
+            assert express_in_span(family, rot @ family) is not None
 
 
 def test_solution_space_inside_contraction_kernels(ctx_factory):

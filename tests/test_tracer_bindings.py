@@ -33,3 +33,21 @@ def test_tracer_installs_and_restores_every_binding():
         "function_action", "verma_action", "osp_generators", "verify_intertwining"}
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
+
+
+def test_exact_spans_fire_on_a_tiny_intertwiner(capsys):
+    # the spans perfbench/check_tracer.py predicts for the intertwine workload
+    # must keep firing: a refactor that stops calling a traced function would
+    # otherwise leave a stale prediction behind silently
+    from vermaspin import cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["intertwiner", "--p", "3", "--kind", "dirac", "--a", "1",
+                         "--test-degree", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr()
+    assert tracer.fired() >= {"exact.mul_vec", "exact.express_in_span", "exact.rref",
+                              "exact.matmul"}
