@@ -135,8 +135,11 @@ def build_parser():
 
 def _context(args, degree):
     """The Context of the signature, once the top degree's size passes the cap."""
+    for name, count in (("p", args.p), ("q", args.q)):
+        if count < 0:
+            raise SystemExit(_fail("--%s must be nonnegative, got %d" % (name, count)))
     n = args.p + args.q
-    if args.p < 0 or args.q < 0 or n < 3:
+    if n < 3:
         raise SystemExit(_fail("n >= 3 required"))
     if n // 2 >= MAX_COMPONENT_DIM.bit_length():
         # the fiber 2^(n // 2) alone is past the cap; do not compute it
@@ -236,7 +239,7 @@ def cmd_fischer(args):
     spaces = []
     for d in range(args.dmax + 1):
         basis = monogenic_basis(ctx, d)
-        entry = {"d": d, "dim": len(basis.vectors)}
+        entry = {"d": d, "dim": len(basis.rows)}
         if ctx.chirality is not None:
             entry["components"] = {
                 "+": sum(1 for t in basis.chirality if t == "+"),
@@ -290,7 +293,7 @@ def _check(cond, msg=""):
 
 def _selftest_checks():
     """Bounded invariant suite; each yielded callable raises on failure."""
-    from .exact import GaussianRational, SparseMatrix, nullspace, rref, QI_ONE
+    from .exact import GaussianRational, SparseMatrix, nullspace, kernel_vectors, rref, QI_ONE
     from .clifford import Signature, build_gamma_rep, CliffordElement, blade_product
     from .polyspinor import SpinorPoly, assemble
     from .realization import (osp_generators, verma_action, function_action, spinor_fiber,
@@ -317,15 +320,20 @@ def _selftest_checks():
         red, piv = rref(m)
         _check(piv == [0] and red.get(0, 1) == qi(0, 1),
                "rref of [[1, i], [-i, 1]]: pivots %s" % piv)
+        # the kernel as Gaussian-integer rows L v, and its vectors v
         ker = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
-        _check(ker == [{0: qi(1), 1: qi(0, 1)}],
-               "nullspace of [[1, i]]: %d vectors" % len(ker))
+        _check(ker == [{0: (1, 0), 1: (0, 1)}], "nullspace of [[1, i]]: %s" % ker)
+        _check(kernel_vectors(ker) == [{0: qi(1), 1: qi(0, 1)}],
+               "kernel vectors of [[1, i]]: %s" % kernel_vectors(ker))
         # a non-unit Gaussian pivot, and a row with denominators
         ker = nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]))
-        _check(ker == [{0: qi(1), 1: qi(-1, 1)}], "nullspace of [[2, 1+i]]: %s" % ker)
+        _check(ker == [{0: (1, 0), 1: (-1, 1)}], "nullspace of [[2, 1+i]]: %s" % ker)
+        _check(kernel_vectors(ker) == [{0: qi(1), 1: qi(-1, 1)}],
+               "kernel vectors of [[2, 1+i]]: %s" % kernel_vectors(ker))
         ker = nullspace(SparseMatrix.from_dense([[qi(rational(1, 2)), qi(0, rational(1, 3))]]))
-        _check(ker == [{0: qi(1), 1: qi(0, rational(3, 2))}],
-               "nullspace of [[1/2, i/3]]: %s" % ker)
+        _check(ker == [{0: (2, 0), 1: (0, 3)}], "nullspace of [[1/2, i/3]]: %s" % ker)
+        _check(kernel_vectors(ker) == [{0: qi(1), 1: qi(0, rational(3, 2))}],
+               "kernel vectors of [[1/2, i/3]]: %s" % kernel_vectors(ker))
 
     def gamma_relations():
         for (p, q) in [(3, 0), (1, 2), (2, 2), (5, 0), (3, 3)]:

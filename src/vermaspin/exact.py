@@ -15,14 +15,17 @@ vecs)``, where ``from_columns`` is the one place a list of sparse vectors
 becomes a matrix, and ``mul_vec`` is that product for one vector.
 GaussianRational is the boundary type: values go in through the constructor,
 ``from_entries`` and ``from_columns``, and come out of ``get``, ``entries``,
-``columns``, ``mul_vec`` and kernel vectors.
+``columns``, ``mul_vec`` and ``kernel_vectors``.  ``nullspace`` returns its
+kernel as Gaussian-integer rows, and ``kernel_vectors`` is the one place
+they become GaussianRational vectors.
 
 Elimination (``rref``, ``rank``, ``nullspace`` and what is built on them)
 copies the integer rows, normalizes pivot rows by the conjugate of their
-pivot, combines rows fraction-free and keeps them free of integer content.
-One Gauss-Jordan loop does all of it; there is no modular or floating-point
-shortcut.  The kernel is checked exactly against the matrix, in integers,
-by one product; ``express_in_span`` takes and returns matrices.
+pivot, combines rows fraction-free and divides out integer content, except
+where the pivot and the reduced multiplier are 1.  One Gauss-Jordan loop
+does all of it; there is no modular or floating-point shortcut.  The kernel
+is checked exactly against the matrix, in integers, by one product;
+``express_in_span`` takes and returns matrices.
 
 Q(i) arithmetic runs on Python ints alone.  The plain rationals of
 ``rational()`` and ``rational_from_string`` (the twists) are
@@ -48,6 +51,7 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
+    "kernel_vectors",
     "kernel_is_trivial_hint",
     "express_in_span",
 ]
@@ -301,6 +305,13 @@ class SparseMatrix:
         vecs[j] (dict row -> value)."""
         return _from_values(
             rows, len(vecs), ((r, j, v) for j, vec in enumerate(vecs) for r, v in vec.items()))
+
+    @classmethod
+    def from_int_rows(cls, cols, rows):
+        """The len(rows) x cols matrix over den 1 whose row j is the nonempty
+        Gaussian-integer row rows[j] (dict col -> (a, b), no zero entry), as
+        ``nullspace`` returns them; the rows are shared, not copied."""
+        return _matrix(len(rows), cols, dict(enumerate(rows)), 1)
 
     @classmethod
     def from_int_blocks(cls, rows, cols, placed, den):
@@ -657,8 +668,11 @@ def _eliminate(rows, order):
 # {col: (re, im)}, which are den times the rows over Q(i).  A row is only
 # ever replaced by an integer combination of rows, so pivots, row spaces and
 # kernels are exactly those over Q(i).  A normalized pivot is a positive
-# integer N, and every row is divided by its integer content after each
-# step.  An RREF row is divided by its pivot N, a kernel entry is -x/N.
+# integer N.  A row is divided by its integer content after each step,
+# except after a step whose reduced multiplier is 1 and a normalization of a
+# pivot that is already 1: such a row may keep an integer factor, which
+# changes no value read out, because an RREF row is divided by its pivot N
+# and a kernel entry is -x/N.
 
 
 def _gauss_rows(m: SparseMatrix):
@@ -679,8 +693,13 @@ def _divide_content(row):
 
 
 def _normalize_row_gauss(row, c):
-    """row times the conjugate of its pivot, over its content: pivot N > 0."""
+    """row times the conjugate of its pivot, over its content: pivot N > 0.
+
+    A row whose pivot is already 1 is returned as it is.
+    """
     p, q = row[c]
+    if p == 1 and not q:
+        return row
     if q or p < 0:
         row = {k: (a * p + b * q, b * p - a * q) for k, (a, b) in row.items()}
     _divide_content(row)
@@ -691,6 +710,7 @@ def _sub_scaled_row_gauss(target, source, c):
     """target := N target - target[c] source, over its content, in place.
 
     N = source[c] is the normalized pivot of source, so column c cancels.
+    With n = N / gcd(N, target[c]) equal to 1 the content pass is skipped.
     """
     n = source[c][0]
     fre, fim = target[c]
@@ -713,7 +733,8 @@ def _sub_scaled_row_gauss(target, source, c):
                 target[k] = (nre, nim)
             else:
                 del target[k]
-    _divide_content(target)
+    if n != 1:
+        _divide_content(target)
 
 
 def rref(m: SparseMatrix):
@@ -745,17 +766,21 @@ def kernel_is_trivial_hint(m: SparseMatrix):
 
 
 def nullspace(m: SparseMatrix):
-    """Exact basis of {v : m v = 0}, canonical (RREF of the kernel).
+    """Exact basis of {v : m v = 0}, as one Gaussian-integer row per vector.
 
-    Each vector is a dict col -> GaussianRational with first nonzero entry 1;
-    vectors are ordered by leading index.  Pivoting from the last column
-    first leaves every pivot row with entries only in free columns left of
-    its pivot, so e_f - sum_c (row_c[f] / N_c) e_c is already the RREF basis
-    vector of free column f.  The kernel is checked against m before it is
-    returned, in integers and in one product: row j of K is L_j times vector
-    j, with L_j the lcm of the pivots N_c it uses, and K @ m^T (the transpose
-    of m @ K^T) must be zero.  A failure raises ArithmeticError naming the
-    first free column whose vector m does not annihilate.
+    The kernel's canonical basis is its RREF: vector v_j has first nonzero
+    entry 1, and vectors are ordered by leading index.  Row j is w_j = L_j v_j
+    as a dict col -> (a, b), with L_j the least positive integer that clears
+    the denominators of v_j; so w_j is free of integer content and its
+    leading entry is (L_j, 0).  ``kernel_vectors`` turns the rows into the
+    v_j.  Pivoting from the last column first leaves every pivot row with
+    entries only in free columns left of its pivot, so e_f - sum_c
+    (row_c[f] / N_c) e_c is already the RREF basis vector of free column f.
+
+    The rows are checked against m before they are returned, in integers and
+    in one product: K @ m^T (the transpose of m @ K^T), with the rows as K,
+    must be zero.  A failure raises ArithmeticError naming the first free
+    column whose vector m does not annihilate.
     """
     rows = _gauss_rows(m)
     pivots = _eliminate(rows, reversed(range(m.cols)))
@@ -767,20 +792,32 @@ def nullspace(m: SparseMatrix):
             if f != c:
                 terms[f].append((c, n, x))
     kernel = []
-    knum = {}  # the integer rows of K
-    for j, (f, fterms) in enumerate(terms.items()):
+    for f, fterms in terms.items():
         lcm = _lcm(*(n for _, n, _ in fterms))
-        w = knum[j] = {f: (lcm, 0)}
+        w = {f: (lcm, 0)}
         for c, n, (a, b) in fterms:
             s = lcm // n
             w[c] = (-a * s, -b * s)
-        kernel.append({c: _gaussian(a, b, lcm) for c, (a, b) in w.items()})
-    residual = _matrix(len(kernel), m.cols, knum, 1) @ m.transpose()
+        if lcm != 1:
+            _divide_content(w)
+        kernel.append(w)
+    residual = SparseMatrix.from_int_rows(m.cols, kernel) @ m.transpose()
     if not residual.is_zero():
         j = min(residual.num)
         raise ArithmeticError("kernel vector of free column %d is not annihilated by "
                               "the %dx%d matrix" % (list(terms)[j], m.rows, m.cols))
     return kernel
+
+
+def kernel_vectors(rows):
+    """The kernel vectors of ``nullspace``'s rows: each row w over its
+    leading entry (L, 0), as a dict col -> GaussianRational with leading
+    entry 1."""
+    out = []
+    for w in rows:
+        lead = w[min(w)][0]
+        out.append({c: _gaussian(a, b, lead) for c, (a, b) in w.items()})
+    return out
 
 
 def _canonical_basis(vectors, dim):

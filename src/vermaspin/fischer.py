@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exact import SparseMatrix, nullspace, express_in_span
+from .exact import SparseMatrix, nullspace, kernel_vectors, express_in_span
 from .polyspinor import GradedBasis, SpinorPoly, assemble
 from .realization import _osp_cached
 from .context import Context
@@ -40,14 +40,21 @@ __all__ = [
 class MonogenicBasis:
     """Canonical basis of M_a, with per-element chirality tags for even n.
 
-    ``vectors`` are the kernel's coordinate dicts in the degree-a graded
-    basis; the ``elements`` polynomials are built from them on first use.
+    ``rows`` are the kernel rows ``nullspace`` returns, in chirality order:
+    Gaussian-integer coordinate dicts in the degree-a graded basis, each a
+    positive integer multiple of its basis vector.  The ``vectors`` (their
+    GaussianRational coordinate dicts, leading entry 1) and the ``elements``
+    polynomials are built from them on first use.
     """
 
     degree: int
-    vectors: list
+    rows: list
     chirality: list  # '+', '-' or None per element
     basis: GradedBasis = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self):
+        return kernel_vectors(self.rows)
 
     @cached_property
     def elements(self):
@@ -94,7 +101,8 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     with the volume element, which is diagonal in the fiber, so elimination
     never mixes the two halves and every RREF kernel vector lies in one of
     them: the + vectors come first, then the - vectors, each in kernel order
-    (together the RREF bases of M_a^+ and M_a^-).
+    (together the RREF bases of M_a^+ and M_a^-).  The tags are read off the
+    supports of ``nullspace``'s integer rows, which the basis keeps.
     """
     if a < 0:
         raise ValueError("degree must be nonnegative")
@@ -106,20 +114,20 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     op = dirac_matrix(ctx, a)
     kernel = nullspace(op.matrix)
     if ctx.chirality is None:
-        vectors, tags = kernel, [None] * len(kernel)
+        rows, tags = kernel, [None] * len(kernel)
     else:
         halves = {"+": [], "-": []}
-        for v in kernel:
-            halves[ctx.chirality.half_of((i % basis.dim for i in v), a)].append(v)
-        vectors = halves["+"] + halves["-"]
+        for w in kernel:
+            halves[ctx.chirality.half_of((i % basis.dim for i in w), a)].append(w)
+        rows = halves["+"] + halves["-"]
         tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
-    out = MonogenicBasis(degree=a, vectors=vectors, chirality=tags, basis=basis)
+    out = MonogenicBasis(degree=a, rows=rows, chirality=tags, basis=basis)
     ctx.cache[key] = out
     return out
 
 
 def monogenic_dim(ctx: Context, a) -> int:
-    return len(monogenic_basis(ctx, a).vectors)
+    return len(monogenic_basis(ctx, a).rows)
 
 
 def fischer_decompose(ctx: Context, poly: SpinorPoly):

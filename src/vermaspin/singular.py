@@ -40,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .exact import SparseMatrix, QI_ONE, QI_ZERO, nullspace, rational, rational_to_string, qi
+from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, rational,
+                    rational_to_string, qi)
 from .polyspinor import assemble, OperatorSpec
 from .realization import (
     verma_action,
@@ -189,23 +190,26 @@ def singular_vectors(ctx: Context, lam, degree):
     of the stacked system.  :func:`classify` solves on Fischer blocks instead
     (:func:`_solve_blocks`); this full-degree solve is its reference."""
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
-    return [ctx.graded_basis(degree).from_coordinates(v) for v in nullspace(stacked)]
+    return [ctx.graded_basis(degree).from_coordinates(v)
+            for v in kernel_vectors(nullspace(stacked))]
 
 
 def _solve_blocks(ctx: Context, lam, degree, ks):
     """The joint kernel on the Fischer blocks X^k M_(degree-k), k in ``ks``,
     as one ComponentRecord per block where it is nonzero, in ascending k.
 
-    The columns of block k are X^k applied to the monogenic basis of
-    M_(degree-k); the stacked g_i are multiplied onto all columns at once and
-    solved by one exact nullspace.  The joint kernel is Spin-invariant, and
-    the blocks of one degree, and for even n the chirality halves of each
-    M_m, are pairwise non-isomorphic, so every canonical kernel vector lies
-    in the columns of one (block, half) slot.  A vector touching two slots
-    raises ArithmeticError naming the degree and the slots.  The half counted
-    is that of the M_m part, its monogenic tag; X^k moves it into the other
-    fiber half for odd k.  Solving all blocks of a degree requires their
-    columns to number the degree's whole basis.
+    The columns of block k are X^k applied to the kernel rows of M_(degree-k)
+    (``MonogenicBasis.rows``, positive integer multiples of its basis
+    vectors, which leaves every kernel support unchanged); the stacked g_i
+    are multiplied onto all columns at once and solved by one exact
+    nullspace, whose rows give the slots.  The joint kernel is
+    Spin-invariant, and the blocks of one degree, and for even n the
+    chirality halves of each M_m, are pairwise non-isomorphic, so every
+    canonical kernel vector lies in the columns of one (block, half) slot.
+    A vector touching two slots raises ArithmeticError naming the degree and
+    the slots.  The half counted is that of the M_m part, its monogenic tag;
+    X^k moves it into the other fiber half for odd k.  Solving all blocks of
+    a degree requires their columns to number the degree's whole basis.
     """
     rows = ctx.graded_basis(degree).size
     blocks = []
@@ -213,7 +217,7 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     for k in ks:
         m = degree - k
         mono = monogenic_basis(ctx, m)
-        block = SparseMatrix.from_columns(ctx.graded_basis(m).size, mono.vectors)
+        block = SparseMatrix.from_int_rows(ctx.graded_basis(m).size, mono.rows).transpose()
         for t in range(k):
             block = x_mult_matrix(ctx, m + t).matrix @ block
         blocks.append(block)

@@ -65,6 +65,19 @@ def test_small_dimension_rejected(capsys):
     assert "n >= 3 required" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--p", "4", "--q", "-1", "--lambda", "1"], "error: --q must be nonnegative, got -1\n"),
+    (["fischer", "--p", "-2", "--q", "5"], "error: --p must be nonnegative, got -2\n"),
+])
+def test_negative_signature_count_rejected(capsys, monkeypatch, argv, message):
+    # p + q >= 3 here, so the message names the negative count, not n
+    monkeypatch.setattr(cli, "Context", _no_context)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def test_float_lambda_rejected(capsys):
     code, _, err = run(capsys, "classify", "--p", "3", "--q", "0", "--lambda", "0.5")
     assert code == 1

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from vermaspin.exact import (
     rref,
     rank,
     nullspace,
+    kernel_vectors,
     kernel_is_trivial_hint,
     express_in_span,
     QI_ONE,
@@ -213,13 +214,13 @@ def test_rref_rank_one_complex():
 
 def test_nullspace_identity_and_zero():
     assert nullspace(SparseMatrix.identity(3)) == []
-    basis = nullspace(SparseMatrix.zero(2, 2))
+    basis = kernel_vectors(nullspace(SparseMatrix.zero(2, 2)))
     assert basis == [{0: QI_ONE}, {1: QI_ONE}]
 
 
 def test_nullspace_complex_line():
     # x + i y = 0, leading-one normalized solution (1, i)
-    basis = nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]]))
+    basis = kernel_vectors(nullspace(SparseMatrix.from_dense([[qi(1), qi(0, 1)]])))
     assert basis == [{0: QI_ONE, 1: qi(0, 1)}]
 
 
@@ -240,7 +241,7 @@ def test_rank_nullity_random():
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
         m = _random_matrix(rng, rows, cols)
-        basis = nullspace(m)
+        basis = kernel_vectors(nullspace(m))
         assert rank(m) + len(basis) == cols
         for v in basis:
             assert not m.mul_vec(v)
@@ -322,7 +323,7 @@ def test_every_construction_drops_stored_zeros():
     assert express_in_span(SparseMatrix.from_columns(2, [{0: qi(1), 1: QI_ZERO}]),
                            SparseMatrix.from_columns(2, [{0: qi(2)}])) \
         == SparseMatrix.from_dense([[qi(2)]])
-    assert nullspace(line) == [{0: QI_ONE}]
+    assert kernel_vectors(nullspace(line)) == [{0: QI_ONE}]
 
 
 # -- SparseMatrix against a dict-of-GaussianRational oracle -------------------
@@ -505,7 +506,7 @@ def test_engine_matches_dense_oracle(m):
     assert [_densify(got.data[i], m.cols) for i in range(len(pivots))] == red
     assert sorted(got.data) == list(range(len(pivots)))
     assert rank(m) == len(pivots)
-    assert [_densify(v, m.cols) for v in nullspace(m)] == kernel
+    assert [_densify(v, m.cols) for v in kernel_vectors(nullspace(m))] == kernel
     assert kernel_is_trivial_hint(m) == (kernel == [])
 
 
@@ -516,19 +517,110 @@ def test_engine_matches_dense_oracle_large_entries(m):
     test_engine_matches_dense_oracle.hypothesis.inner_test(m)
 
 
+def _check_integer_kernel_rows(m):
+    """nullspace(m) against the dense oracle: row j is L_j v_j, with v_j the
+    oracle's RREF kernel vector and L_j the least positive integer that
+    clears its denominators.  Explicit raises, so it also checks under -O."""
+    oracle = _dense_kernel(_dense(m), m.cols)
+    rows = nullspace(m)
+    if len(rows) != len(oracle):
+        raise AssertionError("%d kernel rows, the oracle has %d" % (len(rows), len(oracle)))
+    for j, (w, v) in enumerate(zip(rows, oracle)):
+        L = lcm(*(x.denominator for pair in v for x in pair))
+        want = {c: (int(re * L), int(im * L)) for c, (re, im) in enumerate(v) if re or im}
+        if w != want:
+            raise AssertionError("row %d is %s, expected %s" % (j, w, want))
+        if gcd(*(x for pair in w.values() for x in pair)) != 1:
+            raise AssertionError("row %d has integer content: %s" % (j, w))
+        if w[min(w)] != (L, 0):
+            raise AssertionError("row %d leads with %s, not (%d, 0)" % (j, w[min(w)], L))
+    if [_densify(v, m.cols) for v in kernel_vectors(rows)] != oracle:
+        raise AssertionError("kernel_vectors differ from the oracle's RREF kernel")
+
+
+_KERNEL_ROW_CASES = {
+    "gaussian-pivot": [[qi(2), qi(1, 1)]],
+    "gaussian-pivots": [[qi(1, 1), qi(2), qi(0, 3)], [qi(0, 1), qi(1, -1), qi(1)]],
+    "non-unit-pivots": [[qi(3), qi(1), qi(2), qi(0)], [qi(0), qi(5), qi(7), qi(4)]],
+    # the step row1 - row0 leaves the row (0, -2, 0): content 2, kept
+    "unit-pivot-row-with-content": [[qi(0), qi(1), qi(1)], [qi(0), qi(-1), qi(1)]],
+    "denominators": [[qi(rational(1, 2)), qi(0, rational(1, 3))]],
+    "denominators-3": [[qi(rational(1, 6)), qi(rational(1, 4)), qi(rational(1, 9))]],
+    "cert-prime": [[qi(rational(1, _CERT_P)), qi(1)], [qi(1), qi(_CERT_P)]],
+    "zero": [[qi(0), qi(0), qi(0)]],
+}
+
+
+@pytest.mark.parametrize("rows", list(_KERNEL_ROW_CASES.values()), ids=list(_KERNEL_ROW_CASES))
+def test_kernel_rows_are_canonical_gaussian_integers(rows):
+    _check_integer_kernel_rows(SparseMatrix.from_dense(rows))
+
+
+def test_unit_pivots_skip_the_content_pass(monkeypatch):
+    # the fast path: a pivot already 1 is not normalized, a step with
+    # multiplier 1 runs no content pass, and the rows still match the oracle
+    def refuse(row):
+        raise AssertionError("content pass on an all-unit-pivot elimination")
+
+    monkeypatch.setattr(exact, "_divide_content", refuse)
+    # every pivot is 1, and every row step has multiplier 1
+    m = SparseMatrix.from_dense([[qi(2), qi(3), qi(1), qi(1)], [qi(5), qi(7), qi(0), qi(1)]])
+    assert nullspace(m) == [{0: (1, 0), 3: (-5, 0), 2: (3, 0)},
+                            {1: (1, 0), 3: (-7, 0), 2: (4, 0)}]
+    _check_integer_kernel_rows(m)
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_match_the_dense_oracle(m):
+    _check_integer_kernel_rows(m)
+
+
+def test_kernel_row_check_runs_under_optimize_flag():
+    # the canonical-row check holds under python -O, and still catches a
+    # kernel row that is off by a factor 2 there
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        ns = runpy.run_path(sys.argv[1])
+        m = ns["SparseMatrix"].from_dense(ns["_KERNEL_ROW_CASES"]["denominators-3"])
+        ns["_check_integer_kernel_rows"](m)
+        check_globals = ns["_check_integer_kernel_rows"].__globals__
+        exact_nullspace = check_globals["nullspace"]
+        check_globals["nullspace"] = lambda m: [
+            {c: (2 * a, 2 * b) for c, (a, b) in w.items()} for w in exact_nullspace(m)]
+        try:
+            ns["_check_integer_kernel_rows"](m)
+        except AssertionError as exc:
+            print("caught:", exc)
+        else:
+            raise SystemExit("a doubled kernel row passed the check")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("caught: row 0 is {0: (4, 0), 2: (-6, 0)}"), proc.stdout
+
+
 def test_integer_rows_keep_content_and_denominators_exact():
     # non-unit Gaussian pivots and rows with denominators: the pivot row is
     # multiplied by its conjugate pivot, rows by the lcm of their denominators
-    assert nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]])) == [{0: QI_ONE, 1: qi(-1, 1)}]
+    assert kernel_vectors(nullspace(SparseMatrix.from_dense([[qi(2), qi(1, 1)]]))) \
+        == [{0: QI_ONE, 1: qi(-1, 1)}]
     red, piv = rref(SparseMatrix.from_dense([[qi(1, 1), qi(2)], [qi(3, 3), qi(6)]]))
     assert piv == [0] and red.data == {0: {0: QI_ONE, 1: qi(1, -1)}}
     half, third = qi(rational(1, 2)), qi(0, rational(1, 3))
-    assert nullspace(SparseMatrix.from_dense([[half, third]])) \
+    assert kernel_vectors(nullspace(SparseMatrix.from_dense([[half, third]]))) \
         == [{0: QI_ONE, 1: qi(0, rational(3, 2))}]
     big = qi(rational(10 ** 6 + 1, 9999), rational(-7, 10 ** 4))
     m = SparseMatrix.from_dense([[big, qi(1)], [big * big, big]])
     assert rank(m) == 1
-    assert nullspace(m) == [{0: QI_ONE, 1: -big}]
+    assert kernel_vectors(nullspace(m)) == [{0: QI_ONE, 1: -big}]
 
 
 def test_denominator_divisible_by_cert_prime():
@@ -540,7 +632,7 @@ def test_denominator_divisible_by_cert_prime():
     # second row is p times the first
     singular = SparseMatrix.from_dense([[tiny, qi(1)], [qi(1), qi(_CERT_P)]])
     assert not kernel_is_trivial_hint(singular)
-    assert nullspace(singular) == [{0: QI_ONE, 1: -tiny}]
+    assert kernel_vectors(nullspace(singular)) == [{0: QI_ONE, 1: -tiny}]
 
 
 def test_imaginary_denominator_divisible_by_cert_prime():
@@ -548,7 +640,7 @@ def test_imaginary_denominator_divisible_by_cert_prime():
     tiny = qi(0, rational(1, _CERT_P))
     line = SparseMatrix.from_dense([[tiny, qi(1)]])
     assert not kernel_is_trivial_hint(line)
-    assert nullspace(line) == [{0: QI_ONE, 1: -tiny}]
+    assert kernel_vectors(nullspace(line)) == [{0: QI_ONE, 1: -tiny}]
     invertible = SparseMatrix.from_dense([[tiny + qi(1), qi(0)], [qi(0), qi(1)]])
     assert kernel_is_trivial_hint(invertible)
     assert nullspace(invertible) == []
@@ -609,7 +701,8 @@ def test_kernel_check_names_the_first_failing_free_column():
     # and under python -O
     message = "kernel vector of free column 0 is not annihilated by the 2x3 matrix"
     m = SparseMatrix.from_dense([[qi(1), qi(2), qi(3)], [qi(0), qi(1), qi(5)]])
-    assert nullspace(m) == [{0: QI_ONE, 1: qi(rational(-5, 7)), 2: qi(rational(1, 7))}]
+    assert kernel_vectors(nullspace(m)) \
+        == [{0: QI_ONE, 1: qi(rational(-5, 7)), 2: qi(rational(1, 7))}]
     with pytest.raises(ArithmeticError, match=message):
         _nullspace_with_off_pivot_increment()
     script = textwrap.dedent("""

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from vermaspin.exact import SparseMatrix, qi, rational, express_in_span, nullspace, _canonical_basis
+from vermaspin.exact import (SparseMatrix, qi, rational, express_in_span, nullspace, kernel_vectors,
+                            _canonical_basis)
 from vermaspin.polyspinor import SpinorPoly, assemble, monomials
 from vermaspin.realization import verma_action
 from vermaspin.fischer import (
@@ -56,7 +57,7 @@ def test_chirality_halves_equal_n4(ctx_factory):
 def _projected_monogenic_basis(ctx, a):
     """Oracle: project ker D onto each half with the fiber projectors, then RREF."""
     basis = ctx.graded_basis(a)
-    kernel = nullspace(dirac_matrix(ctx, a).matrix)
+    kernel = kernel_vectors(nullspace(dirac_matrix(ctx, a).matrix))
     elements, tags = [], []
     for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
         projected = []

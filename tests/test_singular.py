@@ -13,7 +13,7 @@ from vermaspin import exact, realization, singular
 from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
-    _canonical_basis)
+    kernel_vectors, _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import verma_action, invariant_contractions
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
@@ -72,7 +72,7 @@ def _eigensplit(ctx, polys, degree):
     for k in range(degree + 1):
         c = xd_eigenvalue(k, degree - k, ctx.n)
         shifted = coeffs - SparseMatrix.identity(kdim, c)
-        sub = nullspace(shifted)
+        sub = kernel_vectors(nullspace(shifted))
         if not sub:
             continue
         piece_vecs = _canonical_basis(
@@ -177,7 +177,7 @@ def _iterated_singular_vectors(ctx, lam, degree):
         )
         vectors = [
             _combine(vectors, [coeffs.get(j, QI_ZERO) for j in range(len(vectors))])
-            for coeffs in nullspace(restricted)
+            for coeffs in kernel_vectors(nullspace(restricted))
         ]
     return [basis.from_coordinates(v) for v in _canonical_basis(vectors, basis.size)]
 
@@ -658,7 +658,7 @@ def test_block_solve_rejects_an_incomplete_fischer_basis(monkeypatch):
 
     def short(ctx, m):
         mono = full(ctx, m)
-        return replace(mono, vectors=mono.vectors[1:], chirality=mono.chirality[1:])
+        return replace(mono, rows=mono.rows[1:], chirality=mono.chirality[1:])
 
     monkeypatch.setattr(singular, "monogenic_basis", short)
     with pytest.raises(ArithmeticError,

@@ -51,3 +51,24 @@ def test_exact_spans_fire_on_a_tiny_intertwiner(capsys):
     assert code == 0, capsys.readouterr()
     assert tracer.fired() >= {"exact.mul_vec", "exact.express_in_span", "exact.rref",
                               "exact.matmul"}
+
+
+def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys):
+    # the tracer counts a kernel by len(nullspace(m)), one entry per kernel
+    # vector: on fischer that is the sum of the reported monogenic dims
+    import json
+
+    from vermaspin import cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["fischer", "--p", "2", "--q", "2", "--dmax", "3"])
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "exact.nullspace" in tracer.fired()
+    dims = [space["dim"] for space in json.loads(out)["spaces"]]
+    assert dims == [4, 12, 24, 40]
+    assert tracer.metrics()["exact.kernel_dim_total"][0] == sum(dims)
