@@ -320,17 +320,27 @@ class OperatorSpec:
     def nonzero_keys(self):
         """How many (mono, deriv) keys carry a nonzero fiber operator.
 
-        Normal-ordered terms of distinct keys are independent.  Per key, the
-        identity and matrix terms, which ``combined()`` keeps apart, are
-        summed into one matrix, so cancelling terms are not counted.
+        Normal-ordered terms of distinct keys are independent.  The raw terms
+        are folded in one pass, with no ``combined()`` first: per key, the
+        coefficients of each matrix object are summed, identity terms as the
+        one ``SparseMatrix.identity``, and the live pairs become one
+        ``SparseMatrix.combination``.  A key whose coefficients all cancel,
+        or whose matrices sum to zero, is not counted.
         """
         ident = SparseMatrix.identity(self.dim)
         folded = {}
-        for t in self.combined().terms:
-            folded.setdefault((t.mono, t.deriv), []).append(
-                (ident if t.mat is None else t.mat, t.coeff))
-        return sum(1 for pairs in folded.values()
-                   if not SparseMatrix.combination(pairs).is_zero())
+        for mono, deriv, mat, coeff in self.terms:
+            if mat is None:
+                mat = ident
+            by_mat = folded.setdefault((mono, deriv), {})
+            cur = by_mat.get(id(mat))
+            by_mat[id(mat)] = (mat, coeff if cur is None else cur[1] + coeff)
+        count = 0
+        for by_mat in folded.values():
+            live = [(m, c) for m, c in by_mat.values() if c]
+            if live and not SparseMatrix.combination(live).is_zero():
+                count += 1
+        return count
 
     def is_zero(self):
         """Whether the spec is the zero operator: no key is nonzero."""

@@ -41,11 +41,13 @@ __all__ = [
     "dual_fiber",
     "invariant_contractions",
     "contraction_sum",
+    "contraction_at_zero",
     "contraction_slope",
     "clifford_contraction",
     "coordinate_contraction",
     "derivative_contraction",
     "contraction_eigenvalue",
+    "contraction_numerator",
 ]
 
 
@@ -197,8 +199,10 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
 
         1/2 eps_i x_i D^2 + d_i (E - lam + n/2 + 1/2) + 1/2 eps_i e_i D,
 
-    and the grading element acts by -E + lam - n/2 - 1 (the constant is
-    pinned by exact bracket closure; see README).
+    built as one ``_product_sum`` over those three products, so it is
+    normal-ordered and merged once; the grading element acts by
+    -E + lam - n/2 - 1 (the constant is pinned by exact bracket closure; see
+    README).
     """
     n, dim = rep.n, rep.spinor_dim
     sig = rep.sig
@@ -220,11 +224,10 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
         i = gen[1]
         o = _osp_cached(rep)
         half_eps = qi(sig.eps(i) * HALF)
-        term1 = OperatorSpec.coordinate(n, dim, i, half_eps).compose(o.DD)
-        inner = o.E + OperatorSpec.scalar(n, dim, qi(-lam + n * HALF + HALF))
-        term2 = OperatorSpec.derivative(n, dim, i).compose(inner)
-        term3 = OperatorSpec.fiber(n, rep.gamma(i), half_eps).compose(o.D)
-        return (term1 + term2 + term3).combined()
+        return _product_sum([
+            (OperatorSpec.coordinate(n, dim, i, half_eps), o.DD),
+            (OperatorSpec.derivative(n, dim, i), _shifted_euler(o, -lam + n * HALF + HALF)),
+            (OperatorSpec.fiber(n, rep.gamma(i), half_eps), o.D)])
     raise ValueError("unknown generator %r" % (gen,))
 
 
@@ -312,8 +315,13 @@ def _osp_cached(rep: GammaRep) -> _OspProducts:
 
 
 class _Contraction(NamedTuple):
-    """C = sum_j left(rep, j) g_j, whose closed form is at_zero(o) + lam * slope(o)
-    for the stored osp(1|2) products o of the gamma model."""
+    """C = sum_j left(rep, j) g_j, whose closed form is C(0) + lam * slope(o)
+    for the stored osp(1|2) products o of the gamma model.
+
+    ``at_zero(o)`` states C(0) as a list of (a, b) product pairs, C(0) being
+    the sum of a after b over them, so that a closed form, or a residual
+    against it, is one ``_product_sum`` stream; ``slope(o)`` is a spec.
+    """
 
     left: Callable
     at_zero: Callable
@@ -324,31 +332,45 @@ def _shifted_euler(o: _OspProducts, c):
     return o.E + OperatorSpec.scalar(o.E.n, o.E.dim, qi(c))
 
 
+def _one(o: _OspProducts):
+    return OperatorSpec.scalar(o.E.n, o.E.dim, QI_ONE)
+
+
 _CONTRACTIONS = {
     # C1 = sum_j gamma_j g_j = (E - lam + 3/2) D + 1/2 X D^2
     1: _Contraction(
         lambda rep, j: OperatorSpec.fiber(rep.n, rep.gamma(j)),
-        lambda o: _shifted_euler(o, 3 * HALF).compose(o.D) + o.X.compose(o.DD).scale(HALF),
+        lambda o: [(_shifted_euler(o, 3 * HALF), o.D), (o.X.scale(HALF), o.DD)],
         lambda o: o.D.scale(-1)),
     # C2 = sum_j x_j g_j = -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D
     2: _Contraction(
         lambda rep, j: OperatorSpec.coordinate(rep.n, rep.spinor_dim, j),
-        lambda o: (o.XX.compose(o.DD).scale(-HALF) + o.XD.scale(HALF)
-                   + _shifted_euler(o, (o.E.n + 1) * HALF).compose(o.E)),
+        lambda o: [(o.XX.scale(-HALF), o.DD), (o.XD.scale(HALF), _one(o)),
+                   (_shifted_euler(o, (o.E.n + 1) * HALF), o.E)],
         lambda o: o.E.scale(-1)),
     # C3 = sum_j eps_j d_j g_j = (lam - 1/2 E - 2) D^2
     3: _Contraction(
         lambda rep, j: OperatorSpec.derivative(rep.n, rep.spinor_dim, j, qi(rep.sig.eps(j))),
-        lambda o: _shifted_euler(o, 4).compose(o.DD).scale(-HALF),
+        lambda o: [(_shifted_euler(o, 4).scale(-HALF), o.DD)],
         lambda o: o.DD),
 }
 
 
-def contraction_sum(idx, rep: GammaRep, right):
-    """sum_j left_j o right(j) for contraction ``idx``, normal-ordered once;
-    right(j) = g_j(lam) gives the defining sum of C_idx."""
+def contraction_sum(idx, rep: GammaRep, right, minus=()):
+    """sum_j left_j o right(j) for contraction ``idx``, less the sum of a o b
+    over the (a, b) pairs ``minus``, as one ``_product_sum`` stream, merged
+    once; right(j) = g_j(lam) gives the defining sum of C_idx, and ``minus``
+    = ``contraction_at_zero(idx, rep)`` its residual against C(0)."""
     left = _CONTRACTIONS[idx].left
-    return _product_sum([(left(rep, j), right(j)) for j in range(1, rep.n + 1)])
+    pairs = [(left(rep, j), right(j)) for j in range(1, rep.n + 1)]
+    pairs += [(a.scale(-1), b) for a, b in minus]
+    return _product_sum(pairs)
+
+
+def contraction_at_zero(idx, rep: GammaRep):
+    """The lambda-free part C(0) of contraction ``idx``'s closed form, as the
+    (a, b) pairs whose products a o b sum to it."""
+    return _CONTRACTIONS[idx].at_zero(_osp_cached(rep))
 
 
 def contraction_slope(idx, rep: GammaRep):
@@ -358,7 +380,7 @@ def contraction_slope(idx, rep: GammaRep):
 
 def _closed_form(idx, lam, rep: GammaRep):
     c, o = _CONTRACTIONS[idx], _osp_cached(rep)
-    return (c.at_zero(o) + c.slope(o).scale(lam)).combined()
+    return _product_sum(c.at_zero(o) + [(c.slope(o).scale(lam), _one(o))])
 
 
 def invariant_contractions(lam, rep: GammaRep):
@@ -384,6 +406,23 @@ def derivative_contraction(lam, rep: GammaRep):
     return _closed_form(3, lam, rep)
 
 
+def contraction_numerator(idx, k, m, a, b, n):
+    """The scalar of contraction ``idx`` on X^k M_m at lam = a/b (b > 0),
+    times 2b: an integer, zero exactly when the scalar is zero (see
+    :func:`contraction_eigenvalue`)."""
+    if idx == 1:
+        if k % 2 == 0:
+            return -k * ((k - n + 3) * b - 2 * a)
+        return -(2 * m + n + k - 1) * ((k + 2 * m + 2) * b - 2 * a)
+    if idx == 2:
+        s = m + k
+        return (s * (2 * s + n + 1) - k * (2 * m + n + k - 1)) * b - 2 * s * a
+    if idx == 3:
+        ladder = k * (2 * m + n + k - 2) if k % 2 == 0 else (k - 1) * (2 * m + n + k - 1)
+        return ladder * (2 * a - (m + k + 2) * b)
+    raise ValueError("contraction index must be 1, 2 or 3")
+
+
 def contraction_eigenvalue(idx, k, m, lam, n):
     """Exact scalar of contraction ``idx`` on the component X^k M_m.
 
@@ -396,21 +435,9 @@ def contraction_eigenvalue(idx, k, m, lam, n):
         C3:  k (2m + n + k - 2) (lam - (m + k + 2)/2)   k even
              (k - 1) (2m + n + k - 1) (lam - (m + k + 2)/2)   k odd
 
-    each computed in integers over the common denominator 2b.
+    each the integer :func:`contraction_numerator` over the common
+    denominator 2b.
     """
     lam = rational(lam)
-    a, b = lam.numerator, lam.denominator
-    if idx == 1:
-        if k % 2 == 0:
-            num = -k * ((k - n + 3) * b - 2 * a)
-        else:
-            num = -(2 * m + n + k - 1) * ((k + 2 * m + 2) * b - 2 * a)
-    elif idx == 2:
-        s = m + k
-        num = (s * (2 * s + n + 1) - k * (2 * m + n + k - 1)) * b - 2 * s * a
-    elif idx == 3:
-        ladder = k * (2 * m + n + k - 2) if k % 2 == 0 else (k - 1) * (2 * m + n + k - 1)
-        num = ladder * (2 * a - (m + k + 2) * b)
-    else:
-        raise ValueError("contraction index must be 1, 2 or 3")
-    return qi(rational(num, 2 * b))
+    b = lam.denominator
+    return qi(rational(contraction_numerator(idx, k, m, lam.numerator, b, n), 2 * b))

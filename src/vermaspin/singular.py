@@ -21,14 +21,19 @@ blocks land in distinct blocks, so a degree where no block has all three
 scalars zero has no singular vectors, and :func:`classify` skips it without
 assembling or eliminating anything; at a kept degree a singular vector has
 no part in a block where C2's scalar is nonzero, so only the blocks where it
-is zero are solved.  Both rest on the closed forms of the contractions,
-which are affine in lambda, C(lam) = C(0) + lam * slope.  Both parts of each
-closed form used are checked symbolically once per Context: C(0) against the
-defining sum at lambda 0 (:func:`contraction_identity_residual`) and the
-slope against the defining sum's (:func:`contraction_lambda_residual`).  If
-the C2 check fails, ``classify`` solves every degree on all of its blocks;
-if the C1/C3 check fails, it solves every degree that C2 keeps.  The C1/C3
-check runs only when C2 keeps a degree that C1 or C3 would drop.
+is zero are solved; the scalars are tested as the integer numerators of
+``contraction_numerator``.  Both rest on the closed forms of the
+contractions, which are affine in lambda, C(lam) = C(0) + lam * slope.  Both
+parts of each closed form used are checked symbolically once per Context:
+C(0) against the defining sum at lambda 0
+(:func:`contraction_identity_residual`) and the slope against the defining
+sum's (:func:`contraction_lambda_residual`).  Each residual is one
+normal-ordered stream: the defining products and the negated closed-form
+products go through one ``_product_sum``, merged once, and ``is_zero``
+folds the result in one more pass.  If the C2 check fails, ``classify``
+solves every degree on all of its blocks; if the C1/C3 check fails, it
+solves every degree that C2 keeps.  The C1/C3 check runs only when C2 keeps
+a degree that C1 or C3 would drop.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
@@ -45,12 +50,10 @@ from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, ra
 from .polyspinor import assemble, OperatorSpec
 from .realization import (
     verma_action,
-    contraction_eigenvalue,
+    contraction_numerator,
     contraction_sum,
+    contraction_at_zero,
     contraction_slope,
-    clifford_contraction,
-    coordinate_contraction,
-    derivative_contraction,
 )
 from .fischer import monogenic_basis, monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
@@ -348,21 +351,23 @@ def predicted_components(lam_thm, n, d_max):
 def contraction_identity_residual(ctx: Context, idx=2):
     """Defining sum minus closed form of contraction ``idx`` at lambda 0.
 
-    The residual is normal-ordered; it is the zero operator (``is_zero()``)
-    when the closed form holds at lambda 0.  Both sides are affine in lambda;
+    One ``_product_sum`` stream of the defining pairs (left_j, g_j(0)) and
+    the negated closed-form pairs of ``contraction_at_zero``, merged once;
+    it is the zero operator (``is_zero()``) when the closed form holds at
+    lambda 0.  Both sides are affine in lambda;
     :func:`contraction_lambda_residual` compares their slopes.
     """
-    closed = (clifford_contraction, coordinate_contraction, derivative_contraction)[idx - 1]
-    return (contraction_sum(idx, ctx.rep, lambda j: _sc_spec(ctx, j))
-            - closed(rational(0), ctx.rep)).combined()
+    return contraction_sum(idx, ctx.rep, lambda j: _sc_spec(ctx, j),
+                           contraction_at_zero(idx, ctx.rep))
 
 
 def contraction_lambda_residual(ctx: Context, idx):
     """The lambda slope of contraction ``idx``, defining sum minus closed form:
-    g_j(lam) = g_j(0) - lam d_j, so the sum's slope is sum_j left_j (-d_j)."""
+    g_j(lam) = g_j(0) - lam d_j, so the sum's slope is sum_j left_j (-d_j).
+    One ``_product_sum`` stream of (left_j, -d_j) and (-slope, 1)."""
     n, dim = ctx.n, ctx.spinor_dim
-    return (contraction_sum(idx, ctx.rep, lambda j: OperatorSpec.derivative(n, dim, j, qi(-1)))
-            - contraction_slope(idx, ctx.rep)).combined()
+    return contraction_sum(idx, ctx.rep, lambda j: OperatorSpec.derivative(n, dim, j, qi(-1)),
+                           [(contraction_slope(idx, ctx.rep), OperatorSpec.scalar(n, dim, QI_ONE))])
 
 
 def _closed_forms_sound(ctx: Context, idxs):
@@ -379,12 +384,13 @@ def _closed_forms_sound(ctx: Context, idxs):
 
 def _zero_blocks(lam_real, degree, n, idxs):
     """The k of the blocks X^k M_(degree-k) on which every contraction in
-    ``idxs`` acts by zero.
+    ``idxs`` acts by zero, tested on the integer numerators of the scalars.
 
     C1 vanishes on k = 0 and C3 on k < 2, where their scalars are 0.
     """
+    a, b = lam_real.numerator, lam_real.denominator
     return [k for k in range(degree + 1)
-            if all(not contraction_eigenvalue(i, k, degree - k, lam_real, n) for i in idxs)]
+            if all(contraction_numerator(i, k, degree - k, a, b, n) == 0 for i in idxs)]
 
 
 def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, equivariant, realization, singular
+from vermaspin import cli, equivariant, realization
 from vermaspin.exact import rational
 from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
@@ -255,21 +255,27 @@ def test_selftest_fails_under_optimize_flag():
 
 
 def test_selftest_prefilter_check_names_the_signature(monkeypatch):
-    closed = singular.coordinate_contraction
-    monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
-                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    # a closed form off by the scalar 1, broken at its source _CONTRACTIONS
+    def broken(idx):
+        entry = realization._CONTRACTIONS[idx]
+
+        def at_zero(o):
+            one = OperatorSpec.scalar(o.E.n, o.E.dim, 1)
+            return entry.at_zero(o) + [(one, one)]
+
+        return entry._replace(at_zero=at_zero)
+
+    monkeypatch.setitem(realization._CONTRACTIONS, 2, broken(2))
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): .* leaves 1 terms$"):
         check()
-    monkeypatch.setattr(singular, "coordinate_contraction", closed)
-    closed3 = singular.derivative_contraction
-    monkeypatch.setattr(singular, "derivative_contraction", lambda lam, rep: closed3(lam, rep)
-                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    monkeypatch.undo()
+    monkeypatch.setitem(realization._CONTRACTIONS, 3, broken(3))
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): sum_j eps_j d_j g_j\(0\) "
                                              r"- C3\(0\) leaves 1 terms$"):
         check()
-    monkeypatch.setattr(singular, "derivative_contraction", closed3)
+    monkeypatch.undo()
     # a wrong lambda slope of C2 fails its lambda part, which names it
     entry = realization._CONTRACTIONS[2]
     monkeypatch.setitem(realization._CONTRACTIONS, 2,

@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vermaspin.exact import SparseMatrix, qi, rational, QI_ONE
 from vermaspin.polyspinor import (
@@ -450,6 +451,67 @@ def test_is_zero_folds_identity_terms_into_matrix_sums():
     assert not OperatorSpec(3, 2, [OpTerm(z, z, None, qi(2)),
                                    OpTerm(z, z, minus_one, QI_ONE)]).is_zero()
     assert OperatorSpec.zero(3, 2).is_zero()
+
+
+def _nonzero_keys_two_pass(spec):
+    """The fold of ``nonzero_keys`` as it was: ``combined()`` first, then one
+    combination per (mono, deriv) of its identity and matrix terms."""
+    ident = SparseMatrix.identity(spec.dim)
+    folded = {}
+    for t in spec.combined().terms:
+        folded.setdefault((t.mono, t.deriv), []).append(
+            (ident if t.mat is None else t.mat, t.coeff))
+    return sum(1 for pairs in folded.values()
+               if not SparseMatrix.combination(pairs).is_zero())
+
+
+_FOLD_KEYS = [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (1, 0, 0))]
+
+
+def _fold_pool():
+    """Fiber matrices of a 2-dim fiber: the identity (None), gamma_1 twice as
+    one object, gamma_2, minus the identity, -2 gamma_1 as another object,
+    and the zero matrix."""
+    rep = Context(2, 1).rep
+    g1, g2 = rep.gamma(1), rep.gamma(2)
+    return [None, g1, g2, g1, SparseMatrix.identity(2, qi(-1)), g1.scale(-2),
+            SparseMatrix.zero(2, 2)]
+
+
+@st.composite
+def _fold_cases(draw):
+    """Raw terms (key, pool index, coefficient) and the positions of terms
+    whose negation is appended, so some keys cancel exactly."""
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+    raw = draw(st.lists(st.tuples(st.integers(0, len(_FOLD_KEYS) - 1), st.integers(0, 6), coeff),
+                        max_size=8))
+    return raw, draw(st.lists(st.integers(0, 7), max_size=6))
+
+
+@given(_fold_cases())
+@example(([(0, 1, (1, 0)), (0, 0, (2, 1)), (0, 0, (1, 0))], [0, 1, 2]))  # all of key 0 cancels
+@example(([(1, 0, (1, 0)), (1, 4, (1, 0))], []))  # identity + (-identity) cancel
+@example(([(2, 1, (2, 0)), (2, 5, (1, 0)), (0, 2, (0, 1))], []))  # 2 g1 - 2 g1 cancel
+@settings(max_examples=200, deadline=None)
+def test_one_pass_fold_matches_combined_then_fold(case):
+    raw, cancel = case
+    pool = _fold_pool()
+    terms = [OpTerm(*_FOLD_KEYS[k], pool[m], qi(*c)) for k, m, c in raw]
+    terms += [t._replace(coeff=-t.coeff) for t in (terms[i] for i in cancel if i < len(terms))]
+    spec = OperatorSpec(3, 2, terms)
+    assert spec.nonzero_keys() == _nonzero_keys_two_pass(spec)
+    assert spec.is_zero() == (spec.nonzero_keys() == 0)
+
+
+def test_one_pass_fold_of_an_all_cancelling_key_is_zero():
+    # every coefficient of the only key cancels: the fold counts 0 and never
+    # asks for the empty combination
+    z = (0, 0, 0)
+    g1 = Context(2, 1).rep.gamma(1)
+    spec = OperatorSpec(3, 2, [OpTerm(z, z, g1, qi(2)), OpTerm(z, z, None, QI_ONE),
+                               OpTerm(z, z, g1, qi(-2)), OpTerm(z, z, None, qi(-1))])
+    assert spec.nonzero_keys() == 0 and spec.is_zero()
+    assert spec.combined().terms == []
 
 
 def test_assemble_rejects_mixed_shift():

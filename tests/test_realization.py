@@ -169,6 +169,31 @@ def test_function_action_g_matches_the_composition_chain(ctx_factory, n):
                     assert not new.is_zero()
 
 
+def _verma_action_g_chain(i, lam, rep):
+    """g_i of the polynomial model as three compositions summed and merged,
+    as before it was normal-ordered by one product sum."""
+    n, dim = rep.n, rep.spinor_dim
+    o = _osp_cached(rep)
+    half_eps = qi(rep.sig.eps(i) * rational(1, 2))
+    term1 = OperatorSpec.coordinate(n, dim, i, half_eps).compose(o.DD)
+    inner = o.E + OperatorSpec.scalar(n, dim, qi(-lam + n * rational(1, 2) + rational(1, 2)))
+    term2 = OperatorSpec.derivative(n, dim, i).compose(inner)
+    term3 = OperatorSpec.fiber(n, rep.gamma(i), half_eps).compose(o.D)
+    return (term1 + term2 + term3).combined()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verma_action_g_matches_the_composition_chain(ctx_factory, n):
+    for p in range(n, -1, -1):
+        rep = ctx_factory(p, n - p).rep
+        for lam in (rational(0), rational(-5, 3)):
+            for i in range(1, n + 1):
+                new = verma_action(("g", i), lam, rep)
+                assert (new - _verma_action_g_chain(i, lam, rep)).is_zero(), \
+                    ((p, n - p), i, str(lam))
+                assert not new.is_zero()
+
+
 def test_osp_examples(ctx_factory):
     ctx = ctx_factory(3, 0)
     D, E, X = osp_generators(ctx.rep)

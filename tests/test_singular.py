@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vermaspin import exact, realization, singular
+from vermaspin import exact, polyspinor, realization, singular
 from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
     kernel_vectors, _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
-from vermaspin.realization import verma_action, invariant_contractions
+from vermaspin.realization import (
+    verma_action, invariant_contractions, contraction_eigenvalue, contraction_slope,
+    contraction_sum, _osp_cached)
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
 from vermaspin.singular import (
     ClassificationReport,
@@ -553,6 +555,17 @@ def _spy_solve_blocks(monkeypatch):
     return solved
 
 
+def _break_closed_form(monkeypatch, idx):
+    """Add the scalar 1 to C_idx(0) at its source, ``_CONTRACTIONS``."""
+    entry = realization._CONTRACTIONS[idx]
+
+    def at_zero(o):
+        one = OperatorSpec.scalar(o.E.n, o.E.dim, 1)
+        return entry.at_zero(o) + [(one, one)]
+
+    monkeypatch.setitem(realization._CONTRACTIONS, idx, entry._replace(at_zero=at_zero))
+
+
 def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     # with C2's closed form unverified, every degree is solved on all of its blocks
     lam = rational(5, 2)
@@ -560,9 +573,7 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     expect = classify(Context(3, 0), lam, 4).to_json()
     assert solved == [(0, [0]), (2, [0])]
 
-    closed = singular.coordinate_contraction
-    monkeypatch.setattr(singular, "coordinate_contraction", lambda lam, rep: closed(lam, rep)
-                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
+    _break_closed_form(monkeypatch, 2)
     ctx = Context(3, 0)
     assert contraction_identity_residual(ctx).terms
     solved.clear()
@@ -578,11 +589,9 @@ def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, cl
     lam = rational(5, 2)
     expect = classify(Context(3, 0), lam, 4).to_json()
     solved = _spy_solve_blocks(monkeypatch)
-    closed = getattr(singular, closed_form)
-    monkeypatch.setattr(singular, closed_form, lambda lam, rep: closed(lam, rep)
-                        + OperatorSpec.scalar(rep.n, rep.spinor_dim, 1))
-    ctx = Context(3, 0)
     idx = 1 if closed_form == "clifford_contraction" else 3
+    _break_closed_form(monkeypatch, idx)
+    ctx = Context(3, 0)
     assert not contraction_identity_residual(ctx, idx).is_zero()
     assert classify(ctx, lam, 4).to_json() == expect
     assert solved == [(0, [0]), (2, [0]), (4, [2])]
@@ -710,6 +719,115 @@ def test_closed_form_check_catches_a_wrong_lambda_slope(monkeypatch, ctx_factory
         assert solved == [(d, list(range(d + 1))) for d in range(5)]
     else:
         assert solved == [(0, [0]), (2, [0]), (4, [2])]
+
+
+def _closed_form_at_zero_chain(idx, rep):
+    """C_idx(0) composed and summed one product at a time, then merged, as
+    the closed forms were built before they became product pairs."""
+    o = _osp_cached(rep)
+    n, dim = rep.n, rep.spinor_dim
+
+    def shifted(c):
+        return o.E + OperatorSpec.scalar(n, dim, qi(c))
+
+    if idx == 1:
+        spec = shifted(3 * HALF).compose(o.D) + o.X.compose(o.DD).scale(HALF)
+    elif idx == 2:
+        spec = (o.XX.compose(o.DD).scale(-HALF) + o.XD.scale(HALF)
+                + shifted((n + 1) * HALF).compose(o.E))
+    else:
+        spec = shifted(4).compose(o.DD).scale(-HALF)
+    return spec.combined()
+
+
+def _residuals_three_step(ctx, idx, lam):
+    """Defining sum at ``lam`` minus C(0), and the slope residual, each
+    merged on its own and subtracted with one more merge."""
+    n, dim = ctx.n, ctx.spinor_dim
+    g = {j: verma_action(("g", j), lam, ctx.rep) for j in range(1, n + 1)}
+    identity = (contraction_sum(idx, ctx.rep, g.get)
+                - _closed_form_at_zero_chain(idx, ctx.rep)).combined()
+    slope = (contraction_sum(idx, ctx.rep, lambda j: OperatorSpec.derivative(n, dim, j, qi(-1)))
+             - contraction_slope(idx, ctx.rep)).combined()
+    return identity, slope
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_stream_residuals_match_the_three_step_form(ctx_factory, n):
+    # lambda 0 is the checked residual, which is zero; at lambda -5/3 the
+    # defining sum less C(0) is lambda times the slope, a nonzero residual
+    for p in range(n, -1, -1):
+        ctx = ctx_factory(p, n - p)
+        lam = rational(-5, 3)
+        g = {j: verma_action(("g", j), lam, ctx.rep) for j in range(1, n + 1)}
+        for idx in (1, 2, 3):
+            old_identity, old_slope = _residuals_three_step(ctx, idx, rational(0))
+            new_identity = contraction_identity_residual(ctx, idx)
+            new_slope = contraction_lambda_residual(ctx, idx)
+            assert (new_identity - old_identity).is_zero(), ((p, n - p), idx)
+            assert (new_slope - old_slope).is_zero(), ((p, n - p), idx)
+            assert new_identity.is_zero() and new_slope.is_zero()
+            old_at_lam, _ = _residuals_three_step(ctx, idx, lam)
+            new_at_lam = contraction_sum(idx, ctx.rep, g.get,
+                                         realization.contraction_at_zero(idx, ctx.rep))
+            assert (new_at_lam - old_at_lam).is_zero(), ((p, n - p), idx)
+            assert not new_at_lam.is_zero()
+
+
+@pytest.mark.parametrize("idx", [1, 2, 3])
+def test_closed_form_check_catches_a_wrong_closed_form_at_zero(monkeypatch, idx):
+    # C_idx(0) off by the scalar 1 fails the check of exactly the sets that hold idx
+    _break_closed_form(monkeypatch, idx)
+    for sig in ((2, 1), (3, 0), (2, 2)):
+        ctx = Context(*sig)
+        assert not contraction_identity_residual(ctx, idx).is_zero()
+        assert contraction_lambda_residual(ctx, idx).is_zero()
+        for idxs in ((1,), (2,), (3,), (1, 3), (2, 1, 3)):
+            assert singular._closed_forms_sound(ctx, idxs) == (idx not in idxs), (sig, idxs)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 2), (3, 2)])
+def test_c2_check_merges_once_per_product_sum(monkeypatch, sig):
+    # with D, E, X and their products stored by an earlier Context, the C2
+    # check of a fresh Context merges n times for the g_j(0), once for the
+    # identity residual and once for the slope residual; is_zero merges nothing
+    assert singular._closed_forms_sound(Context(*sig), (2,))
+    calls = []
+    merged = polyspinor._merged
+
+    def counted(*args):
+        calls.append(args[:3])
+        return merged(*args)
+
+    monkeypatch.setattr(polyspinor, "_merged", counted)
+    ctx = Context(*sig)
+    assert singular._closed_forms_sound(ctx, (2,))
+    assert len(calls) == ctx.n + 2
+
+
+def _special_twists(n):
+    """Twists of the twistor and Dirac-power cases of the case table, and a
+    few generic ones near them."""
+    twists = {rational(2 * m + 1, 2) for m in range(1, 6)}          # lam - 1/2 natural
+    twists |= {rational(2 * k - n + 1, 2) for k in range(1, 9)}     # lam + n/2 - 1/2 natural
+    twists |= {t + rational(1, 3) for t in list(twists)}
+    twists |= {rational(num, den) for den in (1, 2, 5) for num in range(-6 * den, 6 * den + 1)}
+    return sorted(twists)
+
+
+def test_integer_prefilter_matches_the_exact_scalars():
+    cases = set()
+    for n in range(3, 9):
+        for lam_thm in _special_twists(n):
+            cases.add(predicted_components(lam_thm, n, 8)[0])
+            lam_real = lam_thm + rational(n, 2)
+            for d in range(9):
+                for idxs in ((2,), (2, 1, 3), (1, 3)):
+                    expect = [k for k in range(d + 1) if all(
+                        not contraction_eigenvalue(i, k, d - k, lam_real, n) for i in idxs)]
+                    assert singular._zero_blocks(lam_real, d, n, idxs) == expect, \
+                        (n, str(lam_thm), d, idxs)
+    assert cases == {"generic", "twistor", "dirac-power", "both"}
 
 
 def test_sharp_prefilter_keeps_exactly_the_predicted_degrees():
