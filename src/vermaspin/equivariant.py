@@ -42,7 +42,7 @@ from .exact import (
 from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
                           bracket_multiple)
-from .fischer import monogenic_basis
+from .fischer import apply_x_power, monogenic_basis
 from .singular import special_conformal_matrices
 from .context import Context
 
@@ -163,13 +163,13 @@ class IntertwiningReport:
 # ---------------------------------------------------------------------------
 
 
-def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
-                         verify_singular=True) -> EquivariantOperator:
+def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic") -> EquivariantOperator:
     """Dualize a singular-vector family into a differential operator.
 
     ``svs`` is one SpinorPoly or a list spanning a single isotypic component
     at theorem twist lam_thm; each monomial x^a (x) w of the r-th family
-    member becomes row r of the coefficient matrix of d^a.
+    member becomes row r of the coefficient matrix of d^a.  Every member is
+    checked exactly to be singular first.
     """
     if isinstance(svs, SpinorPoly):
         svs = [svs]
@@ -183,10 +183,9 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic",
     lam_real = lam_thm + rational(ctx.n, 2)
     basis = ctx.graded_basis(degree)
     family = SparseMatrix.from_columns(basis.size, [basis.coordinates(sv) for sv in svs])
-    if verify_singular:
-        for mat in special_conformal_matrices(ctx, lam_real, degree):
-            if not (mat @ family).is_zero():
-                raise ValueError("family member is not a singular vector")
+    for mat in special_conformal_matrices(ctx, lam_real, degree):
+        if not (mat @ family).is_zero():
+            raise ValueError("family member is not a singular vector")
     dim_s = ctx.spinor_dim
     coeffs = {}
     for r, sv in enumerate(svs):
@@ -350,7 +349,7 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
 # ---------------------------------------------------------------------------
 
 
-def dirac_power(a, ctx: Context, verify=True) -> EquivariantOperator:
+def dirac_power(a, ctx: Context) -> EquivariantOperator:
     """Order-a conformal power of the Dirac operator (a odd).
 
     Built from the canonical singular family X^a applied to the spinor basis
@@ -362,27 +361,15 @@ def dirac_power(a, ctx: Context, verify=True) -> EquivariantOperator:
         raise ValueError("order of a Dirac power must be odd")
     n = ctx.n
     lam_thm = -rational(n - 2 - a, 2)
-    family = _x_power_family(a, ctx)
-    op = from_singular_vector(family, lam_thm, ctx, kind="dirac-power",
-                              verify_singular=verify)
+    family = [apply_x_power(ctx, a, SpinorPoly.constant(n, ctx.spinor_dim, b))
+              for b in range(ctx.spinor_dim)]
+    op = from_singular_vector(family, lam_thm, ctx, kind="dirac-power")
     naive = dual_dirac_symbol(a, ctx)
     op.dirac_symbol_ratio = _proportionality(op.coefficients, naive)
     return op
 
 
-def _x_power_family(a, ctx: Context):
-    """X^a applied to each spinor basis vector, as explicit polynomials."""
-    from .fischer import x_power_matrix
-    basis0 = ctx.graded_basis(0)
-    xk = x_power_matrix(ctx, a, 0)
-    out = []
-    for b in range(ctx.spinor_dim):
-        coords = xk.mul_vec({basis0.index((0,) * ctx.n, b): QI_ONE})
-        out.append(ctx.graded_basis(a).from_coordinates(coords))
-    return out
-
-
-def twistor(a, ctx: Context, verify=True) -> EquivariantOperator:
+def twistor(a, ctx: Context) -> EquivariantOperator:
     """Order-a twistor operator with target the dual of the monogenic space."""
     if a < 1:
         raise ValueError("twistor order must be a positive integer")
@@ -390,8 +377,7 @@ def twistor(a, ctx: Context, verify=True) -> EquivariantOperator:
     family = monogenic_basis(ctx, a).elements
     if not family:
         raise ValueError("no singular vectors at this order")
-    return from_singular_vector(family, lam_thm, ctx, kind="twistor",
-                                verify_singular=verify)
+    return from_singular_vector(family, lam_thm, ctx, kind="twistor")
 
 
 def dual_dirac_symbol(a, ctx: Context):
@@ -415,21 +401,18 @@ def dual_dirac_symbol(a, ctx: Context):
 
 
 def _proportionality(coeffs_a, coeffs_b):
-    """The exact constant c with A = c * B entrywise, or None."""
-    if set(coeffs_a) != set(coeffs_b):
+    """The exact constant c with A = c * B entrywise, or None.
+
+    c is read off the first entry of A, and then every key is compared
+    exactly.
+    """
+    first = next(((key, r, c, v) for key, a in coeffs_a.items() for r, c, v in a.entries()),
+                 None)
+    if first is None or set(coeffs_a) != set(coeffs_b):
         return None
-    ratio = None
-    for key in coeffs_a:
-        a, b = coeffs_a[key], coeffs_b[key]
-        for r, c, v in a.entries():
-            w = b.get(r, c)
-            if not w:
-                return None
-            cur = v / w
-            if ratio is None:
-                ratio = cur
-            elif cur != ratio:
-                return None
-        if ratio is not None and b.scale(ratio) != a:
-            return None
-    return ratio
+    key, r, c, v = first
+    w = coeffs_b[key].get(r, c)
+    if not w:
+        return None
+    ratio = v / w
+    return ratio if all(coeffs_b[k].scale(ratio) == a for k, a in coeffs_a.items()) else None

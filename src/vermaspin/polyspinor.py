@@ -12,8 +12,11 @@ An :class:`OperatorSpec` is a symbolic sum of terms
 with M a fiber matrix (None for the identity).  A spec maps polynomials
 with values in a ``dim``-dimensional fiber to polynomials with values in a
 ``tdim``-dimensional one, so every M is tdim x dim.  Specs are closed under
-sum, scaling and composition; composition streams the terms of one
-Leibniz kernel, ``_leibniz``, into ``_merged``, the merge of ``combined()``.
+sum, scaling and composition.  One fold, ``_fold``, is the normal form: it
+leaves at most one nonzero term per (mono, deriv), folding identity terms
+into the matrices of their key.  ``combined()`` returns it, ``is_zero`` and
+``nonzero_keys`` read it, and composition streams the terms of one Leibniz
+kernel, ``_leibniz``, into it through ``_merged``.
 :func:`assemble` is the one routine that turns a spec into an exact sparse
 matrix between graded components; :meth:`OperatorSpec.apply` goes through it.
 """
@@ -31,7 +34,6 @@ from .exact import (
     GaussianRational,
     SparseMatrix,
     QI_ONE,
-    QI_ZERO,
     qi,
 )
 
@@ -308,43 +310,25 @@ class OperatorSpec:
         return _product_sum([(self, other)])
 
     def combined(self):
-        """Merge like terms, one (mono, deriv) at a time.
+        """The canonical form: at most one term per (mono, deriv), none zero.
 
-        Identity-fiber terms sum their coefficients.  Matrix terms first sum
-        the coefficients of each matrix object; a lone surviving matrix keeps
-        its summed coefficient, and several become one
-        ``SparseMatrix.combination``.  Terms that cancel are dropped.
+        Per key the coefficients of each matrix object are summed.  A lone
+        surviving object keeps its summed coefficient; several, the identity
+        among them as ``SparseMatrix.identity``, become one
+        ``SparseMatrix.combination``.  A key whose operator is zero, a lone
+        zero fiber matrix included, is dropped.
         """
         return _merged(self.n, self.dim, self.tdim, self.terms)
 
     def nonzero_keys(self):
-        """How many (mono, deriv) keys carry a nonzero fiber operator.
-
-        Normal-ordered terms of distinct keys are independent.  The raw terms
-        are folded in one pass, with no ``combined()`` first: per key, the
-        coefficients of each matrix object are summed, identity terms as the
-        one ``SparseMatrix.identity``, and the live pairs become one
-        ``SparseMatrix.combination``.  A key whose coefficients all cancel,
-        or whose matrices sum to zero, is not counted.
-        """
-        ident = SparseMatrix.identity(self.dim)
-        folded = {}
-        for mono, deriv, mat, coeff in self.terms:
-            if mat is None:
-                mat = ident
-            by_mat = folded.setdefault((mono, deriv), {})
-            cur = by_mat.get(id(mat))
-            by_mat[id(mat)] = (mat, coeff if cur is None else cur[1] + coeff)
-        count = 0
-        for by_mat in folded.values():
-            live = [(m, c) for m, c in by_mat.values() if c]
-            if live and not SparseMatrix.combination(live).is_zero():
-                count += 1
-        return count
+        """How many (mono, deriv) keys carry a nonzero fiber operator: the
+        length of the canonical form.  Normal-ordered terms of distinct keys
+        are independent."""
+        return len(_fold(self.dim, self.terms))
 
     def is_zero(self):
-        """Whether the spec is the zero operator: no key is nonzero."""
-        return self.nonzero_keys() == 0
+        """Whether the spec is the zero operator: its canonical form is empty."""
+        return not _fold(self.dim, self.terms)
 
     def shifts(self):
         return sorted({t.shift for t in self.terms})
@@ -403,29 +387,31 @@ def _reorder_1d(d, m):
     return tuple(out)
 
 
-def _merged(n, dim, tdim, terms):
-    """The spec of (mono, deriv, mat, coeff) tuples, like terms merged (see combined)."""
-    scalars = {}
-    matrices = {}
+def _fold(dim, terms):
+    """The canonical OpTerms of (mono, deriv, mat, coeff) tuples (see combined)."""
+    folded = {}
     for mono, deriv, mat, coeff in terms:
-        key = (mono, deriv)
-        if mat is None:
-            scalars[key] = scalars.get(key, QI_ZERO) + coeff
-        else:
-            by_mat = matrices.setdefault(key, {})
-            cur = by_mat.get(id(mat))
-            by_mat[id(mat)] = (mat, coeff if cur is None else cur[1] + coeff)
-    out = [OpTerm(key[0], key[1], None, c) for key, c in scalars.items() if c]
-    for key, by_mat in matrices.items():
+        by_mat = folded.setdefault((mono, deriv), {})
+        cur = by_mat.get(id(mat))
+        by_mat[id(mat)] = (mat, coeff if cur is None else cur[1] + coeff)
+    out = []
+    for (mono, deriv), by_mat in folded.items():
         live = [(m, c) for m, c in by_mat.values() if c]
         if len(live) == 1:
-            out.append(OpTerm(key[0], key[1], *live[0]))
-            continue
-        if live:
-            total = SparseMatrix.combination(live)
+            mat = live[0][0]
+            if mat is None or not mat.is_zero():
+                out.append(OpTerm(mono, deriv, *live[0]))
+        elif live:
+            total = SparseMatrix.combination(
+                [(SparseMatrix.identity(dim) if m is None else m, c) for m, c in live])
             if not total.is_zero():
-                out.append(OpTerm(key[0], key[1], total, QI_ONE))
-    return OperatorSpec(n, dim, out, tdim)
+                out.append(OpTerm(mono, deriv, total, QI_ONE))
+    return out
+
+
+def _merged(n, dim, tdim, terms):
+    """The spec of (mono, deriv, mat, coeff) tuples in canonical form."""
+    return OperatorSpec(n, dim, _fold(dim, terms), tdim)
 
 
 def _product_sum(pairs):

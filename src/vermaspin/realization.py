@@ -43,9 +43,6 @@ __all__ = [
     "contraction_sum",
     "contraction_at_zero",
     "contraction_slope",
-    "clifford_contraction",
-    "coordinate_contraction",
-    "derivative_contraction",
     "contraction_eigenvalue",
     "contraction_numerator",
 ]
@@ -163,14 +160,11 @@ def osp_generators(rep: GammaRep):
     D lowers polynomial degree by one, X raises it by one, E preserves it.
     """
     n, dim = rep.n, rep.spinor_dim
-    sig = rep.sig
-    D = OperatorSpec.zero(n, dim)
-    X = OperatorSpec.zero(n, dim)
-    for j in range(1, n + 1):
-        D = D + OperatorSpec.fiber(n, rep.gamma(j)).compose(
-            OperatorSpec.derivative(n, dim, j))
-        X = X + OperatorSpec.fiber(n, rep.gamma(j)).compose(
-            OperatorSpec.coordinate(n, dim, j)).scale(sig.eps(j))
+    z = (0,) * n
+    js = range(1, n + 1)
+    D = OperatorSpec(n, dim, [OpTerm(z, _unit(n, j), rep.gamma(j), QI_ONE) for j in js])
+    X = OperatorSpec(n, dim, [OpTerm(_unit(n, j), z, rep.gamma(j), qi(rep.sig.eps(j)))
+                              for j in js])
     return D, _euler(n, dim), X
 
 
@@ -214,12 +208,8 @@ def verma_action(gen, lam, rep: GammaRep) -> OperatorSpec:
         return E.scale(-1) + OperatorSpec.scalar(n, dim, qi(lam - n * HALF - 1))
     if kind == "l":
         i, j = gen[1], gen[2]
-        eij = qi(sig.eps(i) * sig.eps(j))
-        spec = OperatorSpec.coordinate(n, dim, i, eij).compose(
-            OperatorSpec.derivative(n, dim, j))
-        spec = spec + OperatorSpec.coordinate(n, dim, j, qi(-1)).compose(
-            OperatorSpec.derivative(n, dim, i))
-        return spec + OperatorSpec.fiber(n, so_generator(i, j, rep))
+        return _rotation(n, dim, i, j, qi(sig.eps(i) * sig.eps(j)), qi(-1),
+                         so_generator(i, j, rep))
     if kind == "g":
         i = gen[1]
         o = _osp_cached(rep)
@@ -256,12 +246,7 @@ def function_action(gen, lam, rep: GammaRep, fiber) -> OperatorSpec:
         return _euler(n, dim) + OperatorSpec.scalar(n, dim, qi(lam + n * HALF))
     if kind == "l":
         i, j = gen[1], gen[2]
-        eij = qi(sig.eps(i) * sig.eps(j))
-        spec = OperatorSpec.coordinate(n, dim, j, -eij).compose(
-            OperatorSpec.derivative(n, dim, i))
-        spec = spec + OperatorSpec.coordinate(n, dim, i).compose(
-            OperatorSpec.derivative(n, dim, j))
-        return spec + OperatorSpec.fiber(n, fib(i, j))
+        return _rotation(n, dim, j, i, qi(-sig.eps(i) * sig.eps(j)), QI_ONE, fib(i, j))
     if kind == "g":
         # -1/2 eps_i sum_j eps_j x_j^2 d_i + x_i (E + lam + n/2) + sum_j x_j pair(i, j),
         # normal-ordered once; the (i, i) rotation is zero
@@ -278,10 +263,23 @@ def function_action(gen, lam, rep: GammaRep, fiber) -> OperatorSpec:
     raise ValueError("unknown generator %r" % (gen,))
 
 
+def _unit(n, j):
+    """The exponent tuple of x_j, or the multi-index of d_j (1-based)."""
+    return tuple(int(k == j - 1) for k in range(n))
+
+
 def _euler(n, dim):
     """E = sum_j x_j d_j, whose terms are already normal-ordered."""
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    units = [_unit(n, j) for j in range(1, n + 1)]
     return OperatorSpec(n, dim, [OpTerm(e, e, None, QI_ONE) for e in units])
+
+
+def _rotation(n, dim, i, j, a, b, mat):
+    """a x_i d_j + b x_j d_i + mat, whose terms are already normal-ordered."""
+    ei, ej = _unit(n, i), _unit(n, j)
+    z = (0,) * n
+    return OperatorSpec(n, dim, [OpTerm(ei, ej, None, a), OpTerm(ej, ei, None, b),
+                                 OpTerm(z, z, mat, QI_ONE)])
 
 
 class _OspProducts(NamedTuple):
@@ -389,21 +387,6 @@ def invariant_contractions(lam, rep: GammaRep):
     g = {j: verma_action(("g", j), lam, rep) for j in range(1, rep.n + 1)}
     return tuple((contraction_sum(idx, rep, g.get), _closed_form(idx, lam, rep))
                  for idx in (1, 2, 3))
-
-
-def clifford_contraction(lam, rep: GammaRep):
-    """Closed form of C1: (E - lam + 3/2) D + 1/2 X D^2."""
-    return _closed_form(1, lam, rep)
-
-
-def coordinate_contraction(lam, rep: GammaRep):
-    """Closed form of C2: -1/2 X^2 D^2 + (E - lam + n/2 + 1/2) E + 1/2 X D."""
-    return _closed_form(2, lam, rep)
-
-
-def derivative_contraction(lam, rep: GammaRep):
-    """Closed form of C3: (lam - 1/2 E - 2) D^2."""
-    return _closed_form(3, lam, rep)
 
 
 def contraction_numerator(idx, k, m, a, b, n):

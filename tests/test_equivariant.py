@@ -38,6 +38,16 @@ def test_first_power_is_dirac_symbol(ctx_factory):
         deriv = tuple(1 if k == j - 1 else 0 for k in range(3))
         assert op.coefficients[deriv] == ctx.rep.gamma(j).transpose()
     assert op.dirac_symbol_ratio == QI_ONE
+    # the ratio is read off one entry, then every key is compared exactly
+    ratio = equivariant._proportionality
+    coeffs = op.coefficients
+    keys = list(coeffs)
+    c = qi(2, -3)
+    assert ratio({k: m.scale(c) for k, m in coeffs.items()}, coeffs) == c
+    off = {k: m.scale(c if k != keys[-1] else c * 2) for k, m in coeffs.items()}
+    assert ratio(off, coeffs) is None
+    assert ratio({k: coeffs[k] for k in keys[:-1]}, coeffs) is None
+    assert ratio({}, {}) is None
 
 
 def test_pi_star_pair_values(ctx_factory):

@@ -24,7 +24,8 @@ from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
 from vermaspin.realization import (
     dual_fiber, function_action, generators, invariant_contractions, spinor_fiber, verma_action)
-from vermaspin.singular import special_conformal_matrices
+from vermaspin.singular import (
+    contraction_identity_residual, contraction_lambda_residual, special_conformal_matrices)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -254,18 +255,37 @@ def test_combined_groups_by_matrix_object():
         OpTerm(m, z, None, qi(4)), OpTerm(m, z, None, qi(-4)),
     ]
     assert OperatorSpec(3, 2, cancelling).combined().terms == []
+    zero = SparseMatrix.zero(2, 2)
     spec = OperatorSpec(3, 2, cancelling + [
         OpTerm(m, z, g2, qi(1, 5)), OpTerm(m, z, g2, qi(-1, 5)),     # lone matrix, sum 10i
         OpTerm(z, z, g1, QI_ONE), OpTerm(z, z, g2, qi(0, 1)),        # two matrices summed
+        OpTerm(m, m, None, qi(2)), OpTerm(m, m, g1, QI_ONE),         # identity folded in
+        OpTerm(d, d, zero, qi(5)),                                   # lone zero matrix
     ])
-    lone, pair = spec.combined().terms
+    lone, pair, mixed = spec.combined().terms
     assert (lone.mono, lone.deriv, lone.coeff) == (m, z, qi(0, 10)) and lone.mat is g2
     assert (pair.mono, pair.deriv, pair.coeff) == (z, z, QI_ONE)
     assert pair.mat == g1 + g2.scale(qi(0, 1))
+    assert (mixed.mono, mixed.deriv, mixed.coeff) == (m, m, QI_ONE)
+    assert mixed.mat == SparseMatrix.identity(2, qi(2)) + g1
+    _assert_canonical(spec)
+    lone_zero = OperatorSpec(3, 2, [OpTerm(d, d, zero, qi(5))])
+    assert lone_zero.combined().terms == [] and lone_zero.is_zero()
+    assert lone_zero.nonzero_keys() == 0
     for degree in range(4):
         expect = _term_by_term(spec, degree)
         assert _term_by_term(spec.combined(), degree) == expect
         assert set(expect) <= {0, 1}
+    # every generator spec of both pictures, and the six prefilter residuals,
+    # are built in canonical form: the residuals with no term at all
+    for ctx in (Context(3, 0), Context(2, 2)):
+        for spec in _action_specs(ctx, rational(-3, 2)):
+            _assert_canonical(spec)
+            assert spec.combined().terms == spec.terms
+        for idx in (1, 2, 3):
+            for residual in (contraction_identity_residual(ctx, idx),
+                             contraction_lambda_residual(ctx, idx)):
+                assert residual.terms == [] and residual.is_zero(), idx
 
 
 def test_compose_drops_zero_fiber_products():
@@ -430,11 +450,12 @@ def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
 
 def test_is_zero_folds_identity_terms_into_matrix_sums():
     # C3 at (3,2): eps_j d_j^2 puts gamma_j^2 = -eps_j on the fiber as a
-    # matrix, the closed form keeps identity terms, and combined() leaves both
+    # matrix, the closed form keeps identity terms, and combined() folds
+    # each identity term into its key's matrices, where they cancel
     ctx = Context(3, 2)
     defining, closed = invariant_contractions(rational(4), ctx.rep)[2]
     residual = (defining - closed).combined()
-    assert residual.terms
+    assert not residual.terms
     assert residual.is_zero()
     for degree in (2, 3, 4):
         assert assemble(residual, degree, ctx.graded_basis).matrix.is_zero(), degree
@@ -453,16 +474,29 @@ def test_is_zero_folds_identity_terms_into_matrix_sums():
     assert OperatorSpec.zero(3, 2).is_zero()
 
 
-def _nonzero_keys_two_pass(spec):
-    """The fold of ``nonzero_keys`` as it was: ``combined()`` first, then one
-    combination per (mono, deriv) of its identity and matrix terms."""
-    ident = SparseMatrix.identity(spec.dim)
-    folded = {}
-    for t in spec.combined().terms:
-        folded.setdefault((t.mono, t.deriv), []).append(
-            (ident if t.mat is None else t.mat, t.coeff))
-    return sum(1 for pairs in folded.values()
-               if not SparseMatrix.combination(pairs).is_zero())
+def _term_operator(t, dim):
+    """The fiber operator coeff * mat of one term, the identity as a matrix."""
+    return (SparseMatrix.identity(dim) if t.mat is None else t.mat).scale(t.coeff)
+
+
+def _key_sums(spec):
+    """(mono, deriv) -> the nonzero sum of the raw terms' fiber operators on
+    that key: one combination per key, with no grouping by matrix object."""
+    by_key = {}
+    for t in spec.terms:
+        by_key.setdefault((t.mono, t.deriv), []).append((_term_operator(t, spec.dim), QI_ONE))
+    sums = {key: SparseMatrix.combination(pairs) for key, pairs in by_key.items()}
+    return {key: mat for key, mat in sums.items() if not mat.is_zero()}
+
+
+def _assert_canonical(spec):
+    """combined() holds one nonzero term per key, each the key's summed
+    operator; is_zero and nonzero_keys read it."""
+    canon = spec.combined().terms
+    sums = _key_sums(spec)
+    assert {(t.mono, t.deriv): _term_operator(t, spec.dim) for t in canon} == sums
+    assert len(canon) == len(sums) == spec.nonzero_keys()
+    assert spec.is_zero() == (not canon)
 
 
 _FOLD_KEYS = [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (1, 0, 0))]
@@ -499,7 +533,7 @@ def test_one_pass_fold_matches_combined_then_fold(case):
     terms = [OpTerm(*_FOLD_KEYS[k], pool[m], qi(*c)) for k, m, c in raw]
     terms += [t._replace(coeff=-t.coeff) for t in (terms[i] for i in cancel if i < len(terms))]
     spec = OperatorSpec(3, 2, terms)
-    assert spec.nonzero_keys() == _nonzero_keys_two_pass(spec)
+    _assert_canonical(spec)
     assert spec.is_zero() == (spec.nonzero_keys() == 0)
 
 
@@ -564,7 +598,7 @@ def _action_specs(ctx, lam):
     the dualised rotations of the first-order twistor family, whose fiber
     dimension differs from the spinor dimension.
     """
-    family = twistor(1, ctx, verify=False)
+    family = twistor(1, ctx)
     spinor = spinor_fiber(ctx.rep)
     fibers = [spinor, dual_fiber(spinor), dual_fiber(family.family_rotations)]
     for gen in generators(ctx.n):
@@ -575,8 +609,7 @@ def _action_specs(ctx, lam):
 
 def _operator_specs(ctx):
     """The rectangular specs of two Dirac powers and the first twistor operator."""
-    for op in (dirac_power(1, ctx, verify=False), dirac_power(3, ctx, verify=False),
-               twistor(1, ctx, verify=False)):
+    for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx)):
         yield op.spec
 
 

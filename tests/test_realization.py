@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vermaspin import realization
-from vermaspin.clifford import Signature
+from vermaspin.clifford import Signature, so_generator
 from vermaspin.exact import SparseMatrix, qi, rational, QI_ONE
 from vermaspin.polyspinor import SpinorPoly, OperatorSpec, assemble, monomials
 from vermaspin.realization import (
@@ -18,9 +18,6 @@ from vermaspin.realization import (
     dual_fiber,
     invariant_contractions,
     contraction_eigenvalue,
-    clifford_contraction,
-    coordinate_contraction,
-    derivative_contraction,
     _osp_cached,
 )
 from vermaspin.fischer import monogenic_basis, apply_x_power, x_power_matrix
@@ -194,6 +191,58 @@ def test_verma_action_g_matches_the_composition_chain(ctx_factory, n):
                 assert not new.is_zero()
 
 
+def _osp_chain(rep):
+    """D and X composed term by term, as before their normal-ordered terms
+    were written out."""
+    n, dim = rep.n, rep.spinor_dim
+    D = X = OperatorSpec.zero(n, dim)
+    for j in range(1, n + 1):
+        D = D + OperatorSpec.fiber(n, rep.gamma(j)).compose(OperatorSpec.derivative(n, dim, j))
+        X = X + OperatorSpec.fiber(n, rep.gamma(j)).compose(
+            OperatorSpec.coordinate(n, dim, j)).scale(rep.sig.eps(j))
+    return D, X
+
+
+def _rotation_chain(i, j, rep, fiber=None):
+    """l_ij composed term by term: the polynomial model's when ``fiber`` is
+    None, else the function picture's on that fiber."""
+    n = rep.n
+    eij = qi(rep.sig.eps(i) * rep.sig.eps(j))
+    if fiber is None:
+        dim = rep.spinor_dim
+        spec = OperatorSpec.coordinate(n, dim, i, eij).compose(OperatorSpec.derivative(n, dim, j))
+        spec = spec + OperatorSpec.coordinate(n, dim, j, qi(-1)).compose(
+            OperatorSpec.derivative(n, dim, i))
+        return spec + OperatorSpec.fiber(n, so_generator(i, j, rep))
+    dim = fiber[(1, 2)].cols
+    spec = OperatorSpec.coordinate(n, dim, j, -eij).compose(OperatorSpec.derivative(n, dim, i))
+    spec = spec + OperatorSpec.coordinate(n, dim, i).compose(OperatorSpec.derivative(n, dim, j))
+    return spec + OperatorSpec.fiber(n, fiber[(i, j)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_normal_ordered_generators_match_the_composition_chain(ctx_factory, n):
+    # D, X and every l_ij are written as their normal-ordered terms; each
+    # equals the operator composed term by term, in both pictures
+    for p in range(n, -1, -1):
+        rep = ctx_factory(p, n - p).rep
+        D, _, X = osp_generators(rep)
+        old_d, old_x = _osp_chain(rep)
+        assert (D - old_d).is_zero() and (X - old_x).is_zero(), (p, n - p)
+        assert not D.is_zero() and not X.is_zero()
+        spinor = spinor_fiber(rep)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                new = verma_action(("l", i, j), rational(0), rep)
+                assert (new - _rotation_chain(i, j, rep)).is_zero(), ((p, n - p), i, j)
+                assert not new.is_zero()
+                for fiber in (spinor, dual_fiber(spinor)):
+                    new = function_action(("l", i, j), rational(0), rep, fiber)
+                    assert (new - _rotation_chain(i, j, rep, fiber)).is_zero(), \
+                        ((p, n - p), i, j)
+                    assert not new.is_zero()
+
+
 def test_osp_examples(ctx_factory):
     ctx = ctx_factory(3, 0)
     D, E, X = osp_generators(ctx.rep)
@@ -331,8 +380,7 @@ def test_stored_osp_products_match_the_old_chains(ctx_factory, p, q):
     for i, old in enumerate(g, start=1):
         assert (verma_action(("g", i), rational(0), rep) - old).is_zero(), i
     for lam in (rational(0), rational(7, 3)):
-        new = (clifford_contraction(lam, rep), coordinate_contraction(lam, rep),
-               derivative_contraction(lam, rep))
+        new = [closed for _, closed in invariant_contractions(lam, rep)]
         for idx, (a, b) in enumerate(zip(new, _old_chains(lam, rep)[1]), start=1):
             assert (a - b).is_zero(), (idx, str(lam))
             assert not a.is_zero()
