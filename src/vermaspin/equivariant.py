@@ -29,7 +29,7 @@ the tests assert that no shifted variant passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exact import (
     GaussianRational,
@@ -100,17 +100,9 @@ class EquivariantOperator:
 
     def perturbed(self, deriv, row, col, delta=QI_ONE):
         """Copy with one coefficient entry shifted (negative-control helper)."""
-        coeffs = dict(self.coefficients)
-        mat = coeffs[deriv]
+        mat = self.coefficients[deriv]
         bump = SparseMatrix.from_entries(mat.rows, mat.cols, [(row, col, delta)])
-        coeffs[deriv] = mat + bump
-        return EquivariantOperator(
-            n=self.n, p=self.p, q=self.q, order=self.order,
-            lambda_source=self.lambda_source, lambda_target=self.lambda_target,
-            source_dim=self.source_dim, target_dim=self.target_dim,
-            coefficients=coeffs, family_rotations=self.family_rotations,
-            kind=self.kind, dirac_symbol_ratio=self.dirac_symbol_ratio,
-        )
+        return replace(self, coefficients={**self.coefficients, deriv: mat + bump})
 
     def to_json(self):
         src, tgt = self.pi_star_pair()

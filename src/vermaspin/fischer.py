@@ -83,15 +83,12 @@ def x_power_matrix(ctx: Context, k, degree):
     """Matrix of multiplication by X^k from degree d to degree d + k."""
     if k < 0:
         raise ValueError("X^%d: the power must be at least 0" % k)
-    key = ("xpow", k, degree)
-    m = ctx.cache.get(key)
-    if m is None:
+
+    def build():
         if k == 0:
-            m = SparseMatrix.identity(ctx.graded_basis(degree).size)
-        else:
-            m = x_mult_matrix(ctx, degree + k - 1).matrix @ x_power_matrix(ctx, k - 1, degree)
-        ctx.cache[key] = m
-    return m
+            return SparseMatrix.identity(ctx.graded_basis(degree).size)
+        return x_mult_matrix(ctx, degree + k - 1).matrix @ x_power_matrix(ctx, k - 1, degree)
+    return ctx.cached(("xpow", k, degree), build)
 
 
 def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
@@ -106,24 +103,20 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     """
     if a < 0:
         raise ValueError("degree must be nonnegative")
-    key = ("monogenic", a)
-    cached = ctx.cache.get(key)
-    if cached is not None:
-        return cached
-    basis = ctx.graded_basis(a)
-    op = dirac_matrix(ctx, a)
-    kernel = nullspace(op.matrix)
-    if ctx.chirality is None:
-        rows, tags = kernel, [None] * len(kernel)
-    else:
-        halves = {"+": [], "-": []}
-        for w in kernel:
-            halves[ctx.chirality.half_of((i % basis.dim for i in w), a)].append(w)
-        rows = halves["+"] + halves["-"]
-        tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
-    out = MonogenicBasis(degree=a, rows=rows, chirality=tags, basis=basis)
-    ctx.cache[key] = out
-    return out
+
+    def build():
+        basis = ctx.graded_basis(a)
+        kernel = nullspace(dirac_matrix(ctx, a).matrix)
+        if ctx.chirality is None:
+            rows, tags = kernel, [None] * len(kernel)
+        else:
+            halves = {"+": [], "-": []}
+            for w in kernel:
+                halves[ctx.chirality.half_of((i % basis.dim for i in w), a)].append(w)
+            rows = halves["+"] + halves["-"]
+            tags = ["+"] * len(halves["+"]) + ["-"] * len(halves["-"])
+        return MonogenicBasis(degree=a, rows=rows, chirality=tags, basis=basis)
+    return ctx.cached(("monogenic", a), build)
 
 
 def monogenic_dim(ctx: Context, a) -> int:

@@ -23,6 +23,7 @@ special-conformal formulas that drive the classification.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .exact import SparseMatrix, QI_ONE, qi, rational, express_in_span
@@ -282,28 +283,36 @@ def _rotation(n, dim, i, j, a, b, mat):
                                  OpTerm(z, z, mat, QI_ONE)])
 
 
-class _OspProducts(NamedTuple):
-    """The osp(1|2) triple and the products the special-conformal formulas reuse."""
+class _OspProducts:
+    """The osp(1|2) triple and the products the special-conformal formulas
+    reuse, each product composed on first use: ``dirac_matrix`` and
+    ``x_mult_matrix`` need only D and X."""
 
-    D: OperatorSpec
-    E: OperatorSpec
-    X: OperatorSpec
-    DD: OperatorSpec  # D o D
-    XX: OperatorSpec  # X o X
-    XD: OperatorSpec  # X o D
+    def __init__(self, rep: GammaRep):
+        self.D, self.E, self.X = osp_generators(rep)
+
+    @cached_property
+    def DD(self):
+        return self.D.compose(self.D)
+
+    @cached_property
+    def XX(self):
+        return self.X.compose(self.X)
+
+    @cached_property
+    def XD(self):
+        return self.X.compose(self.D)
 
 
 _OSP_CACHE = {}
 
 
 def _osp_cached(rep: GammaRep) -> _OspProducts:
-    """D, E, X and the products D^2, X^2, X D, composed once per gamma model."""
+    """D, E, X and their products D^2, X^2, X D, kept once per gamma model."""
     key = (rep.sig, rep.variant)
     out = _OSP_CACHE.get(key)
     if out is None:
-        D, E, X = osp_generators(rep)
-        out = _OspProducts(D, E, X, D.compose(D), X.compose(X), X.compose(D))
-        _OSP_CACHE[key] = out
+        out = _OSP_CACHE[key] = _OspProducts(rep)
     return out
 
 

@@ -160,32 +160,20 @@ def special_conformal_matrices(ctx: Context, lam, degree):
     The lambda-independent part is cached per (i, degree), and its spec per
     i; only a scaled derivative matrix depends on lambda.
     """
-    n = ctx.n
+    n, dim = ctx.n, ctx.spinor_dim
     out = []
     for i in range(1, n + 1):
-        base_key = ("sc-base", i, degree)
-        del_key = ("sc-del", i, degree)
-        base = ctx.cache.get(base_key)
-        delta = ctx.cache.get(del_key)
-        if base is None:
-            base = assemble(_sc_spec(ctx, i), degree, ctx.graded_basis).matrix
-            ctx.cache[base_key] = base
-            dspec = OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))
-            delta = assemble(dspec, degree, ctx.graded_basis).matrix
-            ctx.cache[del_key] = delta
-        mat = base if not lam else SparseMatrix.combination([(base, QI_ONE), (delta, qi(lam))])
-        out.append(mat)
+        base = ctx.cached(("sc-base", i, degree),
+                          lambda: assemble(_sc_spec(ctx, i), degree, ctx.graded_basis).matrix)
+        delta = ctx.cached(("sc-del", i, degree), lambda: assemble(
+            OperatorSpec.derivative(n, dim, i, qi(-1)), degree, ctx.graded_basis).matrix)
+        out.append(SparseMatrix.combination([(base, QI_ONE), (delta, qi(lam))]) if lam else base)
     return out
 
 
 def _sc_spec(ctx: Context, i):
     """The lambda-free special-conformal generator g_i(0), cached per Context."""
-    key = ("sc-spec", i)
-    spec = ctx.cache.get(key)
-    if spec is None:
-        spec = verma_action(("g", i), rational(0), ctx.rep)
-        ctx.cache[key] = spec
-    return spec
+    return ctx.cached(("sc-spec", i), lambda: verma_action(("g", i), rational(0), ctx.rep))
 
 
 def singular_vectors(ctx: Context, lam, degree):
@@ -264,12 +252,8 @@ def xd_eigenvalue(k, m, n):
 
 
 def xd_matrix(ctx: Context, degree):
-    key = ("xd", degree)
-    m = ctx.cache.get(key)
-    if m is None:
-        m = x_mult_matrix(ctx, degree - 1).matrix @ dirac_matrix(ctx, degree).matrix
-        ctx.cache[key] = m
-    return m
+    return ctx.cached(("xd", degree), lambda: (x_mult_matrix(ctx, degree - 1).matrix
+                                              @ dirac_matrix(ctx, degree).matrix))
 
 
 def isotypic_split(ctx: Context, polys, degree):
@@ -373,13 +357,9 @@ def contraction_lambda_residual(ctx: Context, idx):
 def _closed_forms_sound(ctx: Context, idxs):
     """Whether both parts of the closed forms of the contractions ``idxs``
     passed their symbolic checks; once per Context and set of contractions."""
-    key = ("contraction-identity", idxs)
-    ok = ctx.cache.get(key)
-    if ok is None:
-        ok = all(contraction_identity_residual(ctx, i).is_zero()
-                 and contraction_lambda_residual(ctx, i).is_zero() for i in idxs)
-        ctx.cache[key] = ok
-    return ok
+    return ctx.cached(("contraction-identity", idxs), lambda: all(
+        contraction_identity_residual(ctx, i).is_zero()
+        and contraction_lambda_residual(ctx, i).is_zero() for i in idxs))
 
 
 def _zero_blocks(lam_real, degree, n, idxs):

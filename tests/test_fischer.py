@@ -1,11 +1,13 @@
+import json
 import math
 import random
 
 import pytest
 
+from vermaspin import cli, realization
 from vermaspin.exact import (SparseMatrix, qi, rational, express_in_span, nullspace, kernel_vectors,
                             _canonical_basis)
-from vermaspin.polyspinor import SpinorPoly, assemble, monomials
+from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble, monomials
 from vermaspin.realization import verma_action
 from vermaspin.fischer import (
     monogenic_basis,
@@ -251,3 +253,21 @@ def test_wrong_shape_polynomials_and_negative_powers_are_rejected(ctx_factory):
         apply_x_power(ctx, -1, SpinorPoly.monomial(3, 2, (1, 0, 0), 0))
     with pytest.raises(ValueError, match=r"X\^-2"):
         x_power_matrix(ctx, -2, 1)
+
+
+@pytest.mark.parametrize("dmax", ["0", "2"])
+def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys, dmax):
+    # dirac_matrix and x_mult_matrix need only D and X, so D^2, X^2 and X D
+    # are composed only when a special-conformal formula first reads them
+    monkeypatch.setattr(realization, "_OSP_CACHE", {})
+    composed = []
+    compose = OperatorSpec.compose
+    monkeypatch.setattr(OperatorSpec, "compose",
+                        lambda self, other: composed.append(1) or compose(self, other))
+    assert cli.main(["fischer", "--p", "4", "--q", "1", "--dmax", dmax]) == 0
+    assert json.loads(capsys.readouterr().out)["spaces"][0]["dim"] == 4
+    assert composed == []
+    (products,) = realization._OSP_CACHE.values()
+    assert not {"DD", "XX", "XD"} & set(vars(products))
+    xd = products.XD
+    assert len(composed) == 1 and products.XD is xd

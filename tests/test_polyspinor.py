@@ -22,10 +22,12 @@ from vermaspin.polyspinor import (
 )
 from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
+from vermaspin.fischer import monogenic_basis, x_power_matrix
 from vermaspin.realization import (
     dual_fiber, function_action, generators, invariant_contractions, spinor_fiber, verma_action)
 from vermaspin.singular import (
-    contraction_identity_residual, contraction_lambda_residual, special_conformal_matrices)
+    contraction_identity_residual, contraction_lambda_residual, special_conformal_matrices,
+    xd_matrix)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -640,6 +642,19 @@ def test_special_conformal_matrices_cold_and_warm():
             assert cold == hot
             assert [_layout(m) for m in cold] == [_layout(m) for m in hot]
     assert all(("sc-spec", i) in warm.cache for i in range(1, warm.n + 1))
+    assert all(("sc-base", i, d) in warm.cache and ("sc-del", i, d) in warm.cache
+               for i in range(1, warm.n + 1) for d in range(4))
+    # every other key perfbench/tracer.py probes to count cache hits is
+    # stored under that name, and a warm lookup returns the stored object
+    probes = {("monogenic", 2): lambda: monogenic_basis(warm, 2),
+              ("xd", 2): lambda: xd_matrix(warm, 2),
+              ("xpow", 2, 1): lambda: x_power_matrix(warm, 2, 1)}
+    for key, lookup in probes.items():
+        first = lookup()
+        assert warm.cache[key] is first and lookup() is first, key
+    for key in [("assemble", "dirac", 2), ("assemble", "xmult", 1), ("assemble", "xmult", 2),
+                ("xpow", 1, 1), ("xpow", 0, 1)]:
+        assert key in warm.cache, key
 
 
 def test_spinor_poly_json_roundtrip():

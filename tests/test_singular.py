@@ -581,6 +581,25 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     assert solved == [(d, list(range(d + 1))) for d in range(5)]
 
 
+def test_failed_closed_form_verdict_is_built_once(monkeypatch):
+    # a falsy verdict is memoized like any other: with C2 broken, the second
+    # classify on the same Context reads the stored False and runs no residual
+    _break_closed_form(monkeypatch, 2)
+    residuals = []
+    for name in ("contraction_identity_residual", "contraction_lambda_residual"):
+        def spy(ctx, idx, _name=name, _build=getattr(singular, name)):
+            residuals.append((_name, idx))
+            return _build(ctx, idx)
+
+        monkeypatch.setattr(singular, name, spy)
+    ctx, lam = Context(3, 0), rational(5, 2)
+    first = classify(ctx, lam, 4).to_json()
+    assert residuals == [("contraction_identity_residual", 2)]
+    assert ctx.cache[("contraction-identity", (2,))] is False
+    assert classify(ctx, lam, 4).to_json() == first
+    assert residuals == [("contraction_identity_residual", 2)]
+
+
 @pytest.mark.parametrize("closed_form", ["clifford_contraction", "derivative_contraction"])
 def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, closed_form):
     # a wrong C1 or C3 closed form leaves the C2 skips standing: degree 4 at
