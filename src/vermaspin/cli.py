@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import rational, rational_from_string, rational_to_string, qi
 from .context import Context
@@ -90,7 +91,9 @@ def _parse_grid(s):
     return out
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The vermaspin argument parser, built once per process and reused by ``main``."""
     parser = _Parser(prog="vermaspin",
                      description="Exact singular-vector classification and "
                                  "equivariant spinor operators")

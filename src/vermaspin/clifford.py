@@ -2,14 +2,19 @@
 
 A signature (p, q) fixes eps_i = +1 for i <= p and -1 for i > p, and the
 defining relations e_i e_j + e_j e_i = -2 eps_i delta_ij.  Blades are stored
-as bitmasks over the n generators.  The spinor model is built by a
-tensor-product recursion with all matrix entries in {0, +-1, +-i}, so every
-downstream computation stays inside Q(i).
+as bitmasks over the n generators.  The spinor model is a table: each
+Euclidean gamma is a Kronecker product of the 2x2 factors i sigma_1,
+i sigma_2, sigma_3 and I, written as rows with one unit i^e per row, and
+``_CONSTRUCTIONS`` says which factors each of the two constructions
+uses.  Every matrix entry is in {0, +-1, +-i}, so every downstream
+computation stays inside Q(i), and no entry is built as a GaussianRational.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .exact import GaussianRational, SparseMatrix, QI_ONE, QI_I, qi, rational
 
@@ -106,12 +111,6 @@ class CliffordElement:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, indices):
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
-        return self.terms.get(mask, qi(0))
-
     def __repr__(self):
         if not self.terms:
             return "CliffordElement(0)"
@@ -173,59 +172,49 @@ def blade_product(a: CliffordElement, b: CliffordElement, sig: Signature) -> Cli
 # gamma-matrix model
 # ---------------------------------------------------------------------------
 
-_PAULI_1 = ((qi(0), qi(1)), (qi(1), qi(0)))
-_PAULI_2 = ((qi(0), qi(0, -1)), (qi(0, 1), qi(0)))
-_PAULI_3 = ((qi(1), qi(0)), (qi(0), qi(-1)))
-_ID2 = ((qi(1), qi(0)), (qi(0), qi(1)))
+# 2x2 factors with one unit per row: row r holds (col, e), the entry i^e at
+# (r, col); _UNITS[e % 4] is i^e as a Gaussian integer (a, b) = a + b i.
+_I_PAULI_1 = ((1, 1), (0, 1))   # i sigma_1
+_I_PAULI_2 = ((1, 0), (0, 2))   # i sigma_2
+_PAULI_3 = ((0, 0), (1, 2))     # sigma_3
+_ID2 = ((0, 0), (1, 0))
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+# construction -> (pre, post, first, second): the k-th pair of Euclidean
+# gammas is pre^(k-1) (x) first|second (x) post^(m-k)
+_CONSTRUCTIONS = {
+    "standard": (_PAULI_3, _ID2, _I_PAULI_1, _I_PAULI_2),
+    "alt": (_ID2, _PAULI_3, _I_PAULI_2, _I_PAULI_1),
+}
 
 
-def _kron(mats):
-    """Kronecker product of a list of 2x2 dense tuples -> SparseMatrix."""
-    dim = 1 << len(mats)
-    entries = []
+def _kron(factors):
+    """Kronecker product of 2x2 unit-per-row factors: a SparseMatrix over den 1."""
+    rows = [(0, 0)]
+    for factor in factors:
+        rows = [(c * 2 + fc, e + fe) for c, e in rows for fc, fe in factor]
+    return SparseMatrix.from_int_rows(1 << len(factors),
+                                      [{c: _UNITS[e % 4]} for c, e in rows])
 
-    def rec(r, c, coeff, k):
-        if not coeff:
-            return
-        if k == len(mats):
-            entries.append((r, c, coeff))
-            return
-        m = mats[k]
-        for i in range(2):
-            for j in range(2):
-                v = m[i][j]
-                if v:
-                    rec(r * 2 + i, c * 2 + j, coeff * v, k + 1)
 
-    rec(0, 0, QI_ONE, 0)
-    return SparseMatrix.from_entries(dim, dim, entries)
+def _product(dim, mats):
+    """The ordered product of dim x dim matrices; the identity when there are none."""
+    return reduce(operator.matmul, mats, SparseMatrix.identity(dim))
 
 
 def _euclidean_gammas(n, variant):
     """n anticommuting matrices each squaring to -I, entries in {0,+-1,+-i}."""
+    if variant not in _CONSTRUCTIONS:
+        raise ValueError("unknown gamma construction %r" % (variant,))
+    pre, post, first, second = _CONSTRUCTIONS[variant]
     m = n // 2
-    i_s1 = tuple(tuple(v * QI_I for v in row) for row in _PAULI_1)
-    i_s2 = tuple(tuple(v * QI_I for v in row) for row in _PAULI_2)
-    gammas = []
-    for k in range(1, m + 1):
-        if variant == "standard":
-            pre, post = [_PAULI_3] * (k - 1), [_ID2] * (m - k)
-            first, second = i_s1, i_s2
-        elif variant == "alt":
-            pre, post = [_ID2] * (k - 1), [_PAULI_3] * (m - k)
-            first, second = i_s2, i_s1
-        else:
-            raise ValueError("unknown gamma construction %r" % (variant,))
-        gammas.append(_kron(pre + [first] + post))
-        gammas.append(_kron(pre + [second] + post))
+    gammas = [_kron([pre] * (k - 1) + [middle] + [post] * (m - k))
+              for k in range(1, m + 1) for middle in (first, second)]
     if n % 2 == 1:
-        prod = SparseMatrix.identity(1 << m)
-        for g in gammas:
-            prod = prod @ g
-        sq = prod @ prod
-        if sq == SparseMatrix.identity(1 << m):
-            prod = prod.scale(QI_I)
-        gammas.append(prod)
+        last = _product(1 << m, gammas)
+        if last @ last == SparseMatrix.identity(1 << m):
+            last = last.scale(QI_I)
+        gammas.append(last)
     return gammas
 
 
@@ -250,11 +239,8 @@ class GammaRep:
         return self.gammas[i - 1]
 
     def blade_matrix(self, blade_mask):
-        out = SparseMatrix.identity(self.spinor_dim)
-        for i in range(self.n):
-            if blade_mask & (1 << i):
-                out = out @ self.gammas[i]
-        return out
+        return _product(self.spinor_dim,
+                        [g for i, g in enumerate(self.gammas) if blade_mask >> i & 1])
 
     def element_matrix(self, elem: CliffordElement):
         out = SparseMatrix.zero(self.spinor_dim, self.spinor_dim)
@@ -330,18 +316,17 @@ def chirality_split(rep: GammaRep) -> ChiralityProjector:
     n = rep.n
     if n % 2 == 1:
         raise ValueError("no chirality split: dimension must be even")
-    vol = SparseMatrix.identity(rep.spinor_dim)
-    for g in rep.gammas:
-        vol = vol @ g
-    if vol @ vol != SparseMatrix.identity(rep.spinor_dim):
+    dim = rep.spinor_dim
+    ident = SparseMatrix.identity(dim)
+    vol = _product(dim, rep.gammas)
+    if vol @ vol != ident:
         vol = vol.scale(QI_I)
-    if len(vol.data) != rep.spinor_dim or any(
-            row.keys() != {r} or row[r] not in (QI_ONE, -QI_ONE) for r, row in vol.data.items()):
+    signs = {r: row[r] for r, row in vol.num.items() if row.keys() == {r}}
+    if vol.den != 1 or len(signs) != dim or not set(signs.values()) <= {(1, 0), (-1, 0)}:
         raise ValueError("no chirality split by fiber index: the volume element of the "
                          "%s gamma model at n = %d is not diagonal +-1" % (rep.variant, n))
-    ident = SparseMatrix.identity(rep.spinor_dim)
     half = qi(rational(1, 2))
     plus = (ident + vol).scale(half)
     minus = (ident - vol).scale(half)
-    plus_index = frozenset(r for r, row in vol.data.items() if row[r] == QI_ONE)
+    plus_index = frozenset(r for r, s in signs.items() if s == (1, 0))
     return ChiralityProjector(volume=vol, plus=plus, minus=minus, plus_index=plus_index)

@@ -29,7 +29,7 @@ the tests assert that no shifted variant passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .exact import (
     GaussianRational,
@@ -69,8 +69,6 @@ class EquivariantOperator:
     """
 
     n: int
-    p: int
-    q: int
     order: int
     lambda_source: object
     lambda_target: object
@@ -137,17 +135,11 @@ class IntertwiningReport:
     first_failure: tuple | None = None
 
     def to_json(self):
-        return {
-            "residual_zero": self.residual_zero,
-            "generators_checked": self.generators_checked,
-            "test_elements": self.test_elements,
-            "max_residual_terms": self.max_residual_terms,
-            "first_failure": (
-                None if self.first_failure is None
-                else {"generator": str(self.first_failure[0]),
-                      "element": str(self.first_failure[1])}
-            ),
-        }
+        out = asdict(self)
+        if self.first_failure is not None:
+            gen, degree = self.first_failure
+            out["first_failure"] = {"generator": str(gen), "element": str(degree)}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic") -> Equivari
     }
     rotations = _family_rotations(family, degree, lam_real, ctx)
     return EquivariantOperator(
-        n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, order=degree,
+        n=ctx.n, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
         source_dim=dim_s, target_dim=len(svs),
         coefficients=coefficients, family_rotations=rotations, kind=kind,

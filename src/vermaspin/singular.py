@@ -42,7 +42,7 @@ exactly one place (:func:`classify`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, rational,
@@ -101,32 +101,12 @@ class ClassificationReport:
     match: bool = False
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "lambda": rational_to_string(self.lam_thm),
-            "d_max": self.d_max,
-            "case": self.case,
-            "found": [
-                {
-                    "degree": c.degree,
-                    "k": c.k,
-                    "m": c.m,
-                    "dim": c.dim,
-                    "chirality_dims": c.chirality_dims,
-                }
-                for c in self.found
-            ],
-            "predicted": [
-                {"degree": d, "k": k, "m": m, "dim": dim}
-                for d, k, m, dim in self.predicted
-            ],
-            "uncheckable": [
-                {"degree": d, "k": k, "m": m} for d, k, m in self.uncheckable
-            ],
-            "match": self.match,
-        }
+        out = asdict(self)
+        out["lambda"] = rational_to_string(out.pop("lam_thm"))
+        out["predicted"] = [{"degree": d, "k": k, "m": m, "dim": dim}
+                            for d, k, m, dim in self.predicted]
+        out["uncheckable"] = [{"degree": d, "k": k, "m": m} for d, k, m in self.uncheckable]
+        return out
 
     def to_text(self):
         lines = [
@@ -293,43 +273,33 @@ def _is_natural(x):
     return x.denominator == 1 and x >= 1
 
 
+# (twistor, dirac-power) -> case; for odd n the two conditions never hold
+# together, and for even n the first implies the second
+_CASES = {(False, False): "generic", (True, False): "twistor",
+          (False, True): "dirac-power", (True, True): "both"}
+
+
 def predicted_components(lam_thm, n, d_max):
     """Case table of the classification theorems.
 
+    Twistor means lam - 1/2 in N, with the component X^0 M_m, m = lam - 1/2;
+    Dirac power means lam + n/2 - 1/2 in N, with X^k M_0, k = 2 lam + n - 2.
     Returns (case_id, checkable, uncheckable) where checkable entries are
     (degree, k, m) with degree <= d_max and uncheckable those beyond.
     """
     lam = rational(lam_thm)
+    twistor = _is_natural(lam - HALF)
+    dirac = _is_natural(lam + rational(n, 2) - HALF)
     comps = [(0, 0, 0)]
-    twistor_cond = _is_natural(lam - HALF)
-    dirac_cond = _is_natural(lam + rational(n, 2) - HALF)
-    if n % 2 == 1:
-        if twistor_cond:
-            case = "twistor"
-            m = int(lam - HALF)
-            comps.append((m, 0, m))
-        elif dirac_cond:
-            case = "dirac-power"
-            k = int(2 * lam + n - 2)
-            comps.append((k, k, 0))
-        else:
-            case = "generic"
-    else:
-        if twistor_cond:
-            case = "both"
-            m = int(lam - HALF)
-            comps.append((m, 0, m))
-            k = int(2 * lam + n - 2)
-            comps.append((k, k, 0))
-        elif dirac_cond:
-            case = "dirac-power"
-            k = int(2 * lam + n - 2)
-            comps.append((k, k, 0))
-        else:
-            case = "generic"
+    if twistor:
+        m = int(lam - HALF)
+        comps.append((m, 0, m))
+    if dirac:
+        k = int(2 * lam + n - 2)
+        comps.append((k, k, 0))
     checkable = sorted(c for c in comps if c[0] <= d_max)
     uncheckable = sorted(c for c in comps if c[0] > d_max)
-    return case, checkable, uncheckable
+    return _CASES[twistor, dirac], checkable, uncheckable
 
 
 def contraction_identity_residual(ctx: Context, idx=2):

@@ -116,6 +116,28 @@ def test_unknown_command_rejected(capsys):
     assert code == 1
 
 
+def test_usage_error_then_valid_command_in_one_process(capsys):
+    # the parser is built once per process; a usage error must not leave
+    # state behind for the next call
+    code, _, err = run(capsys, "classify", "--p", "3", "--q", "0", "--lambda", "1.5",
+                       "--dmax", "2")
+    assert code == 1 and "floats are not accepted" in err
+    code, out, _ = run(capsys, "classify", "--p", "3", "--q", "0", "--lambda", "5/2",
+                       "--dmax", "2")
+    assert code == 0 and json.loads(out)["case"] == "twistor"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_fischer_at_n26_finishes():
+    # a hang guard for the Context build at a large signature, not a timing test
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "vermaspin", "fischer", "--p", "26",
+                           "--dmax", "0"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 26
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--p", "2", "--q", "1",
                        "--lambda-grid", "-1..2:1/2", "--dmax", "4")

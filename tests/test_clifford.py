@@ -193,3 +193,88 @@ def test_two_constructions_differ_but_both_work():
                 assert anti == SparseMatrix.identity(N, qi(-2))
             else:
                 assert anti.is_zero()
+
+
+# -- oracle: the GaussianRational Kronecker recursion the tables replaced ---
+
+_P1 = ((qi(0), qi(1)), (qi(1), qi(0)))
+_P2 = ((qi(0), qi(0, -1)), (qi(0, 1), qi(0)))
+_P3 = ((qi(1), qi(0)), (qi(0), qi(-1)))
+_I2 = ((qi(1), qi(0)), (qi(0), qi(1)))
+
+
+def _recursive_kron(mats):
+    dim = 1 << len(mats)
+    entries = []
+
+    def rec(r, c, coeff, k):
+        if not coeff:
+            return
+        if k == len(mats):
+            entries.append((r, c, coeff))
+            return
+        m = mats[k]
+        for i in range(2):
+            for j in range(2):
+                v = m[i][j]
+                if v:
+                    rec(r * 2 + i, c * 2 + j, coeff * v, k + 1)
+
+    rec(0, 0, QI_ONE, 0)
+    return SparseMatrix.from_entries(dim, dim, entries)
+
+
+def _recursive_gammas(sig, variant):
+    n, m = sig.n, sig.n // 2
+    i_s1 = tuple(tuple(v * qi(0, 1) for v in row) for row in _P1)
+    i_s2 = tuple(tuple(v * qi(0, 1) for v in row) for row in _P2)
+    gammas = []
+    for k in range(1, m + 1):
+        if variant == "standard":
+            pre, post = [_P3] * (k - 1), [_I2] * (m - k)
+            first, second = i_s1, i_s2
+        else:
+            pre, post = [_I2] * (k - 1), [_P3] * (m - k)
+            first, second = i_s2, i_s1
+        gammas.append(_recursive_kron(pre + [first] + post))
+        gammas.append(_recursive_kron(pre + [second] + post))
+    if n % 2 == 1:
+        prod = SparseMatrix.identity(1 << m)
+        for g in gammas:
+            prod = prod @ g
+        if prod @ prod == SparseMatrix.identity(1 << m):
+            prod = prod.scale(qi(0, 1))
+        gammas.append(prod)
+    return [g.scale(qi(0, 1)) if sig.eps(i + 1) < 0 else g for i, g in enumerate(gammas)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_gamma_tables_match_the_gaussian_rational_recursion(n):
+    # every signature and both constructions: 170 models for n = 3..12
+    for p, q in all_signatures(n):
+        for variant in ("standard", "alt"):
+            sig = Signature(p, q)
+            got = build_gamma_rep(sig, variant).gammas
+            expect = _recursive_gammas(sig, variant)
+            assert [(g.rows, g.cols, g.den, g.num) for g in got] \
+                == [(g.rows, g.cols, g.den, g.num) for g in expect], (p, q, variant)
+
+
+def test_gamma_build_multiplies_no_gaussian_rational(monkeypatch):
+    from vermaspin.exact import GaussianRational
+    calls = []
+    mul = GaussianRational.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", spy)
+    rep = build_gamma_rep(Signature(16, 0))
+    assert len(rep.gammas) == 16 and rep.spinor_dim == 256
+    assert calls == []
+
+
+def test_unknown_gamma_construction_rejected():
+    with pytest.raises(ValueError, match="unknown gamma construction 'other'"):
+        build_gamma_rep(Signature(3, 0), variant="other")

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -114,6 +115,23 @@ def test_perturbation_is_detected(ctx_factory):
     report = verify_intertwining(bad, 2, ctx)
     assert not report.residual_zero
     assert report.first_failure is not None
+
+
+def test_failing_report_json_golden(ctx_factory):
+    # the bytes the CLI writes for a failing report (sort_keys, indent 2)
+    ctx = ctx_factory(2, 1)
+    report = verify_intertwining(dirac_power(1, ctx), 2, ctx, source_offset=1)
+    assert json.dumps(report.to_json(), sort_keys=True, indent=2) == textwrap.dedent("""\
+        {
+          "first_failure": {
+            "element": "1",
+            "generator": "('h',)"
+          },
+          "generators_checked": 10,
+          "max_residual_terms": 24,
+          "residual_zero": false,
+          "test_elements": 200
+        }""")
 
 
 def _matrix_product_report(op, test_degree, ctx, source_offset=0, target_offset=0):

@@ -392,6 +392,56 @@ def test_predicted_components_tables():
     assert case == "dirac-power" and comps == [(0, 0, 0), (1, 1, 0)]
 
 
+def _branching_case_table(lam_thm, n, d_max):
+    """Oracle: the case table as the per-parity branches it was first written as."""
+    def _is_natural(x):
+        return x.denominator == 1 and x >= 1
+
+    lam = rational(lam_thm)
+    comps = [(0, 0, 0)]
+    twistor_cond = _is_natural(lam - HALF)
+    dirac_cond = _is_natural(lam + rational(n, 2) - HALF)
+    if n % 2 == 1:
+        if twistor_cond:
+            case = "twistor"
+            m = int(lam - HALF)
+            comps.append((m, 0, m))
+        elif dirac_cond:
+            case = "dirac-power"
+            k = int(2 * lam + n - 2)
+            comps.append((k, k, 0))
+        else:
+            case = "generic"
+    else:
+        if twistor_cond:
+            case = "both"
+            m = int(lam - HALF)
+            comps.append((m, 0, m))
+            k = int(2 * lam + n - 2)
+            comps.append((k, k, 0))
+        elif dirac_cond:
+            case = "dirac-power"
+            k = int(2 * lam + n - 2)
+            comps.append((k, k, 0))
+        else:
+            case = "generic"
+    checkable = sorted(c for c in comps if c[0] <= d_max)
+    uncheckable = sorted(c for c in comps if c[0] > d_max)
+    return case, checkable, uncheckable
+
+
+def test_case_table_matches_the_branching_oracle():
+    twists = sorted({rational(a, b) for a in range(-40, 41) for b in (1, 2, 3, 4)})
+    cases = set()
+    for n in range(3, 17):
+        for lam in twists:
+            for d_max in (0, 1, 4, 9, 30):
+                got = predicted_components(lam, n, d_max)
+                assert got == _branching_case_table(lam, n, d_max), (n, str(lam), d_max)
+                cases.add(got[0])
+    assert cases == {"generic", "twistor", "dirac-power", "both"}
+
+
 def test_classify_examples(ctx_factory):
     ctx = ctx_factory(3, 0)
     rep = classify(ctx, rational(5, 2), 6)
