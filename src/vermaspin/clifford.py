@@ -280,15 +280,14 @@ def so_generator(i, j, rep: GammaRep) -> SparseMatrix:
 
 @dataclass
 class ChiralityProjector:
-    """Projectors onto the half-spinor subspaces (n even).
+    """The split of the fiber into half-spinor subspaces (n even).
 
     The volume element is diagonal +-1 in both gamma models, so each half is
-    spanned by fiber basis vectors: ``plus_index`` holds those of the + half.
+    spanned by fiber basis vectors: ``plus_index`` holds those of the + half,
+    whose projector is (I + volume)/2.
     """
 
     volume: SparseMatrix
-    plus: SparseMatrix
-    minus: SparseMatrix
     plus_index: frozenset
 
     def half(self, fiber_index):
@@ -309,7 +308,7 @@ class ChiralityProjector:
 
 
 def chirality_split(rep: GammaRep) -> ChiralityProjector:
-    """(I +- G_vol)/2 with G_vol = c G_1 ... G_n scaled so G_vol^2 = I.
+    """The halves of G_vol = c G_1 ... G_n, scaled so G_vol^2 = I.
 
     Raises ValueError unless G_vol is diagonal with entries +-1.
     """
@@ -325,8 +324,5 @@ def chirality_split(rep: GammaRep) -> ChiralityProjector:
     if vol.den != 1 or len(signs) != dim or not set(signs.values()) <= {(1, 0), (-1, 0)}:
         raise ValueError("no chirality split by fiber index: the volume element of the "
                          "%s gamma model at n = %d is not diagonal +-1" % (rep.variant, n))
-    half = qi(rational(1, 2))
-    plus = (ident + vol).scale(half)
-    minus = (ident - vol).scale(half)
     plus_index = frozenset(r for r, s in signs.items() if s == (1, 0))
-    return ChiralityProjector(volume=vol, plus=plus, minus=minus, plus_index=plus_index)
+    return ChiralityProjector(volume=vol, plus_index=plus_index)

@@ -436,6 +436,24 @@ class SparseMatrix:
     def is_zero(self):
         return not self.num
 
+    def as_scalar(self):
+        """The s with self == s * I, else None (the zero matrix included).
+
+        Exact on the canonical rows: the matrix is square, each row r holds
+        one entry, at column r, and all those entries are equal, read over
+        ``den``.  Exits on the first row that breaks this.
+        """
+        n = self.rows
+        if not n or self.cols != n or len(self.num) != n:
+            return None
+        s = self.num[0].get(0)  # n stored rows of n: every row is present
+        if s is None:
+            return None
+        for r, row in self.num.items():
+            if len(row) != 1 or row.get(r) != s:
+                return None
+        return _canonical(s[0], s[1], self.den)
+
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented

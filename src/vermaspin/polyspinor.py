@@ -14,9 +14,12 @@ with values in a ``dim``-dimensional fiber to polynomials with values in a
 ``tdim``-dimensional one, so every M is tdim x dim.  Specs are closed under
 sum, scaling and composition.  One fold, ``_fold``, is the normal form: it
 leaves at most one nonzero term per (mono, deriv), folding identity terms
-into the matrices of their key.  ``combined()`` returns it, ``is_zero`` and
-``nonzero_keys`` read it, and composition streams the terms of one Leibniz
-kernel, ``_leibniz``, into it through ``_merged``.
+into the matrices of their key.  A fiber matrix that the engine creates, a
+product or a folded total, is stored as the identity with its scalar in the
+coefficient whenever it is a scalar multiple of the identity.  ``combined()``
+returns the fold, ``is_zero`` and ``nonzero_keys`` read it, and composition
+streams the terms of one Leibniz kernel, ``_leibniz``, into it through
+``_merged``.
 :func:`assemble` is the one routine that turns a spec into an exact sparse
 matrix between graded components; :meth:`OperatorSpec.apply` goes through it.
 """
@@ -313,10 +316,11 @@ class OperatorSpec:
         """The canonical form: at most one term per (mono, deriv), none zero.
 
         Per key the coefficients of each matrix object are summed.  A lone
-        surviving object keeps its summed coefficient; several, the identity
-        among them as ``SparseMatrix.identity``, become one
-        ``SparseMatrix.combination``.  A key whose operator is zero, a lone
-        zero fiber matrix included, is dropped.
+        surviving object keeps its summed coefficient and is stored as it
+        came; several, the identity among them as ``SparseMatrix.identity``,
+        become one ``SparseMatrix.combination``, stored as the identity (None)
+        with s as its coefficient when it equals s times the identity.  A key
+        whose operator is zero, a lone zero fiber matrix included, is dropped.
         """
         return _merged(self.n, self.dim, self.tdim, self.terms)
 
@@ -388,7 +392,9 @@ def _reorder_1d(d, m):
 
 
 def _fold(dim, terms):
-    """The canonical OpTerms of (mono, deriv, mat, coeff) tuples (see combined)."""
+    """The canonical OpTerms of (mono, deriv, mat, coeff) tuples (see combined):
+    a combined total equal to s times the identity becomes the identity (None)
+    with coefficient s; a lone input matrix is kept as it is."""
     folded = {}
     for mono, deriv, mat, coeff in terms:
         by_mat = folded.setdefault((mono, deriv), {})
@@ -405,7 +411,9 @@ def _fold(dim, terms):
             total = SparseMatrix.combination(
                 [(SparseMatrix.identity(dim) if m is None else m, c) for m, c in live])
             if not total.is_zero():
-                out.append(OpTerm(mono, deriv, total, QI_ONE))
+                s = total.as_scalar()
+                out.append(OpTerm(mono, deriv, total, QI_ONE) if s is None
+                           else OpTerm(mono, deriv, None, s))
     return out
 
 
@@ -428,6 +436,19 @@ def _product_sum(pairs):
     return _merged(a0.n, b0.dim, a0.tdim, _leibniz(pairs))
 
 
+def _fiber_product(M1, M2):
+    """(M1 M2, None), with None for the identity; (None, s) when the product
+    is s times the identity, and (False, None) when it is zero."""
+    if M1 is None or M2 is None:
+        mat = M2 if M1 is None else M1
+    else:
+        mat = M1 @ M2
+        s = mat.as_scalar()
+        if s is not None:
+            return None, s
+    return (False if mat is not None and mat.is_zero() else mat), None
+
+
 def _leibniz(pairs):
     """Normal-ordered (mono, deriv, mat, coeff) terms of a after b, over the pairs.
 
@@ -435,7 +456,9 @@ def _leibniz(pairs):
     times x^(m1+m2-s) M1 M2 d^(d1+d2-s), s running only over the coordinates
     where d1 and m2 are both nonzero.  Each fiber product is computed once
     per call, keyed by the operands' ids (all alive for the whole call); a
-    zero fiber matrix or product yields no term (None is the identity).
+    zero fiber matrix or product yields no term (None is the identity), and
+    a product equal to s times the identity is yielded as None with s moved
+    into the coefficient, so no later product or fold handles it as a matrix.
     """
     products = {}
     for a, b in pairs:
@@ -444,15 +467,14 @@ def _leibniz(pairs):
             for m2, d2, M2, c2 in b.terms:
                 key = (id(M1), id(M2))
                 try:
-                    mat = products[key]
+                    mat, s = products[key]
                 except KeyError:
-                    mat = M2 if M1 is None else M1 if M2 is None else M1 @ M2
-                    mat = products[key] = mat if mat is None or not mat.is_zero() else False
+                    mat, s = products[key] = _fiber_product(M1, M2)
                 if mat is False:
                     continue
                 mono = tuple(map(add, m1, m2))
                 deriv = tuple(map(add, d1, d2))
-                coeff = c1 * c2
+                coeff = c1 * c2 if s is None else c1 * c2 * s
                 inter = [k for k in moving if m2[k]]
                 if not inter:
                     yield mono, deriv, mat, coeff

@@ -134,20 +134,30 @@ def test_so_generator_commutators_close():
             assert comm == expect
 
 
+def half_projectors(ch):
+    """(I + volume)/2 and (I - volume)/2, the projectors onto the two halves."""
+    eye = SparseMatrix.identity(ch.volume.rows)
+    half = qi(rational(1, 2))
+    return (eye + ch.volume).scale(half), (eye - ch.volume).scale(half)
+
+
 def test_chirality_split():
     rep = build_gamma_rep(Signature(4, 0))
     ch = chirality_split(rep)
     eye = SparseMatrix.identity(4)
+    plus, minus = half_projectors(ch)
     assert ch.volume @ ch.volume == eye
-    assert ch.plus + ch.minus == eye
-    assert ch.plus @ ch.plus == ch.plus
-    assert (ch.plus @ ch.minus).is_zero()
-    assert rank_of(ch.plus) == 2 and rank_of(ch.minus) == 2
+    assert plus + minus == eye
+    assert plus @ plus == plus
+    assert (plus @ minus).is_zero()
+    assert rank_of(plus) == 2 and rank_of(minus) == 2
+    # the + projector fixes exactly the fiber basis vectors of plus_index
+    assert {r for r in range(4) if plus.get(r, r) == QI_ONE} == ch.plus_index
     # rotation generators commute with the projectors
     for i in range(1, 5):
         for j in range(i + 1, 5):
             g = so_generator(i, j, rep)
-            assert g @ ch.plus == ch.plus @ g
+            assert g @ plus == plus @ g
     with pytest.raises(ValueError):
         chirality_split(build_gamma_rep(Signature(3, 0)))
 

@@ -191,6 +191,30 @@ def test_division_by_zero_raises():
         1 / QI_ZERO
 
 
+def test_as_scalar_detects_exactly_the_multiples_of_the_identity():
+    # s I with a non-integer and a non-real s; the read goes over den
+    for s in (qi(0, 1), qi(rational(-1, 2)), qi(3), qi(rational(2, 3), rational(-5, 7))):
+        m = SparseMatrix.identity(3, s)
+        assert m.as_scalar() == s and m.as_scalar().__class__ is GaussianRational
+    assert SparseMatrix.identity(1, qi(-2)).as_scalar() == qi(-2)
+    assert SparseMatrix.from_dense([[qi(0, 1), 0], [0, qi(rational(-1, 2))]]).as_scalar() is None
+    half = qi(rational(1, 2))
+    not_scalar = {
+        "diag(1, -1)": SparseMatrix.from_dense([[1, 0], [0, -1]]),
+        "a missing row": SparseMatrix.from_entries(3, 3, [(0, 0, half), (2, 2, half)]),
+        "a missing first row": SparseMatrix.from_entries(2, 2, [(1, 1, half)]),
+        "non-square": SparseMatrix.from_entries(2, 3, [(0, 0, QI_ONE), (1, 1, QI_ONE)]),
+        "one off-diagonal entry": SparseMatrix.identity(3, half)
+        + SparseMatrix.from_entries(3, 3, [(0, 2, QI_ONE)]),
+        "an entry moved off the diagonal": SparseMatrix.from_dense([[1, 0], [1, 0]]),
+        "a permutation": SparseMatrix.from_dense([[0, 1], [1, 0]]),
+        "zero": SparseMatrix.zero(2, 2),
+        "empty": SparseMatrix.zero(0, 0),
+    }
+    for what, m in not_scalar.items():
+        assert m.as_scalar() is None, what
+
+
 def test_rref_identity():
     m = SparseMatrix.identity(2)
     red, piv = rref(m)

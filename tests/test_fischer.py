@@ -57,11 +57,15 @@ def test_chirality_halves_equal_n4(ctx_factory):
 
 
 def _projected_monogenic_basis(ctx, a):
-    """Oracle: project ker D onto each half with the fiber projectors, then RREF."""
+    """Oracle: project ker D onto each half with the fiber projectors
+    (I +- volume)/2, then RREF."""
     basis = ctx.graded_basis(a)
     kernel = kernel_vectors(nullspace(dirac_matrix(ctx, a).matrix))
     elements, tags = [], []
-    for proj, tag in ((ctx.chirality.plus, "+"), (ctx.chirality.minus, "-")):
+    eye, half = SparseMatrix.identity(ctx.spinor_dim), qi(rational(1, 2))
+    plus = (eye + ctx.chirality.volume).scale(half)
+    minus = (eye - ctx.chirality.volume).scale(half)
+    for proj, tag in ((plus, "+"), (minus, "-")):
         projected = []
         for v in kernel:
             coords = {basis.index(mono, i): w

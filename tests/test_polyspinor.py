@@ -24,10 +24,11 @@ from vermaspin.context import Context
 from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
 from vermaspin.fischer import monogenic_basis, x_power_matrix
 from vermaspin.realization import (
-    dual_fiber, function_action, generators, invariant_contractions, spinor_fiber, verma_action)
+    contraction_at_zero, dual_fiber, function_action, generators, invariant_contractions,
+    osp_generators, spinor_fiber, verma_action)
 from vermaspin.singular import (
-    contraction_identity_residual, contraction_lambda_residual, special_conformal_matrices,
-    xd_matrix)
+    _closed_forms_sound, _sc_spec, contraction_identity_residual, contraction_lambda_residual,
+    special_conformal_matrices, xd_matrix)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -288,6 +289,87 @@ def test_combined_groups_by_matrix_object():
             for residual in (contraction_identity_residual(ctx, idx),
                              contraction_lambda_residual(ctx, idx)):
                 assert residual.terms == [] and residual.is_zero(), idx
+
+
+def _scalar_matrix_terms(spec):
+    """The terms whose fiber matrix is s I, found by comparing the matrix with
+    the identity scaled by its (0, 0) entry, not by ``as_scalar``."""
+    return [t for t in spec.terms if t.mat is not None and t.mat.rows == t.mat.cols
+            and t.mat == SparseMatrix.identity(t.mat.rows, t.mat.get(0, 0))]
+
+
+def test_fold_stores_a_scalar_total_as_the_identity():
+    # several matrices of one key whose total is s I leave the identity
+    # with coefficient s; a lone input matrix is kept as it came, s I or not
+    z, m = (0, 0, 0), (1, 0, 0)
+    g1 = Context(2, 1).rep.gamma(1)
+    minus_i = SparseMatrix.identity(2, qi(0, -1))
+    spec = OperatorSpec(3, 2, [
+        OpTerm(z, z, g1, qi(2)), OpTerm(z, z, SparseMatrix.identity(2, qi(3)) - g1.scale(2), QI_ONE),
+        OpTerm(m, z, None, QI_ONE), OpTerm(m, z, minus_i, qi(2)),
+        OpTerm(m, m, minus_i, qi(5))])
+    total, with_identity, lone = spec.combined().terms
+    assert total == OpTerm(z, z, None, qi(3))
+    assert with_identity == OpTerm(m, z, None, qi(1, -2))
+    assert lone.mat is minus_i and lone.coeff == qi(5)
+    _assert_canonical(spec)
+
+
+@pytest.mark.parametrize("p,q", [(3, 0), (2, 2), (3, 3)])
+def test_scalar_fiber_products_match_the_product_of_assembled_factors(p, q):
+    # D D, X X, X D and gamma_j g_j(0): the composed spec, whose scalar fiber
+    # products ride in the coefficient, assembles to the product of its
+    # factors' matrices, which no fold touches
+    ctx = Context(p, q)
+    mk = ctx.graded_basis
+    D, _, X = osp_generators(ctx.rep)
+    pairs = [(D, D), (X, X), (X, D)]
+    pairs += [(OperatorSpec.fiber(ctx.n, ctx.rep.gamma(j)), _sc_spec(ctx, j))
+              for j in range(1, ctx.n + 1)]
+    for a, b in pairs:
+        composed = a.compose(b)
+        assert not _scalar_matrix_terms(composed)
+        shift = b.shifts()[0]
+        for d in range(4):
+            assert assemble(composed, d, mk).matrix == \
+                assemble(a, d + shift, mk).matrix @ assemble(b, d, mk).matrix, (a, b, d)
+    # D D and X X are scalar on every key: gamma_a gamma_a = -eps_a I
+    for spec in (D.compose(D), X.compose(X)):
+        assert spec.terms and all(t.mat is None for t in spec.terms)
+    # nor does any generator spec of either picture, or a prefilter residual,
+    # keep a matrix that is s I
+    for spec in _action_specs(ctx, rational(-3, 2)):
+        assert not _scalar_matrix_terms(spec)
+    for idx in (1, 2, 3):
+        for residual in (contraction_identity_residual(ctx, idx),
+                         contraction_lambda_residual(ctx, idx)):
+            assert not _scalar_matrix_terms(residual)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (5, 0)])
+def test_c2_check_multiplies_no_fiber_matrix(monkeypatch, p, q):
+    # with the g_i(0) specs and the osp(1|2) products in hand, every fiber
+    # product of the C2 closed-form check is a scalar times the identity,
+    # so the check runs without one matrix product
+    ctx = Context(p, q)
+    for j in range(1, ctx.n + 1):
+        _sc_spec(ctx, j)
+    contraction_at_zero(2, ctx.rep)
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append((self.rows, other.cols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    assert _closed_forms_sound(ctx, (2,))
+    assert calls == []
+    # D D itself multiplies every pair of gammas once, and keeps no matrix
+    D = osp_generators(ctx.rep)[0]
+    DD = D.compose(D)
+    assert len(calls) == ctx.n ** 2
+    assert len(DD.terms) == ctx.n and all(t.mat is None for t in DD.terms)
 
 
 def test_compose_drops_zero_fiber_products():

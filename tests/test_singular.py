@@ -631,6 +631,67 @@ def test_prefilter_falls_back_when_identity_fails(monkeypatch):
     assert solved == [(d, list(range(d + 1))) for d in range(5)]
 
 
+def _tampered_classify(lam, d_max):
+    """(C2 closed-form verdict, classify report, oracle report) on a (2,2)
+    Context whose gamma_1 has its (2, 0) entry doubled, so that gamma_1^2 =
+    diag(-2, -1, -2, -1) is diagonal but not a multiple of the identity.
+
+    The tampered model gets its own variant name, so its osp(1|2) products
+    never meet those of the true model, and they are dropped afterwards.
+    """
+    ctx = Context(2, 2)
+    g1 = ctx.rep.gamma(1)
+    g1 = g1 + SparseMatrix.from_entries(4, 4, [(2, 0, g1.get(2, 0))])
+    ctx.rep = replace(ctx.rep, variant="gamma-1-tampered", gammas=[g1] + ctx.rep.gammas[1:])
+    square = g1 @ g1
+    if square != SparseMatrix.from_dense([[-2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -2, 0],
+                                          [0, 0, 0, -1]]):
+        raise AssertionError("gamma_1^2 is %r" % square.data)
+    try:
+        verdict = singular._closed_forms_sound(ctx, (2,))
+        return verdict, classify(ctx, lam, d_max), _classify_unfiltered(ctx, lam, d_max)
+    finally:
+        realization._OSP_CACHE.pop((ctx.rep.sig, ctx.rep.variant), None)
+
+
+def test_non_scalar_diagonal_square_fails_the_closed_form(monkeypatch):
+    # a gamma_1 whose square is diagonal but not scalar must not pass as
+    # -eps_1 I: the C2 check fails, and classify falls back to every block
+    # of every degree and agrees with the unfiltered oracle
+    solved = _spy_solve_blocks(monkeypatch)
+    verdict, report, oracle = _tampered_classify(rational(-1, 2), 3)
+    assert verdict is False
+    assert solved == [(d, list(range(d + 1))) for d in range(4)]
+    assert report.to_json() == oracle.to_json()
+    assert [c.label()[:2] for c in report.found] == [(0, 0), (1, 1)]
+
+
+def test_non_scalar_diagonal_square_fails_under_optimize_flag():
+    # the same check with asserts compiled out
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        from vermaspin.exact import rational
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        ns = runpy.run_path(sys.argv[1])
+        verdict, report, oracle = ns["_tampered_classify"](rational(-1, 2), 3)
+        if verdict is not False:
+            raise SystemExit("a non-scalar gamma_1 square passed the closed-form check")
+        if report.to_json() != oracle.to_json():
+            raise SystemExit("classify differs from the unfiltered oracle")
+        print("fell back:", [c.label()[:2] for c in report.found])
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "fell back: [(0, 0), (1, 1)]\n", proc.stdout
+
+
 def test_failed_closed_form_verdict_is_built_once(monkeypatch):
     # a falsy verdict is memoized like any other: with C2 broken, the second
     # classify on the same Context reads the stored False and runs no residual
