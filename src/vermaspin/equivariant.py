@@ -41,7 +41,7 @@ from .exact import (
 )
 from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
-                          bracket_multiple)
+                          bracket_multiple, _unit)
 from .fischer import apply_x_power, monogenic_basis
 from .singular import special_conformal_matrices
 from .context import Context
@@ -150,13 +150,11 @@ class IntertwiningReport:
 def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic") -> EquivariantOperator:
     """Dualize a singular-vector family into a differential operator.
 
-    ``svs`` is one SpinorPoly or a list spanning a single isotypic component
+    ``svs`` is a list of SpinorPolys spanning a single isotypic component
     at theorem twist lam_thm; each monomial x^a (x) w of the r-th family
     member becomes row r of the coefficient matrix of d^a.  Every member is
     checked exactly to be singular first.
     """
-    if isinstance(svs, SpinorPoly):
-        svs = [svs]
     if not svs:
         raise ValueError("empty singular family")
     lam_thm = rational(lam_thm)
@@ -215,16 +213,10 @@ def _family_rotations(family, degree, lam_real, ctx: Context):
 # ---------------------------------------------------------------------------
 
 
-def _pi_star_specs(op: EquivariantOperator, ctx: Context, source_offset=0,
-                   target_offset=0):
-    """Function-picture actions on both sides of the operator.
-
-    The offsets shift the realization parameters away from the derived ones;
-    nonzero offsets are used only by the negative controls.
-    """
-    nu_src, nu_tgt = op.pi_star_pair()
-    lam_pi_src = nu_src + 1 + source_offset
-    lam_pi_tgt = nu_tgt + 1 + target_offset
+def _pi_star_specs(op: EquivariantOperator, ctx: Context):
+    """Function-picture actions on both sides of the operator, at realization
+    parameters 1 + ``op.pi_star_pair()``: the operator's twists fix the pair."""
+    lam_pi_src, lam_pi_tgt = (nu + 1 for nu in op.pi_star_pair())
     src_fiber = dual_fiber(spinor_fiber(ctx.rep))
     tgt_fiber = dual_fiber(op.family_rotations)
     src = {}
@@ -263,11 +255,12 @@ def _bracket_closes(pi, a, b, y, c):
                          (pi[y].scale(-c), one)]).is_zero()
 
 
-def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
-                        source_offset=0, target_offset=0) -> IntertwiningReport:
+def verify_intertwining(op: EquivariantOperator, test_degree,
+                        ctx: Context) -> IntertwiningReport:
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
 
-    The generators are taken in the order of :func:`_generating_plan`.  A
+    The twist pair is the operator's own (:func:`_pi_star_specs`).  The
+    generators are taken in the order of :func:`_generating_plan`.  A
     generator Y = [A, B] / c is established without a residual of its own
     when three things hold: R_A and R_B are zero operators; the abstract
     model gives [A, B] = c Y with c != 0 and no other generator; and
@@ -292,7 +285,7 @@ def verify_intertwining(op: EquivariantOperator, test_degree, ctx: Context,
     """
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
-    src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
+    src, tgt = _pi_star_specs(op, ctx)
     gens = generators(ctx.n)
     plan = _generating_plan(ctx.n)
     if len(plan) != len(gens) or {y for y, _, _ in plan} != set(gens):
@@ -365,38 +358,25 @@ def twistor(a, ctx: Context) -> EquivariantOperator:
 
 
 def dual_dirac_symbol(a, ctx: Context):
-    """Coefficients of (sum_j eps_j G_j^T d_j)^a as a constant-coefficient map."""
+    """Coefficients of (sum_j eps_j G_j^T d_j)^a as a constant-coefficient map:
+    the a-th ``compose`` power of that spec, each term read back as its
+    matrix times its coefficient (identity terms as ``SparseMatrix.identity``)."""
     n, dim = ctx.n, ctx.spinor_dim
-    first = {}
-    for j in range(1, n + 1):
-        deriv = tuple(1 if k == j - 1 else 0 for k in range(n))
-        first[deriv] = ctx.rep.gamma(j).transpose().scale(ctx.sig.eps(j))
-    out = { (0,) * n: SparseMatrix.identity(dim) }
+    first = OperatorSpec(n, dim, [
+        OpTerm((0,) * n, _unit(n, j), ctx.rep.gamma(j).transpose().scale(ctx.sig.eps(j)),
+               QI_ONE) for j in range(1, n + 1)])
+    power = OperatorSpec.scalar(n, dim, QI_ONE)
     for _ in range(a):
-        nxt = {}
-        for d1, m1 in out.items():
-            for d2, m2 in first.items():
-                d = tuple(x + y for x, y in zip(d1, d2))
-                m = m2 @ m1
-                cur = nxt.get(d)
-                nxt[d] = m if cur is None else cur + m
-        out = {d: m for d, m in nxt.items() if not m.is_zero()}
-    return out
+        power = first.compose(power)
+    return {t.deriv: SparseMatrix.identity(dim, t.coeff) if t.mat is None
+            else t.mat.scale(t.coeff) for t in power.terms}
 
 
 def _proportionality(coeffs_a, coeffs_b):
-    """The exact constant c with A = c * B entrywise, or None.
-
-    c is read off the first entry of A, and then every key is compared
-    exactly.
-    """
-    first = next(((key, r, c, v) for key, a in coeffs_a.items() for r, c, v in a.entries()),
-                 None)
-    if first is None or set(coeffs_a) != set(coeffs_b):
+    """The exact c with A = c * B on every key, or None (also when the key
+    sets differ or are empty): ``multiple_of`` of the keys side by side."""
+    keys = sorted(coeffs_a)
+    if not keys or set(coeffs_b) != set(keys):
         return None
-    key, r, c, v = first
-    w = coeffs_b[key].get(r, c)
-    if not w:
-        return None
-    ratio = v / w
-    return ratio if all(coeffs_b[k].scale(ratio) == a for k, a in coeffs_a.items()) else None
+    return SparseMatrix.hstack([coeffs_a[k] for k in keys]).multiple_of(
+        SparseMatrix.hstack([coeffs_b[k] for k in keys]))

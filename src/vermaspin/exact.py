@@ -454,6 +454,16 @@ class SparseMatrix:
                 return None
         return _canonical(s[0], s[1], self.den)
 
+    def multiple_of(self, other):
+        """The c with self == c * other, else None: c is read off the first
+        entry of ``other``, which must be nonzero, and then checked exactly."""
+        first = next(other.entries(), None)
+        if first is None:
+            raise ValueError("no multiple of the zero matrix is determined")
+        r, col, v = first
+        c = self.get(r, col) / v
+        return c if self == other.scale(c) else None
+
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented

@@ -138,16 +138,13 @@ class structure_constants:
 def bracket_multiple(a, b, y, sig: Signature):
     """The constant c != 0 with [a, b] = c y in the abstract model, or None.
 
-    c is read off one entry of y's matrix, and the whole commutator is then
-    compared with c times that matrix exactly.  The generator matrices are
-    linearly independent, so equality means that y is the only generator in
-    the expansion of [a, b].
+    c is :meth:`SparseMatrix.multiple_of` of the commutator over y's matrix.
+    The generator matrices are linearly independent, so a nonzero c means
+    that y is the only generator in the expansion of [a, b].
     """
     ma, mb, my = (conformal_matrix(g, sig) for g in (a, b, y))
-    comm = ma @ mb - mb @ ma
-    row, col, v = next(my.entries())
-    c = comm.get(row, col) / v
-    return c if c and comm == my.scale(c) else None
+    c = (ma @ mb - mb @ ma).multiple_of(my)
+    return c or None
 
 
 # ---------------------------------------------------------------------------

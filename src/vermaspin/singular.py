@@ -37,7 +37,8 @@ a degree that C1 or C3 would drop.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
-exactly one place (:func:`classify`).
+exactly two places: :func:`classify` and
+``equivariant.from_singular_vector``.
 """
 
 from __future__ import annotations

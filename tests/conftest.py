@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from vermaspin.context import Context
@@ -16,3 +18,16 @@ def ctx_factory():
         return _CONTEXTS[key]
 
     return get
+
+
+@pytest.fixture
+def twist_offset():
+    """Copy of an operator with lambda_source and lambda_target lowered by
+    ``source`` and ``target``: verify_intertwining then checks the realization
+    parameters of its two sides offset by those amounts."""
+
+    def shifted(op, source=0, target=0):
+        return replace(op, lambda_source=op.lambda_source - source,
+                       lambda_target=op.lambda_target - target)
+
+    return shifted

@@ -221,7 +221,7 @@ def test_criterion_6_classification_sweep(ctx_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_intertwining(ctx_factory):
+def test_criterion_7_intertwining(ctx_factory, twist_offset):
     for n in (3, 4):
         ctx = ctx_factory(n, 0)
         for a in (1, 3):
@@ -242,8 +242,8 @@ def test_criterion_7_intertwining(ctx_factory):
     ctx = ctx_factory(3, 0)
     op = dirac_power(1, ctx)
     for off in (rational(1), rational(-1), rational(1, 2)):
-        assert not verify_intertwining(op, 2, ctx, source_offset=off).residual_zero
-        assert not verify_intertwining(op, 2, ctx, target_offset=off).residual_zero
+        assert not verify_intertwining(twist_offset(op, source=off), 2, ctx).residual_zero
+        assert not verify_intertwining(twist_offset(op, target=off), 2, ctx).residual_zero
     _ok("7 (intertwining of D_1, D_3, T_1, T_2 for n in {3,4}; twist pair exact)")
 
 

@@ -246,6 +246,21 @@ def test_selftest(capsys):
     assert out.count("PASS") == 12
 
 
+def test_selftest_passes_under_optimize_flag(capsys):
+    # the checks raise without assert, so -O runs and passes them all alike
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-m", "vermaspin", "selftest"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == out
+    assert [line for line in out.splitlines() if line.startswith("PASS ")] == \
+        ["PASS %-31s" % name for name, _ in cli._selftest_checks()]
+    assert out.count("PASS") == 12
+
+
 def test_selftest_fails_under_optimize_flag():
     # a wrong rref must fail the selftest also when asserts are compiled out
     script = textwrap.dedent("""

@@ -97,13 +97,12 @@ def test_intertwining_n5_full_degree(ctx_factory):
         assert verify_intertwining(op, 5, ctx).residual_zero
 
 
-def test_no_other_twist_variant_passes(ctx_factory):
+def test_no_other_twist_variant_passes(ctx_factory, twist_offset):
     ctx = ctx_factory(3, 0)
     op = dirac_power(1, ctx)
     for s_off, t_off in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
                          (HALF, 0), (0, HALF)]:
-        report = verify_intertwining(op, 2, ctx,
-                                     source_offset=s_off, target_offset=t_off)
+        report = verify_intertwining(twist_offset(op, s_off, t_off), 2, ctx)
         assert not report.residual_zero, (s_off, t_off)
 
 
@@ -117,10 +116,10 @@ def test_perturbation_is_detected(ctx_factory):
     assert report.first_failure is not None
 
 
-def test_failing_report_json_golden(ctx_factory):
+def test_failing_report_json_golden(ctx_factory, twist_offset):
     # the bytes the CLI writes for a failing report (sort_keys, indent 2)
     ctx = ctx_factory(2, 1)
-    report = verify_intertwining(dirac_power(1, ctx), 2, ctx, source_offset=1)
+    report = verify_intertwining(twist_offset(dirac_power(1, ctx), source=1), 2, ctx)
     assert json.dumps(report.to_json(), sort_keys=True, indent=2) == textwrap.dedent("""\
         {
           "first_failure": {
@@ -134,10 +133,10 @@ def test_failing_report_json_golden(ctx_factory):
         }""")
 
 
-def _matrix_product_report(op, test_degree, ctx, source_offset=0, target_offset=0):
+def _matrix_product_report(op, test_degree, ctx):
     """Brute-force oracle: op_(d+s) pi_src(Y)_d - pi_tgt(Y)_(d-order) op_d as
     two assembled matrix products per generator Y and degree d."""
-    src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
+    src, tgt = _pi_star_specs(op, ctx)
     gens = generators(ctx.n)
     max_terms, first, tested = 0, None, 0
     for gen in gens:
@@ -157,33 +156,32 @@ def _matrix_product_report(op, test_degree, ctx, source_offset=0, target_offset=
 
 
 @pytest.mark.parametrize("sig", [(3, 0), (2, 1), (2, 2), (4, 1)])
-def test_symbolic_residual_matches_matrix_product_oracle(ctx_factory, sig):
+def test_symbolic_residual_matches_matrix_product_oracle(ctx_factory, twist_offset, sig):
     # the same report as the matrix-product verifier, on the operators and on
     # negative controls that leave a residual on some generator
     ctx = ctx_factory(*sig)
-    controls = [dict(source_offset=s) for s in (1, -1)] + \
-        [dict(target_offset=t) for t in (1, -1)]
+    offsets = [(s, 0) for s in (1, -1)] + [(0, t) for t in (1, -1)]
     for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
         deriv = sorted(op.coefficients)[0]
-        cases = [(op, {}, 4 if ctx.n == 3 else 3)]
+        cases = [(op, None, 4 if ctx.n == 3 else 3)]
         # the controls fail at low degree already; keep their oracle cheap
         low = max(op.order, 2)
-        cases.append((op.perturbed(deriv, 0, 0, qi(rational(1, 7))), {}, low))
-        cases += [(op, offsets, low) for offsets in controls]
-        for k, (variant, offsets, test_degree) in enumerate(cases):
-            report = verify_intertwining(variant, test_degree, ctx, **offsets).to_json()
-            oracle = _matrix_product_report(variant, test_degree, ctx, **offsets).to_json()
-            assert report == oracle, (op.kind, op.order, offsets)
+        cases.append((op.perturbed(deriv, 0, 0, qi(rational(1, 7))), None, low))
+        cases += [(twist_offset(op, *o), o, low) for o in offsets]
+        for k, (variant, o, test_degree) in enumerate(cases):
+            report = verify_intertwining(variant, test_degree, ctx).to_json()
+            oracle = _matrix_product_report(variant, test_degree, ctx).to_json()
+            assert report == oracle, (op.kind, op.order, k, o)
             assert report["residual_zero"] == (k == 0)
             assert (report["max_residual_terms"] > 0) == (k > 0)
 
 
-def _verify_all_generators(op, test_degree, ctx, source_offset=0, target_offset=0):
+def _verify_all_generators(op, test_degree, ctx):
     """Oracle: the residual op . pi_src(Y) - pi_tgt(Y) . op normal-ordered
     directly for every generator Y, with no bracket identity."""
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
-    src, tgt = _pi_star_specs(op, ctx, source_offset, target_offset)
+    src, tgt = _pi_star_specs(op, ctx)
     gens = generators(ctx.n)
     spec = op.spec
     per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
@@ -202,7 +200,7 @@ def _verify_all_generators(op, test_degree, ctx, source_offset=0, target_offset=
                               max_terms, first)
 
 
-def _direct_generators(op, test_degree, ctx, **offsets):
+def _direct_generators(op, test_degree, ctx):
     """verify_intertwining's report, and the generators whose residual it
     normal-ordered: the _product_sum calls that take op.spec, whose
     coefficient matrices are the very objects of op.coefficients."""
@@ -224,7 +222,7 @@ def _direct_generators(op, test_degree, ctx, **offsets):
 
     equivariant._pi_star_specs, equivariant._product_sum = spy_specs, spy_sum
     try:
-        report = verify_intertwining(op, test_degree, ctx, **offsets)
+        report = verify_intertwining(op, test_degree, ctx)
     finally:
         equivariant._pi_star_specs, equivariant._product_sum = pi_star_specs, product_sum
     return report, direct
@@ -238,24 +236,23 @@ _SIGNATURES = [(p, n - p) for n in (3, 4, 5) for p in range(n, -1, -1)]
 
 
 @pytest.mark.parametrize("sig", _SIGNATURES, ids="{0[0]},{0[1]}".format)
-def test_generating_set_matches_all_generators_oracle(ctx_factory, sig):
+def test_generating_set_matches_all_generators_oracle(ctx_factory, twist_offset, sig):
     # every report field equals the oracle's, for the operators and for
     # negative controls that leave a residual on some generator; a failing
     # seed leaves every generator to be normal-ordered, so the twist offsets
     # run on the first-order operators only, where that is cheap
     ctx = ctx_factory(*sig)
-    offsets = [dict(source_offset=s) for s in (1, -1, HALF, -HALF)] + \
-        [dict(target_offset=t) for t in (1, -1, HALF, -HALF)]
+    offsets = [(s, 0) for s in (1, -1, HALF, -HALF)] + [(0, t) for t in (1, -1, HALF, -HALF)]
     for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
         deriv = sorted(op.coefficients)[0]
         # the controls fail at low degree already; keep their oracle cheap
         low = max(op.order, 2)
-        cases = [(op, {}, 3), (op.perturbed(deriv, 0, 0, qi(rational(1, 7))), {}, low)]
-        cases += [(op, o, low) for o in offsets if op.order == 1]
+        cases = [(op, None, 3), (op.perturbed(deriv, 0, 0, qi(rational(1, 7))), None, low)]
+        cases += [(twist_offset(op, *o), o, low) for o in offsets if op.order == 1]
         for k, (variant, o, test_degree) in enumerate(cases):
-            report = verify_intertwining(variant, test_degree, ctx, **o)
-            assert report == _verify_all_generators(variant, test_degree, ctx, **o), \
-                (op.kind, op.order, o)
+            report = verify_intertwining(variant, test_degree, ctx)
+            assert report == _verify_all_generators(variant, test_degree, ctx), \
+                (op.kind, op.order, k, o)
             assert report.residual_zero == (k == 0)
 
 
@@ -385,6 +382,36 @@ def test_apply_shapes(ctx_factory):
     out = op.apply(f)
     assert out.dim == op.target_dim
     assert out.homogeneous_degree() == 1
+
+
+def _dual_symbol_oracle(a, ctx):
+    """(sum_j eps_j G_j^T d_j)^a by a dict merge: each step multiplies every
+    matrix on the left by each eps_j G_j^T and sums the products per key."""
+    n, dim = ctx.n, ctx.spinor_dim
+    first = {}
+    for j in range(1, n + 1):
+        deriv = tuple(1 if k == j - 1 else 0 for k in range(n))
+        first[deriv] = ctx.rep.gamma(j).transpose().scale(ctx.sig.eps(j))
+    out = {(0,) * n: SparseMatrix.identity(dim)}
+    for _ in range(a):
+        nxt = {}
+        for d1, m1 in out.items():
+            for d2, m2 in first.items():
+                d = tuple(x + y for x, y in zip(d1, d2))
+                m = m2 @ m1
+                cur = nxt.get(d)
+                nxt[d] = m if cur is None else cur + m
+        out = {d: m for d, m in nxt.items() if not m.is_zero()}
+    return out
+
+
+@pytest.mark.parametrize("variant", ["standard", "alt"])
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (2, 2), (3, 2), (3, 3)],
+                         ids="{0[0]},{0[1]}".format)
+def test_dual_symbol_matches_the_dict_merge_oracle(ctx_factory, sig, variant):
+    ctx = ctx_factory(*sig, variant=variant)
+    for a in range(6):
+        assert dual_dirac_symbol(a, ctx) == _dual_symbol_oracle(a, ctx), a
 
 
 def test_dual_symbol_power_order():

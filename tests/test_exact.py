@@ -215,6 +215,22 @@ def test_as_scalar_detects_exactly_the_multiples_of_the_identity():
         assert m.as_scalar() is None, what
 
 
+def test_multiple_of_reads_the_ratio_then_compares_the_whole_matrix():
+    other = SparseMatrix.from_dense([[0, qi(rational(1, 3), 2)], [qi(0, -1), 5]])
+    c = qi(2, -3)
+    ratio = other.scale(c).multiple_of(other)
+    assert ratio == c and ratio.__class__ is GaussianRational
+    # c is read off the first entry; a difference at a later entry is caught
+    later = other.scale(c) + SparseMatrix.from_entries(2, 2, [(1, 1, QI_ONE)])
+    assert later.multiple_of(other) is None
+    assert SparseMatrix.from_dense([[0, 1], [0, 0]]).multiple_of(other) is None
+    assert SparseMatrix.zero(2, 2).multiple_of(other) == QI_ZERO
+    assert SparseMatrix.zero(2, 3).multiple_of(SparseMatrix.identity(2)) is None
+    for zero in (SparseMatrix.zero(2, 2), SparseMatrix.zero(0, 0)):
+        with pytest.raises(ValueError, match="^no multiple of the zero matrix is determined$"):
+            other.multiple_of(zero)
+
+
 def test_rref_identity():
     m = SparseMatrix.identity(2)
     red, piv = rref(m)

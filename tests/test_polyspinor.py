@@ -384,7 +384,7 @@ def test_compose_drops_zero_fiber_products():
     assert len(left.compose(x1.compose(OperatorSpec.fiber(3, a))).terms) == 2
     ctx = Context(4, 0)
     op = twistor(1, ctx)
-    src, tgt = _pi_star_specs(op, ctx, 0, 0)
+    src, tgt = _pi_star_specs(op, ctx)
     for gen in generators(ctx.n):
         residual = _product_sum([(op.spec, src[gen]), (tgt[gen].scale(-1), op.spec)])
         assert residual.terms == [], gen

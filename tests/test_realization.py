@@ -75,6 +75,8 @@ def test_bracket_multiple_compares_the_whole_matrix(monkeypatch):
     # matches l_12 on the entry c is read off, but no longer everywhere
     sig = Signature(3, 0)
     assert bracket_multiple(("f", 2), ("g", 1), ("l", 1, 2), sig) == qi(-1)
+    # a zero commutator is a zero multiple of any generator, so no c
+    assert bracket_multiple(("f", 1), ("f", 2), ("f", 1), sig) is None
     model = realization.conformal_matrix
 
     def extended(gen, sig):
