@@ -19,7 +19,8 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import matmul
 
 from .exact import rational, rational_from_string, rational_to_string, qi
 from .context import Context
@@ -351,13 +352,19 @@ def _selftest_checks():
                     _check(anti == expect, "signature (%d,%d): {G_%d, G_%d}" % (p, q, i, j))
 
     def blades():
+        # the blade table's products against plain products of the gammas
         sig = Signature(2, 2)
         rep = build_gamma_rep(sig)
+        plain = [reduce(matmul, [g for i, g in enumerate(rep.gammas) if b >> i & 1],
+                        SparseMatrix.identity(rep.spinor_dim)) for b in range(16)]
         for b1 in range(16):
+            _check(rep.blade_matrix(b1) == plain[b1], "signature (2,2): blade %d" % b1)
             for b2 in range(16):
                 prod = blade_product(CliffordElement(4, {b1: QI_ONE}),
                                      CliffordElement(4, {b2: QI_ONE}), sig)
-                _check(rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2),
+                mask, s = rep.table.product(b1, b2)
+                _check(rep.element_matrix(prod) == plain[b1] @ plain[b2]
+                       == rep.table.blade(mask).scale(s),
                        "signature (2,2): blades %d * %d" % (b1, b2))
 
     def osp_relations():

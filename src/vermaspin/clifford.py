@@ -8,13 +8,22 @@ i sigma_2, sigma_3 and I, written as rows with one unit i^e per row, and
 ``_CONSTRUCTIONS`` says which factors each of the two constructions
 uses.  Every matrix entry is in {0, +-1, +-i}, so every downstream
 computation stays inside Q(i), and no entry is built as a GaussianRational.
+
+Each gamma model keeps one :class:`BladeTable` per signature and
+construction.  Its blades Gamma_S, the ordered products of the gammas in S,
+are shared :class:`BladeMatrix` objects labelled (S, 1), and a matrix known
+to equal s Gamma_S carries the label (S, s): the gammas, the blades, and
+what ``scale``, ``transpose`` and ``so_generator`` make of them.  The
+product of two labelled matrices is read off the table as ``_blade_mul``
+gives it, with no matrix product, once the table has checked the Clifford
+relations on its integer tables; the volume element is read off the tables
+too.  An unlabelled matrix is multiplied with ``@``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 from .exact import GaussianRational, SparseMatrix, QI_ONE, QI_I, qi, rational
 
@@ -22,9 +31,12 @@ __all__ = [
     "Signature",
     "CliffordElement",
     "GammaRep",
+    "BladeMatrix",
+    "BladeTable",
     "ChiralityProjector",
     "blade_product",
     "build_gamma_rep",
+    "fiber_times",
     "so_generator",
     "chirality_split",
 ]
@@ -173,12 +185,15 @@ def blade_product(a: CliffordElement, b: CliffordElement, sig: Signature) -> Cli
 # ---------------------------------------------------------------------------
 
 # 2x2 factors with one unit per row: row r holds (col, e), the entry i^e at
-# (r, col); _UNITS[e % 4] is i^e as a Gaussian integer (a, b) = a + b i.
+# (r, col); _UNITS[e] is i^e as a Gaussian integer (a, b) = a + b i, and
+# _UNIT_QI[e] as a GaussianRational.
 _I_PAULI_1 = ((1, 1), (0, 1))   # i sigma_1
 _I_PAULI_2 = ((1, 0), (0, 2))   # i sigma_2
 _PAULI_3 = ((0, 0), (1, 2))     # sigma_3
 _ID2 = ((0, 0), (1, 0))
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_EXPONENTS = {u: e for e, u in enumerate(_UNITS)}
+_UNIT_QI = (QI_ONE, QI_I, -QI_ONE, -QI_I)
 
 # construction -> (pre, post, first, second): the k-th pair of Euclidean
 # gammas is pre^(k-1) (x) first|second (x) post^(m-k)
@@ -189,21 +204,44 @@ _CONSTRUCTIONS = {
 
 
 def _kron(factors):
-    """Kronecker product of 2x2 unit-per-row factors: a SparseMatrix over den 1."""
+    """The unit-per-row table of a Kronecker product of 2x2 unit-per-row factors."""
     rows = [(0, 0)]
     for factor in factors:
-        rows = [(c * 2 + fc, e + fe) for c, e in rows for fc, fe in factor]
-    return SparseMatrix.from_int_rows(1 << len(factors),
-                                      [{c: _UNITS[e % 4]} for c, e in rows])
+        rows = [(c * 2 + fc, (e + fe) & 3) for c, e in rows for fc, fe in factor]
+    return tuple(rows)
 
 
-def _product(dim, mats):
-    """The ordered product of dim x dim matrices; the identity when there are none."""
-    return reduce(operator.matmul, mats, SparseMatrix.identity(dim))
+def _compose(a, b):
+    """The unit-per-row table of the product A B of two unit-per-row tables."""
+    return tuple((b[c][0], (e + b[c][1]) & 3) for c, e in a)
+
+
+def _times_i(table):
+    return tuple((c, (e + 1) & 3) for c, e in table)
+
+
+def _is_scalar(table, e):
+    """Whether a unit-per-row table is i^e times the identity."""
+    return all(c == r and f == e for r, (c, f) in enumerate(table))
+
+
+def _unit_rows(m: SparseMatrix):
+    """The unit-per-row table of a matrix with one entry in {+-1, +-i} per row, else None."""
+    if m.den != 1 or len(m.num) != m.rows:
+        return None
+    out = []
+    for r in range(m.rows):
+        if len(m.num[r]) != 1:
+            return None
+        ((c, v),) = m.num[r].items()
+        if v not in _EXPONENTS:
+            return None
+        out.append((c, _EXPONENTS[v]))
+    return tuple(out)
 
 
 def _euclidean_gammas(n, variant):
-    """n anticommuting matrices each squaring to -I, entries in {0,+-1,+-i}."""
+    """The tables of n anticommuting matrices each squaring to -I."""
     if variant not in _CONSTRUCTIONS:
         raise ValueError("unknown gamma construction %r" % (variant,))
     pre, post, first, second = _CONSTRUCTIONS[variant]
@@ -211,20 +249,175 @@ def _euclidean_gammas(n, variant):
     gammas = [_kron([pre] * (k - 1) + [middle] + [post] * (m - k))
               for k in range(1, m + 1) for middle in (first, second)]
     if n % 2 == 1:
-        last = _product(1 << m, gammas)
-        if last @ last == SparseMatrix.identity(1 << m):
-            last = last.scale(QI_I)
+        last = reduce(_compose, gammas)
+        if _is_scalar(_compose(last, last), 0):
+            last = _times_i(last)
         gammas.append(last)
     return gammas
 
 
+class BladeMatrix(SparseMatrix):
+    """A fiber matrix known to equal ``scalar`` times Gamma_``mask`` of ``table``.
+
+    ``scale`` (so also negation) and ``transpose`` keep the label; every
+    other operation gives a plain SparseMatrix.
+    """
+
+    __slots__ = ("table", "mask", "scalar")
+
+    def scale(self, s):
+        m = SparseMatrix.scale(self, s)
+        return _labelled(m, self.table, self.mask, self.scalar * s) if m.num else m
+
+    def transpose(self):
+        m = SparseMatrix.transpose(self)
+        t = self.table.transpose_sign(self.mask)
+        return m if t is None else _labelled(m, self.table, self.mask, self.scalar * t)
+
+
+def _labelled(m, table, mask, scalar):
+    out = object.__new__(BladeMatrix)
+    out.rows, out.cols, out.num, out.den = m.rows, m.cols, m.num, m.den
+    out.table, out.mask, out.scalar = table, mask, scalar
+    return out
+
+
+class BladeTable:
+    """The blades Gamma_S of one gamma model and their products, read off tables.
+
+    ``rows[i]`` is the unit-per-row table of G_(i+1).  Gamma_S is the ordered
+    product of the G_i with i in S, built lazily from the tables; the
+    generators ``gammas`` and every Gamma_S are labelled :class:`BladeMatrix`
+    objects, one per blade, shared by every user of the model.  Before the
+    first product is read off, :meth:`check` verifies the Clifford relations
+    on the tables, so that Gamma_S Gamma_T = +-Gamma_(S xor T) follows from
+    ``_blade_mul``.  For odd n, G_1 ... G_n is a unit omega times I (also
+    checked), and a blade of more than n/2 generators is stored as a unit
+    times its complement.
+    """
+
+    def __init__(self, sig: Signature, rows):
+        self.sig = sig
+        self.rows = rows
+        self.dim = len(rows[0])
+        self._eps = [sig.eps(i + 1) for i in range(sig.n)]
+        self.gammas = tuple(self._blade_of(1 << i, t) for i, t in enumerate(rows))
+        self._blades = {1 << i: g for i, g in enumerate(self.gammas)}
+        self._products = {}
+        self._omega = None
+
+    def _blade_of(self, mask, table):
+        m = SparseMatrix.from_int_rows(self.dim, [{c: _UNITS[e]} for c, e in table])
+        return _labelled(m, self, mask, QI_ONE)
+
+    def blade(self, mask):
+        """Gamma_mask, the ordered product of the G_i in mask (the identity
+        for 0), built from the tables on first use."""
+        out = self._blades.get(mask)
+        if out is None:
+            gens = [t for i, t in enumerate(self.rows) if mask >> i & 1]
+            table = reduce(_compose, gens) if gens else tuple((r, 0) for r in range(self.dim))
+            out = self._blades[mask] = self._blade_of(mask, table)
+        return out
+
+    def check(self):
+        """Check G_i G_j + G_j G_i = -2 eps_i delta_ij I on the tables, and for
+        odd n that G_1 ... G_n is a unit times I; runs once.  Raises
+        ArithmeticError naming the pair, or the volume element."""
+        if self._omega is not None:
+            return
+        rows, where = self.rows, "signature (%d,%d)" % (self.sig.p, self.sig.q)
+        for i, gi in enumerate(rows):
+            if not _is_scalar(_compose(gi, gi), 2 if self._eps[i] > 0 else 0):
+                raise ArithmeticError("%s: G_%d G_%d is not %d I"
+                                      % (where, i + 1, i + 1, -self._eps[i]))
+            for j in range(i):
+                if any(c != d or (e - f) & 3 != 2
+                       for (c, e), (d, f) in zip(_compose(gi, rows[j]), _compose(rows[j], gi))):
+                    raise ArithmeticError("%s: G_%d G_%d + G_%d G_%d is not 0"
+                                          % (where, j + 1, i + 1, i + 1, j + 1))
+        omega = 0
+        if self.sig.n % 2:
+            vol = reduce(_compose, rows)
+            omega = vol[0][1]
+            if not _is_scalar(vol, omega):
+                raise ArithmeticError("%s: G_1 ... G_%d is not a multiple of I"
+                                      % (where, self.sig.n))
+        self._omega = omega
+
+    def product(self, a, b):
+        """(mask, s) with Gamma_a Gamma_b = s Gamma_mask, s in {+-1, +-i}."""
+        out = self._products.get((a, b))
+        if out is None:
+            self.check()
+            sign, mask = _blade_mul(a, b, self._eps)
+            e = 0 if sign > 0 else 2
+            n = self.sig.n
+            if n % 2 and 2 * bin(mask).count("1") > n:
+                # Gamma_T Gamma_full = sigma Gamma_mask, T = mask's complement,
+                # and Gamma_full = omega I
+                full = (1 << n) - 1
+                sigma, _ = _blade_mul(mask ^ full, full, self._eps)
+                mask ^= full
+                e += self._omega + (0 if sigma > 0 else 2)
+            out = self._products[(a, b)] = (mask, _UNIT_QI[e & 3])
+        return out
+
+    def times(self, x: BladeMatrix, y: BladeMatrix):
+        """(mask, s) with x y = s Gamma_mask, for two matrices this table labels."""
+        mask, s = self.product(x.mask, y.mask)
+        return mask, x.scalar * y.scalar * s
+
+    @cached_property
+    def _transpose_signs(self):
+        """t_i with G_i^T = t_i G_i, or None when some G_i is neither symmetric
+        nor antisymmetric."""
+        out = []
+        for table in self.rows:
+            flips = {(e - table[c][1]) & 3 if table[c][0] == r else 1
+                     for r, (c, e) in enumerate(table)}
+            if len(flips) != 1 or flips & {1, 3}:
+                return None
+            out.append(-1 if flips == {2} else 1)
+        return out
+
+    def transpose_sign(self, mask):
+        """The t with Gamma_mask^T = t Gamma_mask, or None if not known:
+        reversing k anticommuting factors gives (-1)^(k(k-1)/2)."""
+        signs = self._transpose_signs
+        if signs is None:
+            return None
+        self.check()
+        k = bin(mask).count("1")
+        t = -1 if k * (k - 1) // 2 % 2 else 1
+        for i, s in enumerate(signs):
+            if mask >> i & 1:
+                t *= s
+        return t
+
+    @cached_property
+    def volume_rows(self):
+        """The unit-per-row table of G_1 ... G_n."""
+        return reduce(_compose, self.rows)
+
+
 @dataclass
 class GammaRep:
-    """Concrete spinor model: n matrices with G_i G_j + G_j G_i = -2 eps_i d_ij."""
+    """Concrete spinor model: n matrices with G_i G_j + G_j G_i = -2 eps_i d_ij.
+
+    ``table`` is the model's :class:`BladeTable`; it is dropped when the
+    gammas are not its generators (a model built with other gammas).
+    """
 
     sig: Signature
     variant: str = "standard"
     gammas: list = field(default_factory=list)
+    table: BladeTable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        table = self.table
+        if table is not None and list(map(id, self.gammas)) != list(map(id, table.gammas)):
+            self.table = None
 
     @property
     def n(self):
@@ -239,8 +432,11 @@ class GammaRep:
         return self.gammas[i - 1]
 
     def blade_matrix(self, blade_mask):
-        return _product(self.spinor_dim,
-                        [g for i, g in enumerate(self.gammas) if blade_mask >> i & 1])
+        """The ordered product of the gammas in the blade, read off the table."""
+        gammas = [g for i, g in enumerate(self.gammas) if blade_mask >> i & 1]
+        if not gammas:
+            return SparseMatrix.identity(self.spinor_dim)
+        return reduce(fiber_times, gammas)
 
     def element_matrix(self, elem: CliffordElement):
         out = SparseMatrix.zero(self.spinor_dim, self.spinor_dim)
@@ -249,30 +445,45 @@ class GammaRep:
         return out
 
 
+def fiber_times(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """x @ y, read off the blade table when one table labels both."""
+    if x.__class__ is BladeMatrix and y.__class__ is BladeMatrix and x.table is y.table:
+        mask, s = x.table.times(x, y)
+        out = x.table.blade(mask)
+        return out if s == 1 else out.scale(s)
+    return x @ y
+
+
+_TABLES = {}
+
+
 def build_gamma_rep(sig: Signature, variant="standard") -> GammaRep:
     """Exact gamma matrices for the given signature.
 
     The Euclidean-convention set (every square -I) is built by the tensor
     recursion, then each generator with eps_i = -1 is rescaled by i so that
-    G_i^2 = -eps_i I.
+    G_i^2 = -eps_i I.  One :class:`BladeTable` is kept per signature and
+    construction, so every model of them shares its gamma objects.
     """
-    gammas = _euclidean_gammas(sig.n, variant)
-    for i in range(sig.n):
-        if sig.eps(i + 1) < 0:
-            gammas[i] = gammas[i].scale(QI_I)
-    return GammaRep(sig=sig, variant=variant, gammas=gammas)
+    table = _TABLES.get((sig, variant))
+    if table is None:
+        rows = [_times_i(t) if sig.eps(i + 1) < 0 else t
+                for i, t in enumerate(_euclidean_gammas(sig.n, variant))]
+        table = _TABLES[(sig, variant)] = BladeTable(sig, rows)
+    return GammaRep(sig=sig, variant=variant, gammas=list(table.gammas), table=table)
 
 
 def so_generator(i, j, rep: GammaRep) -> SparseMatrix:
     """Spinor action of the rotation generator attached to the pair (i, j).
 
-    Returns -1/2 eps_i G_i G_j - 1/2 delta_ij I; vanishes for i = j.
+    Returns -1/2 eps_i G_i G_j - 1/2 delta_ij I; vanishes for i = j.  For
+    i != j the matrix keeps the blade label of G_i G_j.
     """
     sig = rep.sig
     if not (1 <= i <= sig.n and 1 <= j <= sig.n):
         raise IndexError("so generator indices outside 1..%d" % sig.n)
     half = qi(rational(-1, 2))
-    out = (rep.gamma(i) @ rep.gamma(j)).scale(half * sig.eps(i))
+    out = fiber_times(rep.gamma(i), rep.gamma(j)).scale(half * sig.eps(i))
     if i == j:
         out = out + SparseMatrix.identity(rep.spinor_dim, half)
     return out
@@ -310,19 +521,24 @@ class ChiralityProjector:
 def chirality_split(rep: GammaRep) -> ChiralityProjector:
     """The halves of G_vol = c G_1 ... G_n, scaled so G_vol^2 = I.
 
-    Raises ValueError unless G_vol is diagonal with entries +-1.
+    G_vol is read off the unit-per-row tables of the gammas (the model's
+    blade table when it has one).  Raises ValueError unless G_vol is
+    diagonal with entries +-1.
     """
     n = rep.n
     if n % 2 == 1:
         raise ValueError("no chirality split: dimension must be even")
-    dim = rep.spinor_dim
-    ident = SparseMatrix.identity(dim)
-    vol = _product(dim, rep.gammas)
-    if vol @ vol != ident:
-        vol = vol.scale(QI_I)
-    signs = {r: row[r] for r, row in vol.num.items() if row.keys() == {r}}
-    if vol.den != 1 or len(signs) != dim or not set(signs.values()) <= {(1, 0), (-1, 0)}:
+    table = getattr(rep, "table", None)
+    if table is not None:
+        vol = table.volume_rows
+    else:
+        tables = [_unit_rows(g) for g in rep.gammas]
+        vol = None if None in tables else reduce(_compose, tables)
+    if vol is not None and any(e & 1 for _, e in vol):
+        vol = _times_i(vol)
+    if vol is None or any(c != r or e & 1 for r, (c, e) in enumerate(vol)):
         raise ValueError("no chirality split by fiber index: the volume element of the "
                          "%s gamma model at n = %d is not diagonal +-1" % (rep.variant, n))
-    plus_index = frozenset(r for r, s in signs.items() if s == (1, 0))
-    return ChiralityProjector(volume=vol, plus_index=plus_index)
+    volume = SparseMatrix.from_int_rows(rep.spinor_dim, [{c: _UNITS[e]} for c, e in vol])
+    return ChiralityProjector(volume=volume,
+                              plus_index=frozenset(r for r, (_, e) in enumerate(vol) if e == 0))

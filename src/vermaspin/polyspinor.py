@@ -16,7 +16,13 @@ sum, scaling and composition.  One fold, ``_fold``, is the normal form: it
 leaves at most one nonzero term per (mono, deriv), folding identity terms
 into the matrices of their key.  A fiber matrix that the engine creates, a
 product or a folded total, is stored as the identity with its scalar in the
-coefficient whenever it is a scalar multiple of the identity.  ``combined()``
+coefficient whenever it is a scalar multiple of the identity.  A product of
+two fiber matrices labelled by one Clifford blade table
+(:class:`vermaspin.clifford.BladeMatrix`), and a lone labelled matrix, is
+read off the table instead: the table's shared Gamma_S object, or the
+identity, with the label's scalar in the coefficient.  So gamma_a gamma_b
+and gamma_b gamma_a land on one object, and the fold cancels them by
+summing coefficients.  ``combined()``
 returns the fold, ``is_zero`` and ``nonzero_keys`` read it, and composition
 streams the terms of one Leibniz kernel, ``_leibniz``, into it through
 ``_merged``.
@@ -33,6 +39,7 @@ from math import lcm
 from operator import add, itemgetter
 from typing import NamedTuple
 
+from .clifford import BladeMatrix
 from .exact import (
     GaussianRational,
     SparseMatrix,
@@ -438,15 +445,28 @@ def _product_sum(pairs):
 
 def _fiber_product(M1, M2):
     """(M1 M2, None), with None for the identity; (None, s) when the product
-    is s times the identity, and (False, None) when it is zero."""
+    is s times the identity, and (False, None) when it is zero.
+
+    A product of two matrices one blade table labels, or a lone labelled
+    matrix, is read off the table as (Gamma, s): the table's shared Gamma
+    object (None for the identity) and the scalar s, with no matrix product.
+    """
     if M1 is None or M2 is None:
         mat = M2 if M1 is None else M1
+        if mat.__class__ is BladeMatrix:
+            return _blade_term(mat.table, mat.mask, mat.scalar)
+    elif M1.__class__ is BladeMatrix and M2.__class__ is BladeMatrix and M1.table is M2.table:
+        return _blade_term(M1.table, *M1.table.times(M1, M2))
     else:
         mat = M1 @ M2
         s = mat.as_scalar()
         if s is not None:
             return None, s
     return (False if mat is not None and mat.is_zero() else mat), None
+
+
+def _blade_term(table, mask, s):
+    return (table.blade(mask) if mask else None), s
 
 
 def _leibniz(pairs):
@@ -459,6 +479,7 @@ def _leibniz(pairs):
     zero fiber matrix or product yields no term (None is the identity), and
     a product equal to s times the identity is yielded as None with s moved
     into the coefficient, so no later product or fold handles it as a matrix.
+    Blade-labelled matrices are read off their table (``_fiber_product``).
     """
     products = {}
     for a, b in pairs:

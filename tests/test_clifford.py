@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+from functools import reduce
+from operator import matmul
+from pathlib import Path
+
 import pytest
 
 from vermaspin.exact import SparseMatrix, qi, rational, QI_ONE
 from vermaspin.clifford import (
     Signature,
     CliffordElement,
+    BladeMatrix,
+    BladeTable,
     blade_product,
     build_gamma_rep,
     so_generator,
@@ -288,3 +298,113 @@ def test_gamma_build_multiplies_no_gaussian_rational(monkeypatch):
 def test_unknown_gamma_construction_rejected():
     with pytest.raises(ValueError, match="unknown gamma construction 'other'"):
         build_gamma_rep(Signature(3, 0), variant="other")
+
+
+# -- the blade table against plain matrix products ---------------------------
+
+
+def _ordered_product(rep, mask):
+    """The ordered product of the gammas in the blade by plain ``@``."""
+    return reduce(matmul, [g for i, g in enumerate(rep.gammas) if mask >> i & 1],
+                  SparseMatrix.identity(rep.spinor_dim))
+
+
+@pytest.mark.parametrize("variant", ["standard", "alt"])
+@pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (3, 2), (4, 0)])
+def test_blade_table_products_match_matrix_products(p, q, variant):
+    # every pair of blades: the table's (mask, scalar) is the product of the
+    # blade matrices and agrees with the blade algebra
+    sig = Signature(p, q)
+    rep = build_gamma_rep(sig, variant)
+    table, n = rep.table, sig.n
+    blades = {mask: _ordered_product(rep, mask) for mask in range(1 << n)}
+    for mask, mat in blades.items():
+        assert rep.blade_matrix(mask) == mat, mask
+    for a in range(1 << n):
+        for b in range(1 << n):
+            mask, s = table.product(a, b)
+            got = table.blade(mask).scale(s)
+            assert s in (1, -1, qi(0, 1), qi(0, -1))
+            assert got == rep.blade_matrix(a) @ rep.blade_matrix(b) == blades[a] @ blades[b]
+            ((blade, coeff),) = blade_product(CliffordElement(n, {a: QI_ONE}),
+                                              CliffordElement(n, {b: QI_ONE}), sig).terms.items()
+            assert got == blades[blade].scale(coeff), (a, b)
+            # odd n stores a blade of more than n/2 generators by its complement
+            if n % 2 and 2 * bin(blade).count("1") > n:
+                assert mask == blade ^ ((1 << n) - 1), (a, b)
+            else:
+                assert (mask, s) == (blade, coeff), (a, b)
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 1)])
+def test_blade_labels_survive_scale_and_transpose(p, q):
+    # a labelled matrix x equals scalar * Gamma_mask after scale and transpose
+    rep = build_gamma_rep(Signature(p, q), "alt")
+    table, n = rep.table, rep.n
+    mats = [table.blade(table.product(0, mask)[0]) for mask in range(1, 1 << n)]
+    mats += [so_generator(i, j, rep) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for x in mats:
+        for y in (x, x.scale(qi(rational(-3, 2), 1)), x.transpose(), x.transpose().scale(-1),
+                  x.scale(qi(0, 1)).transpose(), -x):
+            assert y.__class__ is BladeMatrix and y.table is table
+            assert y == table.blade(y.mask).scale(y.scalar)
+            assert y.transpose().transpose() == y
+    assert so_generator(1, 1, rep).is_zero()
+    # any other operation gives a plain matrix
+    g1, g2 = rep.gamma(1), rep.gamma(2)
+    for y in (g1 + g2, g1 @ g2, g1 - g1.scale(2), g1.scale(0)):
+        assert y.__class__ is SparseMatrix
+
+
+def _flipped_table(sig, generator, row):
+    """The standard model's tables with one entry of one gamma negated."""
+    rows = list(build_gamma_rep(sig).table.rows)
+    rows[generator] = tuple((c, (e + 2) & 3 if r == row else e)
+                            for r, (c, e) in enumerate(rows[generator]))
+    return BladeTable(sig, rows)
+
+
+@pytest.mark.parametrize("p,q,generator,row", [(3, 0, 0, 0), (2, 2, 2, 3), (3, 2, 4, 1)])
+def test_flipped_gamma_sign_fails_the_relation_check(p, q, generator, row):
+    # one negated entry breaks a relation: reading a product raises, naming a pair
+    table = _flipped_table(Signature(p, q), generator, row)
+    with pytest.raises(ArithmeticError, match=r"signature \(%d,%d\): G_\d G_\d" % (p, q)):
+        table.product(1, 2)
+    with pytest.raises(ArithmeticError):
+        table.check()
+
+
+def test_flipped_gamma_sign_fails_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        from vermaspin.clifford import Signature
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        ns = runpy.run_path(sys.argv[1])
+        try:
+            ns["_flipped_table"](Signature(2, 2), 2, 3).product(1, 2)
+        except ArithmeticError as exc:
+            print(exc)
+        else:
+            raise SystemExit("a flipped gamma passed the relation check")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("signature (2,2): G_"), proc.stdout
+
+
+def test_gamma_models_share_one_table():
+    # every model of one signature and construction holds the same gamma
+    # objects; a model built with other gammas drops the table
+    from dataclasses import replace
+    r1, r2 = build_gamma_rep(Signature(3, 1)), build_gamma_rep(Signature(3, 1))
+    assert r1.table is r2.table and all(a is b for a, b in zip(r1.gammas, r2.gammas))
+    assert build_gamma_rep(Signature(3, 1), "alt").table is not r1.table
+    other = replace(r1, gammas=[r1.gamma(1).scale(-1)] + r1.gammas[1:])
+    assert other.table is None and replace(r1, variant="x").table is r1.table

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vermaspin import cli, realization
+from vermaspin import cli, clifford, realization
 from vermaspin.exact import (SparseMatrix, qi, rational, express_in_span, nullspace, kernel_vectors,
                             _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble, monomials
@@ -262,16 +262,25 @@ def test_wrong_shape_polynomials_and_negative_powers_are_rejected(ctx_factory):
 @pytest.mark.parametrize("dmax", ["0", "2"])
 def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys, dmax):
     # dirac_matrix and x_mult_matrix need only D and X, so D^2, X^2 and X D
-    # are composed only when a special-conformal formula first reads them
+    # are composed only when a special-conformal formula first reads them;
+    # nor is any product read off the blade table, or its relations checked
     monkeypatch.setattr(realization, "_OSP_CACHE", {})
-    composed = []
+    monkeypatch.setattr(clifford, "_TABLES", {})
+    composed, read = [], []
     compose = OperatorSpec.compose
     monkeypatch.setattr(OperatorSpec, "compose",
                         lambda self, other: composed.append(1) or compose(self, other))
+    for name in ("check", "product"):
+        monkeypatch.setattr(clifford.BladeTable, name,
+                            lambda self, *args, _name=name, _f=getattr(clifford.BladeTable, name):
+                            read.append(_name) or _f(self, *args))
     assert cli.main(["fischer", "--p", "4", "--q", "1", "--dmax", dmax]) == 0
     assert json.loads(capsys.readouterr().out)["spaces"][0]["dim"] == 4
-    assert composed == []
+    assert composed == [] and read == []
+    (table,) = clifford._TABLES.values()
+    assert table._omega is None and table._products == {}
     (products,) = realization._OSP_CACHE.values()
     assert not {"DD", "XX", "XD"} & set(vars(products))
     xd = products.XD
     assert len(composed) == 1 and products.XD is xd
+    assert read[:2] == ["product", "check"] and table._omega is not None

@@ -365,10 +365,11 @@ def test_c2_check_multiplies_no_fiber_matrix(monkeypatch, p, q):
     monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
     assert _closed_forms_sound(ctx, (2,))
     assert calls == []
-    # D D itself multiplies every pair of gammas once, and keeps no matrix
+    # D D itself reads every product of two gammas off the blade table, so
+    # it multiplies no matrix either, and keeps no matrix
     D = osp_generators(ctx.rep)[0]
     DD = D.compose(D)
-    assert len(calls) == ctx.n ** 2
+    assert calls == []
     assert len(DD.terms) == ctx.n and all(t.mat is None for t in DD.terms)
 
 
@@ -498,10 +499,12 @@ def test_leibniz_kernel_matches_recursive_oracle():
             for z in (False, True)} <= seen
 
 
-def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
-    ctx = Context(2, 1)
-    g1, g2 = ctx.rep.gamma(1), ctx.rep.gamma(2)
-    zero = SparseMatrix.zero(2, 2)
+def _unlabelled(m):
+    """A plain SparseMatrix equal to m, which no blade table labels."""
+    return SparseMatrix.from_entries(m.rows, m.cols, m.entries())
+
+
+def _gamma_pair_specs(g1, g2):
     a = OperatorSpec(3, 2, [OpTerm((1, 0, 0), (1, 0, 0), g1, QI_ONE),
                             OpTerm((0, 1, 0), (0, 0, 0), g1, qi(2)),
                             OpTerm((0, 0, 0), (0, 1, 0), g2, QI_ONE),
@@ -509,6 +512,10 @@ def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
     b = OperatorSpec(3, 2, [OpTerm((1, 0, 0), (0, 0, 0), g2, QI_ONE),
                             OpTerm((0, 1, 0), (0, 0, 1), g2, qi(0, 1)),
                             OpTerm((0, 0, 1), (0, 0, 0), g1, QI_ONE)])
+    return a, b
+
+
+def _counting_matmul(monkeypatch):
     calls = []
     matmul = SparseMatrix.__matmul__
 
@@ -517,11 +524,22 @@ def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    return calls
+
+
+def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
+    # unlabelled copies of gamma_1 and gamma_2 take the generic path: one
+    # matrix product per distinct pair of fiber matrices
+    rep = Context(2, 1).rep
+    g1, g2 = _unlabelled(rep.gamma(1)), _unlabelled(rep.gamma(2))
+    zero = SparseMatrix.zero(2, 2)
+    a, b = _gamma_pair_specs(g1, g2)
+    calls = _counting_matmul(monkeypatch)
     got = _product_sum([(a, b), (b, a)])
     distinct = {(id(t1.mat), id(t2.mat)) for x, y in [(a, b), (b, a)]
                 for t1 in x.terms for t2 in y.terms if None not in (t1.mat, t2.mat)}
     assert sorted(calls) == sorted(distinct) and len(calls) == 4
-    monkeypatch.setattr(SparseMatrix, "__matmul__", matmul)
+    monkeypatch.undo()
     for degree in range(4):
         assert _by_shift(got, degree) == _by_shift(_product_sum_oracle([(a, b), (b, a)]), degree)
     # a zero fiber matrix, alone or in a product, contributes no term
@@ -530,6 +548,24 @@ def test_leibniz_kernel_multiplies_each_fiber_pair_once(monkeypatch):
     assert list(_leibniz([(zero_fiber, x1)])) == []
     assert list(_leibniz([(x1, zero_fiber), (zero_fiber, a)])) == []
     assert len(list(_leibniz([(x1, zero_fiber), (x1, x1)]))) == 1
+
+
+def test_leibniz_kernel_reads_blade_pairs_off_the_table(monkeypatch):
+    # the model's own gamma_1 and gamma_2, and a scaled and a transposed
+    # copy that keep their labels: every product is read off the blade
+    # table, with no matrix product, and equals the oracle's
+    rep = Context(2, 1).rep
+    g1, g2 = rep.gamma(1), rep.gamma(2)
+    pairs = [_gamma_pair_specs(g1, g2), _gamma_pair_specs(g2.scale(qi(1, 2)), g1.transpose())]
+    pairs += [(b, a) for a, b in pairs]
+    calls = _counting_matmul(monkeypatch)
+    got = _product_sum(pairs)
+    assert calls == []
+    monkeypatch.undo()
+    want = _product_sum_oracle(pairs)
+    assert got.nonzero_keys() == want.nonzero_keys()
+    for degree in range(4):
+        assert _by_shift(got, degree) == _by_shift(want, degree)
 
 
 def test_is_zero_folds_identity_terms_into_matrix_sums():
