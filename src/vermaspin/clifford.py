@@ -9,10 +9,10 @@ i sigma_2, sigma_3 and I, written as rows with one unit i^e per row, and
 uses.  Every matrix entry is in {0, +-1, +-i}, so every downstream
 computation stays inside Q(i), and no entry is built as a GaussianRational.
 
-Each gamma model keeps one :class:`BladeTable` per signature and
-construction.  Its blades Gamma_S, the ordered products of the gammas in S,
-are shared :class:`BladeMatrix` objects labelled (S, 1), and a matrix known
-to equal s Gamma_S carries the label (S, s): the gammas, the blades, and
+Each gamma model (one per signature and construction) has one
+:class:`BladeTable`.  Its blades Gamma_S, the ordered products of the gammas
+in S, are shared :class:`BladeMatrix` objects labelled (S, 1), and a matrix
+known to equal s Gamma_S carries the label (S, s): the gammas, the blades, and
 what ``scale``, ``transpose`` and ``so_generator`` make of them.  The
 product of two labelled matrices is read off the table as ``_blade_mul``
 gives it, with no matrix product, once the table has checked the Clifford
@@ -31,6 +31,7 @@ __all__ = [
     "Signature",
     "CliffordElement",
     "GammaRep",
+    "Memo",
     "BladeMatrix",
     "BladeTable",
     "ChiralityProjector",
@@ -401,23 +402,45 @@ class BladeTable:
         return reduce(_compose, self.rows)
 
 
+class Memo:
+    """A store whose one way in, :meth:`cached`, builds an entry only when its
+    key is absent, so a falsy entry is built once too (see the README)."""
+
+    _MISSING = object()
+
+    def __init__(self):
+        self.cache = {}
+
+    def cached(self, key, build):
+        """The entry under ``key``; ``build()`` makes and stores it on a miss."""
+        value = self.cache.get(key, Memo._MISSING)
+        if value is Memo._MISSING:
+            value = self.cache[key] = build()
+        return value
+
+
 @dataclass
-class GammaRep:
+class GammaRep(Memo):
     """Concrete spinor model: n matrices with G_i G_j + G_j G_i = -2 eps_i d_ij.
 
-    ``table`` is the model's :class:`BladeTable`; it is dropped when the
-    gammas are not its generators (a model built with other gammas).
+    Its store holds what the model fixes (its ``table``, the osp(1|2)
+    products, g_i(0) specs and closed-form verdicts); a copy starts empty.
     """
 
     sig: Signature
     variant: str = "standard"
     gammas: list = field(default_factory=list)
-    table: BladeTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        table = self.table
-        if table is not None and list(map(id, self.gammas)) != list(map(id, table.gammas)):
-            self.table = None
+        super().__init__()
+
+    @property
+    def table(self):
+        """The :class:`BladeTable` whose generators are the gammas, or None."""
+        def own():
+            table, ids = getattr(self.gammas[0], "table", None), list(map(id, self.gammas))
+            return table if table and list(map(id, table.gammas)) == ids else None
+        return self.cached("table", own)
 
     @property
     def n(self):
@@ -454,23 +477,21 @@ def fiber_times(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     return x @ y
 
 
-_TABLES = {}
+_MODELS = Memo()
 
 
 def build_gamma_rep(sig: Signature, variant="standard") -> GammaRep:
-    """Exact gamma matrices for the given signature.
+    """The exact gamma model of a signature and construction, one per process.
 
     The Euclidean-convention set (every square -I) is built by the tensor
     recursion, then each generator with eps_i = -1 is rescaled by i so that
-    G_i^2 = -eps_i I.  One :class:`BladeTable` is kept per signature and
-    construction, so every model of them shares its gamma objects.
+    G_i^2 = -eps_i I.  ``_MODELS`` keeps the model, shared by all its users.
     """
-    table = _TABLES.get((sig, variant))
-    if table is None:
+    def build():
         rows = [_times_i(t) if sig.eps(i + 1) < 0 else t
                 for i, t in enumerate(_euclidean_gammas(sig.n, variant))]
-        table = _TABLES[(sig, variant)] = BladeTable(sig, rows)
-    return GammaRep(sig=sig, variant=variant, gammas=list(table.gammas), table=table)
+        return GammaRep(sig=sig, variant=variant, gammas=list(BladeTable(sig, rows).gammas))
+    return _MODELS.cached((sig, variant), build)
 
 
 def so_generator(i, j, rep: GammaRep) -> SparseMatrix:

@@ -1,28 +1,24 @@
 """Shared computation context: signature, gamma model, and result caches.
 
-Every memoized result of a Context sits in ``Context.cache``, and
-:meth:`Context.cached` is the one way in: it returns the entry under a key,
-and calls the builder only when the key is absent, so a falsy result is
-built once too.  Everything cached is immutable once computed (graded
-bases, assembled matrices, monogenic bases, closed-form verdicts), so a
-Context can be shared freely across independent computations.  The keys are
-listed in the README.
+A Context is a :class:`~vermaspin.clifford.Memo` of what depends on the
+degree (graded bases, assembled matrices, monogenic bases); what the gamma
+model alone fixes is stored on the shared model, ``Context.rep``.  Every
+entry is immutable once computed, so a Context can be shared freely across
+independent computations.  The keys are listed in the README.
 """
 
 from __future__ import annotations
 
-from .clifford import Signature, build_gamma_rep, chirality_split
+from .clifford import Memo, Signature, build_gamma_rep, chirality_split
 from .polyspinor import GradedBasis, assemble
 
-_MISSING = object()
 
-
-class Context:
+class Context(Memo):
     def __init__(self, p, q, variant="standard"):
+        super().__init__()
         self.sig = Signature(p, q)
         self.rep = build_gamma_rep(self.sig, variant=variant)
         self.chirality = chirality_split(self.rep) if self.sig.n % 2 == 0 else None
-        self.cache = {}
 
     @property
     def n(self):
@@ -31,13 +27,6 @@ class Context:
     @property
     def spinor_dim(self):
         return self.rep.spinor_dim
-
-    def cached(self, key, build):
-        """The entry under ``key``; ``build()`` makes and stores it on a miss."""
-        value = self.cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = self.cache[key] = build()
-        return value
 
     def graded_basis(self, degree, dim=None) -> GradedBasis:
         dim = self.spinor_dim if dim is None else dim

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .exact import SparseMatrix, QI_ONE, qi, rational, express_in_span
-from .clifford import GammaRep, Signature, so_generator
+from .clifford import GammaRep, Memo, Signature, so_generator
 from .polyspinor import OpTerm, OperatorSpec, _product_sum
 
 __all__ = [
@@ -98,18 +98,17 @@ def conformal_matrix(gen, sig: Signature) -> SparseMatrix:
     raise ValueError("unknown generator %r" % (gen,))
 
 
-class structure_constants:
+class structure_constants(Memo):
     """Brackets of the abstract model expanded in the generator basis."""
 
     def __init__(self, sig: Signature):
+        super().__init__()
         self.sig = sig
         self.gens = generators(sig.n)
         self._mats = {g: conformal_matrix(g, sig) for g in self.gens}
-        N = sig.n + 2
-        self._dim = N
+        self._dim = N = sig.n + 2
         self._basis = SparseMatrix.from_columns(
             N * N, [self._flatten(self._mats[g]) for g in self.gens])
-        self._cache = {}
 
     def _flatten(self, m: SparseMatrix):
         N = self._dim
@@ -119,10 +118,10 @@ class structure_constants:
         return self._mats[gen]
 
     def bracket(self, a, b):
-        """[a, b] as a list of (generator, coefficient), exact."""
-        key = (a, b)
-        if key in self._cache:
-            return self._cache[key]
+        """[a, b] as a list of (generator, coefficient), exact; built once."""
+        return self.cached((a, b), lambda: self._bracket(a, b))
+
+    def _bracket(self, a, b):
         ma, mb = self._mats[a], self._mats[b]
         comm = ma @ mb - mb @ ma
         coeffs = express_in_span(
@@ -130,9 +129,7 @@ class structure_constants:
         if coeffs is None:
             raise ValueError("bracket escaped the algebra: %r, %r" % (a, b))
         column = coeffs.columns().get(0, {})
-        out = [(g, column[j]) for j, g in enumerate(self.gens) if j in column]
-        self._cache[key] = out
-        return out
+        return [(g, column[j]) for j, g in enumerate(self.gens) if j in column]
 
 
 def bracket_multiple(a, b, y, sig: Signature):
@@ -281,9 +278,8 @@ def _rotation(n, dim, i, j, a, b, mat):
 
 
 class _OspProducts:
-    """The osp(1|2) triple and the products the special-conformal formulas
-    reuse, each product composed on first use: ``dirac_matrix`` and
-    ``x_mult_matrix`` need only D and X."""
+    """D, E, X and the products the special-conformal formulas reuse, each
+    composed on first use: ``dirac_matrix`` and ``x_mult_matrix`` read none."""
 
     def __init__(self, rep: GammaRep):
         self.D, self.E, self.X = osp_generators(rep)
@@ -301,16 +297,9 @@ class _OspProducts:
         return self.X.compose(self.D)
 
 
-_OSP_CACHE = {}
-
-
 def _osp_cached(rep: GammaRep) -> _OspProducts:
-    """D, E, X and their products D^2, X^2, X D, kept once per gamma model."""
-    key = (rep.sig, rep.variant)
-    out = _OSP_CACHE.get(key)
-    if out is None:
-        out = _OSP_CACHE[key] = _OspProducts(rep)
-    return out
+    """D, E, X and their products D^2, X^2, X D, kept in the gamma model's store."""
+    return rep.cached("osp", lambda: _OspProducts(rep))
 
 
 # ---------------------------------------------------------------------------

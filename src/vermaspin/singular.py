@@ -24,8 +24,8 @@ no part in a block where C2's scalar is nonzero, so only the blocks where it
 is zero are solved; the scalars are tested as the integer numerators of
 ``contraction_numerator``.  Both rest on the closed forms of the
 contractions, which are affine in lambda, C(lam) = C(0) + lam * slope.  Both
-parts of each closed form used are checked symbolically once per Context:
-C(0) against the defining sum at lambda 0
+parts of each closed form used are checked symbolically once per gamma model
+per process: C(0) against the defining sum at lambda 0
 (:func:`contraction_identity_residual`) and the slope against the defining
 sum's (:func:`contraction_lambda_residual`).  Each residual is one
 normal-ordered stream: the defining products and the negated closed-form
@@ -37,8 +37,7 @@ a degree that C1 or C3 would drop.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
-exactly two places: :func:`classify` and
-``equivariant.from_singular_vector``.
+exactly two places: :func:`classify` and ``equivariant.from_singular_vector``.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, ra
                     rational_to_string, qi)
 from .polyspinor import assemble, OperatorSpec
 from .realization import (
+    _CONTRACTIONS,
     verma_action,
     contraction_numerator,
     contraction_sum,
@@ -153,8 +153,8 @@ def special_conformal_matrices(ctx: Context, lam, degree):
 
 
 def _sc_spec(ctx: Context, i):
-    """The lambda-free special-conformal generator g_i(0), cached per Context."""
-    return ctx.cached(("sc-spec", i), lambda: verma_action(("g", i), rational(0), ctx.rep))
+    """The lambda-free g_i(0), built once per gamma model per process."""
+    return ctx.rep.cached(("sc-spec", i), lambda: verma_action(("g", i), rational(0), ctx.rep))
 
 
 def singular_vectors(ctx: Context, lam, degree):
@@ -326,9 +326,10 @@ def contraction_lambda_residual(ctx: Context, idx):
 
 
 def _closed_forms_sound(ctx: Context, idxs):
-    """Whether both parts of the closed forms of the contractions ``idxs``
-    passed their symbolic checks; once per Context and set of contractions."""
-    return ctx.cached(("contraction-identity", idxs), lambda: all(
+    """Whether the closed forms of the contractions ``idxs``, as the entries of
+    ``_CONTRACTIONS`` state them, passed both checks; once per gamma model."""
+    key = ("contraction-identity", idxs, tuple(_CONTRACTIONS[i] for i in idxs))
+    return ctx.rep.cached(key, lambda: all(
         contraction_identity_residual(ctx, i).is_zero()
         and contraction_lambda_residual(ctx, i).is_zero() for i in idxs))
 
@@ -351,11 +352,11 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     contraction scalars zero; every other degree has no singular vectors.
     A kept degree is solved by :func:`_solve_blocks` on the blocks where the
     C2 scalar is zero.  Skips by C2, of degrees and of blocks, are taken only
-    after the closed form of C2 passed its symbolic check on this Context,
-    else every degree is solved on all of its blocks.  Further skips by C1
-    and C3 are taken only after their closed forms passed theirs, else every
-    degree C2 keeps is solved.  The C1/C3 check runs only when a degree could
-    be skipped by it.
+    after the closed form of C2 passed its symbolic check, run once per gamma
+    model per process, else every degree is solved on all of its blocks.
+    Further skips by C1 and C3 are taken only after their closed forms passed
+    theirs, else every degree C2 keeps is solved.  The C1/C3 check runs only
+    when a degree could be skipped by it.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")

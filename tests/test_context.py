@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import vermaspin
+from vermaspin import clifford
+from vermaspin.clifford import Memo, Signature, build_gamma_rep
 from vermaspin.context import Context
 
 SRC = Path(vermaspin.__file__).parent
@@ -15,14 +17,20 @@ def _cache_lines(node):
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_context_cached_touches_the_cache(module):
-    # every memo goes through Context.cached, the one get-or-build; only
-    # Context.__init__ creates the dict
+    # every memo, of a Context, of a gamma model and of the map of models,
+    # goes through Memo.cached, the one get-or-build, which no class
+    # redefines; only Memo.__init__ creates the dict
     tree = ast.parse((SRC / module).read_text())
-    allowed = [] if module != "context.py" else [
-        line for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "cached")
-        for line in _cache_lines(fn)]
+    memo = [cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Memo"]
+    assert len(memo) == (module == "clifford.py")
+    allowed = [line for cls in memo for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "cached")
+               for line in _cache_lines(fn)]
     assert sorted(_cache_lines(tree)) == sorted(allowed)
+    assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and fn.name == "cached"] == ["cached"] * len(memo)
+    stores = [Context(3, 0), build_gamma_rep(Signature(3, 0)), clifford._MODELS]
+    assert all(isinstance(s, Memo) and type(s).cached is Memo.cached for s in stores)
 
 
 @pytest.mark.parametrize("value", [None, False, 0, [], "x"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vermaspin import cli, clifford, realization
+from vermaspin import cli, clifford
 from vermaspin.exact import (SparseMatrix, qi, rational, express_in_span, nullspace, kernel_vectors,
                             _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble, monomials
@@ -264,8 +264,7 @@ def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys,
     # dirac_matrix and x_mult_matrix need only D and X, so D^2, X^2 and X D
     # are composed only when a special-conformal formula first reads them;
     # nor is any product read off the blade table, or its relations checked
-    monkeypatch.setattr(realization, "_OSP_CACHE", {})
-    monkeypatch.setattr(clifford, "_TABLES", {})
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
     composed, read = [], []
     compose = OperatorSpec.compose
     monkeypatch.setattr(OperatorSpec, "compose",
@@ -277,9 +276,9 @@ def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys,
     assert cli.main(["fischer", "--p", "4", "--q", "1", "--dmax", dmax]) == 0
     assert json.loads(capsys.readouterr().out)["spaces"][0]["dim"] == 4
     assert composed == [] and read == []
-    (table,) = clifford._TABLES.values()
+    (rep,) = clifford._MODELS.cache.values()
+    table, products = rep.table, rep.cache["osp"]
     assert table._omega is None and table._products == {}
-    (products,) = realization._OSP_CACHE.values()
     assert not {"DD", "XX", "XD"} & set(vars(products))
     xd = products.XD
     assert len(composed) == 1 and products.XD is xd

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from vermaspin import exact, polyspinor, realization, singular
+from vermaspin import clifford, exact, polyspinor, realization, singular
 from vermaspin.context import Context
 from vermaspin.exact import (
     SparseMatrix, QI_ONE, QI_ZERO, qi, rational, rank, express_in_span, nullspace,
@@ -17,7 +17,7 @@ from vermaspin.exact import (
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import (
     verma_action, invariant_contractions, contraction_eigenvalue, contraction_slope,
-    contraction_sum, _osp_cached)
+    contraction_sum, osp_generators, _osp_cached)
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
 from vermaspin.singular import (
     ClassificationReport,
@@ -636,8 +636,8 @@ def _tampered_classify(lam, d_max):
     Context whose gamma_1 has its (2, 0) entry doubled, so that gamma_1^2 =
     diag(-2, -1, -2, -1) is diagonal but not a multiple of the identity.
 
-    The tampered model gets its own variant name, so its osp(1|2) products
-    never meet those of the true model, and they are dropped afterwards.
+    The tampered model is a copy with its own variant name and its own
+    store, so its osp(1|2) products never meet those of the true model.
     """
     ctx = Context(2, 2)
     g1 = ctx.rep.gamma(1)
@@ -647,11 +647,8 @@ def _tampered_classify(lam, d_max):
     if square != SparseMatrix.from_dense([[-2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -2, 0],
                                           [0, 0, 0, -1]]):
         raise AssertionError("gamma_1^2 is %r" % square.data)
-    try:
-        verdict = singular._closed_forms_sound(ctx, (2,))
-        return verdict, classify(ctx, lam, d_max), _classify_unfiltered(ctx, lam, d_max)
-    finally:
-        realization._OSP_CACHE.pop((ctx.rep.sig, ctx.rep.variant), None)
+    verdict = singular._closed_forms_sound(ctx, (2,))
+    return verdict, classify(ctx, lam, d_max), _classify_unfiltered(ctx, lam, d_max)
 
 
 def test_non_scalar_diagonal_square_fails_the_closed_form(monkeypatch):
@@ -706,9 +703,60 @@ def test_failed_closed_form_verdict_is_built_once(monkeypatch):
     ctx, lam = Context(3, 0), rational(5, 2)
     first = classify(ctx, lam, 4).to_json()
     assert residuals == [("contraction_identity_residual", 2)]
-    assert ctx.cache[("contraction-identity", (2,))] is False
+    key = ("contraction-identity", (2,), (realization._CONTRACTIONS[2],))
+    assert ctx.rep.cache[key] is False
     assert classify(ctx, lam, 4).to_json() == first
     assert residuals == [("contraction_identity_residual", 2)]
+
+
+def test_a_copy_with_other_gammas_builds_its_own_model_state():
+    # a dataclasses.replace copy that keeps the variant name but negates
+    # gamma_1 gets D, E, X and g_i(0) built from its own gammas, and the
+    # genuine model's entries are the same objects afterwards
+    genuine = Context(2, 2)
+    o = _osp_cached(genuine.rep)
+    specs = [singular._sc_spec(genuine, i) for i in range(1, 5)]
+    ctx = Context(2, 2)
+    ctx.rep = replace(ctx.rep, gammas=[ctx.rep.gamma(1).scale(-1)] + ctx.rep.gammas[1:])
+    assert ctx.rep.variant == genuine.rep.variant
+    copy = _osp_cached(ctx.rep)
+    D, E, X = osp_generators(ctx.rep)
+    assert [(a - b).is_zero() for a, b in zip((copy.D, copy.E, copy.X), (D, E, X))] == [True] * 3
+    assert not (copy.D - o.D).is_zero() and not (copy.X - o.X).is_zero()
+    for i in range(1, 5):
+        half_eps = qi(ctx.rep.sig.eps(i) * HALF)
+        chain = (OperatorSpec.coordinate(4, 4, i, half_eps).compose(D.compose(D))
+                 + OperatorSpec.derivative(4, 4, i).compose(
+                     E + OperatorSpec.scalar(4, 4, qi(5 * HALF)))
+                 + OperatorSpec.fiber(4, ctx.rep.gamma(i), half_eps).compose(D))
+        spec = singular._sc_spec(ctx, i)
+        assert (spec - chain).is_zero() and not (spec - specs[i - 1]).is_zero(), i
+    assert _osp_cached(genuine.rep) is o and all(
+        singular._sc_spec(genuine, i) is specs[i - 1] for i in range(1, 5))
+    assert singular._closed_forms_sound(genuine, (2,))
+
+
+def test_a_fresh_context_reuses_its_gamma_model(monkeypatch):
+    # a second fresh Context of a model runs no closed-form check and builds
+    # no g_i(0); a changed closed form is checked afresh with no map cleared
+    lam = rational(5, 2)
+    expect = classify(Context(3, 0), lam, 4).to_json()
+    calls = []
+    for name in ("contraction_identity_residual", "contraction_lambda_residual"):
+        def spy(ctx, idx, _name=name, _build=getattr(singular, name)):
+            calls.append((_name, idx))
+            return _build(ctx, idx)
+
+        monkeypatch.setattr(singular, name, spy)
+    build = realization.verma_action
+    for module in (realization, singular):
+        monkeypatch.setattr(module, "verma_action",
+                            lambda gen, *args: calls.append(gen) or build(gen, *args))
+    assert classify(Context(3, 0), lam, 4).to_json() == expect
+    assert calls == []
+    _break_closed_form(monkeypatch, 2)
+    assert singular._closed_forms_sound(Context(3, 0), (2,)) is False
+    assert calls == [("contraction_identity_residual", 2)]
 
 
 @pytest.mark.parametrize("closed_form", ["clifford_contraction", "derivative_contraction"])
@@ -918,10 +966,13 @@ def test_closed_form_check_catches_a_wrong_closed_form_at_zero(monkeypatch, idx)
 
 @pytest.mark.parametrize("sig", [(3, 0), (2, 2), (3, 2)])
 def test_c2_check_merges_once_per_product_sum(monkeypatch, sig):
-    # with D, E, X and their products stored by an earlier Context, the C2
-    # check of a fresh Context merges n times for the g_j(0), once for the
-    # identity residual and once for the slope residual; is_zero merges nothing
-    assert singular._closed_forms_sound(Context(*sig), (2,))
+    # with D, E, X and their products stored, the C2 check of a fresh gamma
+    # model merges n times for the g_j(0), once for the identity residual and
+    # once for the slope residual; is_zero merges nothing
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
+    ctx = Context(*sig)
+    o = _osp_cached(ctx.rep)
+    assert all(spec.terms for spec in (o.DD, o.XX, o.XD))
     calls = []
     merged = polyspinor._merged
 
@@ -930,7 +981,6 @@ def test_c2_check_merges_once_per_product_sum(monkeypatch, sig):
         return merged(*args)
 
     monkeypatch.setattr(polyspinor, "_merged", counted)
-    ctx = Context(*sig)
     assert singular._closed_forms_sound(ctx, (2,))
     assert len(calls) == ctx.n + 2
 
