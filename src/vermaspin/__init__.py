@@ -9,7 +9,7 @@ Gaussian rationals.
 """
 
 from .exact import GaussianRational, SparseMatrix, qi, rational
-from .clifford import Signature, CliffordElement, GammaRep, build_gamma_rep
+from .clifford import Signature, GammaRep, build_gamma_rep
 from .context import Context
 
 __version__ = "0.1.0"

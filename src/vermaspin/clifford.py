@@ -1,8 +1,9 @@
-"""Clifford algebra Cl_{p,q} in blade form and an exact gamma-matrix model.
+"""Exact gamma-matrix models of Cl_{p,q} and their blade tables.
 
 A signature (p, q) fixes eps_i = +1 for i <= p and -1 for i > p, and the
-defining relations e_i e_j + e_j e_i = -2 eps_i delta_ij.  Blades are stored
-as bitmasks over the n generators.  The spinor model is a table: each
+defining relations e_i e_j + e_j e_i = -2 eps_i delta_ij.  Blades are
+bitmasks over the n generators, and ``_blade_mul`` gives the product of two
+as a sign and a blade.  The spinor model is a table: each
 Euclidean gamma is a Kronecker product of the 2x2 factors i sigma_1,
 i sigma_2, sigma_3 and I, written as rows with one unit i^e per row, and
 ``_CONSTRUCTIONS`` says which factors each of the two constructions
@@ -17,7 +18,9 @@ what ``scale``, ``transpose`` and ``so_generator`` make of them.  The
 product of two labelled matrices is read off the table as ``_blade_mul``
 gives it, with no matrix product, once the table has checked the Clifford
 relations on its integer tables; the volume element is read off the tables
-too.  An unlabelled matrix is multiplied with ``@``.
+too.  An unlabelled matrix is multiplied with ``@``.  The table is the only
+code that multiplies blades, and it keeps its blades and products in its
+:class:`Memo` store, like every other per-model entry.
 """
 
 from __future__ import annotations
@@ -25,17 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
-from .exact import GaussianRational, SparseMatrix, QI_ONE, QI_I, qi, rational
+from .exact import SparseMatrix, QI_ONE, QI_I, qi, rational
 
 __all__ = [
     "Signature",
-    "CliffordElement",
     "GammaRep",
     "Memo",
     "BladeMatrix",
     "BladeTable",
     "ChiralityProjector",
-    "blade_product",
     "build_gamma_rep",
     "fiber_times",
     "so_generator",
@@ -65,76 +66,6 @@ class Signature:
         return 1 if i <= self.p else -1
 
 
-class CliffordElement:
-    """Finite Q(i)-combination of blades; a blade is a bitmask over e_1..e_n."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for blade, coeff in terms.items():
-                if coeff:
-                    self.terms[blade] = coeff
-
-    @classmethod
-    def scalar(cls, n, value):
-        return cls(n, {0: value if isinstance(value, GaussianRational) else qi(value)})
-
-    @classmethod
-    def generator(cls, n, i):
-        if not 1 <= i <= n:
-            raise IndexError("generator index %d outside 1..%d" % (i, n))
-        return cls(n, {1 << (i - 1): QI_ONE})
-
-    @classmethod
-    def blade(cls, n, indices, coeff=QI_ONE):
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= n:
-                raise IndexError("blade index %d outside 1..%d" % (i, n))
-            if mask & (1 << (i - 1)):
-                raise ValueError("repeated index in blade")
-            mask |= 1 << (i - 1)
-        return cls(n, {mask: coeff})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            nc = terms.get(b, None)
-            nc = c if nc is None else nc + c
-            if nc:
-                terms[b] = nc
-            elif b in terms:
-                del terms[b]
-        return CliffordElement(self.n, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = s if isinstance(s, GaussianRational) else qi(s)
-        return CliffordElement(self.n, {b: c * s for b, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CliffordElement) and self.n == other.n \
-            and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "CliffordElement(0)"
-        bits = []
-        for blade in sorted(self.terms):
-            idx = [str(i + 1) for i in range(self.n) if blade & (1 << i)]
-            name = "e" + "".join(idx) if idx else "1"
-            bits.append("%s*%s" % (self.terms[blade].to_string(), name))
-        return "CliffordElement(%s)" % " + ".join(bits)
-
-
 def _blade_mul(a_mask, b_mask, eps):
     """Product of two basis blades: (sign, blade) with e_i^2 = -eps_i."""
     sign = 1
@@ -158,27 +89,6 @@ def _blade_mul(a_mask, b_mask, eps):
             a_high |= low
         b &= b - 1
     return sign, result
-
-
-def blade_product(a: CliffordElement, b: CliffordElement, sig: Signature) -> CliffordElement:
-    """Associative Clifford product of blade combinations."""
-    if a.n != sig.n or b.n != sig.n:
-        raise IndexError("blade index range does not match signature")
-    eps = [sig.eps(i + 1) for i in range(sig.n)]
-    terms = {}
-    for ba, ca in a.terms.items():
-        for bb, cb in b.terms.items():
-            sign, blade = _blade_mul(ba, bb, eps)
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            cur = terms.get(blade)
-            nc = c if cur is None else cur + c
-            if nc:
-                terms[blade] = nc
-            elif blade in terms:
-                del terms[blade]
-    return CliffordElement(sig.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +193,24 @@ def _labelled(m, table, mask, scalar):
     return out
 
 
-class BladeTable:
+class Memo:
+    """A store whose one way in, :meth:`cached`, builds an entry only when its
+    key is absent, so a falsy entry is built once too (see the README)."""
+
+    _MISSING = object()
+
+    def __init__(self):
+        self.cache = {}
+
+    def cached(self, key, build):
+        """The entry under ``key``; ``build()`` makes and stores it on a miss."""
+        value = self.cache.get(key, Memo._MISSING)
+        if value is Memo._MISSING:
+            value = self.cache[key] = build()
+        return value
+
+
+class BladeTable(Memo):
     """The blades Gamma_S of one gamma model and their products, read off tables.
 
     ``rows[i]`` is the unit-per-row table of G_(i+1).  Gamma_S is the ordered
@@ -294,32 +221,28 @@ class BladeTable:
     on the tables, so that Gamma_S Gamma_T = +-Gamma_(S xor T) follows from
     ``_blade_mul``.  For odd n, G_1 ... G_n is a unit omega times I (also
     checked), and a blade of more than n/2 generators is stored as a unit
-    times its complement.
+    times its complement.  The store holds the blades under ``("blade",
+    mask)`` and the products under ``("product", a, b)``.
     """
 
     def __init__(self, sig: Signature, rows):
+        super().__init__()
         self.sig = sig
         self.rows = rows
         self.dim = len(rows[0])
         self._eps = [sig.eps(i + 1) for i in range(sig.n)]
-        self.gammas = tuple(self._blade_of(1 << i, t) for i, t in enumerate(rows))
-        self._blades = {1 << i: g for i, g in enumerate(self.gammas)}
-        self._products = {}
         self._omega = None
-
-    def _blade_of(self, mask, table):
-        m = SparseMatrix.from_int_rows(self.dim, [{c: _UNITS[e]} for c, e in table])
-        return _labelled(m, self, mask, QI_ONE)
+        self.gammas = tuple(self.blade(1 << i) for i in range(sig.n))
 
     def blade(self, mask):
         """Gamma_mask, the ordered product of the G_i in mask (the identity
         for 0), built from the tables on first use."""
-        out = self._blades.get(mask)
-        if out is None:
+        def build():
             gens = [t for i, t in enumerate(self.rows) if mask >> i & 1]
             table = reduce(_compose, gens) if gens else tuple((r, 0) for r in range(self.dim))
-            out = self._blades[mask] = self._blade_of(mask, table)
-        return out
+            m = SparseMatrix.from_int_rows(self.dim, [{c: _UNITS[e]} for c, e in table])
+            return _labelled(m, self, mask, QI_ONE)
+        return self.cached(("blade", mask), build)
 
     def check(self):
         """Check G_i G_j + G_j G_i = -2 eps_i delta_ij I on the tables, and for
@@ -348,8 +271,7 @@ class BladeTable:
 
     def product(self, a, b):
         """(mask, s) with Gamma_a Gamma_b = s Gamma_mask, s in {+-1, +-i}."""
-        out = self._products.get((a, b))
-        if out is None:
+        def build():
             self.check()
             sign, mask = _blade_mul(a, b, self._eps)
             e = 0 if sign > 0 else 2
@@ -361,8 +283,8 @@ class BladeTable:
                 sigma, _ = _blade_mul(mask ^ full, full, self._eps)
                 mask ^= full
                 e += self._omega + (0 if sigma > 0 else 2)
-            out = self._products[(a, b)] = (mask, _UNIT_QI[e & 3])
-        return out
+            return mask, _UNIT_QI[e & 3]
+        return self.cached(("product", a, b), build)
 
     def times(self, x: BladeMatrix, y: BladeMatrix):
         """(mask, s) with x y = s Gamma_mask, for two matrices this table labels."""
@@ -402,23 +324,6 @@ class BladeTable:
         return reduce(_compose, self.rows)
 
 
-class Memo:
-    """A store whose one way in, :meth:`cached`, builds an entry only when its
-    key is absent, so a falsy entry is built once too (see the README)."""
-
-    _MISSING = object()
-
-    def __init__(self):
-        self.cache = {}
-
-    def cached(self, key, build):
-        """The entry under ``key``; ``build()`` makes and stores it on a miss."""
-        value = self.cache.get(key, Memo._MISSING)
-        if value is Memo._MISSING:
-            value = self.cache[key] = build()
-        return value
-
-
 @dataclass
 class GammaRep(Memo):
     """Concrete spinor model: n matrices with G_i G_j + G_j G_i = -2 eps_i d_ij.
@@ -453,19 +358,6 @@ class GammaRep(Memo):
     def gamma(self, i):
         """1-based access to the i-th generator matrix."""
         return self.gammas[i - 1]
-
-    def blade_matrix(self, blade_mask):
-        """The ordered product of the gammas in the blade, read off the table."""
-        gammas = [g for i, g in enumerate(self.gammas) if blade_mask >> i & 1]
-        if not gammas:
-            return SparseMatrix.identity(self.spinor_dim)
-        return reduce(fiber_times, gammas)
-
-    def element_matrix(self, elem: CliffordElement):
-        out = SparseMatrix.zero(self.spinor_dim, self.spinor_dim)
-        for blade, coeff in elem.terms.items():
-            out = out + self.blade_matrix(blade).scale(coeff)
-        return out
 
 
 def fiber_times(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

@@ -49,7 +49,6 @@ from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, ra
                     rational_to_string, qi)
 from .polyspinor import assemble, OperatorSpec
 from .realization import (
-    _CONTRACTIONS,
     verma_action,
     contraction_numerator,
     contraction_sum,
@@ -326,10 +325,9 @@ def contraction_lambda_residual(ctx: Context, idx):
 
 
 def _closed_forms_sound(ctx: Context, idxs):
-    """Whether the closed forms of the contractions ``idxs``, as the entries of
-    ``_CONTRACTIONS`` state them, passed both checks; once per gamma model."""
-    key = ("contraction-identity", idxs, tuple(_CONTRACTIONS[i] for i in idxs))
-    return ctx.rep.cached(key, lambda: all(
+    """Whether the closed forms of the contractions ``idxs`` passed both
+    checks; once per gamma model."""
+    return ctx.rep.cached(("contraction-identity", idxs), lambda: all(
         contraction_identity_residual(ctx, i).is_zero()
         and contraction_lambda_residual(ctx, i).is_zero() for i in idxs))
 

@@ -8,13 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from vermaspin import cli, clifford
 from vermaspin.exact import SparseMatrix, qi, rational, QI_ONE
 from vermaspin.clifford import (
     Signature,
-    CliffordElement,
     BladeMatrix,
     BladeTable,
-    blade_product,
     build_gamma_rep,
     so_generator,
     chirality_split,
@@ -22,8 +21,10 @@ from vermaspin.clifford import (
 from vermaspin.realization import structure_constants
 
 
-def unit(n, *indices):
-    return CliffordElement.blade(n, indices)
+def _ordered_product(rep, mask):
+    """The ordered product of the gammas in the blade by plain ``@``."""
+    return reduce(matmul, [g for i, g in enumerate(rep.gammas) if mask >> i & 1],
+                  SparseMatrix.identity(rep.spinor_dim))
 
 
 def test_signature_validation():
@@ -35,45 +36,46 @@ def test_signature_validation():
 
 
 def test_blade_square_convention():
-    sig = Signature(3, 0)
-    sq = blade_product(unit(3, 1), unit(3, 1), sig)
-    assert sq == CliffordElement.scalar(3, qi(-1))
-    sig_mixed = Signature(1, 2)
-    assert blade_product(unit(3, 2), unit(3, 2), sig_mixed) == CliffordElement.scalar(3, qi(1))
+    # G_i G_i = -eps_i I: the table gives the empty blade times -eps_i
+    for p, q in ((3, 0), (1, 2)):
+        rep = build_gamma_rep(Signature(p, q))
+        for i in range(rep.n):
+            eps = rep.sig.eps(i + 1)
+            assert rep.table.product(1 << i, 1 << i) == (0, -eps)
+            assert rep.gamma(i + 1) @ rep.gamma(i + 1) \
+                == SparseMatrix.identity(rep.spinor_dim, qi(-eps))
 
 
 def test_blade_anticommutation():
-    sig = Signature(3, 0)
-    e12 = blade_product(unit(3, 1), unit(3, 2), sig)
-    e21 = blade_product(unit(3, 2), unit(3, 1), sig)
-    assert e12 == unit(3, 1, 2)
-    assert e21 == unit(3, 1, 2).scale(-1)
-
-
-def test_blade_product_expansion():
-    # (e1 + e2)(e1 - e2) = -2 e12 in signature (2, 0)... with n >= 3 ambient
-    sig = Signature(2, 1)
-    a = unit(3, 1) + unit(3, 2)
-    b = unit(3, 1) - unit(3, 2)
-    assert blade_product(a, b, sig) == unit(3, 1, 2).scale(-2)
+    # G_1 G_2 = -G_2 G_1 on the table; at n = 3 both products are stored by
+    # the complement of e_12, a unit times G_3
+    rep = build_gamma_rep(Signature(3, 0))
+    table, g1, g2 = rep.table, rep.gamma(1), rep.gamma(2)
+    (m12, s12), (m21, s21) = table.product(1, 2), table.product(2, 1)
+    assert m12 == m21 == 4 and s21 == -s12
+    assert table.blade(m12).scale(s12) == g1 @ g2 == -(g2 @ g1) == _ordered_product(rep, 3)
 
 
 def test_blade_associativity():
-    sig = Signature(2, 2)
-    elems = [unit(4, 1), unit(4, 2, 3), unit(4, 1, 4), CliffordElement.scalar(4, qi(2, 1))]
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                left = blade_product(blade_product(a, b, sig), c, sig)
-                right = blade_product(a, blade_product(b, c, sig), sig)
-                assert left == right
+    # (Gamma_a Gamma_b) Gamma_c = Gamma_a (Gamma_b Gamma_c) for every triple of
+    # blades, read off the table; odd n stores high blades by their complement
+    for p, q in ((2, 2), (3, 2)):
+        rep = build_gamma_rep(Signature(p, q))
+        table, full = rep.table, 1 << rep.n
 
+        def times(x, y):
+            mask, s = table.product(x[0], y[0])
+            return mask, x[1] * y[1] * s
 
-def test_blade_index_range():
-    with pytest.raises(IndexError):
-        CliffordElement.generator(3, 4)
-    with pytest.raises(IndexError):
-        blade_product(unit(4, 4), unit(4, 1), Signature(3, 0))
+        plain = [_ordered_product(rep, mask) for mask in range(full)]
+        for a in range(full):
+            for b in range(full):
+                ab = times((a, 1), (b, 1))
+                pair = plain[a] @ plain[b]
+                for c in range(full):
+                    left = times(ab, (c, 1))
+                    assert left == times((a, 1), times((b, 1), (c, 1))), (p, q, a, b, c)
+                    assert table.blade(left[0]).scale(left[1]) == pair @ plain[c], (p, q, a, b, c)
 
 
 def all_signatures(n):
@@ -110,15 +112,14 @@ def test_gamma_n3_shapes():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_blade_gamma_homomorphism_low_degree(n):
-    sig = Signature(n - 1, 1)
-    rep = build_gamma_rep(sig)
+    rep = build_gamma_rep(Signature(n - 1, 1))
     blades = [0] + [1 << i for i in range(n)] + [
         (1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    plain = {b: _ordered_product(rep, b) for b in blades}
     for b1 in blades:
         for b2 in blades:
-            prod = blade_product(CliffordElement(n, {b1: QI_ONE}),
-                                 CliffordElement(n, {b2: QI_ONE}), sig)
-            assert rep.element_matrix(prod) == rep.blade_matrix(b1) @ rep.blade_matrix(b2)
+            mask, s = rep.table.product(b1, b2)
+            assert rep.table.blade(mask).scale(s) == plain[b1] @ plain[b2], (b1, b2)
 
 
 def test_so_generator_diagonal_vanishes():
@@ -303,37 +304,50 @@ def test_unknown_gamma_construction_rejected():
 # -- the blade table against plain matrix products ---------------------------
 
 
-def _ordered_product(rep, mask):
-    """The ordered product of the gammas in the blade by plain ``@``."""
-    return reduce(matmul, [g for i, g in enumerate(rep.gammas) if mask >> i & 1],
-                  SparseMatrix.identity(rep.spinor_dim))
+def _check_table_against_matrix_products(p, q, variant):
+    """Assert that every blade of the model's table, and the table's product
+    of every pair of blades, equals the plain ``@`` product of the gammas."""
+    rep = build_gamma_rep(Signature(p, q), variant)
+    table, n = rep.table, rep.n
+    blades = {mask: _ordered_product(rep, mask) for mask in range(1 << n)}
+    for mask, mat in blades.items():
+        assert table.blade(mask) == mat, mask
+    for a in range(1 << n):
+        for b in range(1 << n):
+            mask, s = table.product(a, b)
+            assert s in (1, -1, qi(0, 1), qi(0, -1))
+            assert table.blade(mask).scale(s) == blades[a] @ blades[b], (a, b)
+            # odd n stores a blade of more than n/2 generators by its complement
+            blade = a ^ b
+            if n % 2 and 2 * bin(blade).count("1") > n:
+                assert mask == blade ^ ((1 << n) - 1), (a, b)
+            else:
+                assert mask == blade, (a, b)
 
 
 @pytest.mark.parametrize("variant", ["standard", "alt"])
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (3, 2), (4, 0)])
 def test_blade_table_products_match_matrix_products(p, q, variant):
-    # every pair of blades: the table's (mask, scalar) is the product of the
-    # blade matrices and agrees with the blade algebra
-    sig = Signature(p, q)
-    rep = build_gamma_rep(sig, variant)
-    table, n = rep.table, sig.n
-    blades = {mask: _ordered_product(rep, mask) for mask in range(1 << n)}
-    for mask, mat in blades.items():
-        assert rep.blade_matrix(mask) == mat, mask
-    for a in range(1 << n):
-        for b in range(1 << n):
-            mask, s = table.product(a, b)
-            got = table.blade(mask).scale(s)
-            assert s in (1, -1, qi(0, 1), qi(0, -1))
-            assert got == rep.blade_matrix(a) @ rep.blade_matrix(b) == blades[a] @ blades[b]
-            ((blade, coeff),) = blade_product(CliffordElement(n, {a: QI_ONE}),
-                                              CliffordElement(n, {b: QI_ONE}), sig).terms.items()
-            assert got == blades[blade].scale(coeff), (a, b)
-            # odd n stores a blade of more than n/2 generators by its complement
-            if n % 2 and 2 * bin(blade).count("1") > n:
-                assert mask == blade ^ ((1 << n) - 1), (a, b)
-            else:
-                assert (mask, s) == (blade, coeff), (a, b)
+    _check_table_against_matrix_products(p, q, variant)
+
+
+def test_a_flipped_blade_sign_fails_both_product_oracles(monkeypatch):
+    # with the sign of Gamma_1 Gamma_2 flipped in _blade_mul, a fresh (2,2)
+    # model's table disagrees with the plain products, and both the
+    # selftest's blade check and the comparison above say so
+    blade_mul = clifford._blade_mul
+
+    def flipped(a, b, eps):
+        sign, mask = blade_mul(a, b, eps)
+        return (-sign if (a, b) == (1, 2) else sign), mask
+
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
+    monkeypatch.setattr(clifford, "_blade_mul", flipped)
+    check = dict(cli._selftest_checks())["blade/gamma homomorphism"]
+    with pytest.raises(AssertionError, match=r"signature \(2,2\): blades \d+ \* \d+"):
+        check()
+    with pytest.raises(AssertionError):
+        _check_table_against_matrix_products(2, 2, "standard")
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 1)])

@@ -17,9 +17,9 @@ def _cache_lines(node):
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_context_cached_touches_the_cache(module):
-    # every memo, of a Context, of a gamma model and of the map of models,
-    # goes through Memo.cached, the one get-or-build, which no class
-    # redefines; only Memo.__init__ creates the dict
+    # every memo, of a Context, of a gamma model, of its blade table and of
+    # the map of models, goes through Memo.cached, the one get-or-build,
+    # which no class redefines; only Memo.__init__ creates the dict
     tree = ast.parse((SRC / module).read_text())
     memo = [cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Memo"]
     assert len(memo) == (module == "clifford.py")
@@ -29,7 +29,8 @@ def test_only_context_cached_touches_the_cache(module):
     assert sorted(_cache_lines(tree)) == sorted(allowed)
     assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
             and fn.name == "cached"] == ["cached"] * len(memo)
-    stores = [Context(3, 0), build_gamma_rep(Signature(3, 0)), clifford._MODELS]
+    stores = [Context(3, 0), build_gamma_rep(Signature(3, 0)),
+              build_gamma_rep(Signature(3, 0)).table, clifford._MODELS]
     assert all(isinstance(s, Memo) and type(s).cached is Memo.cached for s in stores)
 
 

@@ -278,7 +278,7 @@ def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys,
     assert composed == [] and read == []
     (rep,) = clifford._MODELS.cache.values()
     table, products = rep.table, rep.cache["osp"]
-    assert table._omega is None and table._products == {}
+    assert table._omega is None and not [key for key in table.cache if key[0] == "product"]
     assert not {"DD", "XX", "XD"} & set(vars(products))
     xd = products.XD
     assert len(composed) == 1 and products.XD is xd
