@@ -24,7 +24,7 @@ from operator import matmul
 
 from .exact import rational, rational_from_string, rational_to_string, qi
 from .context import Context
-from .fischer import monogenic_basis, monogenic_dim
+from .fischer import dirac_matrix, monogenic_basis, monogenic_dim
 from .singular import classify, scan, ClassificationReport
 from .equivariant import dirac_power, twistor, verify_intertwining
 
@@ -444,10 +444,15 @@ def _selftest_checks():
                     _check(img == expect, "signature (2,1): D X^%d on M_%d" % (k, m))
 
     def fischer_rule():
-        import math
+        # the extension makes the telescoping count hold by construction, so
+        # each basis is also compared with an independent elimination of D
         for (p, q) in [(3, 0), (2, 2)]:
             ctx = Context(p, q)
             for d in range(0, 5):
+                _check(sorted(monogenic_basis(ctx, d).rows, key=min)
+                       == nullspace(dirac_matrix(ctx, d).matrix),
+                       "signature (%d,%d), degree %d: the monogenic basis is not the RREF "
+                       "kernel of D" % (p, q, d))
                 total = sum(monogenic_dim(ctx, m) for m in range(d + 1))
                 expect = math.comb(d + ctx.n - 1, ctx.n - 1) * ctx.spinor_dim
                 _check(total == expect, "signature (%d,%d), degree %d: sum of dim M_m is %d, "

@@ -24,7 +24,8 @@ copies the integer rows, normalizes pivot rows by the conjugate of their
 pivot, combines rows fraction-free and divides out integer content, except
 where the pivot and the reduced multiplier are 1.  One Gauss-Jordan loop
 does all of it; there is no modular or floating-point shortcut.  The kernel
-is checked exactly against the matrix, in integers, by one product;
+is checked exactly against the matrix, in integers, by one product
+(``check_kernel``, which also checks kernels built without elimination);
 ``express_in_span`` takes and returns matrices.
 
 Q(i) arithmetic runs on Python ints alone.  The plain rationals of
@@ -51,6 +52,7 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
+    "check_kernel",
     "kernel_vectors",
     "kernel_is_trivial_hint",
     "express_in_span",
@@ -805,10 +807,8 @@ def nullspace(m: SparseMatrix):
     entries only in free columns left of its pivot, so e_f - sum_c
     (row_c[f] / N_c) e_c is already the RREF basis vector of free column f.
 
-    The rows are checked against m before they are returned, in integers and
-    in one product: K @ m^T (the transpose of m @ K^T), with the rows as K,
-    must be zero.  A failure raises ArithmeticError naming the first free
-    column whose vector m does not annihilate.
+    The rows are checked against m before they are returned, by
+    :func:`check_kernel`.
     """
     rows = _gauss_rows(m)
     pivots = _eliminate(rows, reversed(range(m.cols)))
@@ -829,12 +829,23 @@ def nullspace(m: SparseMatrix):
         if lcm != 1:
             _divide_content(w)
         kernel.append(w)
-    residual = SparseMatrix.from_int_rows(m.cols, kernel) @ m.transpose()
-    if not residual.is_zero():
-        j = min(residual.num)
-        raise ArithmeticError("kernel vector of free column %d is not annihilated by "
-                              "the %dx%d matrix" % (list(terms)[j], m.rows, m.cols))
+    check_kernel(kernel, m)
     return kernel
+
+
+def check_kernel(rows, m: SparseMatrix, where=""):
+    """Check that m annihilates every Gaussian-integer kernel row, exactly.
+
+    One product in integers: K @ m^T (the transpose of m @ K^T), with the
+    rows as K, must be zero.  Each row is named by its leading index, its
+    free column.  A failure raises ArithmeticError, prefixed by ``where``,
+    naming the free column of the first row m does not annihilate.
+    """
+    residual = SparseMatrix.from_int_rows(m.cols, rows) @ m.transpose()
+    if not residual.is_zero():
+        raise ArithmeticError("%skernel vector of free column %d is not annihilated by the "
+                              "%dx%d matrix" % (where, min(rows[min(residual.num)]), m.rows,
+                                                m.cols))
 
 
 def kernel_vectors(rows):

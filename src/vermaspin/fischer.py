@@ -1,34 +1,42 @@
 """Monogenic spaces and the Fischer decomposition.
 
-M_a is the kernel of the Dirac operator on the degree-a component of the
-spinor-valued polynomials; the whole polynomial space decomposes exactly as
-the direct sum of X^b M_a over a, b >= 0.  Everything here is computed by
-exact kernel extraction and exact linear solves; no dimension formula is
-assumed anywhere (dimensions are later *checked* against the telescoping
-rule, not produced by it).
+M_a is the kernel of the Dirac operator D = sum_j G_j d_j on the degree-a
+component of the spinor-valued polynomials; the whole polynomial space
+decomposes exactly as the direct sum of X^b M_a over a, b >= 0.  Each M_a is
+built by the Cauchy-Kovalevskaya extension in x_n (Delanghe, Sommen and
+Soucek 1992), and no dimension formula is assumed anywhere: writing
+F = sum_k x_n^k F_k with F_k free of x_n, DF = 0 is the recursion
+(k+1) F_(k+1) = A F_k with A = sum_(j<n) B_j d_j, B_j = eps_n G_n G_j, as G_n
+is invertible (G_n^2 = -eps_n I).  So restriction to x_n = 0 is injective on
+M_a, and each x_n-free f (x) e_s of degree a extends to exactly one element
+of M_a; together they are a basis.  The premises are the Clifford relations,
+which the model's blade table checks, and every extension is then checked
+exactly against D.  Dimensions are later *checked* against the telescoping
+rule, not produced by it.
 
-For even n, M_a = M_a^+ + M_a^- splits by chirality (Delanghe, Sommen and
-Soucek 1992): D anticommutes with the volume element, and in both gamma
-models that element is diagonal +-1, so each kernel vector is tagged by the
-half its support lies in; no projection or second elimination is needed.
+For even n, M_a = M_a^+ + M_a^- splits by chirality: D anticommutes with
+the volume element, and in both gamma models that element is diagonal +-1,
+so each kernel vector is tagged by the half its support lies in; no
+projection or second elimination is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import factorial, gcd
 
-from .exact import SparseMatrix, nullspace, kernel_vectors, express_in_span
-from .polyspinor import GradedBasis, SpinorPoly, assemble
+from .clifford import _UNITS
+from .exact import SparseMatrix, nullspace, check_kernel, kernel_vectors, _divide_content
+# assemble is not called here; perfbench/check_tracer.py checks that this module binds it
+from .polyspinor import GradedBasis, SpinorPoly, assemble, monomials  # noqa: F401
 from .realization import _osp_cached
 from .context import Context
 
 __all__ = [
     "MonogenicBasis",
-    "FischerComponent",
     "monogenic_basis",
     "monogenic_dim",
-    "fischer_decompose",
     "apply_x_power",
     "dirac_matrix",
     "x_mult_matrix",
@@ -40,11 +48,13 @@ __all__ = [
 class MonogenicBasis:
     """Canonical basis of M_a, with per-element chirality tags for even n.
 
-    ``rows`` are the kernel rows ``nullspace`` returns, in chirality order:
-    Gaussian-integer coordinate dicts in the degree-a graded basis, each a
-    positive integer multiple of its basis vector.  The ``vectors`` (their
-    GaussianRational coordinate dicts, leading entry 1) and the ``elements``
-    polynomials are built from them on first use.
+    ``rows`` are the RREF basis of the kernel as Gaussian-integer coordinate
+    dicts in the degree-a graded basis, each a positive integer multiple of
+    its basis vector and free of integer content: the rows ``nullspace`` of D
+    would return, built without elimination, and for even n grouped by
+    chirality half.  The ``vectors`` (their GaussianRational coordinate
+    dicts, leading entry 1) and the ``elements`` polynomials are built from
+    them on first use.
     """
 
     degree: int
@@ -59,15 +69,6 @@ class MonogenicBasis:
     @cached_property
     def elements(self):
         return [self.basis.from_coordinates(v) for v in self.vectors]
-
-
-@dataclass
-class FischerComponent:
-    """One summand X^k (part) with part a monogenic polynomial of degree m."""
-
-    k: int
-    m: int
-    part: SpinorPoly
 
 
 def dirac_matrix(ctx: Context, degree):
@@ -91,22 +92,116 @@ def x_power_matrix(ctx: Context, k, degree):
     return ctx.cached(("xpow", k, degree), build)
 
 
+def _laplacian(poly, weights):
+    """sum_j weights[j] d_j^2 of a scalar polynomial {exponents: int}."""
+    out = {}
+    for g, c in poly.items():
+        for j, e in enumerate(g):
+            if e > 1:
+                h = g[:j] + (e - 2,) + g[j + 1:]
+                out[h] = out.get(h, 0) + weights[j] * e * (e - 1) * c
+    return {h: c for h, c in out.items() if c}
+
+
+def _extension_rows(table, basis: GradedBasis):
+    """The kernel rows of D in degree a, by Cauchy-Kovalevskaya extension in x_n.
+
+    For each x_n-free monomial f of degree a, in basis order, and each fiber
+    index s, the row is a! sum_k x_n^k A^k (f (x) e_s) / k!, over its
+    integer content.  With L = -eps_n sum_(j<n) eps_j d_j^2 = A^2 on scalar
+    polynomials, the even and odd parts are
+
+        x_n^(2l) (L^l f) (x) e_s  and  x_n^(2l+1) sum_(j<n) (d_j L^l f) (x) B_j e_s,
+
+    and the scalar polynomials L^l f and d_j L^l f are computed once per f,
+    with their common integer factor divided out.
+    B_j e_s is one unit entry, read off the model's unit-per-row tables.
+    ``table.check()`` verifies the Clifford relations (A^2 = L) and
+    G_n^2 = -eps_n I first; degree 0 gives the identity rows and reads no
+    gamma.  Raises ArithmeticError, naming the degree, if a row does not
+    lead at its own f (x) e_s.
+    """
+    n, dim, a = basis.n, basis.dim, basis.degree
+    if a == 0:
+        return [{s: (1, 0)} for s in range(dim)]
+    table.check()
+    eps = [table.sig.eps(j) for j in range(1, n + 1)]
+    flip = 0 if eps[-1] > 0 else 2
+    # units[j][s] = (r, u): B_(j+1) e_s = u e_r
+    units = []
+    for gj in table.rows[:-1]:
+        column = [None] * dim
+        for r, (c, e) in enumerate(table.rows[-1]):
+            c2, e2 = gj[c]
+            column[c2] = (r, _UNITS[(e + e2 + flip) & 3])
+        units.append(column)
+    lap = [-eps[-1] * e for e in eps[:-1]]
+    weights = [factorial(a) // factorial(k) for k in range(a + 1)]
+    rows = []
+    for f in monomials(n - 1, a):
+        # the scalar parts, keyed by the column of their monomial times e_0:
+        # even [(col, c)], odd {col: [(j, c)]} for the terms c x^g (x) B_(j+1)
+        even, odd = [], {}
+        poly, k = {f: 1}, 0
+        while poly:
+            even.extend((basis.index(g + (k,), 0), c * weights[k]) for g, c in poly.items())
+            for j in range(n - 1):
+                for g, c in poly.items():
+                    e = g[j]
+                    if e:
+                        col = basis.index(g[:j] + (e - 1,) + g[j + 1:] + (k + 1,), 0)
+                        odd.setdefault(col, []).append((j, c * e * weights[k + 1]))
+            poly, k = _laplacian(poly, lap), k + 2
+        content = gcd(*(c for _, c in even), *(c for terms in odd.values() for _, c in terms))
+        if content > 1:
+            even = [(col, c // content) for col, c in even]
+            odd = {col: [(j, c // content) for j, c in terms] for col, terms in odd.items()}
+        lead = basis.index(f + (0,), 0)
+        for s in range(dim):
+            row = {col + s: (c, 0) for col, c in even}
+            for col, terms in odd.items():
+                for j, c in terms:
+                    r, (x, y) = units[j][s]
+                    old = row.get(col + r)
+                    if old is None:
+                        row[col + r] = (c * x, c * y)
+                    elif old[0] + c * x or old[1] + c * y:
+                        row[col + r] = (old[0] + c * x, old[1] + c * y)
+                    else:
+                        del row[col + r]
+            _divide_content(row)
+            if min(row) != lead + s:
+                raise ArithmeticError("degree %d: the extension of column %d leads at column %d"
+                                      % (a, lead + s, min(row)))
+            rows.append(row)
+    return rows
+
+
 def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     """Exact basis of M_a = ker D in degree a, chirality-refined for even n.
 
-    The basis is the RREF basis of the kernel.  For even n, D anticommutes
-    with the volume element, which is diagonal in the fiber, so elimination
-    never mixes the two halves and every RREF kernel vector lies in one of
-    them: the + vectors come first, then the - vectors, each in kernel order
-    (together the RREF bases of M_a^+ and M_a^-).  The tags are read off the
-    supports of ``nullspace``'s integer rows, which the basis keeps.
+    The basis is the RREF basis of the kernel, built by
+    :func:`_extension_rows`: ``nullspace`` pivots from the last column, so
+    its free columns are the x_n-free monomials, and the extension of each
+    is its RREF row.  Every row is checked against D by ``check_kernel``,
+    whose ArithmeticError names the degree.  A model with no blade table
+    (a tampered copy) takes ``nullspace`` of D instead.  For even n, D
+    anticommutes with the volume element, which is diagonal in the fiber,
+    so every kernel vector lies in one half: the + rows come first, then
+    the - rows, each in kernel order (together the RREF bases of M_a^+ and
+    M_a^-).  The tags are read off the supports of the integer rows.
     """
     if a < 0:
         raise ValueError("degree must be nonnegative")
 
     def build():
         basis = ctx.graded_basis(a)
-        kernel = nullspace(dirac_matrix(ctx, a).matrix)
+        table = ctx.rep.table
+        if table is None:
+            kernel = nullspace(dirac_matrix(ctx, a).matrix)
+        else:
+            kernel = _extension_rows(table, basis)
+            check_kernel(kernel, dirac_matrix(ctx, a).matrix, "degree %d: " % a)
         if ctx.chirality is None:
             rows, tags = kernel, [None] * len(kernel)
         else:
@@ -121,41 +216,6 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
 
 def monogenic_dim(ctx: Context, a) -> int:
     return len(monogenic_basis(ctx, a).rows)
-
-
-def fischer_decompose(ctx: Context, poly: SpinorPoly):
-    """Exact components of a homogeneous polynomial in the sum of X^k M_(d-k).
-
-    Returns FischerComponent entries with nonzero parts; their reconstruction
-    sum_k X^k part_k equals the input exactly.
-    """
-    d = poly.homogeneous_degree()
-    if d is None:
-        if poly.is_zero():
-            return []
-        raise ValueError("non-homogeneous input")
-    basis = ctx.graded_basis(d)
-    blocks = []
-    slots = []
-    for k in range(d + 1):
-        m = d - k
-        mono = monogenic_basis(ctx, m)
-        blocks.append(x_power_matrix(ctx, k, m)
-                      @ SparseMatrix.from_columns(ctx.graded_basis(m).size, mono.vectors))
-        slots.extend((k, m, j) for j in range(len(mono.vectors)))
-    coeffs = express_in_span(SparseMatrix.hstack(blocks),
-                             SparseMatrix.from_columns(basis.size, [basis.coordinates(poly)]))
-    if coeffs is None:
-        raise ValueError("polynomial escapes the monogenic decomposition")
-    parts = {}
-    for slot, c in sorted(coeffs.columns().get(0, {}).items()):
-        k, m, j = slots[slot]
-        mono = monogenic_basis(ctx, m)
-        cur = parts.get((k, m))
-        add = mono.elements[j].scale(c)
-        parts[(k, m)] = add if cur is None else cur + add
-    return [FischerComponent(k=k, m=m, part=part)
-            for (k, m), part in sorted(parts.items())]
 
 
 def apply_x_power(ctx: Context, k, poly: SpinorPoly) -> SpinorPoly:

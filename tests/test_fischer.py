@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, clifford
+from vermaspin import cli, clifford, fischer
+from vermaspin.context import Context
 from vermaspin.exact import (SparseMatrix, qi, rational, express_in_span, nullspace, kernel_vectors,
                             _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble, monomials
@@ -12,7 +19,6 @@ from vermaspin.realization import verma_action
 from vermaspin.fischer import (
     monogenic_basis,
     monogenic_dim,
-    fischer_decompose,
     apply_x_power,
     dirac_matrix,
     x_mult_matrix,
@@ -24,6 +30,51 @@ def polydim(n, d):
     if d < 0:
         return 0
     return math.comb(d + n - 1, n - 1)
+
+
+@dataclass
+class FischerComponent:
+    """One summand X^k (part) with part a monogenic polynomial of degree m."""
+
+    k: int
+    m: int
+    part: SpinorPoly
+
+
+def fischer_decompose(ctx, poly):
+    """Oracle: the exact components of a homogeneous polynomial in the sum of
+    X^k M_(d-k), solved in the span of all blocks at once.
+
+    Returns FischerComponent entries with nonzero parts; their reconstruction
+    sum_k X^k part_k equals the input exactly.
+    """
+    d = poly.homogeneous_degree()
+    if d is None:
+        if poly.is_zero():
+            return []
+        raise ValueError("non-homogeneous input")
+    basis = ctx.graded_basis(d)
+    blocks = []
+    slots = []
+    for k in range(d + 1):
+        m = d - k
+        mono = monogenic_basis(ctx, m)
+        blocks.append(x_power_matrix(ctx, k, m)
+                      @ SparseMatrix.from_columns(ctx.graded_basis(m).size, mono.vectors))
+        slots.extend((k, m, j) for j in range(len(mono.vectors)))
+    coeffs = express_in_span(SparseMatrix.hstack(blocks),
+                             SparseMatrix.from_columns(basis.size, [basis.coordinates(poly)]))
+    if coeffs is None:
+        raise ValueError("polynomial escapes the monogenic decomposition")
+    parts = {}
+    for slot, c in sorted(coeffs.columns().get(0, {}).items()):
+        k, m, j = slots[slot]
+        mono = monogenic_basis(ctx, m)
+        cur = parts.get((k, m))
+        add = mono.elements[j].scale(c)
+        parts[(k, m)] = add if cur is None else cur + add
+    return [FischerComponent(k=k, m=m, part=part)
+            for (k, m), part in sorted(parts.items())]
 
 
 def test_monogenic_degree_zero_is_whole_fiber(ctx_factory):
@@ -92,17 +143,141 @@ def test_chirality_tags_match_projection_oracle(ctx_factory, n, dmax):
 
 
 def test_monogenic_basis_rejects_a_kernel_vector_touching_both_halves(monkeypatch):
-    from vermaspin import fischer
-    from vermaspin.context import Context
-
     ctx = Context(2, 2)
     kernel = nullspace(dirac_matrix(ctx, 1).matrix)
     sides = [{ctx.chirality.half(i % ctx.spinor_dim) for i in v} for v in kernel]
     plus, minus = kernel[sides.index({"+"})], kernel[sides.index({"-"})]
     mixed = {**plus, **minus}  # disjoint supports: the sum of the two
-    monkeypatch.setattr(fischer, "nullspace", lambda m: [mixed])
+    monkeypatch.setattr(fischer, "_extension_rows", lambda table, basis: [mixed])
     with pytest.raises(ArithmeticError, match="degree 1: .*both chirality halves"):
         monogenic_basis(ctx, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_extension_rows_match_nullspace_and_the_projection_oracle(ctx_factory, n):
+    # the extension in x_n gives nullspace's rows, in their Gaussian-integer
+    # normalisation and, within each chirality half, in order; for even n
+    # the elements and tags are the projection oracle's
+    for p in range(n + 1):
+        for variant in ("standard", "alt"):
+            ctx = ctx_factory(p, n - p, variant)
+            for m in range(5):
+                basis = monogenic_basis(ctx, m)
+                kernel = nullspace(dirac_matrix(ctx, m).matrix)
+                if ctx.chirality is None:
+                    assert basis.rows == kernel, (p, variant, m)
+                    assert basis.chirality == [None] * len(kernel)
+                else:
+                    assert sorted(basis.rows, key=min) == kernel, (p, variant, m)
+                    elements, tags = _projected_monogenic_basis(ctx, m)
+                    assert basis.elements == elements, (p, variant, m)
+                    assert basis.chirality == tags, (p, variant, m)
+
+
+def test_only_a_model_without_a_blade_table_eliminates(monkeypatch):
+    # a table-backed model builds every M_m by extension, with no nullspace;
+    # a copy of it whose gammas no table labels falls back to nullspace of D,
+    # with the same rows
+    solved = []
+    monkeypatch.setattr(fischer, "nullspace", lambda m: solved.append(m.cols) or nullspace(m))
+    ctx = Context(3, 2)
+    rows = [monogenic_basis(ctx, m).rows for m in range(4)]
+    assert solved == [] and [len(r) for r in rows] == [4, 16, 40, 80]
+    copy = Context(3, 2)
+    copy.rep = replace(copy.rep, variant="untabled", gammas=[g.scale(1) for g in copy.rep.gammas])
+    assert copy.rep.table is None
+    assert [monogenic_basis(copy, m).rows for m in range(4)] == rows
+    assert solved == [copy.graded_basis(m).size for m in range(4)]
+
+
+def _square_flipped_context(p, q):
+    """A Context whose model has G_n times i: every anticommutation holds,
+    but G_n^2 = eps_n I, so the extension in x_n has lost its premise."""
+    ctx = Context(p, q)
+    rows = list(ctx.rep.table.rows)
+    rows[-1] = clifford._times_i(rows[-1])
+    table = clifford.BladeTable(ctx.sig, rows)
+    ctx.rep = replace(ctx.rep, variant="gamma-n-times-i", gammas=list(table.gammas))
+    return ctx
+
+
+def _corrupted_extension(ctx, degree, row):
+    """monogenic_basis(ctx, degree) with the last entry of the extension's
+    row ``row`` doubled."""
+    build = fischer._extension_rows
+
+    def corrupted(table, basis):
+        rows = build(table, basis)
+        w = rows[row]
+        a, b = w[max(w)]
+        w[max(w)] = (2 * a, 2 * b)
+        return rows
+
+    fischer._extension_rows = corrupted
+    try:
+        return monogenic_basis(ctx, degree)
+    finally:
+        fischer._extension_rows = build
+
+
+def test_extension_checks_its_premise_and_its_rows():
+    # G_n^2 != -eps_n I raises before any row is built (degree 0 reads no
+    # gamma); a corrupted row fails the kernel check, naming the degree
+    ctx = _square_flipped_context(2, 2)
+    assert len(monogenic_basis(ctx, 0).rows) == 4
+    with pytest.raises(ArithmeticError, match=r"^signature \(2,2\): G_4 G_4 is not 1 I$"):
+        monogenic_basis(ctx, 1)
+    message = "degree 2: kernel vector of free column 3 is not annihilated by the 6x12 matrix"
+    with pytest.raises(ArithmeticError, match="^" + message + "$"):
+        _corrupted_extension(Context(3, 0), 2, 3)
+
+
+def test_extension_rejects_a_row_leading_elsewhere(monkeypatch):
+    # each row must lead at its own initial monomial; losing the lead entry
+    # of every row is caught, naming the degree
+    monkeypatch.setattr(fischer, "_divide_content", lambda row: row.pop(min(row)))
+    with pytest.raises(ArithmeticError,
+                       match="^degree 1: the extension of column 0 leads at column 5$"):
+        monogenic_basis(Context(3, 0), 1)
+
+
+def test_extension_checks_run_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        ns = runpy.run_path(sys.argv[1])
+        for broken in (lambda: ns["monogenic_basis"](ns["_square_flipped_context"](2, 2), 1),
+                       lambda: ns["_corrupted_extension"](ns["Context"](3, 0), 2, 3)):
+            try:
+                broken()
+            except ArithmeticError as exc:
+                print(exc)
+            else:
+                raise SystemExit("a broken extension passed its checks")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("signature (2,2): G_4 G_4 is not 1 I\n"
+                           "degree 2: kernel vector of free column 3 is not annihilated by "
+                           "the 6x12 matrix\n"), proc.stdout
+
+
+def test_selftest_compares_the_monogenic_basis_with_an_elimination(monkeypatch):
+    # doubled rows are still kernel vectors leading at their own columns, and
+    # their count is right, so only the comparison with nullspace of D fails
+    build = fischer._extension_rows
+    monkeypatch.setattr(fischer, "_extension_rows", lambda table, basis: [
+        {c: (2 * x, 2 * y) for c, (x, y) in w.items()} for w in build(table, basis)])
+    check = dict(cli._selftest_checks())["monogenic sum rule"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\), degree 0: the monogenic "
+                                             r"basis is not the RREF kernel of D$"):
+        check()
 
 
 @pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (4, 0), (2, 2), (5, 0), (2, 3)])
@@ -263,7 +438,9 @@ def test_wrong_shape_polynomials_and_negative_powers_are_rejected(ctx_factory):
 def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys, dmax):
     # dirac_matrix and x_mult_matrix need only D and X, so D^2, X^2 and X D
     # are composed only when a special-conformal formula first reads them;
-    # nor is any product read off the blade table, or its relations checked
+    # nor is any product read off the blade table.  Its relations are
+    # checked only by the extension of each M_m with m >= 1, once per degree
+    checks = ["check"] * int(dmax)
     monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
     composed, read = [], []
     compose = OperatorSpec.compose
@@ -275,11 +452,12 @@ def test_fischer_on_a_fresh_gamma_model_composes_no_product(monkeypatch, capsys,
                             read.append(_name) or _f(self, *args))
     assert cli.main(["fischer", "--p", "4", "--q", "1", "--dmax", dmax]) == 0
     assert json.loads(capsys.readouterr().out)["spaces"][0]["dim"] == 4
-    assert composed == [] and read == []
+    assert composed == [] and read == checks
     (rep,) = clifford._MODELS.cache.values()
     table, products = rep.table, rep.cache["osp"]
-    assert table._omega is None and not [key for key in table.cache if key[0] == "product"]
+    assert (table._omega is None) == (not checks)
+    assert not [key for key in table.cache if key[0] == "product"]
     assert not {"DD", "XX", "XD"} & set(vars(products))
     xd = products.XD
     assert len(composed) == 1 and products.XD is xd
-    assert read[:2] == ["product", "check"] and table._omega is not None
+    assert read[len(checks):len(checks) + 2] == ["product", "check"] and table._omega is not None

@@ -55,7 +55,9 @@ def test_exact_spans_fire_on_a_tiny_intertwiner(capsys):
 
 def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys):
     # the tracer counts a kernel by len(nullspace(m)), one entry per kernel
-    # vector: on fischer that is the sum of the reported monogenic dims
+    # vector: on classify, whose block solves are the only nullspace calls
+    # (monogenic bases are built by extension), that is the sum of the
+    # found dims
     import json
 
     from vermaspin import cli
@@ -63,12 +65,12 @@ def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys):
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        code = cli.main(["fischer", "--p", "2", "--q", "2", "--dmax", "3"])
+        code = cli.main(["classify", "--p", "2", "--q", "2", "--lambda", "3/2", "--dmax", "5"])
     finally:
         tracer.uninstall()
     out = capsys.readouterr().out
     assert code == 0
     assert "exact.nullspace" in tracer.fired()
-    dims = [space["dim"] for space in json.loads(out)["spaces"]]
-    assert dims == [4, 12, 24, 40]
+    dims = [component["dim"] for component in json.loads(out)["found"]]
+    assert dims == [4, 12, 4]
     assert tracer.metrics()["exact.kernel_dim_total"][0] == sum(dims)
