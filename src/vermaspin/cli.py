@@ -307,7 +307,7 @@ def _selftest_checks():
     from .equivariant import _generating_plan
     from .fischer import monogenic_dim, apply_x_power
     from .singular import (singular_vectors, contraction_identity_residual,
-                           contraction_lambda_residual, xd_eigenvalue)
+                           contraction_lambda_residual, certificate_residuals, xd_eigenvalue)
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -494,6 +494,16 @@ def _selftest_checks():
                 live = residual.nonzero_keys()
                 _check(live == 0, "signature (%d,%d): %s leaves %d terms" % (p, q, what, live))
 
+    def block_certificate():
+        # the premises under which classify certifies a Fischer block by g_1 alone
+        for (p, q) in [(3, 0), (2, 1), (2, 2), (5, 0), (3, 3)]:
+            for j, what, residual in certificate_residuals(Context(p, q)):
+                where = "signature (%d,%d)%s: %s" % (p, q, "" if j is None else ", j = %d" % j,
+                                                     what)
+                _check(residual is not None, where + ": [l_1j, g_1] is no nonzero multiple of g_j")
+                live = residual.nonzero_keys()
+                _check(live == 0, "%s leaves %d terms" % (where, live))
+
     def intertwining():
         ctx = Context(2, 1)
         op = dirac_power(1, ctx)
@@ -528,6 +538,7 @@ def _selftest_checks():
         ("monogenic sum rule", fischer_rule),
         ("classification spot checks", classification),
         ("contraction prefilter identity", prefilter_identity),
+        ("block certificate premises", block_certificate),
         ("equivariant intertwining", intertwining),
     ]
 

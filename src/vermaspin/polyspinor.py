@@ -540,7 +540,7 @@ def _fiber_block(mat, dim, p, q):
     return block
 
 
-def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
+def assemble(spec: OperatorSpec, src_degree, bases=None, monos=None) -> LinearOperator:
     """Exact matrix of a uniform-shift spec on the degree-d component.
 
     ``bases(degree, dim)`` supplies the graded bases (a Context passes its
@@ -548,7 +548,9 @@ def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
     mixed degree shifts is rejected ("non-homogeneous spec"); a negative
     target degree yields a valid empty-codomain matrix.  The matrix is built
     as Gaussian-integer entries over one denominator, the lcm over the terms
-    of coeff's denominator times M's.
+    of coeff's denominator times M's.  Given a set ``monos`` of source
+    monomials, only their columns are built: the matrix keeps its full shape
+    and is the whole one with every other column zero.
     """
     shifts = spec.shifts()
     if len(shifts) > 1:
@@ -561,17 +563,18 @@ def assemble(spec: OperatorSpec, src_degree, bases=None) -> LinearOperator:
     tgt = bases(src_degree + shift, spec.tdim)
     term_dens = [t.coeff._d * (1 if t.mat is None else t.mat.den) for t in spec.terms]
     den = lcm(*term_dens)
-    falls = {}  # deriv -> the falling factor of every source monomial
+    columns = [(k, mono) for k, mono in enumerate(src.monos) if monos is None or mono in monos]
+    falls = {}  # deriv -> the falling factor of every built source monomial
     placed = []
     for t, term_den in zip(spec.terms, term_dens):
         s = den // term_den
         p, q = t.coeff._a * s, t.coeff._b * s
         ffs = falls.get(t.deriv)
         if ffs is None:
-            ffs = falls[t.deriv] = [_falling(mono, t.deriv) for mono in src.monos]
+            ffs = falls[t.deriv] = [_falling(mono, t.deriv) for _, mono in columns]
         move = tuple(c - b for b, c in zip(t.deriv, t.mono))
         blocks = {}
-        for k, (mono, ff) in enumerate(zip(src.monos, ffs)):
+        for (k, mono), ff in zip(columns, ffs):
             if ff is None:
                 continue
             block = blocks.get(ff)

@@ -44,7 +44,6 @@ __all__ = [
     "contraction_sum",
     "contraction_at_zero",
     "contraction_slope",
-    "contraction_eigenvalue",
     "contraction_numerator",
 ]
 
@@ -386,8 +385,17 @@ def invariant_contractions(lam, rep: GammaRep):
 
 def contraction_numerator(idx, k, m, a, b, n):
     """The scalar of contraction ``idx`` on X^k M_m at lam = a/b (b > 0),
-    times 2b: an integer, zero exactly when the scalar is zero (see
-    :func:`contraction_eigenvalue`)."""
+    times 2b: an integer, zero exactly when the scalar is zero.
+
+    Contraction 1 maps X^k M_m into X^(k-1) M_m, contraction 2 preserves it,
+    and contraction 3 maps it into X^(k-2) M_m.  The scalars are
+
+        C1:  -k ((k - n + 3)/2 - lam)                   k even
+             -(2m + n + k - 1) ((k + 2m + 2)/2 - lam)   k odd
+        C2:  (m + k) (m + k - lam + (n + 1)/2) - k (2m + n + k - 1)/2
+        C3:  k (2m + n + k - 2) (lam - (m + k + 2)/2)   k even
+             (k - 1) (2m + n + k - 1) (lam - (m + k + 2)/2)   k odd
+    """
     if idx == 1:
         if k % 2 == 0:
             return -k * ((k - n + 3) * b - 2 * a)
@@ -399,23 +407,3 @@ def contraction_numerator(idx, k, m, a, b, n):
         ladder = k * (2 * m + n + k - 2) if k % 2 == 0 else (k - 1) * (2 * m + n + k - 1)
         return ladder * (2 * a - (m + k + 2) * b)
     raise ValueError("contraction index must be 1, 2 or 3")
-
-
-def contraction_eigenvalue(idx, k, m, lam, n):
-    """Exact scalar of contraction ``idx`` on the component X^k M_m.
-
-    Contraction 1 maps into X^(k-1) M_m, contraction 2 preserves X^k M_m,
-    contraction 3 maps into X^(k-2) M_m.  With lam = a/b the scalars are
-
-        C1:  -k ((k - n + 3)/2 - lam)                   k even
-             -(2m + n + k - 1) ((k + 2m + 2)/2 - lam)   k odd
-        C2:  (m + k) (m + k - lam + (n + 1)/2) - k (2m + n + k - 1)/2
-        C3:  k (2m + n + k - 2) (lam - (m + k + 2)/2)   k even
-             (k - 1) (2m + n + k - 1) (lam - (m + k + 2)/2)   k odd
-
-    each the integer :func:`contraction_numerator` over the common
-    denominator 2b.
-    """
-    lam = rational(lam)
-    b = lam.denominator
-    return qi(rational(contraction_numerator(idx, k, m, lam.numerator, b, n), 2 * b))

@@ -3,21 +3,25 @@
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
 system.  :func:`classify` solves that system only on the Fischer blocks
-X^k M_m a singular vector can lie in: the columns of block k are X^k applied
-to the monogenic basis of M_m, one exact nullspace solves the stacked g_i on
-all kept blocks at once, and each kernel vector is labelled by the block
-(and, for even n, the chirality half of M_m) its support lies in.  The
-outcome is compared against the case table of the classification theorems.
-:func:`singular_vectors` solves a whole degree, and :func:`isotypic_split`
-sorts such a kernel into blocks by exact X*D eigenvalues; ``classify`` calls
-neither.
+X^k M_m a singular vector can lie in; the columns of block k are X^k applied
+to the monogenic basis of M_m.  Most blocks are certified by g_1 alone: if
+g_1 kills the block's columns, every g_j does, under premises checked
+symbolically once per gamma model (:func:`certificate_residuals`), and the
+whole block is singular.  g_1 is assembled only on the monomials of the
+block's support.  The blocks left, if any, are solved by one exact nullspace
+of the stacked whole-degree g_i on their columns, and each kernel vector is
+labelled by the block (and, for even n, the chirality half of M_m) its
+support lies in.  The outcome is compared against the case table of the
+classification theorems.  :func:`singular_vectors` solves a whole degree,
+and :func:`isotypic_split` sorts such a kernel into blocks by exact X*D
+eigenvalues; ``classify`` calls neither.
 
 Contraction prefilter: a singular vector is also killed by the three
 invariant contractions C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
-C3 = sum_j eps_j d_j g_j.  On a Fischer block X^k M_m, C2 acts by the scalar
-``contraction_eigenvalue(2, k, m, lam, n)``, and C1 and C3 are scalars times
-the ladder maps into X^(k-1) M_m and X^(k-2) M_m.  The images of distinct
-blocks land in distinct blocks, so a degree where no block has all three
+C3 = sum_j eps_j d_j g_j.  On a Fischer block X^k M_m, C2 acts by a scalar,
+and C1 and C3 are scalars times the ladder maps into X^(k-1) M_m and
+X^(k-2) M_m (``contraction_numerator`` gives each scalar's numerator).  The
+images of distinct blocks land in distinct blocks, so a degree where no block has all three
 scalars zero has no singular vectors, and :func:`classify` skips it without
 assembling or eliminating anything; at a kept degree a singular vector has
 no part in a block where C2's scalar is nonzero, so only the blocks where it
@@ -42,18 +46,21 @@ exactly two places: :func:`classify` and ``equivariant.from_singular_vector``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, rational,
                     rational_to_string, qi)
-from .polyspinor import assemble, OperatorSpec
+from .polyspinor import assemble, OperatorSpec, _product_sum
 from .realization import (
     verma_action,
+    bracket_multiple,
     contraction_numerator,
     contraction_sum,
     contraction_at_zero,
     contraction_slope,
+    _osp_cached,
 )
 from .fischer import monogenic_basis, monogenic_dim, dirac_matrix, x_mult_matrix
 from .context import Context
@@ -67,6 +74,7 @@ __all__ = [
     "predicted_components",
     "contraction_identity_residual",
     "contraction_lambda_residual",
+    "certificate_residuals",
     "classify",
     "scan",
     "xd_eigenvalue",
@@ -140,13 +148,12 @@ def special_conformal_matrices(ctx: Context, lam, degree):
     The lambda-independent part is cached per (i, degree), and its spec per
     i; only a scaled derivative matrix depends on lambda.
     """
-    n, dim = ctx.n, ctx.spinor_dim
     out = []
-    for i in range(1, n + 1):
+    for i in range(1, ctx.n + 1):
         base = ctx.cached(("sc-base", i, degree),
                           lambda: assemble(_sc_spec(ctx, i), degree, ctx.graded_basis).matrix)
-        delta = ctx.cached(("sc-del", i, degree), lambda: assemble(
-            OperatorSpec.derivative(n, dim, i, qi(-1)), degree, ctx.graded_basis).matrix)
+        delta = ctx.cached(("sc-del", i, degree),
+                           lambda: assemble(_minus_d(ctx, i), degree, ctx.graded_basis).matrix)
         out.append(SparseMatrix.combination([(base, QI_ONE), (delta, qi(lam))]) if lam else base)
     return out
 
@@ -154,6 +161,11 @@ def special_conformal_matrices(ctx: Context, lam, degree):
 def _sc_spec(ctx: Context, i):
     """The lambda-free g_i(0), built once per gamma model per process."""
     return ctx.rep.cached(("sc-spec", i), lambda: verma_action(("g", i), rational(0), ctx.rep))
+
+
+def _minus_d(ctx: Context, i):
+    """-d_i, the lambda slope of g_i(lam) = g_i(0) - lam d_i."""
+    return OperatorSpec.derivative(ctx.n, ctx.spinor_dim, i, qi(-1))
 
 
 def singular_vectors(ctx: Context, lam, degree):
@@ -169,54 +181,147 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     """The joint kernel on the Fischer blocks X^k M_(degree-k), k in ``ks``,
     as one ComponentRecord per block where it is nonzero, in ascending k.
 
-    The columns of block k are X^k applied to the kernel rows of M_(degree-k)
-    (``MonogenicBasis.rows``, positive integer multiples of its basis
-    vectors, which leaves every kernel support unchanged); the stacked g_i
-    are multiplied onto all columns at once and solved by one exact
-    nullspace, whose rows give the slots.  The joint kernel is
+    The columns V of block k are X^k applied to the kernel rows of
+    M_(degree-k) (``MonogenicBasis.rows``, positive integer multiples of its
+    basis vectors, which leaves every kernel support unchanged).  A block
+    that :func:`_certified_blocks` certifies by g_1 alone is wholly
+    singular, and each of its columns counts in the slot (block, chirality
+    tag of its M_m row).  The other blocks are solved as before: the
+    whole-degree g_i are multiplied onto their columns at once and solved by
+    one exact nullspace, whose rows give the slots.  The kernel splits over
+    the blocks, since g_i V = 0 on a certified block.  The joint kernel is
     Spin-invariant, and the blocks of one degree, and for even n the
     chirality halves of each M_m, are pairwise non-isomorphic, so every
     canonical kernel vector lies in the columns of one (block, half) slot.
     A vector touching two slots raises ArithmeticError naming the degree and
     the slots.  The half counted is that of the M_m part, its monogenic tag;
     X^k moves it into the other fiber half for odd k.  Solving all blocks of
-    a degree requires their columns to number the degree's whole basis.
+    a degree requires their columns to number the degree's whole basis,
+    also when every block is certified.
     """
     rows = ctx.graded_basis(degree).size
-    blocks = []
-    slots = []  # column -> (k, chirality tag of the M_m part)
-    for k in ks:
-        m = degree - k
-        mono = monogenic_basis(ctx, m)
-        block = SparseMatrix.from_int_rows(ctx.graded_basis(m).size, mono.rows).transpose()
-        for t in range(k):
-            block = x_mult_matrix(ctx, m + t).matrix @ block
-        blocks.append(block)
-        slots.extend((k, tag) for tag in mono.chirality)
-    if len(ks) == degree + 1 and len(slots) != rows:
+    tags = {k: monogenic_basis(ctx, degree - k).chirality for k in ks}
+    cols = sum(map(len, tags.values()))
+    if len(ks) == degree + 1 and cols != rows:
         raise ArithmeticError("degree %d: the Fischer blocks give %d columns, the degree has %d"
-                              % (degree, len(slots), rows))
-    columns = SparseMatrix.hstack(blocks)
-    stacked = reduce(SparseMatrix.stack_below,
-                     [g @ columns for g in special_conformal_matrices(ctx, lam, degree)])
-    dims = {}
-    for vec in nullspace(stacked):
-        touched = {slots[c] for c in vec}
-        if len(touched) != 1:
-            raise ArithmeticError("degree %d: a kernel vector touches the blocks %s" % (
-                degree, ", ".join("X^%d M_%d%s" % (k, degree - k, tag or "")
-                                  for k, tag in sorted(touched, key=str))))
-        slot = touched.pop()
-        dims[slot] = dims.get(slot, 0) + 1
+                              % (degree, cols, rows))
+    certified = _certified_blocks(ctx, lam, degree, ks)
+    dims = Counter((k, tag) for k in ks if k in certified for tag in tags[k])
+    unsure = [k for k in ks if k not in certified]
+    if unsure:
+        slots = [(k, tag) for k in unsure for tag in tags[k]]  # column -> slot
+        columns = SparseMatrix.hstack([_block_columns(ctx, degree, k) for k in unsure])
+        stacked = reduce(SparseMatrix.stack_below,
+                         [g @ columns for g in special_conformal_matrices(ctx, lam, degree)])
+        for vec in nullspace(stacked):
+            touched = {slots[c] for c in vec}
+            if len(touched) != 1:
+                raise ArithmeticError("degree %d: a kernel vector touches the blocks %s" % (
+                    degree, ", ".join("X^%d M_%d%s" % (k, degree - k, tag or "")
+                                      for k, tag in sorted(touched, key=str))))
+            dims[touched.pop()] += 1
     out = []
     for k in ks:
-        halves = {tag: dims.get((k, tag), 0) for tag in ("+", "-")}
-        dim = dims.get((k, None), 0) + halves["+"] + halves["-"]
+        halves = {tag: dims[k, tag] for tag in ("+", "-")}
+        dim = dims[k, None] + halves["+"] + halves["-"]
         if dim:
             out.append(ComponentRecord(
                 degree=degree, k=k, m=degree - k, dim=dim,
                 chirality_dims=None if ctx.chirality is None else halves))
     return out
+
+
+def _block_columns(ctx: Context, degree, k):
+    """The columns of the block X^k M_(degree-k): X^k applied to the kernel
+    rows of M_(degree-k), by chained X products."""
+    m = degree - k
+    block = SparseMatrix.from_int_rows(ctx.graded_basis(m).size,
+                                       monogenic_basis(ctx, m).rows).transpose()
+    for t in range(k):
+        block = x_mult_matrix(ctx, m + t).matrix @ block
+    return block
+
+
+def _g1_on_block(ctx: Context, degree, k):
+    """(g_1(0) V, -d_1 V) for the columns V of the block X^k M_(degree-k), so
+    that g_1(lam) V = g_1(0) V + lam (-d_1 V).  Each part is assembled on the
+    monomials of V's support alone and multiplied onto V once per Context."""
+    def build():
+        columns = _block_columns(ctx, degree, k)
+        basis = ctx.graded_basis(degree)
+        support = {basis.monos[r // basis.dim] for r in columns.num}
+        return tuple(assemble(spec, degree, ctx.graded_basis, support).matrix @ columns
+                     for spec in (_sc_spec(ctx, 1), _minus_d(ctx, 1)))
+    return ctx.cached(("sc-block", degree, k), build)
+
+
+def _certified_blocks(ctx: Context, lam, degree, ks):
+    """The k in ``ks`` whose whole block X^k M_(degree-k) is singular, read
+    off g_1 alone.
+
+    At degree 0 that is every block: each g_j maps into degree -1, which is
+    zero.  Above it, a block with g_1(lam) V = 0 is certified once the
+    premises of :func:`certificate_residuals` hold.  Each l_1j, j >= 2,
+    commutes with X and D, so it maps V = X^k M_m into itself (the rows of
+    ``monogenic_basis`` span all of M_m); and
+    [l_1j, g_1] = c_j g_j with c_j != 0, so g_j V = (l_1j g_1 V - g_1 l_1j V)
+    / c_j = 0.  The block's columns are independent: the rows of M_m lead at
+    distinct columns, and X^k is injective, X^2 being the nonzero scalar
+    polynomial -sum_j eps_j x_j^2.  If a premise fails no block is
+    certified.
+    """
+    if degree == 0:
+        return set(ks)
+    if not _certificate_sound(ctx):
+        return set()
+    lam = qi(lam)
+    certified = set()
+    for k in ks:
+        base, slope = _g1_on_block(ctx, degree, k)
+        if SparseMatrix.combination([(base, QI_ONE), (slope, lam)]).is_zero():
+            certified.add(k)
+    return certified
+
+
+def certificate_residuals(ctx: Context):
+    """The premises of the block certificate, as (j, identity, residual).
+
+    X^2 + sum_j eps_j x_j^2 (j None), and for each j = 2..n: [l_1j, X],
+    [l_1j, D], and [l_1j, g_1] - c_j g_j with c_j the constant of
+    ``bracket_multiple`` in the abstract model, split like g_1 into its
+    lambda-free part [l_1j, g_1(0)] - c_j g_j(0) and its slope
+    [l_1j, -d_1] - c_j (-d_j).  Each residual is one ``_product_sum`` stream,
+    and a premise holds when it ``is_zero()``; it is None when [l_1j, g_1] is
+    no nonzero multiple of g_j, so no c_j exists.
+    """
+    n, dim, rep = ctx.n, ctx.spinor_dim, ctx.rep
+    o = _osp_cached(rep)
+    one = OperatorSpec.scalar(n, dim, QI_ONE)
+    square = [(OperatorSpec.monomial_mult(n, dim, j, 2, rep.sig.eps(j)), one)
+              for j in range(1, n + 1)]
+    out = [(None, "X^2 + sum_j eps_j x_j^2", _product_sum([(o.X, o.X)] + square))]
+    g1, d1 = _sc_spec(ctx, 1), _minus_d(ctx, 1)
+    for j in range(2, n + 1):
+        l1j = verma_action(("l", 1, j), rational(0), rep)
+        out += [(j, "[l_1j, X]", _commutator(l1j, o.X)), (j, "[l_1j, D]", _commutator(l1j, o.D))]
+        c = bracket_multiple(("l", 1, j), ("g", 1), ("g", j), rep.sig)
+        for what, a, b in (("[l_1j, g_1(0)] - c_j g_j(0)", g1, _sc_spec(ctx, j)),
+                           ("[l_1j, -d_1] - c_j (-d_j)", d1, _minus_d(ctx, j))):
+            out.append((j, what, None if c is None else
+                        _commutator(l1j, a, (b.scale(-c), one))))
+    return out
+
+
+def _commutator(a, b, *pairs):
+    """a b - b a, plus a' b' over the (a', b') ``pairs``, merged once."""
+    return _product_sum([(a, b), (b.scale(-1), a), *pairs])
+
+
+def _certificate_sound(ctx: Context):
+    """Whether every premise of the block certificate holds; once per gamma model."""
+    return ctx.rep.cached("block-certificate", lambda: all(
+        residual is not None and residual.is_zero()
+        for _, _, residual in certificate_residuals(ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +424,9 @@ def contraction_lambda_residual(ctx: Context, idx):
     """The lambda slope of contraction ``idx``, defining sum minus closed form:
     g_j(lam) = g_j(0) - lam d_j, so the sum's slope is sum_j left_j (-d_j).
     One ``_product_sum`` stream of (left_j, -d_j) and (-slope, 1)."""
-    n, dim = ctx.n, ctx.spinor_dim
-    return contraction_sum(idx, ctx.rep, lambda j: OperatorSpec.derivative(n, dim, j, qi(-1)),
-                           [(contraction_slope(idx, ctx.rep), OperatorSpec.scalar(n, dim, QI_ONE))])
+    return contraction_sum(idx, ctx.rep, lambda j: _minus_d(ctx, j),
+                           [(contraction_slope(idx, ctx.rep),
+                             OperatorSpec.scalar(ctx.n, ctx.spinor_dim, QI_ONE))])
 
 
 def _closed_forms_sound(ctx: Context, idxs):
@@ -349,7 +454,9 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     A degree is solved only when some block X^k M_m there has all three
     contraction scalars zero; every other degree has no singular vectors.
     A kept degree is solved by :func:`_solve_blocks` on the blocks where the
-    C2 scalar is zero.  Skips by C2, of degrees and of blocks, are taken only
+    C2 scalar is zero; a block killed by g_1 is certified singular with no
+    elimination, and the whole-degree g_i are assembled only for a block
+    that is not.  Skips by C2, of degrees and of blocks, are taken only
     after the closed form of C2 passed its symbolic check, run once per gamma
     model per process, else every degree is solved on all of its blocks.
     Further skips by C1 and C3 are taken only after their closed forms passed

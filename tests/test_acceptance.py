@@ -19,7 +19,6 @@ from vermaspin.realization import (
     spinor_fiber,
     structure_constants,
     invariant_contractions,
-    contraction_eigenvalue,
 )
 from vermaspin.fischer import (
     monogenic_basis,
@@ -28,6 +27,7 @@ from vermaspin.fischer import (
 )
 from vermaspin.singular import classify, scan
 from vermaspin.equivariant import dirac_power, twistor, verify_intertwining
+from test_realization import contraction_eigenvalue
 
 
 def all_signatures(n):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, equivariant, realization
+from vermaspin import cli, equivariant, realization, singular
 from vermaspin.exact import rational
 from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
@@ -243,7 +243,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("PASS") == 12
+    assert out.count("PASS") == 13
 
 
 def test_selftest_passes_under_optimize_flag(capsys):
@@ -258,7 +258,7 @@ def test_selftest_passes_under_optimize_flag(capsys):
     assert proc.stdout == out
     assert [line for line in out.splitlines() if line.startswith("PASS ")] == \
         ["PASS %-31s" % name for name, _ in cli._selftest_checks()]
-    assert out.count("PASS") == 12
+    assert out.count("PASS") == 13
 
 
 def test_selftest_fails_under_optimize_flag():
@@ -321,6 +321,19 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): lambda part of C2: "
                                              r"sum_j x_j d_j - E leaves 3 terms$"):
         check()
+
+
+def test_selftest_certificate_check_names_the_signature_and_j(capsys, monkeypatch):
+    # every c_j of the block certificate doubled: [l_12, g_1(0)] - c_2 g_2(0)
+    # is the first premise left nonzero, and the selftest exits 1
+    bracket_multiple = singular.bracket_multiple
+    monkeypatch.setattr(singular, "bracket_multiple", lambda *args: bracket_multiple(*args) * 2)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert re.search(r"^FAIL block certificate premises +AssertionError: signature \(3,0\), "
+                     r"j = 2: \[l_1j, g_1\(0\)\] - c_j g_j\(0\) leaves [1-9]\d* terms$",
+                     out, re.M), out
+    assert out.count("FAIL") == 1 and out.endswith("1 check(s) failed\n")
 
 
 def test_selftest_plan_check_names_the_signature_and_generator(monkeypatch):

@@ -754,6 +754,30 @@ def test_assemble_matches_per_monomial_oracle(p, q, lam):
     assert any(tdim != dim for tdim, dim in shapes)
 
 
+def _drop_columns(m, keep):
+    """m, at its shape, with every column outside ``keep`` zero."""
+    return SparseMatrix.from_entries(m.rows, m.cols,
+                                     ((r, c, v) for r, c, v in m.entries() if c in keep))
+
+
+@pytest.mark.parametrize("lam", [rational(-3, 2), rational(0)])
+@pytest.mark.parametrize("p,q", [(3, 0), (2, 1), (2, 2), (3, 2)])
+def test_restricted_assemble_is_the_full_matrix_on_its_columns(p, q, lam):
+    # on the specs of the per-monomial oracle test, assemble on a set of source
+    # monomials (random halves, none, all) equals the full matrix with every
+    # other column dropped
+    ctx = Context(p, q)
+    rng = random.Random("%d/%d/%s" % (p, q, lam))
+    for spec in [*_action_specs(ctx, lam), *_operator_specs(ctx)]:
+        for d in range(5):
+            full = assemble(spec, d, ctx.graded_basis).matrix
+            src = ctx.graded_basis(d, spec.dim)
+            for monos in (set(), set(src.monos), {m for m in src.monos if rng.random() < 0.5}):
+                keep = {src.index(m, 0) + i for m in monos for i in range(spec.dim)}
+                got = assemble(spec, d, ctx.graded_basis, monos).matrix
+                assert got == _drop_columns(full, keep), (spec, d, sorted(monos))
+
+
 def test_special_conformal_matrices_cold_and_warm():
     warm = Context(2, 2)
     for lam in (rational(0), rational(7, 3), rational(-1, 2)):

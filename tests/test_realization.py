@@ -17,7 +17,7 @@ from vermaspin.realization import (
     spinor_fiber,
     dual_fiber,
     invariant_contractions,
-    contraction_eigenvalue,
+    contraction_numerator,
     _osp_cached,
 )
 from vermaspin.fischer import monogenic_basis, apply_x_power, x_power_matrix
@@ -386,6 +386,16 @@ def test_stored_osp_products_match_the_old_chains(ctx_factory, p, q):
         for idx, (a, b) in enumerate(zip(new, _old_chains(lam, rep)[1]), start=1):
             assert (a - b).is_zero(), (idx, str(lam))
             assert not a.is_zero()
+
+
+def contraction_eigenvalue(idx, k, m, lam, n):
+    """Exact scalar of contraction ``idx`` on the component X^k M_m: the
+    integer ``contraction_numerator`` over its common denominator 2b at
+    lam = a/b.  The tests below check it against the contractions' actions,
+    which makes it the oracle of ``contraction_numerator``."""
+    lam = rational(lam)
+    b = lam.denominator
+    return qi(rational(contraction_numerator(idx, k, m, lam.numerator, b, n), 2 * b))
 
 
 def test_contraction_eigenvalue_instance():

@@ -16,7 +16,7 @@ from vermaspin.exact import (
     kernel_vectors, _canonical_basis)
 from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import (
-    verma_action, invariant_contractions, contraction_eigenvalue, contraction_slope,
+    verma_action, invariant_contractions, contraction_slope,
     contraction_sum, osp_generators, _osp_cached)
 from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
 from vermaspin.singular import (
@@ -363,7 +363,7 @@ def test_solution_space_inside_contraction_kernels(ctx_factory):
         # under all three contractions vanish
         for k in range(d + 1):
             m = d - k
-            from vermaspin.realization import contraction_eigenvalue
+            from test_realization import contraction_eigenvalue
             scalars = [contraction_eigenvalue(i, k, m, lam, n) for i in (1, 2, 3)]
             if any(bool(s) for s in scalars):
                 continue
@@ -789,9 +789,15 @@ def test_classify_solves_blocks_not_whole_degrees(monkeypatch):
     assert solved == [(0, [0]), (1, [0]), (5, [5])]
 
 
+def _force_fallback(monkeypatch):
+    """Certify no block, so that every block solve runs the all-g_i nullspace."""
+    monkeypatch.setattr(singular, "_certified_blocks", lambda ctx, lam, degree, ks: set())
+
+
 def test_block_solve_has_the_blocks_columns(monkeypatch):
     # at (4,0), lambda 3/2 the kept degree 5 is solved on X^5 M_0 alone:
     # 4 columns, not the 224 of the whole degree
+    _force_fallback(monkeypatch)
     ctx = Context(4, 0)
     assert ctx.graded_basis(5).size == 224
     shapes = []
@@ -832,6 +838,7 @@ def _mixed_kernel(m):
     ((2, 2), 0, [0], "X^0 M_0+, X^0 M_0-"),
 ], ids=["two-blocks", "two-halves"])
 def test_block_solve_rejects_a_vector_touching_two_slots(monkeypatch, sig, degree, ks, names):
+    _force_fallback(monkeypatch)
     monkeypatch.setattr(singular, "nullspace", _mixed_kernel)
     message = "degree %d: a kernel vector touches the blocks %s" % (degree, names)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
@@ -860,6 +867,7 @@ def test_block_solve_guard_runs_under_optimize_flag():
 
         if __debug__:
             raise SystemExit("expected python -O")
+        singular._certified_blocks = lambda ctx, lam, degree, ks: set()
         singular.nullspace = lambda m: [{0: QI_ONE, m.cols - 1: QI_ONE}]
         singular._solve_blocks(Context(3, 0), rational(3), 1, [0, 1])
     """)
@@ -870,6 +878,135 @@ def test_block_solve_guard_runs_under_optimize_flag():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "ArithmeticError: degree 1: a kernel vector touches the blocks X^0 M_1, X^1 M_0" \
         in proc.stderr
+
+
+def _support(polys):
+    return {mono for poly in polys for mono in poly.terms}
+
+
+def test_certified_blocks_need_no_nullspace(monkeypatch):
+    # at (4,0), lambda 3/2 every kept block is certified by g_1 alone: no
+    # nullspace, no whole-degree g_i, and at degree 5 g_1 is assembled only
+    # on the monomials of X^5 M_0's support
+    def refuse(*args):
+        raise AssertionError("a certified block reached the fallback")
+
+    monkeypatch.setattr(singular, "nullspace", refuse)
+    monkeypatch.setattr(singular, "special_conformal_matrices", refuse)
+    restricted = []
+    build = singular.assemble
+
+    def spied(spec, degree, bases=None, monos=None):
+        restricted.append((degree, monos))
+        return build(spec, degree, bases, monos)
+
+    monkeypatch.setattr(singular, "assemble", spied)
+    ctx = Context(4, 0)
+    report = classify(ctx, rational(3, 2), 5)
+    assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
+    x5m0 = _support(apply_x_power(ctx, 5, el) for el in monogenic_basis(ctx, 0).elements)
+    assert len(x5m0) < len(ctx.graded_basis(5).monos)
+    assert restricted == [(1, _support(monogenic_basis(ctx, 1).elements))] * 2 + [(5, x5m0)] * 2
+    assert ctx.rep.cache["block-certificate"] is True
+
+
+def _classify_with_broken_premise(lam, d_max):
+    """(certificate verdict, classify report, nullspace column counts) at
+    (2,2), on a fresh map of gamma models, with every c_j of the block
+    certificate doubled, so that [l_1j, g_1] - c_j g_j is no longer zero."""
+    saved = clifford._MODELS, singular.bracket_multiple, singular.nullspace
+    shapes = []
+
+    def doubled(*args):
+        c = saved[1](*args)
+        return None if c is None else c * 2
+
+    def spied(m):
+        shapes.append(m.cols)
+        return saved[2](m)
+
+    clifford._MODELS = clifford.Memo()
+    singular.bracket_multiple, singular.nullspace = doubled, spied
+    try:
+        ctx = Context(2, 2)
+        return singular._certificate_sound(ctx), classify(ctx, lam, d_max), shapes
+    finally:
+        clifford._MODELS, singular.bracket_multiple, singular.nullspace = saved
+
+
+def _classify_with_perturbed_g1(lam, d_max, block):
+    """(classify report, nullspace column counts) at (2,2) with one entry
+    added to g_1(0) V on the block (degree, k) ``block`` alone, so that
+    g_1 V != 0 there."""
+    saved = singular._g1_on_block, singular.nullspace
+    shapes = []
+
+    def perturbed(ctx, degree, k):
+        base, slope = saved[0](ctx, degree, k)
+        if (degree, k) == block:
+            base = base + SparseMatrix.from_entries(base.rows, base.cols, [(0, 0, QI_ONE)])
+        return base, slope
+
+    def spied(m):
+        shapes.append(m.cols)
+        return saved[1](m)
+
+    singular._g1_on_block, singular.nullspace = perturbed, spied
+    try:
+        return classify(Context(2, 2), lam, d_max), shapes
+    finally:
+        singular._g1_on_block, singular.nullspace = saved
+
+
+def test_a_broken_certificate_premise_falls_back_on_every_block():
+    # with the premises unproved every kept block of degree >= 1 is solved by
+    # nullspace (12 columns of M_1, 4 of X^5 M_0); degree 0 needs no premise
+    lam = rational(3, 2)
+    verdict, report, shapes = _classify_with_broken_premise(lam, 5)
+    assert verdict is False
+    assert shapes == [12, 4]
+    assert report.to_json() == _classify_unfiltered(Context(2, 2), lam, 5).to_json()
+    assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
+
+
+def test_g1_off_on_one_block_falls_back_on_that_block_only():
+    # g_1 V != 0 on X^5 M_0 alone: its 4 columns go to nullspace, which finds
+    # the block singular after all, and M_1 stays certified
+    lam = rational(3, 2)
+    report, shapes = _classify_with_perturbed_g1(lam, 5, (5, 5))
+    assert shapes == [4]
+    assert report.to_json() == _classify_unfiltered(Context(2, 2), lam, 5).to_json()
+    assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
+
+
+def test_certificate_fallbacks_run_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        from vermaspin.context import Context
+        from vermaspin.exact import rational
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        ns = runpy.run_path(sys.argv[1])
+        lam = rational(3, 2)
+        oracle = ns["_classify_unfiltered"](Context(2, 2), lam, 5).to_json()
+        verdict, report, shapes = ns["_classify_with_broken_premise"](lam, 5)
+        if verdict is not False or report.to_json() != oracle:
+            raise SystemExit("a broken premise did not fall back to the oracle's report")
+        print("broken premise:", shapes)
+        report, shapes = ns["_classify_with_perturbed_g1"](lam, 5, (5, 5))
+        if report.to_json() != oracle:
+            raise SystemExit("a perturbed g_1 did not fall back to the oracle's report")
+        print("perturbed g_1:", shapes)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "broken premise: [12, 4]\nperturbed g_1: [4]\n", proc.stdout
 
 
 @pytest.mark.parametrize("idx", [1, 2, 3])
@@ -996,6 +1133,8 @@ def _special_twists(n):
 
 
 def test_integer_prefilter_matches_the_exact_scalars():
+    from test_realization import contraction_eigenvalue
+
     cases = set()
     for n in range(3, 9):
         for lam_thm in _special_twists(n):

@@ -53,15 +53,16 @@ def test_exact_spans_fire_on_a_tiny_intertwiner(capsys):
                               "exact.matmul"}
 
 
-def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys):
+def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys, monkeypatch):
     # the tracer counts a kernel by len(nullspace(m)), one entry per kernel
-    # vector: on classify, whose block solves are the only nullspace calls
-    # (monogenic bases are built by extension), that is the sum of the
-    # found dims
+    # vector: on classify with no block certified by g_1, whose block solves
+    # are then the only nullspace calls (monogenic bases are built by
+    # extension), that is the sum of the found dims
     import json
 
-    from vermaspin import cli
+    from vermaspin import cli, singular
 
+    monkeypatch.setattr(singular, "_certified_blocks", lambda ctx, lam, degree, ks: set())
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
