@@ -24,7 +24,7 @@ from operator import matmul
 
 from .exact import rational, rational_from_string, rational_to_string, qi
 from .context import Context
-from .fischer import dirac_matrix, monogenic_basis, monogenic_dim
+from .fischer import dirac_matrix, monogenic_basis, monogenic_dim, x_power_matrix
 from .singular import classify, scan, ClassificationReport
 from .equivariant import dirac_power, twistor, verify_intertwining
 
@@ -267,6 +267,8 @@ def cmd_fischer(args):
 
 
 def cmd_intertwiner(args):
+    if args.test_degree < 0:
+        return _fail("--test-degree must be nonnegative, got %d" % args.test_degree)
     ctx = _context(args, max(args.a, args.test_degree))
     try:
         if args.kind == "dirac":
@@ -300,12 +302,11 @@ def _selftest_checks():
     """Bounded invariant suite; each yielded callable raises on failure."""
     from .exact import GaussianRational, SparseMatrix, nullspace, kernel_vectors, rref
     from .clifford import Signature, build_gamma_rep
-    from .polyspinor import SpinorPoly, assemble
+    from .polyspinor import assemble
     from .realization import (osp_generators, verma_action, function_action, spinor_fiber,
                               dual_fiber, structure_constants, invariant_contractions,
                               bracket_multiple)
     from .equivariant import _generating_plan
-    from .fischer import monogenic_dim, apply_x_power
     from .singular import (singular_vectors, contraction_identity_residual,
                            contraction_lambda_residual, certificate_residuals, xd_eigenvalue)
 
@@ -428,20 +429,15 @@ def _selftest_checks():
                            % (rational_to_string(lam), k, d))
 
     def ladder():
+        # D X^k V = xd_eigenvalue(k, m) X^(k-1) V on the columns V of M_m
         ctx = Context(2, 1)
-        from .fischer import monogenic_basis as mb, dirac_matrix
         for m in (0, 1, 2):
+            v = SparseMatrix.from_columns(ctx.graded_basis(m).size, monogenic_basis(ctx, m).vectors)
             for k in range(0, 4):
-                basis = mb(ctx, m)
-                for el in basis.elements:
-                    xk = apply_x_power(ctx, k, el)
-                    img = ctx.graded_basis(m + k - 1).from_coordinates(
-                        dirac_matrix(ctx, m + k).matrix.mul_vec(
-                            ctx.graded_basis(m + k).coordinates(xk)))
-                    scalar = xd_eigenvalue(k, m, ctx.n)
-                    expect = apply_x_power(ctx, k - 1, el).scale(scalar) if k else \
-                        SpinorPoly.zero(ctx.n, ctx.spinor_dim)
-                    _check(img == expect, "signature (2,1): D X^%d on M_%d" % (k, m))
+                img = dirac_matrix(ctx, m + k).matrix @ x_power_matrix(ctx, k, m) @ v
+                expect = x_power_matrix(ctx, k - 1, m).scale(xd_eigenvalue(k, m, ctx.n)) @ v \
+                    if k else SparseMatrix.zero(img.rows, img.cols)
+                _check(img == expect, "signature (2,1): D X^%d on M_%d" % (k, m))
 
     def fischer_rule():
         # the extension makes the telescoping count hold by construction, so

@@ -1,11 +1,12 @@
 """Equivariant differential operators built from singular vectors.
 
-A family of singular vectors spanning one isotypic component dualizes, via
-the jet pairing <x^a (x) s, f> = (d^a <s, f>)(0), to a constant-coefficient
-differential operator acting on dual-spinor-valued polynomials.  The
-operator intertwines the function-picture actions of the two twists
-attached to the component; the verifier checks that property exactly on a
-Lie generating set.  Both sides are constant-coefficient differential
+A family of singular vectors spanning one isotypic component, the columns
+of a coordinate matrix, dualizes via the jet pairing <x^a (x) s, f> =
+(d^a <s, f>)(0) to a constant-coefficient operator on dual-spinor-valued
+polynomials; it is checked singular as ``classify`` certifies a Fischer
+block.  The operator intertwines the function-picture actions of the two
+twists of the component; the verifier checks that exactly on a Lie
+generating set.  Both sides are constant-coefficient differential
 operators, so the residual op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered
 symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec for
 the seeds f_1..f_n, h and g_1; every other generator Y is reached by one
@@ -39,11 +40,11 @@ from .exact import (
     rational_to_string,
     QI_ONE,
 )
-from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _product_sum
+from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _commutator, _product_sum
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
                           bracket_multiple, _unit)
-from .fischer import apply_x_power, monogenic_basis
-from .singular import special_conformal_matrices
+from .fischer import monogenic_basis, x_power_matrix
+from .singular import kills, on_support
 from .context import Context
 
 __all__ = [
@@ -147,43 +148,34 @@ class IntertwiningReport:
 # ---------------------------------------------------------------------------
 
 
-def from_singular_vector(svs, lam_thm, ctx: Context, kind="generic") -> EquivariantOperator:
+def from_singular_vector(family, degree, lam_thm, ctx: Context,
+                         kind="generic") -> EquivariantOperator:
     """Dualize a singular-vector family into a differential operator.
 
-    ``svs`` is a list of SpinorPolys spanning a single isotypic component
-    at theorem twist lam_thm; each monomial x^a (x) w of the r-th family
-    member becomes row r of the coefficient matrix of d^a.  Every member is
-    checked exactly to be singular first.
+    The columns V of the SparseMatrix ``family`` are coordinate vectors in
+    the degree-d basis, spanning one isotypic component at theorem twist
+    lam_thm; entry x^a (x) e_b of column r becomes entry (r, b) of the
+    coefficient matrix of d^a.  V is checked exactly to be singular first,
+    with every g_i assembled on V's support (``singular.kills``), and then
+    to be rotation-closed (:func:`_family_rotations`).
     """
-    if not svs:
+    if not family.cols:
         raise ValueError("empty singular family")
     lam_thm = rational(lam_thm)
-    degrees = {p.homogeneous_degree() for p in svs}
-    if len(degrees) != 1 or None in degrees:
-        raise ValueError("family must be homogeneous of one degree")
-    degree = degrees.pop()
     lam_real = lam_thm + rational(ctx.n, 2)
-    basis = ctx.graded_basis(degree)
-    family = SparseMatrix.from_columns(basis.size, [basis.coordinates(sv) for sv in svs])
-    for mat in special_conformal_matrices(ctx, lam_real, degree):
-        if not (mat @ family).is_zero():
-            raise ValueError("family member is not a singular vector")
-    dim_s = ctx.spinor_dim
-    coeffs = {}
-    for r, sv in enumerate(svs):
-        for mono, vec in sv.terms.items():
-            entries = coeffs.setdefault(mono, [])
-            for b, v in vec.items():
-                entries.append((r, b, v))
-    coefficients = {
-        mono: SparseMatrix.from_entries(len(svs), dim_s, entries)
-        for mono, entries in coeffs.items()
-    }
+    if not kills(ctx, lam_real, degree, family):
+        raise ValueError("family member is not a singular vector")
+    coeffs, basis = {}, ctx.graded_basis(degree)
+    for row, r, v in family.entries():
+        mono, b = basis.element(row)
+        coeffs.setdefault(mono, []).append((r, b, v))
+    coefficients = {mono: SparseMatrix.from_entries(family.cols, ctx.spinor_dim, entries)
+                    for mono, entries in coeffs.items()}
     rotations = _family_rotations(family, degree, lam_real, ctx)
     return EquivariantOperator(
         n=ctx.n, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
-        source_dim=dim_s, target_dim=len(svs),
+        source_dim=ctx.spinor_dim, target_dim=family.cols,
         coefficients=coefficients, family_rotations=rotations, kind=kind,
     )
 
@@ -193,15 +185,15 @@ def _family_rotations(family, degree, lam_real, ctx: Context):
 
     ``family`` is the matrix whose columns are the family's coordinate
     vectors at ``degree``; the action of l_ij is the X with
-    l_ij @ family == family @ X.  Raises if the family is not closed under
-    the rotation action (i.e. is not an isotypic submodule).
+    l_ij @ family == family @ X, and l_ij is assembled on the family's
+    support alone (``singular.on_support``).  Raises if the family is not
+    closed under the rotation action (i.e. is not an isotypic submodule).
     """
     out = {}
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
-            spec = verma_action(("l", i, j), lam_real, ctx.rep)
-            rotation = express_in_span(
-                family, assemble(spec, degree, ctx.graded_basis).matrix @ family)
+            l_ij = verma_action(("l", i, j), lam_real, ctx.rep)
+            rotation = express_in_span(family, on_support(ctx, l_ij, degree, family))
             if rotation is None:
                 raise ValueError("family is not rotation-closed")
             out[(i, j)] = rotation
@@ -248,13 +240,6 @@ def _generating_plan(n):
     return plan
 
 
-def _bracket_closes(pi, a, b, y, c):
-    """Whether [pi(a), pi(b)] - c pi(y) normal-orders to zero."""
-    one = OperatorSpec.scalar(pi[y].n, pi[y].dim, QI_ONE)
-    return _product_sum([(pi[a], pi[b]), (pi[b].scale(-1), pi[a]),
-                         (pi[y].scale(-c), one)]).is_zero()
-
-
 def verify_intertwining(op: EquivariantOperator, test_degree,
                         ctx: Context) -> IntertwiningReport:
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
@@ -298,8 +283,8 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
     for gen, a, b in plan:
         if a in zero and b in zero:
             c = bracket_multiple(a, b, gen, ctx.sig)
-            if c is not None and _bracket_closes(src, a, b, gen, c) \
-                    and _bracket_closes(tgt, a, b, gen, c):
+            if c is not None and all(_commutator(pi[a], pi[b], pi[gen], c).is_zero()
+                                     for pi in (src, tgt)):
                 zero.add(gen)
                 continue
         residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
@@ -329,18 +314,16 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
 def dirac_power(a, ctx: Context) -> EquivariantOperator:
     """Order-a conformal power of the Dirac operator (a odd).
 
-    Built from the canonical singular family X^a applied to the spinor basis
-    at theorem twist -(n - 2 - a)/2; the coefficient matrices are compared
-    entrywise with the a-th symbolic power of the first-order dual Dirac
-    symbol and the exact ratio is recorded.
+    Built from the canonical singular family X^a applied to the spinor basis,
+    the columns of ``x_power_matrix(ctx, a, 0)``, at theorem twist
+    -(n - 2 - a)/2; the coefficient matrices are compared entrywise with the
+    a-th symbolic power of the first-order dual Dirac symbol and the exact
+    ratio is recorded.
     """
     if a < 1 or a % 2 == 0:
         raise ValueError("order of a Dirac power must be odd")
-    n = ctx.n
-    lam_thm = -rational(n - 2 - a, 2)
-    family = [apply_x_power(ctx, a, SpinorPoly.constant(n, ctx.spinor_dim, b))
-              for b in range(ctx.spinor_dim)]
-    op = from_singular_vector(family, lam_thm, ctx, kind="dirac-power")
+    lam_thm = -rational(ctx.n - 2 - a, 2)
+    op = from_singular_vector(x_power_matrix(ctx, a, 0), a, lam_thm, ctx, kind="dirac-power")
     naive = dual_dirac_symbol(a, ctx)
     op.dirac_symbol_ratio = _proportionality(op.coefficients, naive)
     return op
@@ -350,11 +333,8 @@ def twistor(a, ctx: Context) -> EquivariantOperator:
     """Order-a twistor operator with target the dual of the monogenic space."""
     if a < 1:
         raise ValueError("twistor order must be a positive integer")
-    lam_thm = rational(a) + HALF
-    family = monogenic_basis(ctx, a).elements
-    if not family:
-        raise ValueError("no singular vectors at this order")
-    return from_singular_vector(family, lam_thm, ctx, kind="twistor")
+    family = SparseMatrix.from_columns(ctx.graded_basis(a).size, monogenic_basis(ctx, a).vectors)
+    return from_singular_vector(family, a, rational(a) + HALF, ctx, kind="twistor")
 
 
 def dual_dirac_symbol(a, ctx: Context):

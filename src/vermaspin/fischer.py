@@ -29,7 +29,7 @@ from math import factorial, gcd
 from .clifford import _UNITS
 from .exact import SparseMatrix, nullspace, check_kernel, kernel_vectors, _divide_content
 # assemble is not called here; perfbench/check_tracer.py checks that this module binds it
-from .polyspinor import GradedBasis, SpinorPoly, assemble, monomials  # noqa: F401
+from .polyspinor import GradedBasis, assemble, monomials  # noqa: F401
 from .realization import _osp_cached
 from .context import Context
 
@@ -37,7 +37,6 @@ __all__ = [
     "MonogenicBasis",
     "monogenic_basis",
     "monogenic_dim",
-    "apply_x_power",
     "dirac_matrix",
     "x_mult_matrix",
     "x_power_matrix",
@@ -217,14 +216,3 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
 def monogenic_dim(ctx: Context, a) -> int:
     return len(monogenic_basis(ctx, a).rows)
 
-
-def apply_x_power(ctx: Context, k, poly: SpinorPoly) -> SpinorPoly:
-    """X^k applied to a homogeneous polynomial."""
-    d = poly.homogeneous_degree()
-    if d is None:
-        if poly.is_zero():
-            return poly
-        raise ValueError("non-homogeneous input")
-    basis = ctx.graded_basis(d)
-    out = x_power_matrix(ctx, k, d).mul_vec(basis.coordinates(poly))
-    return ctx.graded_basis(d + k).from_coordinates(out)

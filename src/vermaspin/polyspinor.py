@@ -443,6 +443,12 @@ def _product_sum(pairs):
     return _merged(a0.n, b0.dim, a0.tdim, _leibniz(pairs))
 
 
+def _commutator(a, b, y=None, c=0):
+    """[a, b] - c y, one :func:`_product_sum` stream merged once."""
+    extra = [] if y is None else [(y.scale(-c), OperatorSpec.scalar(y.n, y.dim, QI_ONE))]
+    return _product_sum([(a, b), (b.scale(-1), a)] + extra)
+
+
 def _fiber_product(M1, M2):
     """(M1 M2, None), with None for the identity; (None, s) when the product
     is s times the identity, and (False, None) when it is zero.

@@ -7,14 +7,15 @@ X^k M_m a singular vector can lie in; the columns of block k are X^k applied
 to the monogenic basis of M_m.  Most blocks are certified by g_1 alone: if
 g_1 kills the block's columns, every g_j does, under premises checked
 symbolically once per gamma model (:func:`certificate_residuals`), and the
-whole block is singular.  g_1 is assembled only on the monomials of the
-block's support.  The blocks left, if any, are solved by one exact nullspace
-of the stacked whole-degree g_i on their columns, and each kernel vector is
+whole block is singular.  The blocks left, if any, are solved by one exact
+nullspace of the stacked g_i on their columns, and each kernel vector is
 labelled by the block (and, for even n, the chirality half of M_m) its
-support lies in.  The outcome is compared against the case table of the
-classification theorems.  :func:`singular_vectors` solves a whole degree,
-and :func:`isotypic_split` sorts such a kernel into blocks by exact X*D
-eigenvalues; ``classify`` calls neither.
+support lies in.  Each g_i is assembled on the columns' support alone, as
+:func:`kills` does for the families of ``equivariant.from_singular_vector``.
+The outcome is compared against the case table of the classification
+theorems.  :func:`singular_vectors` solves a whole degree, the only
+whole-degree assembly of the g_i, and :func:`isotypic_split` sorts such a
+kernel into blocks by exact X*D eigenvalues; ``classify`` calls neither.
 
 Contraction prefilter: a singular vector is also killed by the three
 invariant contractions C1 = sum_j gamma_j g_j, C2 = sum_j x_j g_j and
@@ -52,7 +53,7 @@ from functools import reduce
 
 from .exact import (SparseMatrix, QI_ONE, QI_ZERO, nullspace, kernel_vectors, rational,
                     rational_to_string, qi)
-from .polyspinor import assemble, OperatorSpec, _product_sum
+from .polyspinor import assemble, OperatorSpec, _commutator, _product_sum
 from .realization import (
     verma_action,
     bracket_multiple,
@@ -143,19 +144,42 @@ class ClassificationReport:
 
 
 def special_conformal_matrices(ctx: Context, lam, degree):
-    """Assembled matrices of the special-conformal system at one degree.
-
-    The lambda-independent part is cached per (i, degree), and its spec per
-    i; only a scaled derivative matrix depends on lambda.
-    """
+    """Assembled matrices g_i(lam) of the special-conformal system on a whole
+    degree: g_i(0), cached per (i, degree) and its spec per i, plus lam (-d_i)."""
     out = []
     for i in range(1, ctx.n + 1):
         base = ctx.cached(("sc-base", i, degree),
                           lambda: assemble(_sc_spec(ctx, i), degree, ctx.graded_basis).matrix)
         delta = ctx.cached(("sc-del", i, degree),
                            lambda: assemble(_minus_d(ctx, i), degree, ctx.graded_basis).matrix)
-        out.append(SparseMatrix.combination([(base, QI_ONE), (delta, qi(lam))]) if lam else base)
+        out.append(_at((base, delta), lam))
     return out
+
+
+def on_support(ctx: Context, spec, degree, columns):
+    """spec @ columns for a degree-d matrix, spec assembled only on the
+    monomials of the columns' support, all of its columns that they meet."""
+    basis = ctx.graded_basis(degree)
+    support = {basis.monos[r // basis.dim] for r in columns.num}
+    return assemble(spec, degree, ctx.graded_basis, support).matrix @ columns
+
+
+def special_conformal_on(ctx: Context, i, degree, columns):
+    """(g_i(0) V, -d_i V) for the columns V of a degree-d matrix, each part
+    assembled on V's support alone; :func:`_at` gives g_i(lam) V."""
+    return tuple(on_support(ctx, spec, degree, columns)
+                 for spec in (_sc_spec(ctx, i), _minus_d(ctx, i)))
+
+
+def kills(ctx: Context, lam, degree, columns):
+    """Whether every g_i(lam) kills the columns of a degree-d matrix."""
+    return all(_at(special_conformal_on(ctx, i, degree, columns), lam).is_zero()
+               for i in range(1, ctx.n + 1))
+
+
+def _at(parts, lam):
+    """g_i(lam) V = g_i(0) V + lam (-d_i V) from the parts (g_i(0) V, -d_i V)."""
+    return SparseMatrix.combination([(parts[0], QI_ONE), (parts[1], lam)])
 
 
 def _sc_spec(ctx: Context, i):
@@ -186,9 +210,9 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     basis vectors, which leaves every kernel support unchanged).  A block
     that :func:`_certified_blocks` certifies by g_1 alone is wholly
     singular, and each of its columns counts in the slot (block, chirality
-    tag of its M_m row).  The other blocks are solved as before: the
-    whole-degree g_i are multiplied onto their columns at once and solved by
-    one exact nullspace, whose rows give the slots.  The kernel splits over
+    tag of its M_m row).  The other blocks are solved by one exact nullspace
+    of the stacked g_i V (:func:`_g_on_block`, cached per block and
+    generator), whose rows give the slots.  The kernel splits over
     the blocks, since g_i V = 0 on a certified block.  The joint kernel is
     Spin-invariant, and the blocks of one degree, and for even n the
     chirality halves of each M_m, are pairwise non-isomorphic, so every
@@ -210,9 +234,9 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
     unsure = [k for k in ks if k not in certified]
     if unsure:
         slots = [(k, tag) for k in unsure for tag in tags[k]]  # column -> slot
-        columns = SparseMatrix.hstack([_block_columns(ctx, degree, k) for k in unsure])
-        stacked = reduce(SparseMatrix.stack_below,
-                         [g @ columns for g in special_conformal_matrices(ctx, lam, degree)])
+        stacked = reduce(SparseMatrix.stack_below, [
+            SparseMatrix.hstack([_at(_g_on_block(ctx, degree, k, i), lam) for k in unsure])
+            for i in range(1, ctx.n + 1)])
         for vec in nullspace(stacked):
             touched = {slots[c] for c in vec}
             if len(touched) != 1:
@@ -233,26 +257,27 @@ def _solve_blocks(ctx: Context, lam, degree, ks):
 
 def _block_columns(ctx: Context, degree, k):
     """The columns of the block X^k M_(degree-k): X^k applied to the kernel
-    rows of M_(degree-k), by chained X products."""
-    m = degree - k
-    block = SparseMatrix.from_int_rows(ctx.graded_basis(m).size,
-                                       monogenic_basis(ctx, m).rows).transpose()
-    for t in range(k):
-        block = x_mult_matrix(ctx, m + t).matrix @ block
-    return block
+    rows of M_(degree-k), by chained X products, once per Context."""
+    def build():
+        m = degree - k
+        block = SparseMatrix.from_int_rows(ctx.graded_basis(m).size,
+                                           monogenic_basis(ctx, m).rows).transpose()
+        for t in range(k):
+            block = x_mult_matrix(ctx, m + t).matrix @ block
+        return block
+    return ctx.cached(("block", degree, k), build)
+
+
+def _g_on_block(ctx: Context, degree, k, i):
+    """:func:`special_conformal_on` of g_i on the block X^k M_(degree-k), once
+    per Context, so that a later twist costs one combination."""
+    return ctx.cached(("sc-block", degree, k, i), lambda: special_conformal_on(
+        ctx, i, degree, _block_columns(ctx, degree, k)))
 
 
 def _g1_on_block(ctx: Context, degree, k):
-    """(g_1(0) V, -d_1 V) for the columns V of the block X^k M_(degree-k), so
-    that g_1(lam) V = g_1(0) V + lam (-d_1 V).  Each part is assembled on the
-    monomials of V's support alone and multiplied onto V once per Context."""
-    def build():
-        columns = _block_columns(ctx, degree, k)
-        basis = ctx.graded_basis(degree)
-        support = {basis.monos[r // basis.dim] for r in columns.num}
-        return tuple(assemble(spec, degree, ctx.graded_basis, support).matrix @ columns
-                     for spec in (_sc_spec(ctx, 1), _minus_d(ctx, 1)))
-    return ctx.cached(("sc-block", degree, k), build)
+    """The certificate's product, g_1 on the block (:func:`_g_on_block`)."""
+    return _g_on_block(ctx, degree, k, 1)
 
 
 def _certified_blocks(ctx: Context, lam, degree, ks):
@@ -274,13 +299,7 @@ def _certified_blocks(ctx: Context, lam, degree, ks):
         return set(ks)
     if not _certificate_sound(ctx):
         return set()
-    lam = qi(lam)
-    certified = set()
-    for k in ks:
-        base, slope = _g1_on_block(ctx, degree, k)
-        if SparseMatrix.combination([(base, QI_ONE), (slope, lam)]).is_zero():
-            certified.add(k)
-    return certified
+    return {k for k in ks if _at(_g1_on_block(ctx, degree, k), lam).is_zero()}
 
 
 def certificate_residuals(ctx: Context):
@@ -307,14 +326,8 @@ def certificate_residuals(ctx: Context):
         c = bracket_multiple(("l", 1, j), ("g", 1), ("g", j), rep.sig)
         for what, a, b in (("[l_1j, g_1(0)] - c_j g_j(0)", g1, _sc_spec(ctx, j)),
                            ("[l_1j, -d_1] - c_j (-d_j)", d1, _minus_d(ctx, j))):
-            out.append((j, what, None if c is None else
-                        _commutator(l1j, a, (b.scale(-c), one))))
+            out.append((j, what, None if c is None else _commutator(l1j, a, b, c)))
     return out
-
-
-def _commutator(a, b, *pairs):
-    """a b - b a, plus a' b' over the (a', b') ``pairs``, merged once."""
-    return _product_sum([(a, b), (b.scale(-1), a), *pairs])
 
 
 def _certificate_sound(ctx: Context):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from vermaspin.context import Context
+from vermaspin.fischer import x_power_matrix
 
 _CONTEXTS = {}
 
@@ -31,3 +32,20 @@ def twist_offset():
                        lambda_target=op.lambda_target - target)
 
     return shifted
+
+
+def apply_x_power(ctx, k, poly):
+    """X^k applied to a homogeneous polynomial, by ``x_power_matrix``.
+
+    The package works on coordinate columns; the tests build X^k M_m as
+    polynomials with this.  Test modules that ``runpy`` runs in a subprocess
+    import it inside the tests that use it, since ``tests/`` is not on that
+    path.
+    """
+    d = poly.homogeneous_degree()
+    if d is None:
+        if poly.is_zero():
+            return poly
+        raise ValueError("non-homogeneous input")
+    out = x_power_matrix(ctx, k, d).mul_vec(ctx.graded_basis(d).coordinates(poly))
+    return ctx.graded_basis(d + k).from_coordinates(out)

@@ -210,6 +210,49 @@ def test_intertwiner_bad_order_rejected(capsys, kind, a, message):
     assert err == "error: %s\n" % message
 
 
+def test_negative_test_degree_rejected_before_the_context(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Context", _no_context)
+    code, out, err = run(capsys, "intertwiner", "--p", "3", "--kind", "dirac", "--a", "1",
+                         "--test-degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --test-degree must be nonnegative, got -1\n"
+
+
+def test_no_whole_degree_g_or_l_is_assembled_by_classify_scan_or_intertwiner(
+        capsys, monkeypatch):
+    # every g_i and l_ij these commands assemble is restricted to the
+    # monomials of a support; the only whole-degree assemblies are of D and X
+    from vermaspin import clifford, polyspinor
+    from vermaspin.context import Context
+
+    build = polyspinor.assemble
+    calls = []
+
+    def spied(spec, degree, bases=None, monos=None):
+        calls.append((spec, monos))
+        return build(spec, degree, bases, monos)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vermaspin") and getattr(module, "assemble", None) is build:
+            monkeypatch.setattr(module, "assemble", spied)
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
+    commands = [
+        ["classify", "--p", "3", "--lambda", "3/2", "--dmax", "4"],
+        ["scan", "--p", "2", "--q", "2", "--lambda-grid", "-1..2:1/2", "--dmax", "4"],
+        ["intertwiner", "--p", "2", "--q", "1", "--kind", "dirac", "--a", "3",
+         "--test-degree", "3"],
+        ["intertwiner", "--p", "2", "--q", "2", "--kind", "twistor", "--a", "2",
+         "--test-degree", "2"],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    osp = [realization._osp_cached(Context(*sig).rep) for sig in ((3, 0), (2, 1), (2, 2))]
+    whole = {id(spec) for spec, monos in calls if monos is None}
+    assert whole and whole <= {id(x) for o in osp for x in (o.D, o.X)}
+    assert sum(monos is not None for _, monos in calls) > 0
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", "--p", "3", "--q", "0",

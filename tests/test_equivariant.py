@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import equivariant
-from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix
+from vermaspin import clifford, equivariant, singular
+from vermaspin.context import Context
+from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix, express_in_span
 from vermaspin.polyspinor import SpinorPoly, assemble, _product_sum
-from vermaspin.fischer import apply_x_power, monogenic_basis, monogenic_dim
-from vermaspin.realization import generators
-from vermaspin.singular import singular_vectors
+from vermaspin.fischer import monogenic_basis, monogenic_dim, x_power_matrix
+from vermaspin.realization import generators, verma_action
+from vermaspin.singular import singular_vectors, special_conformal_matrices, special_conformal_on
 from vermaspin.equivariant import (
     IntertwiningReport,
     _generating_plan,
@@ -324,10 +325,16 @@ def test_a_wrong_plan_entry_is_normal_ordered(monkeypatch, ctx_factory):
         verify_intertwining(op, 3, ctx)
 
 
+def _columns(ctx, degree, polys):
+    """The matrix whose columns are the coordinates of ``polys`` at ``degree``."""
+    basis = ctx.graded_basis(degree)
+    return SparseMatrix.from_columns(basis.size, [basis.coordinates(p) for p in polys])
+
+
 def test_order_zero_operator_is_identity(ctx_factory):
     ctx = ctx_factory(3, 0)
-    family = singular_vectors(ctx, rational(4, 3), 0)
-    op = from_singular_vector(family, rational(4, 3) - rational(3, 2), ctx)
+    family = _columns(ctx, 0, singular_vectors(ctx, rational(4, 3), 0))
+    op = from_singular_vector(family, 0, rational(4, 3) - rational(3, 2), ctx)
     assert op.order == 0
     (deriv, mat), = op.coefficients.items()
     assert deriv == (0, 0, 0)
@@ -340,18 +347,19 @@ def test_from_singular_vector_rejects_non_singular(ctx_factory):
     ctx = ctx_factory(3, 0)
     poly = SpinorPoly.monomial(3, 2, (1, 0, 0), 0)
     with pytest.raises(ValueError, match="singular"):
-        from_singular_vector([poly], rational(1, 3), ctx)
+        from_singular_vector(_columns(ctx, 1, [poly]), 1, rational(1, 3), ctx)
 
 
 def test_from_singular_vector_rejects_non_singular_member(ctx_factory):
     # a Dirac family plus a member that g_i does not kill
+    from conftest import apply_x_power
     ctx = ctx_factory(3, 0)
     lam_thm = -rational(ctx.n - 3, 2)
     family = [apply_x_power(ctx, 1, SpinorPoly.constant(3, 2, b)) for b in range(2)]
-    assert from_singular_vector(family, lam_thm, ctx).order == 1
+    assert from_singular_vector(_columns(ctx, 1, family), 1, lam_thm, ctx).order == 1
     bad = SpinorPoly.monomial(3, 2, (0, 1, 0), 0)
     with pytest.raises(ValueError, match="^family member is not a singular vector$"):
-        from_singular_vector(family + [bad], lam_thm, ctx)
+        from_singular_vector(_columns(ctx, 1, family + [bad]), 1, lam_thm, ctx)
 
 
 def test_from_singular_vector_rejects_non_rotation_closed(ctx_factory):
@@ -362,7 +370,7 @@ def test_from_singular_vector_rejects_non_rotation_closed(ctx_factory):
     assert len(family) > 1
     lam_thm = rational(1) + HALF
     with pytest.raises(ValueError, match="^family is not rotation-closed$"):
-        from_singular_vector(family[:1], lam_thm, ctx, kind="twistor")
+        from_singular_vector(_columns(ctx, 1, family[:1]), 1, lam_thm, ctx, kind="twistor")
 
 
 def test_from_solver_output_matches_canonical_family(ctx_factory):
@@ -370,9 +378,136 @@ def test_from_solver_output_matches_canonical_family(ctx_factory):
     ctx = ctx_factory(2, 1)
     lam_thm = -rational(ctx.n - 3, 2)
     svs = singular_vectors(ctx, lam_thm + rational(ctx.n, 2), 1)
-    op = from_singular_vector(svs, lam_thm, ctx, kind="dirac-power")
+    op = from_singular_vector(_columns(ctx, 1, svs), 1, lam_thm, ctx, kind="dirac-power")
     report = verify_intertwining(op, 3, ctx)
     assert report.residual_zero
+
+
+def _families(ctx):
+    """(name, family, degree, lam_thm): the Dirac families a = 1, 3 and the
+    twistor families a = 1, 2 at their twists, then negative controls.  The
+    last is one monogenic member of degree 1 free of x_1, at the Dirac twist:
+    g_1 kills it, g_2 does not, and it is not rotation-closed."""
+    n = ctx.n
+    dirac = -rational(n - 3, 2)
+    x1 = _columns(ctx, 1, [SpinorPoly.monomial(n, ctx.spinor_dim, (1,) + (0,) * (n - 1), 0)])
+    x2 = _columns(ctx, 1, [SpinorPoly.monomial(n, ctx.spinor_dim, (0, 1) + (0,) * (n - 2), 0)])
+    x1_free = next(el for el in monogenic_basis(ctx, 1).elements
+                   if all(mono[0] == 0 for mono in el.terms))
+    out = [("dirac %d" % a, x_power_matrix(ctx, a, 0), a, -rational(n - 2 - a, 2))
+           for a in (1, 3)]
+    out += [("twistor %d" % a, _columns(ctx, a, monogenic_basis(ctx, a).elements), a,
+             a + HALF) for a in (1, 2)]
+    return out + [
+        ("x_1 e_0 at 1/3", x1, 1, rational(1, 3)),
+        ("dirac 1 and x_2 e_0", SparseMatrix.hstack([x_power_matrix(ctx, 1, 0), x2]), 1, dirac),
+        ("dirac 1 at the twistor twist", x_power_matrix(ctx, 1, 0), 1, 1 + HALF),
+        ("one column of M_1", _columns(ctx, 1, monogenic_basis(ctx, 1).elements[:1]), 1,
+         1 + HALF),
+        ("x_1-free member of M_1 at the Dirac twist", _columns(ctx, 1, [x1_free]), 1, dirac),
+    ]
+
+
+def _whole_degree_verdict(family, degree, lam_thm, ctx):
+    """What from_singular_vector's checks decide with every g_i and l_ij
+    assembled on the whole degree: None (accepted) or the error message."""
+    lam_real = lam_thm + rational(ctx.n, 2)
+    if any(not (g @ family).is_zero()
+           for g in special_conformal_matrices(ctx, lam_real, degree)):
+        return "family member is not a singular vector"
+    for i in range(1, ctx.n + 1):
+        for j in range(i + 1, ctx.n + 1):
+            l_ij = assemble(verma_action(("l", i, j), lam_real, ctx.rep), degree,
+                            ctx.graded_basis).matrix
+            if express_in_span(family, l_ij @ family) is None:
+                return "family is not rotation-closed"
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_family_check_matches_the_whole_degree_check(ctx_factory, n):
+    # the g_i on the family's support give the whole-degree products, and
+    # from_singular_vector accepts and rejects, with the same message, as
+    # the whole-degree check does; the last family passes g_1 alone
+    for p in range(n, -1, -1):
+        ctx = ctx_factory(p, n - p)
+        verdicts = []
+        for name, family, degree, lam_thm in _families(ctx):
+            lam_real = lam_thm + rational(n, 2)
+            whole = special_conformal_matrices(ctx, lam_real, degree)
+            for i in range(1, n + 1):
+                assert singular._at(special_conformal_on(ctx, i, degree, family), lam_real) \
+                    == whole[i - 1] @ family, (p, name, i)
+            expect = _whole_degree_verdict(family, degree, lam_thm, ctx)
+            try:
+                from_singular_vector(family, degree, lam_thm, ctx)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expect, (p, name)
+            verdicts.append(got)
+        assert verdicts == [None] * 4 + ["family member is not a singular vector"] * 3 \
+            + ["family is not rotation-closed", "family member is not a singular vector"], p
+        name, family, degree, lam_thm = _families(ctx)[-1]
+        lam_real = lam_thm + rational(n, 2)
+        assert singular._at(special_conformal_on(ctx, 1, 1, family), lam_real).is_zero(), p
+        assert not singular._at(special_conformal_on(ctx, 2, 1, family), lam_real).is_zero(), p
+
+
+def _operators_json(sig, broken):
+    """(certificate verdict, to_json() of dirac_power 1, 3 and twistor 1, 2)
+    at ``sig``, on a fresh map of gamma models; ``broken`` doubles every c_j
+    of the block certificate, so that [l_1j, g_1] - c_j g_j is no longer
+    zero."""
+    saved = clifford._MODELS, singular.bracket_multiple
+
+    def doubled(*args):
+        c = saved[1](*args)
+        return None if c is None else c * 2
+
+    clifford._MODELS = clifford.Memo()
+    if broken:
+        singular.bracket_multiple = doubled
+    try:
+        ctx = Context(*sig)
+        ops = [dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)]
+        return singular._certificate_sound(ctx), [op.to_json() for op in ops]
+    finally:
+        clifford._MODELS, singular.bracket_multiple = saved
+
+
+def _check_broken_premise_operators(sig):
+    # from_singular_vector checks every g_i, so the certificate's premises
+    # do not decide which operators it builds
+    sound, ops = _operators_json(sig, broken=False)
+    broken_sound, broken_ops = _operators_json(sig, broken=True)
+    if (sound, broken_sound) != (True, False):
+        raise AssertionError("premise verdicts %s, %s" % (sound, broken_sound))
+    if broken_ops != ops:
+        raise AssertionError("broken premises built other operators")
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_broken_certificate_premise_builds_the_same_operators(sig):
+    _check_broken_premise_operators(sig)
+
+
+def test_broken_certificate_premise_operators_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        tests = runpy.run_path(sys.argv[1])
+        for sig in ((3, 0), (2, 2)):
+            tests["_check_broken_premise_operators"](sig)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_apply_shapes(ctx_factory):

@@ -19,7 +19,6 @@ from vermaspin.realization import verma_action
 from vermaspin.fischer import (
     monogenic_basis,
     monogenic_dim,
-    apply_x_power,
     dirac_matrix,
     x_mult_matrix,
     x_power_matrix,
@@ -347,6 +346,7 @@ def test_decompose_constant_and_vector(ctx_factory):
 
 def test_decompose_coordinate_times_spinor(ctx_factory):
     # x_1 (x) v splits into a monogenic degree-1 part plus X times -G_1 v / n
+    from conftest import apply_x_power
     ctx = ctx_factory(3, 0)
     v = SpinorPoly.monomial(3, 2, (1, 0, 0), 0)
     comps = fischer_decompose(ctx, v)
@@ -360,6 +360,7 @@ def test_decompose_coordinate_times_spinor(ctx_factory):
 
 
 def test_decompose_reconstruction_random(ctx_factory):
+    from conftest import apply_x_power
     rng = random.Random(5)
     for (p, q) in [(2, 1), (2, 2)]:
         ctx = ctx_factory(p, q)
@@ -392,6 +393,7 @@ def test_dirac_chain_on_ladder(ctx_factory):
     # applying the Dirac operator k+1 times to X^k M_m gives zero; k times a
     # nonzero multiple of the monogenic part, with the ladder scalars,
     # for all k + m <= 6
+    from conftest import apply_x_power
     ctx = ctx_factory(2, 1)
     for m in range(0, 7):
         basis = monogenic_basis(ctx, m)
@@ -417,6 +419,7 @@ def test_dirac_chain_on_ladder(ctx_factory):
 
 def test_wrong_shape_polynomials_and_negative_powers_are_rejected(ctx_factory):
     # the basis of (3,0) has 3 variables and 2-dimensional values
+    from conftest import apply_x_power
     ctx = ctx_factory(3, 0)
     wide = SpinorPoly.monomial(3, 4, (1, 0, 0), 3)
     shapes = "3 variables with 4-dimensional values is not in the basis of 3 variables " \

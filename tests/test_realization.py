@@ -20,7 +20,9 @@ from vermaspin.realization import (
     contraction_numerator,
     _osp_cached,
 )
-from vermaspin.fischer import monogenic_basis, apply_x_power, x_power_matrix
+from vermaspin.fischer import monogenic_basis, x_power_matrix
+
+from conftest import apply_x_power
 
 
 def split_form(n, eps):

@@ -18,7 +18,7 @@ from vermaspin.polyspinor import OperatorSpec, SpinorPoly, assemble
 from vermaspin.realization import (
     verma_action, invariant_contractions, contraction_slope,
     contraction_sum, osp_generators, _osp_cached)
-from vermaspin.fischer import monogenic_basis, monogenic_dim, apply_x_power, dirac_matrix
+from vermaspin.fischer import monogenic_basis, monogenic_dim, dirac_matrix
 from vermaspin.singular import (
     ClassificationReport,
     ComponentRecord,
@@ -196,6 +196,7 @@ def test_stacked_and_iterated_agree(ctx_factory):
 
 
 def test_label_examples(ctx_factory):
+    from conftest import apply_x_power
     ctx = ctx_factory(3, 0)
     const = SpinorPoly.constant(3, 2, 0)
     assert label_isotypic(ctx, const) == label_isotypic(ctx, const.scale(qi(3)))
@@ -251,6 +252,7 @@ def test_chirality_of_labels_and_piece_dims(ctx_factory):
     # X^k applied to one chirality half of M_m keeps that half's tag; a sum of
     # both halves is mixed, and the piece dimensions count each half.  For odd
     # k, X^k moves the vector into the other fiber half, and the tag stays.
+    from conftest import apply_x_power
     ctx = ctx_factory(2, 2)
     mono = monogenic_basis(ctx, 1)
     halves = {tag: [el for el, t in zip(mono.elements, mono.chirality) if t == tag]
@@ -270,6 +272,7 @@ def test_chirality_of_labels_and_piece_dims(ctx_factory):
 
 
 def test_label_rejects_mixed_component(ctx_factory):
+    from conftest import apply_x_power
     ctx = ctx_factory(3, 0)
     v = SpinorPoly.constant(3, 2, 0)
     mixed = apply_x_power(ctx, 2, v) + monogenic_basis(ctx, 2).elements[0]
@@ -351,6 +354,7 @@ def test_solution_space_inside_contraction_kernels(ctx_factory):
     # solutions annihilate all three invariant contractions, and conversely
     # every contraction-kernel component surviving the case analysis is a
     # genuine solution
+    from conftest import apply_x_power
     ctx = ctx_factory(2, 1)
     n = ctx.n
     for lam, d in [(rational(3, 2), 1), (rational(3), 1), (rational(5, 2), 3)]:
@@ -887,11 +891,23 @@ def _support(polys):
 def test_certified_blocks_need_no_nullspace(monkeypatch):
     # at (4,0), lambda 3/2 every kept block is certified by g_1 alone: no
     # nullspace, no whole-degree g_i, and at degree 5 g_1 is assembled only
-    # on the monomials of X^5 M_0's support
+    # on the monomials of X^5 M_0's support.  The fallback stacks g_1..g_n
+    # on its blocks (_g_on_block) and calls nullspace; the certificate reads
+    # g_1 alone
+    from conftest import apply_x_power
+
     def refuse(*args):
         raise AssertionError("a certified block reached the fallback")
 
+    on_block = singular._g_on_block
+
+    def g1_only(ctx, degree, k, i):
+        if i != 1:
+            refuse()
+        return on_block(ctx, degree, k, i)
+
     monkeypatch.setattr(singular, "nullspace", refuse)
+    monkeypatch.setattr(singular, "_g_on_block", g1_only)
     monkeypatch.setattr(singular, "special_conformal_matrices", refuse)
     restricted = []
     build = singular.assemble

@@ -49,8 +49,7 @@ def test_exact_spans_fire_on_a_tiny_intertwiner(capsys):
     finally:
         tracer.uninstall()
     assert code == 0, capsys.readouterr()
-    assert tracer.fired() >= {"exact.mul_vec", "exact.express_in_span", "exact.rref",
-                              "exact.matmul"}
+    assert tracer.fired() >= {"exact.express_in_span", "exact.rref", "exact.matmul"}
 
 
 def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys, monkeypatch):
