@@ -306,7 +306,7 @@ def _selftest_checks():
     from .realization import (osp_generators, verma_action, function_action, spinor_fiber,
                               dual_fiber, structure_constants, invariant_contractions,
                               bracket_multiple)
-    from .equivariant import _generating_plan
+    from .equivariant import _generating_plan, _plan_constants, bracket_premises
     from .singular import (singular_vectors, contraction_identity_residual,
                            contraction_lambda_residual, certificate_residuals, xd_eigenvalue)
 
@@ -416,6 +416,17 @@ def _selftest_checks():
                     _check(bracket_multiple(a, b, y, sig) is not None,
                            "signature (%d,%d): [%s, %s] is not a nonzero multiple of %s"
                            % (p, q, a, b, y))
+
+    def function_brackets():
+        # the premises of verify_intertwining's bracket identities, per gamma model
+        for (p, q) in [(3, 0), (2, 1), (1, 2), (2, 2), (5, 0), (3, 3)]:
+            ctx = Context(p, q)
+            entries = _plan_constants(ctx.sig, _generating_plan(ctx.n))
+            for what, part, residual in bracket_premises(ctx.rep, entries):
+                where = "" if what is None else ", relation (%d, %d)" % what[:2] \
+                    if part == "relation" else ", %s = [%s, %s]" % what
+                _check(residual is not None and residual.is_zero(),
+                       "signature (%d,%d)%s: %s fails" % (p, q, where, part))
 
     def contractions():
         ctx = Context(3, 0)
@@ -529,6 +540,7 @@ def _selftest_checks():
         ("osp(1|2) relations", osp_relations),
         ("representation brackets", brackets),
         ("generating-set plan", generating_plan),
+        ("function-picture brackets", function_brackets),
         ("contraction closed forms", contractions),
         ("monogenic ladder scalars", ladder),
         ("monogenic sum rule", fischer_rule),

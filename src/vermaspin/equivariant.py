@@ -11,9 +11,11 @@ operators, so the residual op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered
 symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec for
 the seeds f_1..f_n, h and g_1; every other generator Y is reached by one
 bracket [A, B] = c Y and needs no residual of its own when op intertwines A
-and B and both actions satisfy that bracket exactly (see
-``verify_intertwining``).  Only a residual that does not cancel is
-assembled, on every polynomial test degree, to report its size.
+and B and both actions satisfy that bracket: checked once per gamma model on
+the dual spinor fiber, and per operator only on the rotation relations of
+the target fiber that it multiplies (see ``verify_intertwining``).  Only a
+residual that does not cancel is assembled, on every polynomial test degree,
+to report its size.
 
 Twist bookkeeping.  The operator stores the theorem twists of its source and
 target inducing modules (lambda_source, lambda_target = lambda_source -
@@ -36,6 +38,7 @@ from .exact import (
     GaussianRational,
     SparseMatrix,
     express_in_span,
+    nullspace,
     rational,
     rational_to_string,
     QI_ONE,
@@ -52,6 +55,7 @@ __all__ = [
     "IntertwiningReport",
     "from_singular_vector",
     "verify_intertwining",
+    "bracket_premises",
     "dirac_power",
     "twistor",
     "dual_dirac_symbol",
@@ -205,18 +209,16 @@ def _family_rotations(family, degree, lam_real, ctx: Context):
 # ---------------------------------------------------------------------------
 
 
-def _pi_star_specs(op: EquivariantOperator, ctx: Context):
+def _pi_star_specs(op: EquivariantOperator, ctx: Context, gens=None):
     """Function-picture actions on both sides of the operator, at realization
-    parameters 1 + ``op.pi_star_pair()``: the operator's twists fix the pair."""
+    parameters 1 + ``op.pi_star_pair()``: the operator's twists fix the pair.
+    Built for ``gens``, every generator by default."""
     lam_pi_src, lam_pi_tgt = (nu + 1 for nu in op.pi_star_pair())
     src_fiber = dual_fiber(spinor_fiber(ctx.rep))
     tgt_fiber = dual_fiber(op.family_rotations)
-    src = {}
-    tgt = {}
-    for gen in generators(ctx.n):
-        src[gen] = function_action(gen, lam_pi_src, ctx.rep, src_fiber)
-        tgt[gen] = function_action(gen, lam_pi_tgt, ctx.rep, tgt_fiber)
-    return src, tgt
+    gens = generators(ctx.n) if gens is None else gens
+    return ({gen: function_action(gen, lam_pi_src, ctx.rep, src_fiber) for gen in gens},
+            {gen: function_action(gen, lam_pi_tgt, ctx.rep, tgt_fiber) for gen in gens})
 
 
 def operator_matrix(op: EquivariantOperator, degree, ctx: Context):
@@ -240,6 +242,67 @@ def _generating_plan(n):
     return plan
 
 
+def _plan_constants(sig, plan):
+    """The derived entries of ``plan`` as (Y, A, B, c), c from ``bracket_multiple``."""
+    return tuple((y, a, b, bracket_multiple(a, b, y, sig)) for y, a, b in plan if a is not None)
+
+
+def _multiplied(a, b, n):
+    """The (i, j) of every rho_(1,i) rho_(1,j) in [pi(a), pi(b)], or None if a or b
+    holds another rotation: pi(l_ij) holds rho_(i,j), pi(g_i) every rho_(i,k)."""
+    ones = [{g[2]} if g[:2] == ("l", 1) else set(range(2, n + 1)) if g == ("g", 1)
+            else set() if g[0] in "fh" else None for g in (a, b)]
+    if None in ones:
+        return None
+    return {(min(i, j), max(i, j)) for i in ones[0] for j in ones[1] if i != j}
+
+
+def _relation(fiber, i, j, c):
+    """[rho_(1,i), rho_(1,j)] - c rho_(i,j) on ``fiber``; None without a c."""
+    a, b = fiber[(1, i)], fiber[(1, j)]
+    return None if c is None else a @ b - b @ a - fiber[(i, j)].scale(c)
+
+
+def bracket_premises(rep, entries):
+    """(what, part, residual) for each premise of :func:`verify_intertwining`'s
+    brackets on sigma, the dual spinor fiber, holding when the residual is not
+    None and zero: per entry (Y, A, B) its residual at lambda 0 and its slope
+    (None without a c, when :func:`_multiplied` is, or for the slope when A
+    depends on lambda), per (i, j, c_ij) the relation, and the kernel of I and
+    the sigma_m."""
+    n, dim, sigma = rep.n, rep.spinor_dim, dual_fiber(spinor_fiber(rep))
+    pi, at_one = ({gen: function_action(gen, lam, rep, sigma) for gen in generators(n)}
+                  for lam in (0, 1))
+    slope = {gen: (at_one[gen] - pi[gen]).combined() for gen in pi}
+    out = []
+    for y, a, b, c in entries:
+        ok = c is not None and _multiplied(a, b, n) is not None
+        out += [((y, a, b), "lambda-free", _commutator(pi[a], pi[b], pi[y], c) if ok else None),
+                ((y, a, b), "slope", _commutator(pi[a], slope[b], slope[y], c)
+                 if ok and slope[a].is_zero() else None)]
+    for i in range(2, n + 1):
+        for j in range(i + 1, n + 1):
+            c = bracket_multiple(("l", 1, i), ("l", 1, j), ("l", i, j), rep.sig)
+            out.append(((i, j, c), "relation", _relation(sigma, i, j, c)))
+    mats = [SparseMatrix.identity(dim)] + [sigma[key] for key in sorted(sigma)]
+    stack = SparseMatrix.from_columns(
+        dim * dim, [{r * dim + col: v for r, col, v in m.entries()} for m in mats])
+    return out + [(None, "independence", SparseMatrix.from_int_rows(len(mats), nullspace(stack)))]
+
+
+def _model_verdict(rep, entries):
+    """(the Y of ``entries`` established on every fiber meeting the relations,
+    {(i, j): c_ij}), both empty if sigma fails those; once per model and c."""
+    def build():
+        premises = bracket_premises(rep, entries)
+        failed = [(what, part) for what, part, r in premises if r is None or not r.is_zero()]
+        if any(part in ("relation", "independence") for _, part in failed):
+            return frozenset(), {}
+        return (frozenset(y for y, _, _, _ in entries) - {what[0] for what, _ in failed},
+                {what[:2]: what[2] for what, part, _ in premises if part == "relation"})
+    return rep.cached(("function-brackets", entries), build)
+
+
 def verify_intertwining(op: EquivariantOperator, test_degree,
                         ctx: Context) -> IntertwiningReport:
     """Check op . pi*_src(Y) - pi*_tgt(Y) . op = 0 exactly.
@@ -247,46 +310,57 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
     The twist pair is the operator's own (:func:`_pi_star_specs`).  The
     generators are taken in the order of :func:`_generating_plan`.  A
     generator Y = [A, B] / c is established without a residual of its own
-    when three things hold: R_A and R_B are zero operators; the abstract
-    model gives [A, B] = c Y with c != 0 and no other generator; and
-    [pi(A), pi(B)] - c pi(Y) normal-orders to zero for the source and for
-    the target action.  Then
+    when R_A and R_B are zero and [pi(A), pi(B)] = c pi(Y) for both actions:
+    then c op pi_src(Y) = op [pi_src(A), pi_src(B)] = [pi_tgt(A), pi_tgt(B)] op
+    = c pi_tgt(Y) op.  In ``function_action`` lambda enters only in the
+    constant of pi(h), and the fiber matrices rho_m linearly, in zero-derivative
+    terms with coefficient 1 or x_j; each entry's A is lambda-free.  So the
+    bracket's residual is U0 + lambda U1 + sum_m W_m rho_m + sum C^A_k C^B_l
+    [rho_k, rho_l], U0, U1 and W_m free of the fiber, or U0 + lambda U1 +
+    sum_m Z_m rho_m on a fiber that meets the relations [rho_(1,i), rho_(1,j)]
+    = c_ij rho_(i,j) it multiplies (:func:`_multiplied`).  On the dual spinor
+    fiber sigma it is zero at lambda 0 and in its slope, sigma meets every
+    relation, and I and the sigma_m are independent, so U0 = U1 = Z_m = 0
+    (:func:`_model_verdict`, once per gamma model).  Per operator only the
+    relations are checked, on the family rotations R (the dual fiber -R^T
+    meets one exactly when R does).  Where the model verdict, a relation the
+    entry multiplies, c or a parent fails, Y is normal-ordered.
 
-        c op pi_src(Y) = op [pi_src(A), pi_src(B)]
-                       = [pi_tgt(A), pi_tgt(B)] op = c pi_tgt(Y) op,
-
-    so R_Y is zero as an operator.  Every other generator, the seeds
-    f_1..f_n, h and g_1 among them, has its residual normal-ordered into
-    one spec R_Y: the Leibniz terms of both products, the second negated,
-    are merged in one pass.  A zero R_Y vanishes on every degree.
-    Otherwise R_Y is assembled on every graded component of degree <=
-    test_degree; since assemble(A . B, d) equals assemble(A, d + shift) @
-    assemble(B, d), that is exactly the matrix of the residual on every
-    monomial test function up to that degree.  A nonzero residual is
-    reported, not raised: ``first_failure`` is the first failing generator
-    in :func:`generators` order, and ``max_residual_terms`` the largest
-    residual, which is always one computed directly.  ``generators_checked``
-    counts every generator, established directly or by a bracket identity.
+    The seeds f_1..f_n, h and g_1, and every generator not so established,
+    have pi built and the residual normal-ordered into one spec R_Y: the
+    Leibniz terms of both products, the second negated, merged in one pass.
+    A zero R_Y vanishes on every degree.  Otherwise R_Y is assembled on every
+    graded component of degree <= test_degree; since assemble(A . B, d)
+    equals assemble(A, d + shift) @ assemble(B, d), that is exactly the
+    matrix of the residual on every monomial test function up to that
+    degree.  A nonzero residual is reported, not raised: ``first_failure`` is
+    the first failing generator in :func:`generators` order, and
+    ``max_residual_terms`` the largest residual, which is always one computed
+    directly.  ``generators_checked`` counts every generator.
     """
     if test_degree < op.order:
         raise ValueError("test degree below operator order")
-    src, tgt = _pi_star_specs(op, ctx)
     gens = generators(ctx.n)
     plan = _generating_plan(ctx.n)
     if len(plan) != len(gens) or {y for y, _, _ in plan} != set(gens):
         raise ValueError("the generating plan does not list every generator once")
+    model, c_ij = _model_verdict(ctx.rep, ctx.rep.cached(
+        ("plan-constants", tuple(plan)), lambda: _plan_constants(ctx.sig, plan)))
+    meets = {r: _relation(op.family_rotations, *r, c).is_zero() for r, c in c_ij.items()}
     spec = op.spec
     per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
+    src, tgt = _pi_star_specs(op, ctx, [gen for gen, a, _ in plan if a is None])
     zero = set()
     failures = {}
     max_terms = 0
     for gen, a, b in plan:
-        if a in zero and b in zero:
-            c = bracket_multiple(a, b, gen, ctx.sig)
-            if c is not None and all(_commutator(pi[a], pi[b], pi[gen], c).is_zero()
-                                     for pi in (src, tgt)):
-                zero.add(gen)
-                continue
+        if (a in zero and b in zero and gen in model
+                and all(meets[r] for r in _multiplied(a, b, ctx.n))):
+            zero.add(gen)
+            continue
+        if gen not in src:
+            for pi, more in zip((src, tgt), _pi_star_specs(op, ctx, [gen])):
+                pi.update(more)
         residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
         if residual.is_zero():
             zero.add(gen)

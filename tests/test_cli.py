@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import cli, equivariant, realization, singular
-from vermaspin.exact import rational
+from vermaspin import cli, clifford, equivariant, realization, singular
+from vermaspin.exact import SparseMatrix, rational
 from vermaspin.polyspinor import OperatorSpec
 from vermaspin.singular import ClassificationReport
 
@@ -286,7 +286,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("PASS") == 13
+    assert out.count("PASS") == 14
 
 
 def test_selftest_passes_under_optimize_flag(capsys):
@@ -301,7 +301,7 @@ def test_selftest_passes_under_optimize_flag(capsys):
     assert proc.stdout == out
     assert [line for line in out.splitlines() if line.startswith("PASS ")] == \
         ["PASS %-31s" % name for name, _ in cli._selftest_checks()]
-    assert out.count("PASS") == 13
+    assert out.count("PASS") == 14
 
 
 def test_selftest_fails_under_optimize_flag():
@@ -390,6 +390,37 @@ def test_selftest_plan_check_names_the_signature_and_generator(monkeypatch):
     check = dict(cli._selftest_checks())["generating-set plan"]
     with pytest.raises(AssertionError, match=r"^signature \(3,0\): \[\('f', 2\), \('g', 1\)\] "
                                              r"is not a nonzero multiple of \('g', 2\)$"):
+        check()
+
+
+def test_selftest_function_bracket_check_names_the_signature_entry_and_part(capsys,
+                                                                           monkeypatch):
+    # every c doubled where the verifier reads it: the lambda-free part of
+    # the first plan entry is the first premise left nonzero, the selftest
+    # exits 1, and the intertwining check, which then normal-orders every
+    # generator, still passes
+    bracket_multiple = equivariant.bracket_multiple
+
+    def doubled(*args):
+        c = bracket_multiple(*args)
+        return None if c is None else c * 2
+
+    monkeypatch.setattr(equivariant, "bracket_multiple", doubled)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert re.search(r"^FAIL function-picture brackets +AssertionError: signature \(3,0\), "
+                     r"\('l', 1, 2\) = \[\('f', 2\), \('g', 1\)\]: lambda-free fails$",
+                     out, re.M), out
+    assert out.count("FAIL") == 1 and out.endswith("1 check(s) failed\n")
+    # a spinor fiber of zero matrices meets every relation and fails the
+    # independence alone
+    monkeypatch.undo()
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
+    monkeypatch.setattr(equivariant, "spinor_fiber", lambda rep: {
+        key: SparseMatrix.zero(rep.spinor_dim, rep.spinor_dim)
+        for key in realization.spinor_fiber(rep)})
+    check = dict(cli._selftest_checks())["function-picture brackets"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\): independence fails$"):
         check()
 
 

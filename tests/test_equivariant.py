@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from vermaspin import clifford, equivariant, singular
+from vermaspin import clifford, equivariant, realization, singular
 from vermaspin.context import Context
 from vermaspin.exact import qi, rational, QI_ONE, SparseMatrix, express_in_span
-from vermaspin.polyspinor import SpinorPoly, assemble, _product_sum
+from vermaspin.polyspinor import OperatorSpec, OpTerm, SpinorPoly, assemble, _commutator, _product_sum
 from vermaspin.fischer import monogenic_basis, monogenic_dim, x_power_matrix
-from vermaspin.realization import generators, verma_action
+from vermaspin.realization import (bracket_multiple, dual_fiber, function_action, generators,
+                                  spinor_fiber, verma_action)
 from vermaspin.singular import singular_vectors, special_conformal_matrices, special_conformal_on
 from vermaspin.equivariant import (
     IntertwiningReport,
@@ -323,6 +324,219 @@ def test_a_wrong_plan_entry_is_normal_ordered(monkeypatch, ctx_factory):
     with pytest.raises(ValueError, match="^the generating plan does not list every "
                                          "generator once$"):
         verify_intertwining(op, 3, ctx)
+
+
+def _commutator_rule(op, ctx):
+    """Oracle: the generators the per-operator rule establishes with no
+    residual of their own.  Y = [A, B] / c is established when A and B are,
+    c exists, and [pi(A), pi(B)] - c pi(Y) normal-orders to zero for the
+    source and for the target action; every other generator is established
+    when its residual normal-orders to zero."""
+    src, tgt = _pi_star_specs(op, ctx)
+    spec = op.spec
+    zero, by_bracket = set(), set()
+    for gen, a, b in _generating_plan(ctx.n):
+        if a in zero and b in zero:
+            c = bracket_multiple(a, b, gen, ctx.sig)
+            if c is not None and all(_commutator(pi[a], pi[b], pi[gen], c).is_zero()
+                                     for pi in (src, tgt)):
+                zero.add(gen)
+                by_bracket.add(gen)
+                continue
+        if _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)]).is_zero():
+            zero.add(gen)
+    return by_bracket
+
+
+def _doubled_rotation(op, pair=(2, 3)):
+    rotations = dict(op.family_rotations)
+    rotations[pair] = rotations[pair].scale(2)
+    return replace(op, family_rotations=rotations)
+
+
+@pytest.mark.parametrize("sig", _SIGNATURES, ids="{0[0]},{0[1]}".format)
+def test_bracket_established_generators_match_the_commutator_rule(ctx_factory, twist_offset,
+                                                                  sig):
+    # the generators established without a residual are the ones the two
+    # per-operator commutators establish, on the operators, with a doubled
+    # target rotation and with a failing seed
+    ctx = ctx_factory(*sig)
+    derived = {y for y, a, _ in _generating_plan(ctx.n) if a is not None}
+    for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
+        variants = [op, _doubled_rotation(op), twist_offset(op, 1, 0)]
+        for k, variant in enumerate(variants):
+            _, direct = _direct_generators(variant, max(op.order, 2), ctx)
+            established = set(generators(ctx.n)) - set(direct)
+            assert established == _commutator_rule(variant, ctx), (op.kind, op.order, k)
+            if k == 0:
+                assert established == derived, (op.kind, op.order)
+
+
+def test_multiplied_relations_and_slopes_are_read_off_function_action(ctx_factory):
+    # the rotations pi(gen) carries, read off function_action one fiber
+    # matrix at a time, only in zero-derivative terms, and none in its
+    # lambda-slope; _multiplied lists the rho_(1,i) rho_(1,j) products of
+    # every bracket, and refuses a pair that holds any other rotation
+    for sig in [(3, 0), (2, 2), (3, 2)]:
+        rep = ctx_factory(*sig).rep
+        n, dim = rep.n, rep.spinor_dim
+        sigma = dual_fiber(spinor_fiber(rep))
+        zero = {key: SparseMatrix.zero(dim, dim) for key in sigma}
+        rotations = {}
+        for gen in generators(n):
+            bare = function_action(gen, 0, rep, zero)
+            rotations[gen] = {key for key in sigma if not (
+                function_action(gen, 0, rep, {**zero, key: sigma[key]}) - bare).is_zero()}
+            pi = function_action(gen, 0, rep, sigma)
+            assert all(t.mat is None or not any(t.deriv) for t in pi.terms), gen
+            slope = function_action(gen, 1, rep, sigma) - pi
+            assert (slope - (function_action(gen, 1, rep, zero) - bare)).is_zero(), gen
+        for a in generators(n):
+            for b in generators(n):
+                held = rotations[a] | rotations[b]
+                expect = None if any(p[0] != 1 for p in held) else {
+                    tuple(sorted((p[1], q[1]))) for p in rotations[a] for q in rotations[b]
+                    if p != q}
+                assert equivariant._multiplied(a, b, n) == expect, (sig, a, b)
+
+
+def _fresh_models(patches, check):
+    """Run ``check()`` on a fresh map of gamma models with the (module, name,
+    value) ``patches`` in place, restoring both afterwards."""
+    saved = clifford._MODELS, [(m, name, getattr(m, name)) for m, name, _ in patches]
+    clifford._MODELS = clifford.Memo()
+    for m, name, value in patches:
+        setattr(m, name, value)
+    try:
+        return check()
+    finally:
+        clifford._MODELS = saved[0]
+        for m, name, value in saved[1]:
+            setattr(m, name, value)
+
+
+def _refused_parts(ctx):
+    entries = equivariant._plan_constants(ctx.sig, _generating_plan(ctx.n))
+    return ({part for _, part, r in equivariant.bracket_premises(ctx.rep, entries)
+             if r is None or not r.is_zero()},
+            equivariant._model_verdict(ctx.rep, entries)[0])
+
+
+def _check_against_oracle(ctx):
+    for op in (twistor(1, ctx), dirac_power(1, ctx)):
+        report = verify_intertwining(op, 2, ctx)
+        oracle = _verify_all_generators(op, 2, ctx)
+        if report != oracle:
+            raise AssertionError("report %s, oracle %s" % (report, oracle))
+
+
+def _dependent_fiber_case(sig):
+    """A stub spinor fiber of zero matrices meets every relation, but its
+    sigma_m are dependent: the model verdict refuses every entry, and the
+    reports are the oracle's.  Raises instead of asserting."""
+    def check():
+        ctx = Context(*sig)
+        parts, model = _refused_parts(ctx)
+        if parts != {"independence"} or model:
+            raise AssertionError("refused %s, established %s" % (parts, sorted(model)))
+        _check_against_oracle(ctx)
+
+    def stub(rep):
+        return {(i, j): SparseMatrix.zero(rep.spinor_dim, rep.spinor_dim)
+                for i in range(1, rep.n + 1) for j in range(i + 1, rep.n + 1)}
+
+    _fresh_models([(equivariant, "spinor_fiber", stub)], check)
+
+
+def _tampered_slope_case(sig):
+    """pi(h) with lambda-slope 1 + x_1 d_1: the lambda-free parts still
+    hold, the slope of every g_j entry, j >= 2, does not, so the model
+    verdict refuses exactly those, and the reports are the oracle's.  Raises
+    instead of asserting."""
+    function_action = realization.function_action
+
+    def tampered(gen, lam, rep, fiber):
+        spec = function_action(gen, lam, rep, fiber)
+        if gen != ("h",):
+            return spec
+        e1 = (1,) + (0,) * (rep.n - 1)
+        return spec + OperatorSpec(rep.n, spec.dim, [OpTerm(e1, e1, None, qi(lam))])
+
+    def check():
+        ctx = Context(*sig)
+        parts, model = _refused_parts(ctx)
+        refused = {y for y, a, _ in _generating_plan(ctx.n) if a is not None} - model
+        expect = {("g", j) for j in range(2, ctx.n + 1)}
+        if parts != {"slope"} or refused != expect:
+            raise AssertionError("refused %s: %s, expected slope: %s"
+                                 % (parts, sorted(refused), sorted(expect)))
+        _check_against_oracle(ctx)
+
+    _fresh_models([(realization, "function_action", tampered),
+                   (equivariant, "function_action", tampered)], check)
+
+
+def _tampered_rotation_case(sig):
+    """pi(l_23) with an extra x_1 d_1 on both sides: the lambda-free part of
+    the l_23 entry fails, so the model verdict refuses l_23 alone, which is
+    then normal-ordered, and the reports are the oracle's, failing at l_23.
+    Raises instead of asserting."""
+    function_action = realization.function_action
+
+    def tampered(gen, lam, rep, fiber):
+        spec = function_action(gen, lam, rep, fiber)
+        if gen != ("l", 2, 3):
+            return spec
+        e1 = (1,) + (0,) * (rep.n - 1)
+        return spec + OperatorSpec(rep.n, spec.dim, [OpTerm(e1, e1, None, QI_ONE)])
+
+    def check():
+        ctx = Context(*sig)
+        parts, model = _refused_parts(ctx)
+        refused = {y for y, a, _ in _generating_plan(ctx.n) if a is not None} - model
+        if parts != {"lambda-free"} or refused != {("l", 2, 3)}:
+            raise AssertionError("refused %s: %s" % (parts, sorted(refused)))
+        _check_against_oracle(ctx)
+        report = verify_intertwining(twistor(1, ctx), 2, ctx)
+        if report.first_failure is None or report.first_failure[0] != ("l", 2, 3):
+            raise AssertionError("first failure %s" % (report.first_failure,))
+
+    _fresh_models([(realization, "function_action", tampered),
+                   (equivariant, "function_action", tampered)], check)
+
+
+@pytest.mark.parametrize("sig", [(2, 1), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_a_dependent_model_fiber_is_refused(sig):
+    _dependent_fiber_case(sig)
+
+
+@pytest.mark.parametrize("sig", [(2, 1), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_a_tampered_lambda_slope_is_refused(sig):
+    _tampered_slope_case(sig)
+
+
+@pytest.mark.parametrize("sig", [(2, 1), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_a_tampered_rotation_is_refused_and_normal_ordered(sig):
+    _tampered_rotation_case(sig)
+
+
+def test_model_verdict_controls_run_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        tests = runpy.run_path(sys.argv[1])
+        tests["_dependent_fiber_case"]((2, 1))
+        tests["_tampered_slope_case"]((2, 1))
+        tests["_tampered_rotation_case"]((2, 1))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _columns(ctx, degree, polys):
