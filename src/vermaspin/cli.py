@@ -308,7 +308,8 @@ def _selftest_checks():
                               bracket_multiple)
     from .equivariant import _generating_plan, _plan_constants, bracket_premises
     from .singular import (singular_vectors, contraction_identity_residual,
-                           contraction_lambda_residual, certificate_residuals, xd_eigenvalue)
+                           contraction_lambda_residual, certificate_residuals, rotation_residuals,
+                           xd_eigenvalue)
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -502,12 +503,17 @@ def _selftest_checks():
                 _check(live == 0, "signature (%d,%d): %s leaves %d terms" % (p, q, what, live))
 
     def block_certificate():
-        # the premises under which classify certifies a Fischer block by g_1 alone
+        # the premises of the g_1-alone certificates and the derived rotations
         for (p, q) in [(3, 0), (2, 1), (2, 2), (5, 0), (3, 3)]:
-            for j, what, residual in certificate_residuals(Context(p, q)):
-                where = "signature (%d,%d)%s: %s" % (p, q, "" if j is None else ", j = %d" % j,
-                                                     what)
-                _check(residual is not None, where + ": [l_1j, g_1] is no nonzero multiple of g_j")
+            ctx = Context(p, q)
+            premises = [("" if j is None else ", j = %d" % j, what, "[l_1j, g_1]", "g_j", r)
+                        for j, what, r in certificate_residuals(ctx)]
+            premises += [(", (i, j) = (%d, %d)" % (i, j), "[l_1i, l_1j] - c_ij l_ij",
+                          "[l_1i, l_1j]", "l_ij", r) for i, j, _, r in rotation_residuals(ctx)]
+            for at, what, bracket, y, residual in premises:
+                where = "signature (%d,%d)%s: %s" % (p, q, at, what)
+                _check(residual is not None, "%s: %s is no nonzero multiple of %s"
+                       % (where, bracket, y))
                 live = residual.nonzero_keys()
                 _check(live == 0, "%s leaves %d terms" % (where, live))
 

@@ -3,19 +3,21 @@
 A family of singular vectors spanning one isotypic component, the columns
 of a coordinate matrix, dualizes via the jet pairing <x^a (x) s, f> =
 (d^a <s, f>)(0) to a constant-coefficient operator on dual-spinor-valued
-polynomials; it is checked singular as ``classify`` certifies a Fischer
-block.  The operator intertwines the function-picture actions of the two
-twists of the component; the verifier checks that exactly on a Lie
-generating set.  Both sides are constant-coefficient differential
-operators, so the residual op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered
-symbolically (Weyl algebra tensor fiber matrices) into one OperatorSpec for
-the seeds f_1..f_n, h and g_1; every other generator Y is reached by one
-bracket [A, B] = c Y and needs no residual of its own when op intertwines A
-and B and both actions satisfy that bracket: checked once per gamma model on
-the dual spinor fiber, and per operator only on the rotation relations of
-the target fiber that it multiplies (see ``verify_intertwining``).  Only a
-residual that does not cancel is assembled, on every polynomial test degree,
-to report its size.
+polynomials.  It is checked singular by g_1 alone, as ``classify``
+certifies a Fischer block, with each l_1j V = V R_1j read off pivot rows
+and every other R_ij = [R_1i, R_1j] / c_ij (``from_singular_vector``).
+The operator intertwines the function-picture actions of the two twists of
+the component; the verifier checks that exactly on a Lie generating set.
+Both sides are constant-coefficient differential operators, so the residual
+op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered symbolically (Weyl
+algebra tensor fiber matrices) into one OperatorSpec for the seeds
+f_1..f_n, h and g_1; every other generator Y is reached by one bracket
+[A, B] = c Y and needs no residual of its own when op intertwines A and B
+and both actions satisfy that bracket: checked once per gamma model on the
+dual spinor fiber, and per operator only on the rotation relations of the
+target fiber that it multiplies (see ``verify_intertwining``).  Only a
+residual that does not cancel is assembled, on every polynomial test
+degree, to report its size.
 
 Twist bookkeeping.  The operator stores the theorem twists of its source and
 target inducing modules (lambda_source, lambda_target = lambda_source -
@@ -47,7 +49,8 @@ from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _commutator,
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
                           bracket_multiple, _unit)
 from .fischer import monogenic_basis, x_power_matrix
-from .singular import kills, on_support
+from .singular import (kills, on_support, special_conformal_on, _at, _certificate_sound,
+                       _rotation_constants)
 from .context import Context
 
 __all__ = [
@@ -159,15 +162,22 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     The columns V of the SparseMatrix ``family`` are coordinate vectors in
     the degree-d basis, spanning one isotypic component at theorem twist
     lam_thm; entry x^a (x) e_b of column r becomes entry (r, b) of the
-    coefficient matrix of d^a.  V is checked exactly to be singular first,
-    with every g_i assembled on V's support (``singular.kills``), and then
-    to be rotation-closed (:func:`_family_rotations`).
+    coefficient matrix of d^a.  V is checked singular with g_1 and the
+    l_1j, j >= 2, alone, assembled on V's support: g_1(lam) V = 0 and l_1j V
+    = V R_1j (:func:`_rotation`); with the block certificate's premise
+    [l_1j, g_1] = c_j g_j (``_certificate_sound``), g_j V = -g_1 V R_1j / c_j
+    = 0.  If an l_1j V is outside V's span or a premise fails, every g_i is
+    checked (``singular.kills``) before the rotations raise.
     """
     if not family.cols:
         raise ValueError("empty singular family")
     lam_thm = rational(lam_thm)
     lam_real = lam_thm + rational(ctx.n, 2)
-    if not kills(ctx, lam_real, degree, family):
+    if not _at(special_conformal_on(ctx, 1, degree, family), lam_real).is_zero():
+        raise ValueError("family member is not a singular vector")
+    first = {(1, j): _rotation(ctx, 1, j, degree, family) for j in range(2, ctx.n + 1)}
+    if (None in first.values() or not _certificate_sound(ctx)) \
+            and not kills(ctx, lam_real, degree, family):
         raise ValueError("family member is not a singular vector")
     coeffs, basis = {}, ctx.graded_basis(degree)
     for row, r, v in family.entries():
@@ -175,7 +185,7 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
         coeffs.setdefault(mono, []).append((r, b, v))
     coefficients = {mono: SparseMatrix.from_entries(family.cols, ctx.spinor_dim, entries)
                     for mono, entries in coeffs.items()}
-    rotations = _family_rotations(family, degree, lam_real, ctx)
+    rotations = _family_rotations(family, degree, first, ctx)
     return EquivariantOperator(
         n=ctx.n, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
@@ -184,24 +194,37 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     )
 
 
-def _family_rotations(family, degree, lam_real, ctx: Context):
-    """Rotation action on the family span, solved exactly per generator pair.
-
-    ``family`` is the matrix whose columns are the family's coordinate
-    vectors at ``degree``; the action of l_ij is the X with
-    l_ij @ family == family @ X, and l_ij is assembled on the family's
-    support alone (``singular.on_support``).  Raises if the family is not
-    closed under the rotation action (i.e. is not an isotypic submodule).
+def _family_rotations(family, degree, first, ctx: Context):
+    """(i, j) -> R_ij with l_ij V = V R_ij, V the columns of ``family``, from
+    ``first``, the R_1j (None off V's span): R_ij = [R_1i, R_1j] / c_ij where
+    [l_1i, l_1j] = c_ij l_ij (``singular.rotation_residuals``; the l are
+    lambda-free), else :func:`_rotation`.  Raises if V is not rotation-closed.
     """
-    out = {}
-    for i in range(1, ctx.n + 1):
+    out, c_ij = dict(first), _rotation_constants(ctx)
+    for i in range(2, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
-            l_ij = verma_action(("l", i, j), lam_real, ctx.rep)
-            rotation = express_in_span(family, on_support(ctx, l_ij, degree, family))
-            if rotation is None:
-                raise ValueError("family is not rotation-closed")
-            out[(i, j)] = rotation
+            a, b = out[(1, i)], out[(1, j)]
+            if (i, j) not in c_ij or a is None or b is None:
+                out[(i, j)] = _rotation(ctx, i, j, degree, family)
+            else:
+                out[(i, j)] = (a @ b - b @ a).scale(1 / c_ij[i, j])
+    if None in out.values():
+        raise ValueError("family is not rotation-closed")
     return out
+
+
+def _rotation(ctx: Context, i, j, degree, family):
+    """R with l_ij V = V R, V the columns of ``family``, or None off V's span;
+    l_ij is assembled on V's support.  A pivot row p_c, where V's one entry
+    is in column c, gives R[c, :] = (l_ij V)[p_c, :] / V[p_c, c], as any
+    solution has; one product checks R.  Else ``express_in_span``."""
+    image = on_support(ctx, verma_action(("l", i, j), rational(0), ctx.rep), degree, family)
+    pivots = {next(iter(row)): r for r, row in family.num.items() if len(row) == 1}
+    if len(pivots) < family.cols:
+        return express_in_span(family, image)
+    rotation = SparseMatrix.from_entries(family.cols, family.rows, [
+        (c, r, 1 / family.get(r, c)) for c, r in pivots.items()]) @ image
+    return rotation if family @ rotation == image else None
 
 
 # ---------------------------------------------------------------------------

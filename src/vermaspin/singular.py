@@ -11,7 +11,7 @@ whole block is singular.  The blocks left, if any, are solved by one exact
 nullspace of the stacked g_i on their columns, and each kernel vector is
 labelled by the block (and, for even n, the chirality half of M_m) its
 support lies in.  Each g_i is assembled on the columns' support alone, as
-:func:`kills` does for the families of ``equivariant.from_singular_vector``.
+``equivariant.from_singular_vector`` does for the families it certifies.
 The outcome is compared against the case table of the classification
 theorems.  :func:`singular_vectors` solves a whole degree, the only
 whole-degree assembly of the g_i, and :func:`isotypic_split` sorts such a
@@ -76,6 +76,7 @@ __all__ = [
     "contraction_identity_residual",
     "contraction_lambda_residual",
     "certificate_residuals",
+    "rotation_residuals",
     "classify",
     "scan",
     "xd_eigenvalue",
@@ -335,6 +336,25 @@ def _certificate_sound(ctx: Context):
     return ctx.rep.cached("block-certificate", lambda: all(
         residual is not None and residual.is_zero()
         for _, _, residual in certificate_residuals(ctx)))
+
+
+def rotation_residuals(ctx: Context):
+    """The premises under which ``equivariant`` derives a family's rotations
+    from the l_1j, as (i, j, c_ij, residual) for 2 <= i < j: [l_1i, l_1j] -
+    c_ij l_ij with c_ij from ``bracket_multiple``, or None without a c."""
+    l = {(i, j): verma_action(("l", i, j), rational(0), ctx.rep)
+         for i in range(1, ctx.n + 1) for j in range(i + 1, ctx.n + 1)}
+    cs = {(i, j): bracket_multiple(("l", 1, i), ("l", 1, j), ("l", i, j), ctx.sig)
+          for i, j in l if i > 1}
+    return [(i, j, c, None if c is None else _commutator(l[1, i], l[1, j], l[i, j], c))
+            for (i, j), c in cs.items()]
+
+
+def _rotation_constants(ctx: Context):
+    """{(i, j): c_ij} for the pairs whose :func:`rotation_residuals` is zero;
+    once per gamma model."""
+    return ctx.rep.cached("rotation-relations", lambda: {
+        (i, j): c for i, j, c, r in rotation_residuals(ctx) if r is not None and r.is_zero()})
 
 
 # ---------------------------------------------------------------------------

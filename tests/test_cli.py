@@ -305,14 +305,16 @@ def test_selftest_passes_under_optimize_flag(capsys):
 
 
 def test_selftest_fails_under_optimize_flag():
-    # a wrong rref must fail the selftest also when asserts are compiled out
+    # a wrong rref, and a rotation read-off that gives zero rotations, must
+    # fail the selftest also when asserts are compiled out
     script = textwrap.dedent("""
-        from vermaspin import cli, exact
+        from vermaspin import cli, equivariant, exact
         from vermaspin.exact import SparseMatrix
 
         if __debug__:
             raise SystemExit("expected python -O")
         exact.rref = lambda m: (SparseMatrix.zero(m.rows, m.cols), [])
+        equivariant._rotation = lambda ctx, i, j, degree, v: SparseMatrix.zero(v.cols, v.cols)
         raise SystemExit(cli.main(["selftest"]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -377,6 +379,22 @@ def test_selftest_certificate_check_names_the_signature_and_j(capsys, monkeypatc
                      r"j = 2: \[l_1j, g_1\(0\)\] - c_j g_j\(0\) leaves [1-9]\d* terms$",
                      out, re.M), out
     assert out.count("FAIL") == 1 and out.endswith("1 check(s) failed\n")
+
+
+def test_selftest_certificate_check_names_the_rotation_pair(monkeypatch):
+    # only the c_ij of [l_1i, l_1j] = c_ij l_ij doubled: the block certificate
+    # holds, and (2, 3) is the first derived-rotation premise left nonzero
+    bracket_multiple = singular.bracket_multiple
+
+    def doubled(a, b, y, sig):
+        c = bracket_multiple(a, b, y, sig)
+        return c * 2 if y[0] == "l" else c
+
+    monkeypatch.setattr(singular, "bracket_multiple", doubled)
+    check = dict(cli._selftest_checks())["block certificate premises"]
+    with pytest.raises(AssertionError, match=r"^signature \(3,0\), \(i, j\) = \(2, 3\): "
+                                             r"\[l_1i, l_1j\] - c_ij l_ij leaves [1-9]\d* terms$"):
+        check()
 
 
 def test_selftest_plan_check_names_the_signature_and_generator(monkeypatch):

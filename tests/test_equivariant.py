@@ -724,6 +724,127 @@ def test_broken_certificate_premise_operators_under_optimize_flag():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_family_rotations_match_the_whole_degree_solve(ctx_factory, n):
+    # every rotation, read off pivot rows or derived from the l_1j, is the
+    # exact solution of l_ij V = V R with l_ij assembled on the whole degree
+    for p in range(n, -1, -1):
+        ctx = ctx_factory(p, n - p)
+        accepted = [f for f in _families(ctx) if _whole_degree_verdict(*f[1:], ctx) is None]
+        assert [name for name, *_ in accepted] == [
+            "dirac 1", "dirac 3", "twistor 1", "twistor 2"], p
+        for name, family, degree, lam_thm in accepted:
+            op = from_singular_vector(family, degree, lam_thm, ctx)
+            assert list(op.family_rotations) == [
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], (p, name)
+            for (i, j), rotation in op.family_rotations.items():
+                l_ij = assemble(verma_action(("l", i, j), rational(0), ctx.rep), degree,
+                                ctx.graded_basis).matrix
+                assert rotation == express_in_span(family, l_ij @ family), (p, name, i, j)
+
+
+def _spied(module, name, check):
+    """(check(), the number of calls of module.name while it ran)."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    return _fresh_models([(module, name, spy)], check), len(calls)
+
+
+def _check_broken_rotation_premise(sig):
+    """A doubled c_ij breaks the Verma-side [l_1i, l_1j] = c_ij l_ij: then
+    every l_ij is solved directly, not only the l_1j, and the operators and
+    their rotations are unchanged.  Raises instead of asserting."""
+    bracket = singular.bracket_multiple
+
+    def doubled(a, b, y, sig):
+        c = bracket(a, b, y, sig)
+        return c * 2 if c is not None and y[0] == "l" and y[1] > 1 else c
+
+    def build():
+        ctx = Context(*sig)
+        ops = [dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)]
+        return (len(singular._rotation_constants(ctx)),
+                [(op.to_json(), op.family_rotations) for op in ops])
+
+    n = sum(sig)
+    sound, solved = _spied(equivariant, "_rotation", build)
+    broken, broken_solved = _fresh_models(
+        [(singular, "bracket_multiple", doubled)], lambda: _spied(equivariant, "_rotation", build))
+    if (sound[0], broken[0]) != ((n - 1) * (n - 2) // 2, 0):
+        raise AssertionError("%d and %d premises hold" % (sound[0], broken[0]))
+    if (solved, broken_solved) != (4 * (n - 1), 4 * n * (n - 1) // 2):
+        raise AssertionError("solved %d and %d rotations" % (solved, broken_solved))
+    if broken[1] != sound[1]:
+        raise AssertionError("a broken rotation premise built other operators")
+
+
+def _check_family_without_pivot_rows(sig):
+    """The Dirac family times a unit upper-bidiagonal T has no pivot row for
+    its first column, so its rotations are solved by express_in_span; it is
+    accepted and intertwines.  Raises instead of asserting."""
+    def build():
+        ctx = Context(*sig)
+        v = x_power_matrix(ctx, 1, 0)
+        t = SparseMatrix.from_entries(v.cols, v.cols, [(c, c, QI_ONE) for c in range(v.cols)]
+                                      + [(c, c + 1, QI_ONE) for c in range(v.cols - 1)])
+        op = from_singular_vector(v @ t, 1, -rational(ctx.n - 3, 2), ctx, kind="dirac-power")
+        return verify_intertwining(op, 3, ctx).residual_zero
+
+    zero, spans = _spied(equivariant, "express_in_span", build)
+    if not zero or spans != sum(sig) - 1:
+        raise AssertionError("residual_zero %s after %d spans" % (zero, spans))
+
+
+def _check_broken_certificate_checks_every_g(sig):
+    """With the block certificate's premises broken (:func:`_operators_json`),
+    from_singular_vector checks every g_i of each of its four families, and
+    with them sound none.  Raises instead of asserting."""
+    (sound, _), sound_kills = _spied(equivariant, "kills", lambda: _operators_json(sig, False))
+    (broken, _), broken_kills = _spied(equivariant, "kills", lambda: _operators_json(sig, True))
+    if (sound, broken, sound_kills, broken_kills) != (True, False, 0, 4):
+        raise AssertionError("premises %s, %s: kills ran %d and %d times"
+                             % (sound, broken, sound_kills, broken_kills))
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_broken_rotation_premise_solves_every_rotation(sig):
+    _check_broken_rotation_premise(sig)
+
+
+@pytest.mark.parametrize("sig", [(2, 1), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_a_family_without_pivot_rows_falls_back_to_express_in_span(sig):
+    _check_family_without_pivot_rows(sig)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 2)], ids="{0[0]},{0[1]}".format)
+def test_broken_certificate_premise_checks_every_g(sig):
+    _check_broken_certificate_checks_every_g(sig)
+
+
+def test_rotation_controls_run_under_optimize_flag():
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        tests = runpy.run_path(sys.argv[1])
+        tests["_check_broken_rotation_premise"]((3, 0))
+        tests["_check_family_without_pivot_rows"]((2, 1))
+        tests["_check_broken_certificate_checks_every_g"]((3, 0))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_apply_shapes(ctx_factory):
     ctx = ctx_factory(3, 0)
     op = twistor(1, ctx)
