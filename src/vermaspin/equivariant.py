@@ -4,8 +4,8 @@ A family of singular vectors spanning one isotypic component, the columns
 of a coordinate matrix, dualizes via the jet pairing <x^a (x) s, f> =
 (d^a <s, f>)(0) to a constant-coefficient operator on dual-spinor-valued
 polynomials.  It is checked singular by g_1 alone, as ``classify``
-certifies a Fischer block, with each l_1j V = V R_1j read off pivot rows
-and every other R_ij = [R_1i, R_1j] / c_ij (``from_singular_vector``).
+certifies a Fischer block, with each l_1j V = V R_1j read off pivot rows;
+the family stores those and any R_ij it solves alike (``from_singular_vector``).
 The operator intertwines the function-picture actions of the two twists of
 the component; the verifier checks that exactly on a Lie generating set.
 Both sides are constant-coefficient differential operators, so the residual
@@ -14,8 +14,8 @@ algebra tensor fiber matrices) into one OperatorSpec for the seeds
 f_1..f_n, h and g_1; every other generator Y is reached by one bracket
 [A, B] = c Y and needs no residual of its own when op intertwines A and B
 and both actions satisfy that bracket: checked once per gamma model on the
-dual spinor fiber, and per operator only on the rotation relations of the
-target fiber that it multiplies (see ``verify_intertwining``).  Only a
+dual spinor fiber, and per operator only on the relations of a stored R_ij,
+as the rest hold by construction (see ``verify_intertwining``).  Only a
 residual that does not cancel is assembled, on every polynomial test
 degree, to report its size.
 
@@ -45,7 +45,7 @@ from .exact import (
     rational_to_string,
     QI_ONE,
 )
-from .polyspinor import SpinorPoly, OperatorSpec, OpTerm, assemble, _commutator, _product_sum
+from .polyspinor import OperatorSpec, OpTerm, assemble, _commutator, _product_sum
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
                           bracket_multiple, _unit)
 from .fischer import monogenic_basis, x_power_matrix
@@ -83,7 +83,7 @@ class EquivariantOperator:
     source_dim: int
     target_dim: int
     coefficients: dict
-    family_rotations: dict  # (i, j), i < j -> action on the singular family
+    family_rotations: dict  # (i, j), i < j -> R_ij solved on the family
     kind: str = "generic"
     dirac_symbol_ratio: GaussianRational | None = None
 
@@ -100,9 +100,6 @@ class EquivariantOperator:
                             [OpTerm(z, deriv, mat, QI_ONE)
                              for deriv, mat in self.coefficients.items()],
                             self.target_dim)
-
-    def apply(self, poly: SpinorPoly) -> SpinorPoly:
-        return self.spec.apply(poly)
 
     def perturbed(self, deriv, row, col, delta=QI_ONE):
         """Copy with one coefficient entry shifted (negative-control helper)."""
@@ -168,6 +165,11 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     [l_1j, g_1] = c_j g_j (``_certificate_sound``), g_j V = -g_1 V R_1j / c_j
     = 0.  If an l_1j V is outside V's span or a premise fails, every g_i is
     checked (``singular.kills``) before the rotations raise.
+
+    ``family_rotations`` keeps the R_1j, and R_ij solved alike for each pair
+    2 <= i < j without a Verma-side [l_1i, l_1j] = c_ij l_ij
+    (``singular._rotation_constants``); :func:`_completed_rotations` derives
+    the rest.  Raises if V is not rotation-closed.
     """
     if not family.cols:
         raise ValueError("empty singular family")
@@ -175,17 +177,22 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     lam_real = lam_thm + rational(ctx.n, 2)
     if not _at(special_conformal_on(ctx, 1, degree, family), lam_real).is_zero():
         raise ValueError("family member is not a singular vector")
-    first = {(1, j): _rotation(ctx, 1, j, degree, family) for j in range(2, ctx.n + 1)}
-    if (None in first.values() or not _certificate_sound(ctx)) \
+    rotations = {(1, j): _rotation(ctx, 1, j, degree, family) for j in range(2, ctx.n + 1)}
+    if (None in rotations.values() or not _certificate_sound(ctx)) \
             and not kills(ctx, lam_real, degree, family):
         raise ValueError("family member is not a singular vector")
+    c_ij = _rotation_constants(ctx)
+    rotations.update(((i, j), _rotation(ctx, i, j, degree, family))
+                     for i in range(2, ctx.n + 1) for j in range(i + 1, ctx.n + 1)
+                     if (i, j) not in c_ij)
+    if None in rotations.values():
+        raise ValueError("family is not rotation-closed")
     coeffs, basis = {}, ctx.graded_basis(degree)
     for row, r, v in family.entries():
         mono, b = basis.element(row)
         coeffs.setdefault(mono, []).append((r, b, v))
     coefficients = {mono: SparseMatrix.from_entries(family.cols, ctx.spinor_dim, entries)
                     for mono, entries in coeffs.items()}
-    rotations = _family_rotations(family, degree, first, ctx)
     return EquivariantOperator(
         n=ctx.n, order=degree,
         lambda_source=lam_thm, lambda_target=lam_thm - degree,
@@ -194,30 +201,12 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     )
 
 
-def _family_rotations(family, degree, first, ctx: Context):
-    """(i, j) -> R_ij with l_ij V = V R_ij, V the columns of ``family``, from
-    ``first``, the R_1j (None off V's span): R_ij = [R_1i, R_1j] / c_ij where
-    [l_1i, l_1j] = c_ij l_ij (``singular.rotation_residuals``; the l are
-    lambda-free), else :func:`_rotation`.  Raises if V is not rotation-closed.
-    """
-    out, c_ij = dict(first), _rotation_constants(ctx)
-    for i in range(2, ctx.n + 1):
-        for j in range(i + 1, ctx.n + 1):
-            a, b = out[(1, i)], out[(1, j)]
-            if (i, j) not in c_ij or a is None or b is None:
-                out[(i, j)] = _rotation(ctx, i, j, degree, family)
-            else:
-                out[(i, j)] = (a @ b - b @ a).scale(1 / c_ij[i, j])
-    if None in out.values():
-        raise ValueError("family is not rotation-closed")
-    return out
-
-
 def _rotation(ctx: Context, i, j, degree, family):
-    """R with l_ij V = V R, V the columns of ``family``, or None off V's span;
-    l_ij is assembled on V's support.  A pivot row p_c, where V's one entry
-    is in column c, gives R[c, :] = (l_ij V)[p_c, :] / V[p_c, c], as any
-    solution has; one product checks R.  Else ``express_in_span``."""
+    """R with l_ij V = V R, V the columns of ``family``, or None off V's span:
+    each rotation :func:`from_singular_vector` stores; l_ij is assembled on
+    V's support.  A pivot row p_c, where V's one entry is in column c, gives
+    R[c, :] = (l_ij V)[p_c, :] / V[p_c, c], as any solution has; one product
+    checks R.  Else ``express_in_span``."""
     image = on_support(ctx, verma_action(("l", i, j), rational(0), ctx.rep), degree, family)
     pivots = {next(iter(row)): r for r, row in family.num.items() if len(row) == 1}
     if len(pivots) < family.cols:
@@ -227,18 +216,35 @@ def _rotation(ctx: Context, i, j, degree, family):
     return rotation if family @ rotation == image else None
 
 
+def _completed_rotations(op: EquivariantOperator, ctx: Context):
+    """(i, j) -> R_ij with l_ij V = V R_ij for every pair i < j: the stored
+    rotations, and [R_1i, R_1j] / c_ij for each other pair, c_ij from
+    ``singular._rotation_constants``, since l_ij V = [l_1i, l_1j] V / c_ij =
+    V [R_1i, R_1j] / c_ij."""
+    stored, c_ij = op.family_rotations, _rotation_constants(ctx)
+
+    def rotation(i, j):
+        if (i, j) in stored:
+            return stored[i, j]
+        a, b = stored[1, i], stored[1, j]
+        return (a @ b - b @ a).scale(1 / c_ij[i, j])
+
+    return {(i, j): rotation(i, j) for i in range(1, ctx.n + 1) for j in range(i + 1, ctx.n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
 
-def _pi_star_specs(op: EquivariantOperator, ctx: Context, gens=None):
+def _pi_star_specs(op: EquivariantOperator, ctx: Context, gens=None, rotations=None):
     """Function-picture actions on both sides of the operator, at realization
     parameters 1 + ``op.pi_star_pair()``: the operator's twists fix the pair.
-    Built for ``gens``, every generator by default."""
+    Built for ``gens``, every generator by default, with the target fiber
+    dual to ``rotations``, by default :func:`_completed_rotations`."""
     lam_pi_src, lam_pi_tgt = (nu + 1 for nu in op.pi_star_pair())
     src_fiber = dual_fiber(spinor_fiber(ctx.rep))
-    tgt_fiber = dual_fiber(op.family_rotations)
+    tgt_fiber = dual_fiber(_completed_rotations(op, ctx) if rotations is None else rotations)
     gens = generators(ctx.n) if gens is None else gens
     return ({gen: function_action(gen, lam_pi_src, ctx.rep, src_fiber) for gen in gens},
             {gen: function_action(gen, lam_pi_tgt, ctx.rep, tgt_fiber) for gen in gens})
@@ -346,11 +352,16 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
     relation, and I and the sigma_m are independent, so U0 = U1 = Z_m = 0
     (:func:`_model_verdict`, once per gamma model).  Per operator only the
     relations are checked, on the family rotations R (the dual fiber -R^T
-    meets one exactly when R does).  Where the model verdict, a relation the
-    entry multiplies, c or a parent fails, Y is normal-ordered.
+    meets one exactly when R does), and only for a stored R_ij: the rest are
+    [R_1i, R_1j] / c_ij (:func:`_completed_rotations`), with c_ij from the
+    same ``bracket_multiple``; a sound gamma model stores none.  Where the
+    model verdict, a relation the entry multiplies, c or a parent fails, Y is
+    normal-ordered.
 
     The seeds f_1..f_n, h and g_1, and every generator not so established,
     have pi built and the residual normal-ordered into one spec R_Y: the
+    seeds read only the stored R_1j, and any other generator the completed
+    fiber, built once and only when one is normal-ordered.  R_Y holds the
     Leibniz terms of both products, the second negated, merged in one pass.
     A zero R_Y vanishes on every degree.  Otherwise R_Y is assembled on every
     graded component of degree <= test_degree; since assemble(A . B, d)
@@ -369,10 +380,12 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
         raise ValueError("the generating plan does not list every generator once")
     model, c_ij = _model_verdict(ctx.rep, ctx.rep.cached(
         ("plan-constants", tuple(plan)), lambda: _plan_constants(ctx.sig, plan)))
-    meets = {r: _relation(op.family_rotations, *r, c).is_zero() for r, c in c_ij.items()}
+    stored = op.family_rotations
+    meets = {r: r not in stored or _relation(stored, *r, c).is_zero() for r, c in c_ij.items()}
     spec = op.spec
     per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
-    src, tgt = _pi_star_specs(op, ctx, [gen for gen, a, _ in plan if a is None])
+    src, tgt = _pi_star_specs(op, ctx, [gen for gen, a, _ in plan if a is None], stored)
+    completed = None
     zero = set()
     failures = {}
     max_terms = 0
@@ -382,7 +395,9 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
             zero.add(gen)
             continue
         if gen not in src:
-            for pi, more in zip((src, tgt), _pi_star_specs(op, ctx, [gen])):
+            if completed is None:
+                completed = _completed_rotations(op, ctx)
+            for pi, more in zip((src, tgt), _pi_star_specs(op, ctx, [gen], completed)):
                 pi.update(more)
         residual = _product_sum([(spec, src[gen]), (tgt[gen].scale(-1), spec)])
         if residual.is_zero():

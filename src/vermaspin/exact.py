@@ -171,9 +171,6 @@ class GaussianRational:
     def conjugate(self):
         return _canonical(self._a, -self._b, self._d)
 
-    def inverse(self):
-        return QI_ONE / self
-
     # -- predicates / hashing --------------------------------------------
 
     def __bool__(self):
@@ -551,13 +548,6 @@ class SparseMatrix:
             "cols": self.cols,
             "entries": [[r, c, v.to_string()] for r, c, v in self.entries()],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls.from_entries(
-            obj["rows"], obj["cols"],
-            ((r, c, GaussianRational.from_string(s)) for r, c, s in obj["entries"]),
-        )
 
 
 def _matrix(rows, cols, num, den):

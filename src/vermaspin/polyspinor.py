@@ -158,15 +158,6 @@ class SpinorPoly:
             })
         return {"n": self.n, "fiber_dim": self.dim, "terms": terms}
 
-    @classmethod
-    def from_json(cls, obj):
-        terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t["exponents"])] = {
-                int(i): GaussianRational.from_string(s) for i, s in t["vector"]
-            }
-        return cls(obj["n"], obj["fiber_dim"], terms)
-
     def __repr__(self):
         return "SpinorPoly(n=%d, dim=%d, %d terms)" % (self.n, self.dim, len(self.terms))
 

@@ -18,6 +18,7 @@ from vermaspin.realization import (bracket_multiple, dual_fiber, function_action
 from vermaspin.singular import singular_vectors, special_conformal_matrices, special_conformal_on
 from vermaspin.equivariant import (
     IntertwiningReport,
+    _completed_rotations,
     _generating_plan,
     _pi_star_specs,
     from_singular_vector,
@@ -267,16 +268,20 @@ def test_only_the_seeds_are_normal_ordered(ctx_factory):
     assert sorted(direct) == sorted(_seeds(ctx.n))
 
 
+def _doubled_rotation(op, ctx):
+    """A copy of ``op`` that stores its completed (2, 3) rotation doubled."""
+    rotations = dict(op.family_rotations)
+    rotations[(2, 3)] = _completed_rotations(op, ctx)[(2, 3)].scale(2)
+    return replace(op, family_rotations=rotations)
+
+
 def _doubled_rotation_case(ctx):
     """Double the (2, 3) rotation of the target family, so that the target
     action is no longer a representation: the bracket identities that reach
     l_23, g_2 and g_3 use that matrix and fail, so exactly those generators
     join the seeds in being normal-ordered, and the report is the oracle's.
     Raises instead of asserting, so it also checks under python -O."""
-    op = twistor(1, ctx)
-    rotations = dict(op.family_rotations)
-    rotations[(2, 3)] = rotations[(2, 3)].scale(2)
-    bad = replace(op, family_rotations=rotations)
+    bad = _doubled_rotation(twistor(1, ctx), ctx)
     report, direct = _direct_generators(bad, 3, ctx)
     oracle = _verify_all_generators(bad, 3, ctx)
     expect = _seeds(ctx.n) + [("l", 2, 3), ("g", 2), ("g", 3)]
@@ -348,12 +353,6 @@ def _commutator_rule(op, ctx):
     return by_bracket
 
 
-def _doubled_rotation(op, pair=(2, 3)):
-    rotations = dict(op.family_rotations)
-    rotations[pair] = rotations[pair].scale(2)
-    return replace(op, family_rotations=rotations)
-
-
 @pytest.mark.parametrize("sig", _SIGNATURES, ids="{0[0]},{0[1]}".format)
 def test_bracket_established_generators_match_the_commutator_rule(ctx_factory, twist_offset,
                                                                   sig):
@@ -363,7 +362,7 @@ def test_bracket_established_generators_match_the_commutator_rule(ctx_factory, t
     ctx = ctx_factory(*sig)
     derived = {y for y, a, _ in _generating_plan(ctx.n) if a is not None}
     for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
-        variants = [op, _doubled_rotation(op), twist_offset(op, 1, 0)]
+        variants = [op, _doubled_rotation(op, ctx), twist_offset(op, 1, 0)]
         for k, variant in enumerate(variants):
             _, direct = _direct_generators(variant, max(op.order, 2), ctx)
             established = set(generators(ctx.n)) - set(direct)
@@ -726,8 +725,9 @@ def test_broken_certificate_premise_operators_under_optimize_flag():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_family_rotations_match_the_whole_degree_solve(ctx_factory, n):
-    # every rotation, read off pivot rows or derived from the l_1j, is the
-    # exact solution of l_ij V = V R with l_ij assembled on the whole degree
+    # every rotation of the completed fiber, read off pivot rows or derived
+    # from the l_1j, is the exact solution of l_ij V = V R with l_ij
+    # assembled on the whole degree
     for p in range(n, -1, -1):
         ctx = ctx_factory(p, n - p)
         accepted = [f for f in _families(ctx) if _whole_degree_verdict(*f[1:], ctx) is None]
@@ -735,9 +735,10 @@ def test_family_rotations_match_the_whole_degree_solve(ctx_factory, n):
             "dirac 1", "dirac 3", "twistor 1", "twistor 2"], p
         for name, family, degree, lam_thm in accepted:
             op = from_singular_vector(family, degree, lam_thm, ctx)
-            assert list(op.family_rotations) == [
+            completed = _completed_rotations(op, ctx)
+            assert list(completed) == [
                 (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], (p, name)
-            for (i, j), rotation in op.family_rotations.items():
+            for (i, j), rotation in completed.items():
                 l_ij = assemble(verma_action(("l", i, j), rational(0), ctx.rep), degree,
                                 ctx.graded_basis).matrix
                 assert rotation == express_in_span(family, l_ij @ family), (p, name, i, j)
@@ -758,7 +759,7 @@ def _spied(module, name, check):
 def _check_broken_rotation_premise(sig):
     """A doubled c_ij breaks the Verma-side [l_1i, l_1j] = c_ij l_ij: then
     every l_ij is solved directly, not only the l_1j, and the operators and
-    their rotations are unchanged.  Raises instead of asserting."""
+    their completed rotations are unchanged.  Raises instead of asserting."""
     bracket = singular.bracket_multiple
 
     def doubled(a, b, y, sig):
@@ -769,7 +770,7 @@ def _check_broken_rotation_premise(sig):
         ctx = Context(*sig)
         ops = [dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)]
         return (len(singular._rotation_constants(ctx)),
-                [(op.to_json(), op.family_rotations) for op in ops])
+                [(op.to_json(), _completed_rotations(op, ctx)) for op in ops])
 
     n = sum(sig)
     sound, solved = _spied(equivariant, "_rotation", build)
@@ -811,6 +812,57 @@ def _check_broken_certificate_checks_every_g(sig):
                              % (sound, broken, sound_kills, broken_kills))
 
 
+def _check_rotation_work(sig, doubled):
+    """At ``sig``, Dirac powers a = 1, 3 and twistor operators a = 1, 2 store
+    exactly the n - 1 R_1j, and verify_intertwining at their order forms no
+    rotation commutator: it completes no fiber and checks no relation on
+    their rotations.  ``doubled`` doubles the l-pair constants of
+    singular.bracket_multiple: then every pair is stored, and each stored
+    relation with i >= 2 is checked.  Raises instead of asserting."""
+    relation, completed, bracket = (equivariant._relation, equivariant._completed_rotations,
+                                    singular.bracket_multiple)
+    calls = []
+
+    def spy_relation(fiber, *args):
+        calls.append(("relation", fiber))
+        return relation(fiber, *args)
+
+    def spy_completed(op, ctx):
+        calls.append(("completed", op.family_rotations))
+        return completed(op, ctx)
+
+    def doubled_bracket(a, b, y, sig):
+        c = bracket(a, b, y, sig)
+        return c * 2 if c is not None and y[0] == "l" and y[1] > 1 else c
+
+    def check():
+        ctx = Context(*sig)
+        n = ctx.n
+        pairs = [(1, j) for j in range(2, n + 1)]
+        if doubled:
+            pairs += [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+        for op in (dirac_power(1, ctx), dirac_power(3, ctx), twistor(1, ctx), twistor(2, ctx)):
+            if list(op.family_rotations) != pairs:
+                raise AssertionError("%s %d stores %s" % (op.kind, op.order,
+                                                          list(op.family_rotations)))
+            del calls[:]
+            report = verify_intertwining(op, op.order, ctx)
+            formed = [what for what, fiber in calls if fiber is op.family_rotations]
+            if not report.residual_zero or formed != ["relation"] * (len(pairs) - n + 1):
+                raise AssertionError("%s %d: residual_zero %s, formed %s"
+                                     % (op.kind, op.order, report.residual_zero, formed))
+
+    patches = [(equivariant, "_relation", spy_relation),
+               (equivariant, "_completed_rotations", spy_completed)]
+    _fresh_models(patches + [(singular, "bracket_multiple", doubled_bracket)] * doubled, check)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["sound", "doubled"])
+@pytest.mark.parametrize("sig", _SIGNATURES, ids="{0[0]},{0[1]}".format)
+def test_families_store_and_verify_only_the_solved_rotations(sig, doubled):
+    _check_rotation_work(sig, doubled)
+
+
 @pytest.mark.parametrize("sig", [(3, 0), (2, 2)], ids="{0[0]},{0[1]}".format)
 def test_broken_rotation_premise_solves_every_rotation(sig):
     _check_broken_rotation_premise(sig)
@@ -837,6 +889,8 @@ def test_rotation_controls_run_under_optimize_flag():
         tests["_check_broken_rotation_premise"]((3, 0))
         tests["_check_family_without_pivot_rows"]((2, 1))
         tests["_check_broken_certificate_checks_every_g"]((3, 0))
+        tests["_check_rotation_work"]((3, 0), False)
+        tests["_check_rotation_work"]((2, 2), True)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -849,7 +903,7 @@ def test_apply_shapes(ctx_factory):
     ctx = ctx_factory(3, 0)
     op = twistor(1, ctx)
     f = SpinorPoly.monomial(3, 2, (2, 0, 0), 1)
-    out = op.apply(f)
+    out = op.spec.apply(f)
     assert out.dim == op.target_dim
     assert out.homogeneous_degree() == 1
 

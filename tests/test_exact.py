@@ -155,7 +155,7 @@ def test_scalar_ops_match_pair_oracle(z, w):
         got["/"] = z / w
     if x != _Z:
         expected["inverse"] = _inv(x)
-        got["inverse"] = z.inverse()
+        got["inverse"] = 1 / z
     for op, v in got.items():
         assert _pair(v) == expected[op], op
         _assert_canonical(v)
@@ -185,8 +185,6 @@ def test_division_by_zero_raises():
     for zero in (QI_ZERO, 0, rational(0), qi(0, 0) * z):
         with pytest.raises(ZeroDivisionError):
             z / zero
-    with pytest.raises(ZeroDivisionError):
-        QI_ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         1 / QI_ZERO
 
@@ -348,11 +346,6 @@ def test_matrix_algebra():
     assert a.mul_vec(v) == {0: qi(1, 2), 1: qi(0, 1)}
 
 
-def test_matrix_json_roundtrip():
-    m = SparseMatrix.from_dense([[qi(rational(1, 3)), qi(0, -1)], [qi(0), qi(5)]])
-    assert SparseMatrix.from_json(m.to_json()) == m
-
-
 def test_every_construction_drops_stored_zeros():
     # the raw constructor normalizes like from_entries: no zero entry, no empty row
     m = SparseMatrix(2, 2, {0: {0: QI_ZERO}})
@@ -456,7 +449,6 @@ def test_sparse_matrix_matches_dict_oracle(case):
     assert A.columns() == {x: {r: v for (r, x2), v in a.items() if x2 == x} for _, x in a}
     assert (A == B) == (a == b) and (A != B) == (a != b)
     assert A == SparseMatrix.from_entries(rows, inner, [(r, x, v) for (r, x), v in reversed(a.items())])
-    assert SparseMatrix.from_json(A.to_json()) == A
 
 
 # -- the elimination engine against a dense Fraction oracle -----------------

@@ -22,7 +22,7 @@ from vermaspin.polyspinor import (
     _reorder_1d,
 )
 from vermaspin.context import Context
-from vermaspin.equivariant import _pi_star_specs, dirac_power, twistor
+from vermaspin.equivariant import _completed_rotations, _pi_star_specs, dirac_power, twistor
 from vermaspin.fischer import monogenic_basis, x_power_matrix
 from vermaspin.realization import (
     contraction_at_zero, dual_fiber, function_action, generators, invariant_contractions,
@@ -718,12 +718,12 @@ def _action_specs(ctx, lam):
     """Every generator's verma_action and function_action spec.
 
     The function picture runs on the spinor and the dual-spinor fibers, and on
-    the dualised rotations of the first-order twistor family, whose fiber
-    dimension differs from the spinor dimension.
+    the dualised completed rotations of the first-order twistor family, whose
+    fiber dimension differs from the spinor dimension.
     """
     family = twistor(1, ctx)
     spinor = spinor_fiber(ctx.rep)
-    fibers = [spinor, dual_fiber(spinor), dual_fiber(family.family_rotations)]
+    fibers = [spinor, dual_fiber(spinor), dual_fiber(_completed_rotations(family, ctx))]
     for gen in generators(ctx.n):
         yield verma_action(gen, lam, ctx.rep)
         for fiber in fibers:
@@ -800,14 +800,6 @@ def test_special_conformal_matrices_cold_and_warm():
     for key in [("assemble", "dirac", 2), ("assemble", "xmult", 1), ("assemble", "xmult", 2),
                 ("xpow", 1, 1), ("xpow", 0, 1)]:
         assert key in warm.cache, key
-
-
-def test_spinor_poly_json_roundtrip():
-    poly = SpinorPoly(3, 2, {
-        (2, 0, 0): {0: qi(rational(1, 2), rational(-1, 3))},
-        (0, 1, 1): {1: qi(4)},
-    })
-    assert SpinorPoly.from_json(poly.to_json()) == poly
 
 
 def test_golden_files():
