@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success (and every requested check matched); 2 = a
 theorem mismatch or nonzero residual was found (a first-class scientific
-outcome, not a crash); 1 = usage or configuration error.
+outcome, not a crash); 1 = usage or configuration error, or a failed
+exact check (an ArithmeticError, such as a gamma model refused because it
+fails a premise), reported as ``error: <message>``.
 
 All report bytes are deterministic for a fixed configuration; JSON reports
 additionally carry a ``generated_at`` timestamp field, which is the only
@@ -307,9 +309,8 @@ def _selftest_checks():
                               dual_fiber, structure_constants, invariant_contractions,
                               bracket_multiple)
     from .equivariant import _generating_plan, _plan_constants, bracket_premises
-    from .singular import (singular_vectors, contraction_identity_residual,
-                           contraction_lambda_residual, certificate_residuals, rotation_residuals,
-                           xd_eigenvalue)
+    from .singular import (singular_vectors, closed_form_premises, certificate_premises,
+                           rotation_premises, require, xd_eigenvalue)
 
     def scalars():
         a = qi(rational(-3, 4), rational(1, 2))
@@ -423,11 +424,7 @@ def _selftest_checks():
         for (p, q) in [(3, 0), (2, 1), (1, 2), (2, 2), (5, 0), (3, 3)]:
             ctx = Context(p, q)
             entries = _plan_constants(ctx.sig, _generating_plan(ctx.n))
-            for what, part, residual in bracket_premises(ctx.rep, entries):
-                where = "" if what is None else ", relation (%d, %d)" % what[:2] \
-                    if part == "relation" else ", %s = [%s, %s]" % what
-                _check(residual is not None and residual.is_zero(),
-                       "signature (%d,%d)%s: %s fails" % (p, q, where, part))
+            require(ctx.sig, bracket_premises(ctx.rep, entries))
 
     def contractions():
         ctx = Context(3, 0)
@@ -489,33 +486,15 @@ def _selftest_checks():
                "signature (3,0), degree 1: singular vectors at parameter 3 are not M_1")
 
     def prefilter_identity():
-        sums = {1: "sum_j gamma_j g_j(0) - C1(0)", 2: "sum_j x_j g_j(0) - C2(0)",
-                3: "sum_j eps_j d_j g_j(0) - C3(0)"}
-        lambda_parts = {1: "lambda part of C1: sum_j gamma_j d_j - D",
-                        2: "lambda part of C2: sum_j x_j d_j - E",
-                        3: "lambda part of C3: sum_j eps_j d_j^2 + D^2"}
         for (p, q) in [(3, 0), (2, 1), (2, 2)]:
             ctx = Context(p, q)
-            residuals = [(sums[i], contraction_identity_residual(ctx, i)) for i in (2, 1, 3)]
-            residuals += [(lambda_parts[i], contraction_lambda_residual(ctx, i)) for i in (2, 1, 3)]
-            for what, residual in residuals:
-                live = residual.nonzero_keys()
-                _check(live == 0, "signature (%d,%d): %s leaves %d terms" % (p, q, what, live))
+            require(ctx.sig, closed_form_premises(ctx, (2, 1, 3)))
 
     def block_certificate():
         # the premises of the g_1-alone certificates and the derived rotations
         for (p, q) in [(3, 0), (2, 1), (2, 2), (5, 0), (3, 3)]:
             ctx = Context(p, q)
-            premises = [("" if j is None else ", j = %d" % j, what, "[l_1j, g_1]", "g_j", r)
-                        for j, what, r in certificate_residuals(ctx)]
-            premises += [(", (i, j) = (%d, %d)" % (i, j), "[l_1i, l_1j] - c_ij l_ij",
-                          "[l_1i, l_1j]", "l_ij", r) for i, j, _, r in rotation_residuals(ctx)]
-            for at, what, bracket, y, residual in premises:
-                where = "signature (%d,%d)%s: %s" % (p, q, at, what)
-                _check(residual is not None, "%s: %s is no nonzero multiple of %s"
-                       % (where, bracket, y))
-                live = residual.nonzero_keys()
-                _check(live == 0, "%s leaves %d terms" % (where, live))
+            require(ctx.sig, certificate_premises(ctx) + rotation_premises(ctx))
 
     def intertwining():
         ctx = Context(2, 1)
@@ -608,7 +587,7 @@ def main(argv=None):
         code = handlers[args.command](args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         code = _fail(str(exc))
     return code
 

@@ -5,17 +5,19 @@ of a coordinate matrix, dualizes via the jet pairing <x^a (x) s, f> =
 (d^a <s, f>)(0) to a constant-coefficient operator on dual-spinor-valued
 polynomials.  It is checked singular by g_1 alone, as ``classify``
 certifies a Fischer block, with each l_1j V = V R_1j read off pivot rows;
-the family stores those and any R_ij it solves alike (``from_singular_vector``).
-The operator intertwines the function-picture actions of the two twists of
-the component; the verifier checks that exactly on a Lie generating set.
-Both sides are constant-coefficient differential operators, so the residual
+the family stores exactly those n - 1 rotations (``from_singular_vector``),
+and every other R_ij is derived from them.  The operator intertwines the
+function-picture actions of the two twists of the component; the verifier
+checks that exactly on a Lie generating set.  Both sides are
+constant-coefficient differential operators, so the residual
 op . pi_src(Y) - pi_tgt(Y) . op is normal-ordered symbolically (Weyl
 algebra tensor fiber matrices) into one OperatorSpec for the seeds
 f_1..f_n, h and g_1; every other generator Y is reached by one bracket
 [A, B] = c Y and needs no residual of its own when op intertwines A and B
 and both actions satisfy that bracket: checked once per gamma model on the
-dual spinor fiber, and per operator only on the relations of a stored R_ij,
-as the rest hold by construction (see ``verify_intertwining``).  Only a
+dual spinor fiber, while the target fiber meets its relations by
+construction (see ``verify_intertwining``).  A gamma model that fails a
+premise is refused with ArithmeticError (``singular.require``).  Only a
 residual that does not cancel is assembled, on every polynomial test
 degree, to report its size.
 
@@ -49,7 +51,7 @@ from .polyspinor import OperatorSpec, OpTerm, assemble, _commutator, _product_su
 from .realization import (verma_action, function_action, generators, spinor_fiber, dual_fiber,
                           bracket_multiple, _unit)
 from .fischer import monogenic_basis, x_power_matrix
-from .singular import (kills, on_support, special_conformal_on, _at, _certificate_sound,
+from .singular import (on_support, require, special_conformal_on, _at, _certificate_sound,
                        _rotation_constants)
 from .context import Context
 
@@ -83,7 +85,7 @@ class EquivariantOperator:
     source_dim: int
     target_dim: int
     coefficients: dict
-    family_rotations: dict  # (i, j), i < j -> R_ij solved on the family
+    family_rotations: dict  # (1, j) -> R_1j solved on the family
     kind: str = "generic"
     dirac_symbol_ratio: GaussianRational | None = None
 
@@ -163,30 +165,32 @@ def from_singular_vector(family, degree, lam_thm, ctx: Context,
     l_1j, j >= 2, alone, assembled on V's support: g_1(lam) V = 0 and l_1j V
     = V R_1j (:func:`_rotation`); with the block certificate's premise
     [l_1j, g_1] = c_j g_j (``_certificate_sound``), g_j V = -g_1 V R_1j / c_j
-    = 0.  If an l_1j V is outside V's span or a premise fails, every g_i is
-    checked (``singular.kills``) before the rotations raise.
+    = 0.  If an l_1j V is outside V's span, the family is not
+    rotation-closed, and it is also not singular when g_1 fails to kill such
+    an l_1j V, since c_j g_j V = -g_1 l_1j V.  The premises of the block
+    certificate and of :func:`_completed_rotations` are checked once per
+    gamma model, and a model that fails one is refused.
 
-    ``family_rotations`` keeps the R_1j, and R_ij solved alike for each pair
-    2 <= i < j without a Verma-side [l_1i, l_1j] = c_ij l_ij
-    (``singular._rotation_constants``); :func:`_completed_rotations` derives
-    the rest.  Raises if V is not rotation-closed.
+    ``family_rotations`` keeps exactly the n - 1 R_1j.
     """
     if not family.cols:
         raise ValueError("empty singular family")
     lam_thm = rational(lam_thm)
     lam_real = lam_thm + rational(ctx.n, 2)
-    if not _at(special_conformal_on(ctx, 1, degree, family), lam_real).is_zero():
+
+    def g1_kills(columns):
+        return _at(special_conformal_on(ctx, 1, degree, columns), lam_real).is_zero()
+
+    if not g1_kills(family):
         raise ValueError("family member is not a singular vector")
+    _certificate_sound(ctx)
+    _rotation_constants(ctx)
     rotations = {(1, j): _rotation(ctx, 1, j, degree, family) for j in range(2, ctx.n + 1)}
-    if (None in rotations.values() or not _certificate_sound(ctx)) \
-            and not kills(ctx, lam_real, degree, family):
-        raise ValueError("family member is not a singular vector")
-    c_ij = _rotation_constants(ctx)
-    rotations.update(((i, j), _rotation(ctx, i, j, degree, family))
-                     for i in range(2, ctx.n + 1) for j in range(i + 1, ctx.n + 1)
-                     if (i, j) not in c_ij)
-    if None in rotations.values():
-        raise ValueError("family is not rotation-closed")
+    outside = [on_support(ctx, verma_action(("l",) + key, rational(0), ctx.rep), degree, family)
+               for key, r in rotations.items() if r is None]
+    if outside:
+        raise ValueError("family is not rotation-closed" if all(map(g1_kills, outside))
+                         else "family member is not a singular vector")
     coeffs, basis = {}, ctx.graded_basis(degree)
     for row, r, v in family.entries():
         mono, b = basis.element(row)
@@ -218,18 +222,13 @@ def _rotation(ctx: Context, i, j, degree, family):
 
 def _completed_rotations(op: EquivariantOperator, ctx: Context):
     """(i, j) -> R_ij with l_ij V = V R_ij for every pair i < j: the stored
-    rotations, and [R_1i, R_1j] / c_ij for each other pair, c_ij from
+    R_1j, and [R_1i, R_1j] / c_ij for i >= 2, c_ij from
     ``singular._rotation_constants``, since l_ij V = [l_1i, l_1j] V / c_ij =
     V [R_1i, R_1j] / c_ij."""
-    stored, c_ij = op.family_rotations, _rotation_constants(ctx)
-
-    def rotation(i, j):
-        if (i, j) in stored:
-            return stored[i, j]
-        a, b = stored[1, i], stored[1, j]
-        return (a @ b - b @ a).scale(1 / c_ij[i, j])
-
-    return {(i, j): rotation(i, j) for i in range(1, ctx.n + 1) for j in range(i + 1, ctx.n + 1)}
+    r, c_ij = op.family_rotations, _rotation_constants(ctx)
+    return {(i, j): r[i, j] if i == 1
+            else (r[1, i] @ r[1, j] - r[1, j] @ r[1, i]).scale(1 / c_ij[i, j])
+            for i in range(1, ctx.n + 1) for j in range(i + 1, ctx.n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +292,12 @@ def _relation(fiber, i, j, c):
 
 
 def bracket_premises(rep, entries):
-    """(what, part, residual) for each premise of :func:`verify_intertwining`'s
-    brackets on sigma, the dual spinor fiber, holding when the residual is not
-    None and zero: per entry (Y, A, B) its residual at lambda 0 and its slope
-    (None without a c, when :func:`_multiplied` is, or for the slope when A
-    depends on lambda), per (i, j, c_ij) the relation, and the kernel of I and
-    the sigma_m."""
+    """The premises of :func:`verify_intertwining`'s brackets on sigma, the
+    dual spinor fiber, for ``singular.require``: per entry (Y, A, B, c) its
+    residual at lambda 0 and its slope (None without a c, when
+    :func:`_multiplied` is, or for the slope when A depends on lambda), per
+    pair (i, j) the relation [sigma_(1,i), sigma_(1,j)] = c_ij sigma_(i,j),
+    and the independence of I and the sigma_m (the kernel of their stack)."""
     n, dim, sigma = rep.n, rep.spinor_dim, dual_fiber(spinor_fiber(rep))
     pi, at_one = ({gen: function_action(gen, lam, rep, sigma) for gen in generators(n)}
                   for lam in (0, 1))
@@ -306,30 +305,25 @@ def bracket_premises(rep, entries):
     out = []
     for y, a, b, c in entries:
         ok = c is not None and _multiplied(a, b, n) is not None
-        out += [((y, a, b), "lambda-free", _commutator(pi[a], pi[b], pi[y], c) if ok else None),
-                ((y, a, b), "slope", _commutator(pi[a], slope[b], slope[y], c)
+        at = ", %s = [%s, %s]: " % (y, a, b)
+        out += [(at + "lambda-free", _commutator(pi[a], pi[b], pi[y], c) if ok else None),
+                (at + "slope", _commutator(pi[a], slope[b], slope[y], c)
                  if ok and slope[a].is_zero() else None)]
     for i in range(2, n + 1):
         for j in range(i + 1, n + 1):
             c = bracket_multiple(("l", 1, i), ("l", 1, j), ("l", i, j), rep.sig)
-            out.append(((i, j, c), "relation", _relation(sigma, i, j, c)))
+            out.append((", relation (%d, %d)" % (i, j), _relation(sigma, i, j, c)))
     mats = [SparseMatrix.identity(dim)] + [sigma[key] for key in sorted(sigma)]
     stack = SparseMatrix.from_columns(
         dim * dim, [{r * dim + col: v for r, col, v in m.entries()} for m in mats])
-    return out + [(None, "independence", SparseMatrix.from_int_rows(len(mats), nullspace(stack)))]
+    return out + [(": independence", SparseMatrix.from_int_rows(len(mats), nullspace(stack)))]
 
 
-def _model_verdict(rep, entries):
-    """(the Y of ``entries`` established on every fiber meeting the relations,
-    {(i, j): c_ij}), both empty if sigma fails those; once per model and c."""
-    def build():
-        premises = bracket_premises(rep, entries)
-        failed = [(what, part) for what, part, r in premises if r is None or not r.is_zero()]
-        if any(part in ("relation", "independence") for _, part in failed):
-            return frozenset(), {}
-        return (frozenset(y for y, _, _, _ in entries) - {what[0] for what, _ in failed},
-                {what[:2]: what[2] for what, part, _ in premises if part == "relation"})
-    return rep.cached(("function-brackets", entries), build)
+def _brackets_sound(rep, entries):
+    """True once every :func:`bracket_premises` holds, else refused; once per
+    model and plan."""
+    return rep.cached(("function-brackets", entries),
+                      lambda: require(rep.sig, bracket_premises(rep, entries)))
 
 
 def verify_intertwining(op: EquivariantOperator, test_degree,
@@ -350,13 +344,12 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
     = c_ij rho_(i,j) it multiplies (:func:`_multiplied`).  On the dual spinor
     fiber sigma it is zero at lambda 0 and in its slope, sigma meets every
     relation, and I and the sigma_m are independent, so U0 = U1 = Z_m = 0
-    (:func:`_model_verdict`, once per gamma model).  Per operator only the
-    relations are checked, on the family rotations R (the dual fiber -R^T
-    meets one exactly when R does), and only for a stored R_ij: the rest are
-    [R_1i, R_1j] / c_ij (:func:`_completed_rotations`), with c_ij from the
-    same ``bracket_multiple``; a sound gamma model stores none.  Where the
-    model verdict, a relation the entry multiplies, c or a parent fails, Y is
-    normal-ordered.
+    (:func:`_brackets_sound`, once per gamma model, which refuses a model
+    that fails one of these premises).  The target fiber meets every
+    relation by construction: its R_ij, i >= 2, are [R_1i, R_1j] / c_ij
+    (:func:`_completed_rotations`), with c_ij from the same
+    ``bracket_multiple``, and the dual fiber -R^T meets a relation exactly
+    when R does.  So no relation is checked per operator.
 
     The seeds f_1..f_n, h and g_1, and every generator not so established,
     have pi built and the residual normal-ordered into one spec R_Y: the
@@ -378,20 +371,18 @@ def verify_intertwining(op: EquivariantOperator, test_degree,
     plan = _generating_plan(ctx.n)
     if len(plan) != len(gens) or {y for y, _, _ in plan} != set(gens):
         raise ValueError("the generating plan does not list every generator once")
-    model, c_ij = _model_verdict(ctx.rep, ctx.rep.cached(
+    _brackets_sound(ctx.rep, ctx.rep.cached(
         ("plan-constants", tuple(plan)), lambda: _plan_constants(ctx.sig, plan)))
-    stored = op.family_rotations
-    meets = {r: r not in stored or _relation(stored, *r, c).is_zero() for r, c in c_ij.items()}
     spec = op.spec
     per_generator = sum(ctx.graded_basis(d, spec.dim).size for d in range(test_degree + 1))
-    src, tgt = _pi_star_specs(op, ctx, [gen for gen, a, _ in plan if a is None], stored)
+    src, tgt = _pi_star_specs(op, ctx, [gen for gen, a, _ in plan if a is None],
+                              op.family_rotations)
     completed = None
     zero = set()
     failures = {}
     max_terms = 0
     for gen, a, b in plan:
-        if (a in zero and b in zero and gen in model
-                and all(meets[r] for r in _multiplied(a, b, ctx.n))):
+        if a in zero and b in zero:
             zero.add(gen)
             continue
         if gen not in src:

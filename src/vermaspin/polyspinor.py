@@ -148,16 +148,6 @@ class SpinorPoly:
         degs = self.degrees()
         return degs[0] if len(degs) == 1 else None
 
-    def to_json(self):
-        terms = []
-        for m in sorted(self.terms, reverse=True):
-            vec = self.terms[m]
-            terms.append({
-                "exponents": list(m),
-                "vector": [[i, vec[i].to_string()] for i in sorted(vec)],
-            })
-        return {"n": self.n, "fiber_dim": self.dim, "terms": terms}
-
     def __repr__(self):
         return "SpinorPoly(n=%d, dim=%d, %d terms)" % (self.n, self.dim, len(self.terms))
 

@@ -6,11 +6,11 @@ system.  :func:`classify` solves that system only on the Fischer blocks
 X^k M_m a singular vector can lie in; the columns of block k are X^k applied
 to the monogenic basis of M_m.  Most blocks are certified by g_1 alone: if
 g_1 kills the block's columns, every g_j does, under premises checked
-symbolically once per gamma model (:func:`certificate_residuals`), and the
-whole block is singular.  The blocks left, if any, are solved by one exact
-nullspace of the stacked g_i on their columns, and each kernel vector is
-labelled by the block (and, for even n, the chirality half of M_m) its
-support lies in.  Each g_i is assembled on the columns' support alone, as
+symbolically once per gamma model (:func:`certificate_premises`), and the
+whole block is singular.  The blocks g_1 does not kill, if any, are solved
+by one exact nullspace of the stacked g_i on their columns, and each kernel
+vector is labelled by the block (and, for even n, the chirality half of M_m)
+its support lies in.  Each g_i is assembled on the columns' support alone, as
 ``equivariant.from_singular_vector`` does for the families it certifies.
 The outcome is compared against the case table of the classification
 theorems.  :func:`singular_vectors` solves a whole degree, the only
@@ -35,10 +35,13 @@ per process: C(0) against the defining sum at lambda 0
 sum's (:func:`contraction_lambda_residual`).  Each residual is one
 normal-ordered stream: the defining products and the negated closed-form
 products go through one ``_product_sum``, merged once, and ``is_zero``
-folds the result in one more pass.  If the C2 check fails, ``classify``
-solves every degree on all of its blocks; if the C1/C3 check fails, it
-solves every degree that C2 keeps.  The C1/C3 check runs only when C2 keeps
-a degree that C1 or C3 would drop.
+folds the result in one more pass.  The C1/C3 check runs only when C2
+keeps a degree that C1 or C3 would drop.
+
+Every premise is checked, never branched on: :func:`require` refuses a
+gamma model that fails one with an ArithmeticError naming the signature,
+the premise and its entry, and the selftest reports its failures through
+the same helper.
 
 Theorem statements are parameterized by a twist ``lam_thm``; the translation
 to the realization parameter is ``lam_real = lam_thm + n/2`` and happens in
@@ -75,8 +78,10 @@ __all__ = [
     "predicted_components",
     "contraction_identity_residual",
     "contraction_lambda_residual",
-    "certificate_residuals",
-    "rotation_residuals",
+    "closed_form_premises",
+    "certificate_premises",
+    "rotation_premises",
+    "require",
     "classify",
     "scan",
     "xd_eigenvalue",
@@ -170,12 +175,6 @@ def special_conformal_on(ctx: Context, i, degree, columns):
     assembled on V's support alone; :func:`_at` gives g_i(lam) V."""
     return tuple(on_support(ctx, spec, degree, columns)
                  for spec in (_sc_spec(ctx, i), _minus_d(ctx, i)))
-
-
-def kills(ctx: Context, lam, degree, columns):
-    """Whether every g_i(lam) kills the columns of a degree-d matrix."""
-    return all(_at(special_conformal_on(ctx, i, degree, columns), lam).is_zero()
-               for i in range(1, ctx.n + 1))
 
 
 def _at(parts, lam):
@@ -286,75 +285,98 @@ def _certified_blocks(ctx: Context, lam, degree, ks):
     off g_1 alone.
 
     At degree 0 that is every block: each g_j maps into degree -1, which is
-    zero.  Above it, a block with g_1(lam) V = 0 is certified once the
-    premises of :func:`certificate_residuals` hold.  Each l_1j, j >= 2,
+    zero.  Above it, a block with g_1(lam) V = 0 is certified under the
+    premises of :func:`certificate_premises`, and a gamma model that fails
+    one is refused (:func:`_certificate_sound`).  Each l_1j, j >= 2,
     commutes with X and D, so it maps V = X^k M_m into itself (the rows of
     ``monogenic_basis`` span all of M_m); and
     [l_1j, g_1] = c_j g_j with c_j != 0, so g_j V = (l_1j g_1 V - g_1 l_1j V)
     / c_j = 0.  The block's columns are independent: the rows of M_m lead at
     distinct columns, and X^k is injective, X^2 being the nonzero scalar
-    polynomial -sum_j eps_j x_j^2.  If a premise fails no block is
-    certified.
+    polynomial -sum_j eps_j x_j^2.
     """
     if degree == 0:
         return set(ks)
-    if not _certificate_sound(ctx):
-        return set()
+    _certificate_sound(ctx)
     return {k for k in ks if _at(_g1_on_block(ctx, degree, k), lam).is_zero()}
 
 
-def certificate_residuals(ctx: Context):
-    """The premises of the block certificate, as (j, identity, residual).
+def require(sig, premises):
+    """True when every premise holds, else the model is refused: the first
+    (where, residual) of ``premises`` whose residual is not zero raises
+    ArithmeticError naming the signature, ``where`` (the premise and its
+    entry) and the residual's live terms.  A residual is None when no
+    constant c makes the premise an identity of the checked form."""
+    for where, residual in premises:
+        head = "signature (%d,%d)%s" % (sig.p, sig.q, where)
+        if residual is None:
+            raise ArithmeticError("%s has no residual of the checked form" % head)
+        if not residual.is_zero():
+            live = (residual.nonzero_keys() if isinstance(residual, OperatorSpec)
+                    else residual.num_entries())
+            raise ArithmeticError("%s leaves %d terms" % (head, live))
+    return True
 
-    X^2 + sum_j eps_j x_j^2 (j None), and for each j = 2..n: [l_1j, X],
-    [l_1j, D], and [l_1j, g_1] - c_j g_j with c_j the constant of
+
+def certificate_premises(ctx: Context):
+    """The premises of the block certificate, for :func:`require`.
+
+    X^2 + sum_j eps_j x_j^2 = 0, and for each j = 2..n: [l_1j, X] = 0,
+    [l_1j, D] = 0, and [l_1j, g_1] = c_j g_j with c_j the constant of
     ``bracket_multiple`` in the abstract model, split like g_1 into its
     lambda-free part [l_1j, g_1(0)] - c_j g_j(0) and its slope
-    [l_1j, -d_1] - c_j (-d_j).  Each residual is one ``_product_sum`` stream,
-    and a premise holds when it ``is_zero()``; it is None when [l_1j, g_1] is
-    no nonzero multiple of g_j, so no c_j exists.
+    [l_1j, -d_1] - c_j (-d_j).  Each residual is one ``_product_sum``
+    stream; it is None when [l_1j, g_1] is no nonzero multiple of g_j.
     """
     n, dim, rep = ctx.n, ctx.spinor_dim, ctx.rep
     o = _osp_cached(rep)
     one = OperatorSpec.scalar(n, dim, QI_ONE)
     square = [(OperatorSpec.monomial_mult(n, dim, j, 2, rep.sig.eps(j)), one)
               for j in range(1, n + 1)]
-    out = [(None, "X^2 + sum_j eps_j x_j^2", _product_sum([(o.X, o.X)] + square))]
+    out = [(": X^2 + sum_j eps_j x_j^2", _product_sum([(o.X, o.X)] + square))]
     g1, d1 = _sc_spec(ctx, 1), _minus_d(ctx, 1)
     for j in range(2, n + 1):
         l1j = verma_action(("l", 1, j), rational(0), rep)
-        out += [(j, "[l_1j, X]", _commutator(l1j, o.X)), (j, "[l_1j, D]", _commutator(l1j, o.D))]
+        at = ", j = %d: " % j
+        out += [(at + "[l_1j, X]", _commutator(l1j, o.X)),
+                (at + "[l_1j, D]", _commutator(l1j, o.D))]
         c = bracket_multiple(("l", 1, j), ("g", 1), ("g", j), rep.sig)
         for what, a, b in (("[l_1j, g_1(0)] - c_j g_j(0)", g1, _sc_spec(ctx, j)),
                            ("[l_1j, -d_1] - c_j (-d_j)", d1, _minus_d(ctx, j))):
-            out.append((j, what, None if c is None else _commutator(l1j, a, b, c)))
+            out.append((at + what, None if c is None else _commutator(l1j, a, b, c)))
     return out
 
 
 def _certificate_sound(ctx: Context):
-    """Whether every premise of the block certificate holds; once per gamma model."""
-    return ctx.rep.cached("block-certificate", lambda: all(
-        residual is not None and residual.is_zero()
-        for _, _, residual in certificate_residuals(ctx)))
+    """True once every premise of the block certificate holds, else refused;
+    once per gamma model."""
+    return ctx.rep.cached("block-certificate",
+                          lambda: require(ctx.sig, certificate_premises(ctx)))
 
 
-def rotation_residuals(ctx: Context):
+def _rotation_multiples(sig):
+    """{(i, j): c_ij} for 2 <= i < j, [l_1i, l_1j] = c_ij l_ij in the
+    abstract model (``bracket_multiple``), or None without a c."""
+    return {(i, j): bracket_multiple(("l", 1, i), ("l", 1, j), ("l", i, j), sig)
+            for i in range(2, sig.n + 1) for j in range(i + 1, sig.n + 1)}
+
+
+def rotation_premises(ctx: Context):
     """The premises under which ``equivariant`` derives a family's rotations
-    from the l_1j, as (i, j, c_ij, residual) for 2 <= i < j: [l_1i, l_1j] -
-    c_ij l_ij with c_ij from ``bracket_multiple``, or None without a c."""
+    from the l_1j, for :func:`require`: [l_1i, l_1j] - c_ij l_ij for
+    2 <= i < j, c_ij from :func:`_rotation_multiples`."""
     l = {(i, j): verma_action(("l", i, j), rational(0), ctx.rep)
          for i in range(1, ctx.n + 1) for j in range(i + 1, ctx.n + 1)}
-    cs = {(i, j): bracket_multiple(("l", 1, i), ("l", 1, j), ("l", i, j), ctx.sig)
-          for i, j in l if i > 1}
-    return [(i, j, c, None if c is None else _commutator(l[1, i], l[1, j], l[i, j], c))
-            for (i, j), c in cs.items()]
+    return [(", (i, j) = (%d, %d): [l_1i, l_1j] - c_ij l_ij" % (i, j),
+             None if c is None else _commutator(l[1, i], l[1, j], l[i, j], c))
+            for (i, j), c in _rotation_multiples(ctx.sig).items()]
 
 
 def _rotation_constants(ctx: Context):
-    """{(i, j): c_ij} for the pairs whose :func:`rotation_residuals` is zero;
-    once per gamma model."""
-    return ctx.rep.cached("rotation-relations", lambda: {
-        (i, j): c for i, j, c, r in rotation_residuals(ctx) if r is not None and r.is_zero()})
+    """{(i, j): c_ij} for 2 <= i < j once every :func:`rotation_premises`
+    holds, else refused; once per gamma model."""
+    return ctx.rep.cached("rotation-relations", lambda: require(
+        ctx.sig, rotation_premises(ctx)) and _rotation_multiples(ctx.sig))
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +484,26 @@ def contraction_lambda_residual(ctx: Context, idx):
                              OperatorSpec.scalar(ctx.n, ctx.spinor_dim, QI_ONE))])
 
 
+_CLOSED_FORMS = {1: ("sum_j gamma_j g_j(0) - C1(0)", "lambda part of C1: sum_j gamma_j d_j - D"),
+                 2: ("sum_j x_j g_j(0) - C2(0)", "lambda part of C2: sum_j x_j d_j - E"),
+                 3: ("sum_j eps_j d_j g_j(0) - C3(0)",
+                     "lambda part of C3: sum_j eps_j d_j^2 + D^2")}
+
+
+def closed_form_premises(ctx: Context, idxs):
+    """Both checks of the closed form of each contraction in ``idxs``, for
+    :func:`require`: its value at lambda 0 and its lambda slope."""
+    for i in idxs:
+        at_zero, slope = _CLOSED_FORMS[i]
+        yield ": " + at_zero, contraction_identity_residual(ctx, i)
+        yield ": " + slope, contraction_lambda_residual(ctx, i)
+
+
 def _closed_forms_sound(ctx: Context, idxs):
-    """Whether the closed forms of the contractions ``idxs`` passed both
-    checks; once per gamma model."""
-    return ctx.rep.cached(("contraction-identity", idxs), lambda: all(
-        contraction_identity_residual(ctx, i).is_zero()
-        and contraction_lambda_residual(ctx, i).is_zero() for i in idxs))
+    """True once the closed forms of the contractions ``idxs`` passed both
+    checks, else refused; once per gamma model."""
+    return ctx.rep.cached(("contraction-identity", idxs),
+                          lambda: require(ctx.sig, closed_form_premises(ctx, idxs)))
 
 
 def _zero_blocks(lam_real, degree, n, idxs):
@@ -489,12 +525,11 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     A kept degree is solved by :func:`_solve_blocks` on the blocks where the
     C2 scalar is zero; a block killed by g_1 is certified singular with no
     elimination, and the whole-degree g_i are assembled only for a block
-    that is not.  Skips by C2, of degrees and of blocks, are taken only
-    after the closed form of C2 passed its symbolic check, run once per gamma
-    model per process, else every degree is solved on all of its blocks.
-    Further skips by C1 and C3 are taken only after their closed forms passed
-    theirs, else every degree C2 keeps is solved.  The C1/C3 check runs only
-    when a degree could be skipped by it.
+    that is not.  The skips rest on the closed forms of the contractions,
+    checked symbolically once per gamma model per process: C2's before the
+    first degree, C1's and C3's only when a degree could be skipped by them.
+    A gamma model that fails a check is refused with ArithmeticError
+    (:func:`require`).
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
@@ -502,17 +537,15 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
     lam_real = lam_thm + rational(ctx.n, 2)
     case, checkable, uncheckable = predicted_components(lam_thm, ctx.n, d_max)
     predicted = [(d, k, m, monogenic_dim(ctx, m)) for d, k, m in checkable]
-    filtered = _closed_forms_sound(ctx, (2,))
+    _closed_forms_sound(ctx, (2,))
     found = []
     for degree in range(0, d_max + 1):
-        ks = list(range(degree + 1))
-        if filtered:
-            ks = _zero_blocks(lam_real, degree, ctx.n, (2,))
-            if not ks:
-                continue
-            if not _zero_blocks(lam_real, degree, ctx.n, (2, 1, 3)) \
-                    and _closed_forms_sound(ctx, (1, 3)):
-                continue
+        ks = _zero_blocks(lam_real, degree, ctx.n, (2,))
+        if not ks:
+            continue
+        if not _zero_blocks(lam_real, degree, ctx.n, (2, 1, 3)):
+            _closed_forms_sound(ctx, (1, 3))
+            continue
         found.extend(_solve_blocks(ctx, lam_real, degree, ks))
     match = sorted(c.label() for c in found) == sorted(predicted)
     return ClassificationReport(

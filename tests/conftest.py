@@ -1,7 +1,14 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from vermaspin import clifford
 from vermaspin.context import Context
 from vermaspin.fischer import x_power_matrix
 
@@ -19,6 +26,29 @@ def ctx_factory():
         return _CONTEXTS[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def optimized_controls():
+    """{group: "ok" or "failed: <error>"} for each group of
+    ``test_premises.OPTIMIZED``, run once per session in one python -O
+    subprocess, where asserts are compiled out."""
+    script = textwrap.dedent("""
+        import sys
+
+        if __debug__:
+            raise SystemExit("expected python -O")
+        sys.path.insert(0, sys.argv[1])
+        import test_premises
+        test_premises._run_optimized()
+    """)
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tests)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return dict(line.split(" ", 1) for line in proc.stdout.splitlines())
 
 
 @pytest.fixture
@@ -49,3 +79,31 @@ def apply_x_power(ctx, k, poly):
         raise ValueError("non-homogeneous input")
     out = x_power_matrix(ctx, k, d).mul_vec(ctx.graded_basis(d).coordinates(poly))
     return ctx.graded_basis(d + k).from_coordinates(out)
+
+
+def fresh_models(patches, check):
+    """Run ``check()`` on a fresh map of gamma models with the (module, name,
+    value) ``patches`` in place, restoring both afterwards."""
+    saved = clifford._MODELS, [(m, name, getattr(m, name)) for m, name, _ in patches]
+    clifford._MODELS = clifford.Memo()
+    for m, name, value in patches:
+        setattr(m, name, value)
+    try:
+        return check()
+    finally:
+        clifford._MODELS = saved[0]
+        for m, name, value in saved[1]:
+            setattr(m, name, value)
+
+
+def refused(run, message):
+    """Check that ``run()`` refuses with an ArithmeticError whose text
+    matches the regex ``message``.  Raises instead of asserting, so it also
+    checks under python -O."""
+    try:
+        run()
+    except ArithmeticError as exc:
+        if not re.fullmatch(message, str(exc)):
+            raise AssertionError("refused with %r, expected %r" % (str(exc), message))
+        return
+    raise AssertionError("not refused, expected %r" % message)

@@ -349,12 +349,12 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
 
     monkeypatch.setitem(realization._CONTRACTIONS, 2, broken(2))
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
-    with pytest.raises(AssertionError, match=r"^signature \(3,0\): .* leaves 1 terms$"):
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\): .* leaves 1 terms$"):
         check()
     monkeypatch.undo()
     monkeypatch.setitem(realization._CONTRACTIONS, 3, broken(3))
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
-    with pytest.raises(AssertionError, match=r"^signature \(3,0\): sum_j eps_j d_j g_j\(0\) "
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\): sum_j eps_j d_j g_j\(0\) "
                                              r"- C3\(0\) leaves 1 terms$"):
         check()
     monkeypatch.undo()
@@ -363,22 +363,31 @@ def test_selftest_prefilter_check_names_the_signature(monkeypatch):
     monkeypatch.setitem(realization._CONTRACTIONS, 2,
                         entry._replace(slope=lambda o: entry.slope(o).scale(2)))
     check = dict(cli._selftest_checks())["contraction prefilter identity"]
-    with pytest.raises(AssertionError, match=r"^signature \(3,0\): lambda part of C2: "
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\): lambda part of C2: "
                                              r"sum_j x_j d_j - E leaves 3 terms$"):
         check()
 
 
+def _failed(out):
+    """The names of the selftest checks that failed, in order."""
+    return [line[5:36].rstrip() for line in out.splitlines() if line.startswith("FAIL ")]
+
+
 def test_selftest_certificate_check_names_the_signature_and_j(capsys, monkeypatch):
     # every c_j of the block certificate doubled: [l_12, g_1(0)] - c_2 g_2(0)
-    # is the first premise left nonzero, and the selftest exits 1
+    # is the first premise left nonzero, and the selftest exits 1; on a fresh
+    # map of gamma models the checks that need the certificate are refused
     bracket_multiple = singular.bracket_multiple
     monkeypatch.setattr(singular, "bracket_multiple", lambda *args: bracket_multiple(*args) * 2)
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
     code, out, _ = run(capsys, "selftest")
     assert code == 1
-    assert re.search(r"^FAIL block certificate premises +AssertionError: signature \(3,0\), "
+    assert re.search(r"^FAIL block certificate premises +ArithmeticError: signature \(3,0\), "
                      r"j = 2: \[l_1j, g_1\(0\)\] - c_j g_j\(0\) leaves [1-9]\d* terms$",
                      out, re.M), out
-    assert out.count("FAIL") == 1 and out.endswith("1 check(s) failed\n")
+    assert _failed(out) == ["classification spot checks", "block certificate premises",
+                            "equivariant intertwining"], out
+    assert out.endswith("3 check(s) failed\n")
 
 
 def test_selftest_certificate_check_names_the_rotation_pair(monkeypatch):
@@ -392,7 +401,7 @@ def test_selftest_certificate_check_names_the_rotation_pair(monkeypatch):
 
     monkeypatch.setattr(singular, "bracket_multiple", doubled)
     check = dict(cli._selftest_checks())["block certificate premises"]
-    with pytest.raises(AssertionError, match=r"^signature \(3,0\), \(i, j\) = \(2, 3\): "
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\), \(i, j\) = \(2, 3\): "
                                              r"\[l_1i, l_1j\] - c_ij l_ij leaves [1-9]\d* terms$"):
         check()
 
@@ -415,8 +424,8 @@ def test_selftest_function_bracket_check_names_the_signature_entry_and_part(caps
                                                                            monkeypatch):
     # every c doubled where the verifier reads it: the lambda-free part of
     # the first plan entry is the first premise left nonzero, the selftest
-    # exits 1, and the intertwining check, which then normal-orders every
-    # generator, still passes
+    # exits 1, and on a fresh map of gamma models the intertwining check,
+    # which needs the premise, is refused too
     bracket_multiple = equivariant.bracket_multiple
 
     def doubled(*args):
@@ -424,12 +433,14 @@ def test_selftest_function_bracket_check_names_the_signature_entry_and_part(caps
         return None if c is None else c * 2
 
     monkeypatch.setattr(equivariant, "bracket_multiple", doubled)
+    monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
     code, out, _ = run(capsys, "selftest")
     assert code == 1
-    assert re.search(r"^FAIL function-picture brackets +AssertionError: signature \(3,0\), "
-                     r"\('l', 1, 2\) = \[\('f', 2\), \('g', 1\)\]: lambda-free fails$",
-                     out, re.M), out
-    assert out.count("FAIL") == 1 and out.endswith("1 check(s) failed\n")
+    assert re.search(r"^FAIL function-picture brackets +ArithmeticError: signature \(3,0\), "
+                     r"\('l', 1, 2\) = \[\('f', 2\), \('g', 1\)\]: lambda-free leaves "
+                     r"[1-9]\d* terms$", out, re.M), out
+    assert _failed(out) == ["function-picture brackets", "equivariant intertwining"], out
+    assert out.endswith("2 check(s) failed\n")
     # a spinor fiber of zero matrices meets every relation and fails the
     # independence alone
     monkeypatch.undo()
@@ -438,8 +449,20 @@ def test_selftest_function_bracket_check_names_the_signature_entry_and_part(caps
         key: SparseMatrix.zero(rep.spinor_dim, rep.spinor_dim)
         for key in realization.spinor_fiber(rep)})
     check = dict(cli._selftest_checks())["function-picture brackets"]
-    with pytest.raises(AssertionError, match=r"^signature \(3,0\): independence fails$"):
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\): independence leaves "
+                                             r"[1-9]\d* terms$"):
         check()
+
+
+def test_a_refused_model_exits_1_with_its_message(capsys, monkeypatch):
+    # C2's closed form off by the scalar 1: classify refuses the model, and
+    # the refusal is reported like a configuration error, with no traceback
+    from test_singular import _break_closed_form
+
+    _break_closed_form(monkeypatch, 2)
+    code, out, err = run(capsys, "classify", "--p", "3", "--lambda", "5/2", "--dmax", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: signature (3,0): sum_j x_j g_j(0) - C2(0) leaves 1 terms\n"
 
 
 def _no_context(*args, **kwargs):

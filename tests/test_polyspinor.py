@@ -803,13 +803,6 @@ def test_special_conformal_matrices_cold_and_warm():
 
 
 def test_golden_files():
-    poly = SpinorPoly(3, 2, {
-        (1, 0, 0): {0: qi(1), 1: qi(0, 1)},
-        (0, 1, 0): {1: qi(rational(-2, 3))},
-    })
-    golden_poly = json.load(open(os.path.join(DATA, "spinor_poly.json")))
-    assert poly.to_json() == golden_poly
-
     ctx = Context(3, 0)
     from vermaspin.realization import osp_generators
     D, _, _ = osp_generators(ctx.rep)

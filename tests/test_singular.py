@@ -34,6 +34,8 @@ from vermaspin.singular import (
     xd_matrix,
 )
 
+from conftest import refused
+
 HALF = rational(1, 2)
 
 
@@ -609,39 +611,31 @@ def _spy_solve_blocks(monkeypatch):
     return solved
 
 
-def _break_closed_form(monkeypatch, idx):
-    """Add the scalar 1 to C_idx(0) at its source, ``_CONTRACTIONS``, and
-    start from a fresh map of gamma models, so that no verdict stored
-    before the change is read."""
+def _closed_form_off_by_one(idx):
+    """A patch for ``fresh_models``: ``_CONTRACTIONS`` with the scalar 1
+    added to C_idx(0) at its source."""
     entry = realization._CONTRACTIONS[idx]
 
     def at_zero(o):
         one = OperatorSpec.scalar(o.E.n, o.E.dim, 1)
         return entry.at_zero(o) + [(one, one)]
 
-    monkeypatch.setitem(realization._CONTRACTIONS, idx, entry._replace(at_zero=at_zero))
+    return realization, "_CONTRACTIONS", {**realization._CONTRACTIONS,
+                                          idx: entry._replace(at_zero=at_zero)}
+
+
+def _break_closed_form(monkeypatch, idx):
+    """Apply :func:`_closed_form_off_by_one` and start from a fresh map of
+    gamma models, so that no verdict stored before the change is read."""
+    monkeypatch.setattr(*_closed_form_off_by_one(idx))
     monkeypatch.setattr(clifford, "_MODELS", clifford.Memo())
 
 
-def test_prefilter_falls_back_when_identity_fails(monkeypatch):
-    # with C2's closed form unverified, every degree is solved on all of its blocks
-    lam = rational(5, 2)
-    solved = _spy_solve_blocks(monkeypatch)
-    expect = classify(Context(3, 0), lam, 4).to_json()
-    assert solved == [(0, [0]), (2, [0])]
-
-    _break_closed_form(monkeypatch, 2)
-    ctx = Context(3, 0)
-    assert contraction_identity_residual(ctx).terms
-    solved.clear()
-    assert classify(ctx, lam, 4).to_json() == expect
-    assert solved == [(d, list(range(d + 1))) for d in range(5)]
-
-
 def _tampered_classify(lam, d_max):
-    """(C2 closed-form verdict, classify report, oracle report) on a (2,2)
-    Context whose gamma_1 has its (2, 0) entry doubled, so that gamma_1^2 =
-    diag(-2, -1, -2, -1) is diagonal but not a multiple of the identity.
+    """classify on a (2,2) Context whose gamma_1 has its (2, 0) entry
+    doubled, so that gamma_1^2 = diag(-2, -1, -2, -1) is diagonal but not a
+    multiple of the identity: the C2 closed form fails, and the model is
+    refused.  Raises instead of asserting.
 
     The tampered model is a copy with its own variant name and its own
     store, so its osp(1|2) products never meet those of the true model.
@@ -654,65 +648,20 @@ def _tampered_classify(lam, d_max):
     if square != SparseMatrix.from_dense([[-2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -2, 0],
                                           [0, 0, 0, -1]]):
         raise AssertionError("gamma_1^2 is %r" % square.data)
-    verdict = singular._closed_forms_sound(ctx, (2,))
-    return verdict, classify(ctx, lam, d_max), _classify_unfiltered(ctx, lam, d_max)
+    refused(lambda: classify(ctx, lam, d_max),
+             r"signature \(2,2\): sum_j x_j g_j\(0\) - C2\(0\) leaves 24 terms")
 
 
-def test_non_scalar_diagonal_square_fails_the_closed_form(monkeypatch):
+def test_non_scalar_diagonal_square_fails_the_closed_form():
     # a gamma_1 whose square is diagonal but not scalar must not pass as
-    # -eps_1 I: the C2 check fails, and classify falls back to every block
-    # of every degree and agrees with the unfiltered oracle
-    solved = _spy_solve_blocks(monkeypatch)
-    verdict, report, oracle = _tampered_classify(rational(-1, 2), 3)
-    assert verdict is False
-    assert solved == [(d, list(range(d + 1))) for d in range(4)]
-    assert report.to_json() == oracle.to_json()
-    assert [c.label()[:2] for c in report.found] == [(0, 0), (1, 1)]
+    # -eps_1 I: the C2 check fails, and classify refuses the model
+    _tampered_classify(rational(-1, 2), 3)
 
 
-def test_non_scalar_diagonal_square_fails_under_optimize_flag():
-    # the same check with asserts compiled out
-    script = textwrap.dedent("""
-        import runpy
-        import sys
-
-        from vermaspin.exact import rational
-
-        if __debug__:
-            raise SystemExit("expected python -O")
-        ns = runpy.run_path(sys.argv[1])
-        verdict, report, oracle = ns["_tampered_classify"](rational(-1, 2), 3)
-        if verdict is not False:
-            raise SystemExit("a non-scalar gamma_1 square passed the closed-form check")
-        if report.to_json() != oracle.to_json():
-            raise SystemExit("classify differs from the unfiltered oracle")
-        print("fell back:", [c.label()[:2] for c in report.found])
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "fell back: [(0, 0), (1, 1)]\n", proc.stdout
-
-
-def test_failed_closed_form_verdict_is_built_once(monkeypatch):
-    # a falsy verdict is memoized like any other: with C2 broken, the second
-    # classify on the same Context reads the stored False and runs no residual
-    _break_closed_form(monkeypatch, 2)
-    residuals = []
-    for name in ("contraction_identity_residual", "contraction_lambda_residual"):
-        def spy(ctx, idx, _name=name, _build=getattr(singular, name)):
-            residuals.append((_name, idx))
-            return _build(ctx, idx)
-
-        monkeypatch.setattr(singular, name, spy)
-    ctx, lam = Context(3, 0), rational(5, 2)
-    first = classify(ctx, lam, 4).to_json()
-    assert residuals == [("contraction_identity_residual", 2)]
-    assert ctx.rep.cache[("contraction-identity", (2,))] is False
-    assert classify(ctx, lam, 4).to_json() == first
-    assert residuals == [("contraction_identity_residual", 2)]
+def test_non_scalar_diagonal_square_fails_under_optimize_flag(optimized_controls):
+    # the same refusal, and the three closed-form refusals of
+    # tests/test_premises.py, with asserts compiled out
+    assert optimized_controls["closed-forms"] == "ok"
 
 
 def test_a_copy_with_other_gammas_builds_its_own_model_state():
@@ -760,22 +709,6 @@ def test_a_fresh_context_reuses_its_gamma_model(monkeypatch):
                             lambda gen, *args: calls.append(gen) or build(gen, *args))
     assert classify(Context(3, 0), lam, 4).to_json() == expect
     assert calls == []
-
-
-@pytest.mark.parametrize("closed_form", ["clifford_contraction", "derivative_contraction"])
-def test_prefilter_falls_back_to_c2_when_c1_or_c3_identity_fails(monkeypatch, closed_form):
-    # a wrong C1 or C3 closed form leaves the C2 skips standing: degree 4 at
-    # (3,0), lambda 5/2 is kept by C2 and its C2 block X^2 M_2 solved, with
-    # the same report
-    lam = rational(5, 2)
-    expect = classify(Context(3, 0), lam, 4).to_json()
-    solved = _spy_solve_blocks(monkeypatch)
-    idx = 1 if closed_form == "clifford_contraction" else 3
-    _break_closed_form(monkeypatch, idx)
-    ctx = Context(3, 0)
-    assert not contraction_identity_residual(ctx, idx).is_zero()
-    assert classify(ctx, lam, 4).to_json() == expect
-    assert solved == [(0, [0]), (2, [0]), (4, [2])]
 
 
 def test_classify_solves_blocks_not_whole_degrees(monkeypatch):
@@ -926,28 +859,19 @@ def test_certified_blocks_need_no_nullspace(monkeypatch):
     assert ctx.rep.cache["block-certificate"] is True
 
 
-def _classify_with_broken_premise(lam, d_max):
-    """(certificate verdict, classify report, nullspace column counts) at
-    (2,2), on a fresh map of gamma models, with every c_j of the block
-    certificate doubled, so that [l_1j, g_1] - c_j g_j is no longer zero."""
-    saved = clifford._MODELS, singular.bracket_multiple, singular.nullspace
-    shapes = []
+def _doubled_multiples(rotations_only=False):
+    """A patch for ``fresh_models``: ``singular.bracket_multiple`` with its c
+    doubled, for every bracket or, ``rotations_only``, for those whose Y is
+    an l_ij with i >= 2, so that the certificate's [l_1j, g_1] - c_j g_j, or
+    the rotations' [l_1i, l_1j] - c_ij l_ij, is no longer zero."""
+    bracket = singular.bracket_multiple
 
-    def doubled(*args):
-        c = saved[1](*args)
-        return None if c is None else c * 2
+    def doubled(a, b, y, sig):
+        c = bracket(a, b, y, sig)
+        return c * 2 if c is not None and (not rotations_only or y[0] == "l" and y[1] > 1) \
+            else c
 
-    def spied(m):
-        shapes.append(m.cols)
-        return saved[2](m)
-
-    clifford._MODELS = clifford.Memo()
-    singular.bracket_multiple, singular.nullspace = doubled, spied
-    try:
-        ctx = Context(2, 2)
-        return singular._certificate_sound(ctx), classify(ctx, lam, d_max), shapes
-    finally:
-        clifford._MODELS, singular.bracket_multiple, singular.nullspace = saved
+    return singular, "bracket_multiple", doubled
 
 
 def _classify_with_perturbed_g1(lam, d_max, block):
@@ -974,17 +898,6 @@ def _classify_with_perturbed_g1(lam, d_max, block):
         singular._g1_on_block, singular.nullspace = saved
 
 
-def test_a_broken_certificate_premise_falls_back_on_every_block():
-    # with the premises unproved every kept block of degree >= 1 is solved by
-    # nullspace (12 columns of M_1, 4 of X^5 M_0); degree 0 needs no premise
-    lam = rational(3, 2)
-    verdict, report, shapes = _classify_with_broken_premise(lam, 5)
-    assert verdict is False
-    assert shapes == [12, 4]
-    assert report.to_json() == _classify_unfiltered(Context(2, 2), lam, 5).to_json()
-    assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
-
-
 def test_g1_off_on_one_block_falls_back_on_that_block_only():
     # g_1 V != 0 on X^5 M_0 alone: its 4 columns go to nullspace, which finds
     # the block singular after all, and M_1 stays certified
@@ -995,46 +908,32 @@ def test_g1_off_on_one_block_falls_back_on_that_block_only():
     assert [c.label() for c in report.found] == [(0, 0, 0, 4), (1, 0, 1, 12), (5, 5, 0, 4)]
 
 
-def test_certificate_fallbacks_run_under_optimize_flag():
-    script = textwrap.dedent("""
-        import runpy
-        import sys
+def test_certificate_fallbacks_run_under_optimize_flag(optimized_controls):
+    # the perturbed-g_1 block and classify's refusal of a broken block
+    # certificate, with asserts compiled out
+    assert optimized_controls["block-certificate"] == "ok"
 
-        from vermaspin.context import Context
-        from vermaspin.exact import rational
 
-        if __debug__:
-            raise SystemExit("expected python -O")
-        ns = runpy.run_path(sys.argv[1])
-        lam = rational(3, 2)
-        oracle = ns["_classify_unfiltered"](Context(2, 2), lam, 5).to_json()
-        verdict, report, shapes = ns["_classify_with_broken_premise"](lam, 5)
-        if verdict is not False or report.to_json() != oracle:
-            raise SystemExit("a broken premise did not fall back to the oracle's report")
-        print("broken premise:", shapes)
-        report, shapes = ns["_classify_with_perturbed_g1"](lam, 5, (5, 5))
-        if report.to_json() != oracle:
-            raise SystemExit("a perturbed g_1 did not fall back to the oracle's report")
-        print("perturbed g_1:", shapes)
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, __file__], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "broken premise: [12, 4]\nperturbed g_1: [4]\n", proc.stdout
+def _check_refusals(ctx, idx, part):
+    """Every closed-form check that holds ``idx`` refuses the model, naming
+    the signature and ``part`` of C_idx, and every other check passes."""
+    what = re.escape(singular._CLOSED_FORMS[idx][part])
+    for idxs in ((1,), (2,), (3,), (1, 3), (2, 1, 3)):
+        if idx in idxs:
+            refused(lambda: singular._closed_forms_sound(ctx, idxs),
+                     r"signature \(%d,%d\): %s leaves \d+ terms" % (ctx.sig.p, ctx.sig.q, what))
+        else:
+            assert singular._closed_forms_sound(ctx, idxs) is True, (ctx.sig, idxs)
 
 
 @pytest.mark.parametrize("idx", [1, 2, 3])
 def test_closed_form_check_catches_a_wrong_lambda_slope(monkeypatch, ctx_factory, idx):
     # a wrong slope for C_idx alone fails the check of exactly the sets that
-    # hold idx, and classify returns the same report through the fallback
+    # hold idx; classify at (3,0), lambda 5/2 needs C2 and, at degree 4, C1
+    # and C3, so it refuses the model in each case
     ctx = ctx_factory(2, 1)
     for i in (1, 2, 3):
         assert contraction_lambda_residual(ctx, i).is_zero()
-    lam = rational(5, 2)
-    expect = classify(Context(3, 0), lam, 4).to_json()
-    solved = _spy_solve_blocks(monkeypatch)
     entry = realization._CONTRACTIONS[idx]
     monkeypatch.setitem(realization._CONTRACTIONS, idx,
                         entry._replace(slope=lambda o: entry.slope(o).scale(2)))
@@ -1043,13 +942,9 @@ def test_closed_form_check_catches_a_wrong_lambda_slope(monkeypatch, ctx_factory
         ctx = Context(*sig)
         assert contraction_identity_residual(ctx, idx).is_zero()
         assert not contraction_lambda_residual(ctx, idx).is_zero()
-        for idxs in ((1,), (2,), (3,), (1, 3), (2, 1, 3)):
-            assert singular._closed_forms_sound(ctx, idxs) == (idx not in idxs), (sig, idxs)
-    assert classify(Context(3, 0), lam, 4).to_json() == expect
-    if idx == 2:
-        assert solved == [(d, list(range(d + 1))) for d in range(5)]
-    else:
-        assert solved == [(0, [0]), (2, [0]), (4, [2])]
+        _check_refusals(ctx, idx, 1)
+    with pytest.raises(ArithmeticError, match=r"^signature \(3,0\): lambda part of C%d" % idx):
+        classify(Context(3, 0), rational(5, 2), 4)
 
 
 def _closed_form_at_zero_chain(idx, rep):
@@ -1113,8 +1008,7 @@ def test_closed_form_check_catches_a_wrong_closed_form_at_zero(monkeypatch, idx)
         ctx = Context(*sig)
         assert not contraction_identity_residual(ctx, idx).is_zero()
         assert contraction_lambda_residual(ctx, idx).is_zero()
-        for idxs in ((1,), (2,), (3,), (1, 3), (2, 1, 3)):
-            assert singular._closed_forms_sound(ctx, idxs) == (idx not in idxs), (sig, idxs)
+        _check_refusals(ctx, idx, 0)
 
 
 @pytest.mark.parametrize("sig", [(3, 0), (2, 2), (3, 2)])
