@@ -10,22 +10,24 @@ i sigma_2, sigma_3 and I, written as rows with one unit i^e per row, and
 uses.  Every matrix entry is in {0, +-1, +-i}, so every downstream
 computation stays inside Q(i), and no entry is built as a GaussianRational.
 
-Each gamma model (one per signature and construction) has one
-:class:`BladeTable`.  Its blades Gamma_S, the ordered products of the gammas
-in S, are shared :class:`BladeMatrix` objects labelled (S, 1), and a matrix
-known to equal s Gamma_S carries the label (S, s): the gammas, the blades, and
-what ``scale``, ``transpose`` and ``so_generator`` make of them.  The
-product of two labelled matrices is read off the table as ``_blade_mul``
-gives it, with no matrix product, once the table has checked the Clifford
-relations on its integer tables; the volume element is read off the tables
-too.  An unlabelled matrix is multiplied with ``@``.  The table is the only
-code that multiplies blades, and it keeps its blades and products in its
-:class:`Memo` store, like every other per-model entry.
+Each gamma model (one per signature and construction) is its
+:class:`BladeTable`: the gammas are the table's generators.  Its blades
+Gamma_S, the ordered products of the gammas in S, are shared
+:class:`BladeMatrix` objects labelled (S, 1), and a matrix known to equal
+s Gamma_S carries the label (S, s): the gammas, the blades, and what
+``scale``, ``transpose`` and ``so_generator`` make of them.  The product of
+two labelled matrices is read off the table as ``_blade_mul`` gives it, with
+no matrix product, once the table has checked the Clifford relations on its
+integer tables; the transpose signs and the volume element are read off the
+tables too, and a table whose G_i is neither symmetric nor antisymmetric is
+refused.  An unlabelled matrix is multiplied with ``@``.  The table is the
+only code that multiplies blades, and it keeps its blades and products in
+its :class:`Memo` store, like every other per-model entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .exact import SparseMatrix, QI_ONE, QI_I, qi, rational
@@ -38,7 +40,6 @@ __all__ = [
     "BladeTable",
     "ChiralityProjector",
     "build_gamma_rep",
-    "fiber_times",
     "so_generator",
     "chirality_split",
 ]
@@ -103,7 +104,6 @@ _I_PAULI_2 = ((1, 0), (0, 2))   # i sigma_2
 _PAULI_3 = ((0, 0), (1, 2))     # sigma_3
 _ID2 = ((0, 0), (1, 0))
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_EXPONENTS = {u: e for e, u in enumerate(_UNITS)}
 _UNIT_QI = (QI_ONE, QI_I, -QI_ONE, -QI_I)
 
 # construction -> (pre, post, first, second): the k-th pair of Euclidean
@@ -136,21 +136,6 @@ def _is_scalar(table, e):
     return all(c == r and f == e for r, (c, f) in enumerate(table))
 
 
-def _unit_rows(m: SparseMatrix):
-    """The unit-per-row table of a matrix with one entry in {+-1, +-i} per row, else None."""
-    if m.den != 1 or len(m.num) != m.rows:
-        return None
-    out = []
-    for r in range(m.rows):
-        if len(m.num[r]) != 1:
-            return None
-        ((c, v),) = m.num[r].items()
-        if v not in _EXPONENTS:
-            return None
-        out.append((c, _EXPONENTS[v]))
-    return tuple(out)
-
-
 def _euclidean_gammas(n, variant):
     """The tables of n anticommuting matrices each squaring to -I."""
     if variant not in _CONSTRUCTIONS:
@@ -181,9 +166,8 @@ class BladeMatrix(SparseMatrix):
         return _labelled(m, self.table, self.mask, self.scalar * s) if m.num else m
 
     def transpose(self):
-        m = SparseMatrix.transpose(self)
         t = self.table.transpose_sign(self.mask)
-        return m if t is None else _labelled(m, self.table, self.mask, self.scalar * t)
+        return _labelled(SparseMatrix.transpose(self), self.table, self.mask, self.scalar * t)
 
 
 def _labelled(m, table, mask, scalar):
@@ -293,24 +277,24 @@ class BladeTable(Memo):
 
     @cached_property
     def _transpose_signs(self):
-        """t_i with G_i^T = t_i G_i, or None when some G_i is neither symmetric
-        nor antisymmetric."""
+        """t_i with G_i^T = t_i G_i.  Raises ArithmeticError naming the
+        signature and i when G_i is neither symmetric nor antisymmetric."""
         out = []
-        for table in self.rows:
+        for i, table in enumerate(self.rows, 1):
             flips = {(e - table[c][1]) & 3 if table[c][0] == r else 1
                      for r, (c, e) in enumerate(table)}
             if len(flips) != 1 or flips & {1, 3}:
-                return None
+                raise ArithmeticError("signature (%d,%d): G_%d^T is neither G_%d nor -G_%d"
+                                      % (self.sig.p, self.sig.q, i, i, i))
             out.append(-1 if flips == {2} else 1)
         return out
 
     def transpose_sign(self, mask):
-        """The t with Gamma_mask^T = t Gamma_mask, or None if not known:
-        reversing k anticommuting factors gives (-1)^(k(k-1)/2)."""
-        signs = self._transpose_signs
-        if signs is None:
-            return None
+        """The t with Gamma_mask^T = t Gamma_mask: reversing k anticommuting
+        factors gives (-1)^(k(k-1)/2).  Raises ArithmeticError for a table
+        that fails :meth:`check` or has a G_i of neither symmetry."""
         self.check()
+        signs = self._transpose_signs
         k = bin(mask).count("1")
         t = -1 if k * (k - 1) // 2 % 2 else 1
         for i, s in enumerate(signs):
@@ -318,34 +302,28 @@ class BladeTable(Memo):
                 t *= s
         return t
 
-    @cached_property
-    def volume_rows(self):
-        """The unit-per-row table of G_1 ... G_n."""
-        return reduce(_compose, self.rows)
-
 
 @dataclass
 class GammaRep(Memo):
-    """Concrete spinor model: n matrices with G_i G_j + G_j G_i = -2 eps_i d_ij.
+    """Concrete spinor model: the blade table of n matrices with
+    G_i G_j + G_j G_i = -2 eps_i d_ij, which its ``table`` checks.
 
-    Its store holds what the model fixes (its ``table``, the osp(1|2)
-    products, g_i(0) specs and closed-form verdicts); a copy starts empty.
+    The gammas are the table's generators.  The store holds what the model
+    fixes (the osp(1|2) products, g_i(0) specs and closed-form verdicts); a
+    copy starts empty.
     """
 
     sig: Signature
-    variant: str = "standard"
-    gammas: list = field(default_factory=list)
+    variant: str
+    table: BladeTable
 
     def __post_init__(self):
         super().__init__()
 
     @property
-    def table(self):
-        """The :class:`BladeTable` whose generators are the gammas, or None."""
-        def own():
-            table, ids = getattr(self.gammas[0], "table", None), list(map(id, self.gammas))
-            return table if table and list(map(id, table.gammas)) == ids else None
-        return self.cached("table", own)
+    def gammas(self):
+        """The generators G_1 .. G_n of the table."""
+        return self.table.gammas
 
     @property
     def n(self):
@@ -358,15 +336,6 @@ class GammaRep(Memo):
     def gamma(self, i):
         """1-based access to the i-th generator matrix."""
         return self.gammas[i - 1]
-
-
-def fiber_times(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    """x @ y, read off the blade table when one table labels both."""
-    if x.__class__ is BladeMatrix and y.__class__ is BladeMatrix and x.table is y.table:
-        mask, s = x.table.times(x, y)
-        out = x.table.blade(mask)
-        return out if s == 1 else out.scale(s)
-    return x @ y
 
 
 _MODELS = Memo()
@@ -382,7 +351,7 @@ def build_gamma_rep(sig: Signature, variant="standard") -> GammaRep:
     def build():
         rows = [_times_i(t) if sig.eps(i + 1) < 0 else t
                 for i, t in enumerate(_euclidean_gammas(sig.n, variant))]
-        return GammaRep(sig=sig, variant=variant, gammas=list(BladeTable(sig, rows).gammas))
+        return GammaRep(sig=sig, variant=variant, table=BladeTable(sig, rows))
     return _MODELS.cached((sig, variant), build)
 
 
@@ -390,13 +359,14 @@ def so_generator(i, j, rep: GammaRep) -> SparseMatrix:
     """Spinor action of the rotation generator attached to the pair (i, j).
 
     Returns -1/2 eps_i G_i G_j - 1/2 delta_ij I; vanishes for i = j.  For
-    i != j the matrix keeps the blade label of G_i G_j.
+    i != j the matrix is the blade G_i G_j read off the table, with its label.
     """
     sig = rep.sig
     if not (1 <= i <= sig.n and 1 <= j <= sig.n):
         raise IndexError("so generator indices outside 1..%d" % sig.n)
     half = qi(rational(-1, 2))
-    out = fiber_times(rep.gamma(i), rep.gamma(j)).scale(half * sig.eps(i))
+    mask, s = rep.table.times(rep.gamma(i), rep.gamma(j))
+    out = rep.table.blade(mask).scale(s * half * sig.eps(i))
     if i == j:
         out = out + SparseMatrix.identity(rep.spinor_dim, half)
     return out
@@ -434,22 +404,16 @@ class ChiralityProjector:
 def chirality_split(rep: GammaRep) -> ChiralityProjector:
     """The halves of G_vol = c G_1 ... G_n, scaled so G_vol^2 = I.
 
-    G_vol is read off the unit-per-row tables of the gammas (the model's
-    blade table when it has one).  Raises ValueError unless G_vol is
-    diagonal with entries +-1.
+    G_vol is read off the unit-per-row tables of the model's blade table.
+    Raises ValueError unless G_vol is diagonal with entries +-1.
     """
     n = rep.n
     if n % 2 == 1:
         raise ValueError("no chirality split: dimension must be even")
-    table = getattr(rep, "table", None)
-    if table is not None:
-        vol = table.volume_rows
-    else:
-        tables = [_unit_rows(g) for g in rep.gammas]
-        vol = None if None in tables else reduce(_compose, tables)
-    if vol is not None and any(e & 1 for _, e in vol):
+    vol = reduce(_compose, rep.table.rows)
+    if any(e & 1 for _, e in vol):
         vol = _times_i(vol)
-    if vol is None or any(c != r or e & 1 for r, (c, e) in enumerate(vol)):
+    if any(c != r or e & 1 for r, (c, e) in enumerate(vol)):
         raise ValueError("no chirality split by fiber index: the volume element of the "
                          "%s gamma model at n = %d is not diagonal +-1" % (rep.variant, n))
     volume = SparseMatrix.from_int_rows(rep.spinor_dim, [{c: _UNITS[e]} for c, e in vol])

@@ -11,8 +11,8 @@ is invertible (G_n^2 = -eps_n I).  So restriction to x_n = 0 is injective on
 M_a, and each x_n-free f (x) e_s of degree a extends to exactly one element
 of M_a; together they are a basis.  The premises are the Clifford relations,
 which the model's blade table checks, and every extension is then checked
-exactly against D.  Dimensions are later *checked* against the telescoping
-rule, not produced by it.
+exactly against D, so no M_a is found by elimination.  Dimensions are later
+*checked* against the telescoping rule, not produced by it.
 
 For even n, M_a = M_a^+ + M_a^- splits by chirality: D anticommutes with
 the volume element, and in both gamma models that element is diagonal +-1,
@@ -27,8 +27,10 @@ from functools import cached_property
 from math import factorial, gcd
 
 from .clifford import _UNITS
-from .exact import SparseMatrix, nullspace, check_kernel, kernel_vectors, _divide_content
-# assemble is not called here; perfbench/check_tracer.py checks that this module binds it
+# nullspace and assemble are not called here; perfbench/check_tracer.py
+# checks that this module binds them
+from .exact import (SparseMatrix, nullspace, check_kernel,  # noqa: F401
+                    kernel_vectors, _divide_content)
 from .polyspinor import GradedBasis, assemble, monomials  # noqa: F401
 from .realization import _osp_cached
 from .context import Context
@@ -183,8 +185,7 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
     :func:`_extension_rows`: ``nullspace`` pivots from the last column, so
     its free columns are the x_n-free monomials, and the extension of each
     is its RREF row.  Every row is checked against D by ``check_kernel``,
-    whose ArithmeticError names the degree.  A model with no blade table
-    (a tampered copy) takes ``nullspace`` of D instead.  For even n, D
+    whose ArithmeticError names the degree.  For even n, D
     anticommutes with the volume element, which is diagonal in the fiber,
     so every kernel vector lies in one half: the + rows come first, then
     the - rows, each in kernel order (together the RREF bases of M_a^+ and
@@ -195,12 +196,8 @@ def monogenic_basis(ctx: Context, a) -> MonogenicBasis:
 
     def build():
         basis = ctx.graded_basis(a)
-        table = ctx.rep.table
-        if table is None:
-            kernel = nullspace(dirac_matrix(ctx, a).matrix)
-        else:
-            kernel = _extension_rows(table, basis)
-            check_kernel(kernel, dirac_matrix(ctx, a).matrix, "degree %d: " % a)
+        kernel = _extension_rows(ctx.rep.table, basis)
+        check_kernel(kernel, dirac_matrix(ctx, a).matrix, "degree %d: " % a)
         if ctx.chirality is None:
             rows, tags = kernel, [None] * len(kernel)
         else:

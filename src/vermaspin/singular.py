@@ -2,15 +2,15 @@
 
 A singular vector of homogeneity d at realization parameter ``lam`` is an
 element of the degree-d component annihilated by the whole special-conformal
-system.  :func:`classify` solves that system only on the Fischer blocks
-X^k M_m a singular vector can lie in; the columns of block k are X^k applied
-to the monogenic basis of M_m.  Most blocks are certified by g_1 alone: if
-g_1 kills the block's columns, every g_j does, under premises checked
-symbolically once per gamma model (:func:`certificate_premises`), and the
-whole block is singular.  The blocks g_1 does not kill, if any, are solved
-by one exact nullspace of the stacked g_i on their columns, and each kernel
-vector is labelled by the block (and, for even n, the chirality half of M_m)
-its support lies in.  Each g_i is assembled on the columns' support alone, as
+system.  :func:`classify` solves that system only on the one Fischer block
+X^k M_m of a degree a singular vector can lie in; its columns are X^k
+applied to the monogenic basis of M_m.  Most blocks are certified by g_1
+alone: if g_1 kills the block's columns, every g_j does, under premises
+checked symbolically once per gamma model (:func:`certificate_premises`),
+and the whole block is singular.  A block g_1 does not kill is solved by
+one exact nullspace of the stacked g_i on its columns, and for even n each
+kernel vector is labelled by the chirality half of M_m its support lies in.
+Each g_i is assembled on the columns' support alone, as
 ``equivariant.from_singular_vector`` does for the families it certifies.
 The outcome is compared against the case table of the classification
 theorems.  :func:`singular_vectors` solves a whole degree, the only
@@ -25,12 +25,13 @@ X^(k-2) M_m (``contraction_numerator`` gives each scalar's numerator).  The
 images of distinct blocks land in distinct blocks, so a degree where no block has all three
 scalars zero has no singular vectors, and :func:`classify` skips it without
 assembling or eliminating anything; at a kept degree a singular vector has
-no part in a block where C2's scalar is nonzero, so only the blocks where it
-is zero are solved; the scalars are tested as the integer numerators of
-``contraction_numerator``.  Both rest on the closed forms of the
-contractions, which are affine in lambda, C(lam) = C(0) + lam * slope.  Both
-parts of each closed form used are checked symbolically once per gamma model
-per process: C(0) against the defining sum at lambda 0
+no part in a block where C2's scalar is nonzero, so only the one block where
+it is zero is solved (the scalar is strictly monotone in k); the scalars are
+tested as the integer numerators of ``contraction_numerator``.  Both rest on
+the closed forms of the contractions, which are affine in lambda,
+C(lam) = C(0) + lam * slope.  Both parts of each closed form used are
+checked symbolically once per gamma model per process: C(0) against the
+defining sum at lambda 0
 (:func:`contraction_identity_residual`) and the slope against the defining
 sum's (:func:`contraction_lambda_residual`).  Each residual is one
 normal-ordered stream: the defining products and the negated closed-form
@@ -195,64 +196,46 @@ def _minus_d(ctx: Context, i):
 def singular_vectors(ctx: Context, lam, degree):
     """Canonical basis of the whole degree's joint kernel: one exact nullspace
     of the stacked system.  :func:`classify` solves on Fischer blocks instead
-    (:func:`_solve_blocks`); this full-degree solve is its reference."""
+    (:func:`_solve_block`); this full-degree solve is its reference."""
     stacked = reduce(SparseMatrix.stack_below, special_conformal_matrices(ctx, lam, degree))
     return [ctx.graded_basis(degree).from_coordinates(v)
             for v in kernel_vectors(nullspace(stacked))]
 
 
-def _solve_blocks(ctx: Context, lam, degree, ks):
-    """The joint kernel on the Fischer blocks X^k M_(degree-k), k in ``ks``,
-    as one ComponentRecord per block where it is nonzero, in ascending k.
+def _solve_block(ctx: Context, lam, degree, k):
+    """The joint kernel on the Fischer block X^k M_(degree-k), as one
+    ComponentRecord (of dim 0 when the kernel is zero).
 
-    The columns V of block k are X^k applied to the kernel rows of
+    The columns V of the block are X^k applied to the kernel rows of
     M_(degree-k) (``MonogenicBasis.rows``, positive integer multiples of its
     basis vectors, which leaves every kernel support unchanged).  A block
-    that :func:`_certified_blocks` certifies by g_1 alone is wholly
-    singular, and each of its columns counts in the slot (block, chirality
-    tag of its M_m row).  The other blocks are solved by one exact nullspace
-    of the stacked g_i V (:func:`_g_on_block`, cached per block and
-    generator), whose rows give the slots.  The kernel splits over
-    the blocks, since g_i V = 0 on a certified block.  The joint kernel is
-    Spin-invariant, and the blocks of one degree, and for even n the
-    chirality halves of each M_m, are pairwise non-isomorphic, so every
-    canonical kernel vector lies in the columns of one (block, half) slot.
-    A vector touching two slots raises ArithmeticError naming the degree and
-    the slots.  The half counted is that of the M_m part, its monogenic tag;
-    X^k moves it into the other fiber half for odd k.  Solving all blocks of
-    a degree requires their columns to number the degree's whole basis,
-    also when every block is certified.
+    that :func:`_certified` certifies by g_1 alone is wholly singular, and
+    each of its columns counts in the chirality half of its M_m row.  Any
+    other block is solved by one exact nullspace of the stacked g_i V
+    (:func:`_g_on_block`, cached per block and generator).  The joint kernel
+    is Spin-invariant, and for even n the chirality halves of M_m are
+    non-isomorphic, so every canonical kernel vector lies in the columns of
+    one half; a vector touching both raises ArithmeticError naming the
+    degree and the halves.  The half counted is that of the M_m part, its
+    monogenic tag; X^k moves it into the other fiber half for odd k.
     """
-    rows = ctx.graded_basis(degree).size
-    tags = {k: monogenic_basis(ctx, degree - k).chirality for k in ks}
-    cols = sum(map(len, tags.values()))
-    if len(ks) == degree + 1 and cols != rows:
-        raise ArithmeticError("degree %d: the Fischer blocks give %d columns, the degree has %d"
-                              % (degree, cols, rows))
-    certified = _certified_blocks(ctx, lam, degree, ks)
-    dims = Counter((k, tag) for k in ks if k in certified for tag in tags[k])
-    unsure = [k for k in ks if k not in certified]
-    if unsure:
-        slots = [(k, tag) for k in unsure for tag in tags[k]]  # column -> slot
-        stacked = reduce(SparseMatrix.stack_below, [
-            SparseMatrix.hstack([_at(_g_on_block(ctx, degree, k, i), lam) for k in unsure])
-            for i in range(1, ctx.n + 1)])
+    tags = monogenic_basis(ctx, degree - k).chirality
+    if _certified(ctx, lam, degree, k):
+        dims = Counter(tags)
+    else:
+        dims = Counter()
+        stacked = reduce(SparseMatrix.stack_below, [_at(_g_on_block(ctx, degree, k, i), lam)
+                                                    for i in range(1, ctx.n + 1)])
         for vec in nullspace(stacked):
-            touched = {slots[c] for c in vec}
+            touched = {tags[c] for c in vec}
             if len(touched) != 1:
                 raise ArithmeticError("degree %d: a kernel vector touches the blocks %s" % (
-                    degree, ", ".join("X^%d M_%d%s" % (k, degree - k, tag or "")
-                                      for k, tag in sorted(touched, key=str))))
+                    degree, ", ".join("X^%d M_%d%s" % (k, degree - k, tag)
+                                      for tag in sorted(touched))))
             dims[touched.pop()] += 1
-    out = []
-    for k in ks:
-        halves = {tag: dims[k, tag] for tag in ("+", "-")}
-        dim = dims[k, None] + halves["+"] + halves["-"]
-        if dim:
-            out.append(ComponentRecord(
-                degree=degree, k=k, m=degree - k, dim=dim,
-                chirality_dims=None if ctx.chirality is None else halves))
-    return out
+    halves = {tag: dims[tag] for tag in ("+", "-")}
+    return ComponentRecord(degree=degree, k=k, m=degree - k, dim=sum(dims.values()),
+                           chirality_dims=None if ctx.chirality is None else halves)
 
 
 def _block_columns(ctx: Context, degree, k):
@@ -280,11 +263,11 @@ def _g1_on_block(ctx: Context, degree, k):
     return _g_on_block(ctx, degree, k, 1)
 
 
-def _certified_blocks(ctx: Context, lam, degree, ks):
-    """The k in ``ks`` whose whole block X^k M_(degree-k) is singular, read
-    off g_1 alone.
+def _certified(ctx: Context, lam, degree, k):
+    """Whether the whole block X^k M_(degree-k) is singular, read off g_1
+    alone.
 
-    At degree 0 that is every block: each g_j maps into degree -1, which is
+    At degree 0 every block is: each g_j maps into degree -1, which is
     zero.  Above it, a block with g_1(lam) V = 0 is certified under the
     premises of :func:`certificate_premises`, and a gamma model that fails
     one is refused (:func:`_certificate_sound`).  Each l_1j, j >= 2,
@@ -296,9 +279,9 @@ def _certified_blocks(ctx: Context, lam, degree, ks):
     polynomial -sum_j eps_j x_j^2.
     """
     if degree == 0:
-        return set(ks)
+        return True
     _certificate_sound(ctx)
-    return {k for k in ks if _at(_g1_on_block(ctx, degree, k), lam).is_zero()}
+    return _at(_g1_on_block(ctx, degree, k), lam).is_zero()
 
 
 def require(sig, premises):
@@ -522,13 +505,15 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
 
     A degree is solved only when some block X^k M_m there has all three
     contraction scalars zero; every other degree has no singular vectors.
-    A kept degree is solved by :func:`_solve_blocks` on the blocks where the
-    C2 scalar is zero; a block killed by g_1 is certified singular with no
-    elimination, and the whole-degree g_i are assembled only for a block
-    that is not.  The skips rest on the closed forms of the contractions,
-    checked symbolically once per gamma model per process: C2's before the
-    first degree, C1's and C3's only when a degree could be skipped by them.
-    A gamma model that fails a check is refused with ArithmeticError
+    A kept degree is solved by :func:`_solve_block` on its one block where
+    the C2 scalar is zero: that scalar's numerator is a constant minus
+    k (2 degree - k + n - 1) times a positive factor, strictly monotone in
+    k = 0..degree.  A block killed by g_1 is certified singular with no
+    elimination, and the g_i are applied to the block's columns only for a
+    block that is not.  The skips rest on the closed forms of the
+    contractions, checked symbolically once per gamma model per process:
+    C2's before the first degree, C1's and C3's only when a degree could be
+    skipped by them.  A gamma model that fails a check is refused with ArithmeticError
     (:func:`require`).
     """
     if d_max < 1:
@@ -546,7 +531,10 @@ def classify(ctx: Context, lam_thm, d_max) -> ClassificationReport:
         if not _zero_blocks(lam_real, degree, ctx.n, (2, 1, 3)):
             _closed_forms_sound(ctx, (1, 3))
             continue
-        found.extend(_solve_blocks(ctx, lam_real, degree, ks))
+        for k in ks:
+            record = _solve_block(ctx, lam_real, degree, k)
+            if record.dim:
+                found.append(record)
     match = sorted(c.label() for c in found) == sorted(predicted)
     return ClassificationReport(
         n=ctx.n, p=ctx.sig.p, q=ctx.sig.q, lam_thm=lam_thm, d_max=d_max,

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from functools import reduce
 from operator import matmul
 from pathlib import Path
@@ -18,7 +19,7 @@ from vermaspin.clifford import (
     so_generator,
     chirality_split,
 )
-from vermaspin.realization import structure_constants
+from vermaspin.realization import dual_fiber, spinor_fiber, structure_constants
 
 
 def _ordered_product(rep, mask):
@@ -187,14 +188,14 @@ def test_chirality_index_set_every_even_signature():
 
 
 def test_chirality_split_rejects_non_diagonal_volume():
-    class StubRep:
-        # G_1 = diag(1, -1), G_2 = [[0, 1], [1, 0]]: G_1 G_2 squares to -I
-        n, spinor_dim, variant = 2, 2, "stub"
-        gammas = [SparseMatrix.from_dense([[qi(1), qi(0)], [qi(0), qi(-1)]]),
-                  SparseMatrix.from_dense([[qi(0), qi(1)], [qi(1), qi(0)]])]
-
-    with pytest.raises(ValueError, match="not diagonal"):
-        chirality_split(StubRep())
+    # a table with G_2 = G_3 = G_1: the volume G_1 G_1 G_1 G_4 = -G_1 G_4
+    # is not diagonal
+    rep = build_gamma_rep(Signature(4, 0))
+    rows = rep.table.rows
+    stub = replace(rep, variant="stub", table=BladeTable(rep.sig, [rows[0]] * 3 + [rows[3]]))
+    with pytest.raises(ValueError, match="the volume element of the stub gamma model at n = 4 "
+                                         "is not diagonal"):
+        chirality_split(stub)
 
 
 def rank_of(m):
@@ -378,6 +379,21 @@ def _flipped_table(sig, generator, row):
     return BladeTable(sig, rows)
 
 
+_euclidean_gammas = clifford._euclidean_gammas
+
+
+def _conjugated_gammas(n, variant):
+    """``clifford._euclidean_gammas`` conjugated by P = diag(1, i, 1, ..., 1):
+    the Clifford relations hold, but for n >= 4 the entry pairs of G_1 at
+    (0, 2) and (1, 3) become one symmetric and one antisymmetric, so G_1 is
+    neither symmetric nor antisymmetric."""
+    out = []
+    for rows in _euclidean_gammas(n, variant):
+        phase = [0, 1] + [0] * (len(rows) - 2)
+        out.append(tuple((c, (e + phase[r] - phase[c]) & 3) for r, (c, e) in enumerate(rows)))
+    return out
+
+
 @pytest.mark.parametrize("p,q,generator,row", [(3, 0, 0, 0), (2, 2, 2, 3), (3, 2, 4, 1)])
 def test_flipped_gamma_sign_fails_the_relation_check(p, q, generator, row):
     # one negated entry breaks a relation: reading a product raises, naming a pair
@@ -415,10 +431,37 @@ def test_flipped_gamma_sign_fails_under_optimize_flag():
 
 def test_gamma_models_share_one_table():
     # every model of one signature and construction holds the same gamma
-    # objects; a model built with other gammas drops the table
-    from dataclasses import replace
+    # objects, its table's generators; a copy with another table has that
+    # table's gammas and an empty store
     r1, r2 = build_gamma_rep(Signature(3, 1)), build_gamma_rep(Signature(3, 1))
     assert r1.table is r2.table and all(a is b for a, b in zip(r1.gammas, r2.gammas))
+    assert r1.gammas == r1.table.gammas and r1.gamma(2) is r1.table.gammas[1]
     assert build_gamma_rep(Signature(3, 1), "alt").table is not r1.table
-    other = replace(r1, gammas=[r1.gamma(1).scale(-1)] + r1.gammas[1:])
-    assert other.table is None and replace(r1, variant="x").table is r1.table
+    negated = BladeTable(r1.sig, [_negated(r1.table.rows[0])] + list(r1.table.rows[1:]))
+    other = replace(r1, table=negated)
+    assert other.gammas == negated.gammas and other.gamma(1) == r1.gamma(1).scale(-1)
+    assert other.cache == {} and replace(r1, variant="x").table is r1.table
+
+
+def _negated(rows):
+    """The unit-per-row table of -G for the table ``rows`` of G."""
+    return tuple((c, (e + 2) & 3) for c, e in rows)
+
+
+def test_every_model_has_known_transpose_signs():
+    # every gamma model with n = 3..12 has G_i^T = +-G_i for each i, and for
+    # even n a diagonal +-1 volume element; for n <= 8 every dual rotation
+    # keeps its blade label
+    for n, p in ((n, p) for n in range(3, 13) for p in range(n + 1)):
+        for variant in ("standard", "alt"):
+            rep = build_gamma_rep(Signature(p, n - p), variant)
+            for i, g in enumerate(rep.gammas):
+                t = rep.table.transpose_sign(1 << i)
+                assert t in (1, -1) and SparseMatrix.transpose(g) == g.scale(t), (p, variant, i)
+            if n % 2 == 0:
+                volume = chirality_split(rep).volume
+                assert all(row.keys() == {r} and row[r] in (QI_ONE, -QI_ONE)
+                           for r, row in volume.data.items()), (p, variant)
+            if n <= 8:
+                assert all(m.__class__ is BladeMatrix
+                           for m in dual_fiber(spinor_fiber(rep)).values()), (p, variant)

@@ -174,19 +174,13 @@ def test_extension_rows_match_nullspace_and_the_projection_oracle(ctx_factory, n
 
 
 def test_only_a_model_without_a_blade_table_eliminates(monkeypatch):
-    # a table-backed model builds every M_m by extension, with no nullspace;
-    # a copy of it whose gammas no table labels falls back to nullspace of D,
-    # with the same rows
+    # every gamma model is a blade table, so every M_m is built by
+    # extension, with no nullspace
     solved = []
     monkeypatch.setattr(fischer, "nullspace", lambda m: solved.append(m.cols) or nullspace(m))
     ctx = Context(3, 2)
     rows = [monogenic_basis(ctx, m).rows for m in range(4)]
     assert solved == [] and [len(r) for r in rows] == [4, 16, 40, 80]
-    copy = Context(3, 2)
-    copy.rep = replace(copy.rep, variant="untabled", gammas=[g.scale(1) for g in copy.rep.gammas])
-    assert copy.rep.table is None
-    assert [monogenic_basis(copy, m).rows for m in range(4)] == rows
-    assert solved == [copy.graded_basis(m).size for m in range(4)]
 
 
 def _square_flipped_context(p, q):
@@ -195,8 +189,7 @@ def _square_flipped_context(p, q):
     ctx = Context(p, q)
     rows = list(ctx.rep.table.rows)
     rows[-1] = clifford._times_i(rows[-1])
-    table = clifford.BladeTable(ctx.sig, rows)
-    ctx.rep = replace(ctx.rep, variant="gamma-n-times-i", gammas=list(table.gammas))
+    ctx.rep = replace(ctx.rep, variant="gamma-n-times-i", table=clifford.BladeTable(ctx.sig, rows))
     return ctx
 
 

@@ -22,6 +22,7 @@ from vermaspin.singular import (certificate_premises, classify, closed_form_prem
                                 rotation_premises)
 
 from conftest import fresh_models, refused
+from test_clifford import _conjugated_gammas
 from test_equivariant import (_check_family_without_pivot_rows, _dependent_fiber_case,
                               _doubled_rotation_case, _tampered_action, _tampered_slope_case)
 from test_singular import (_classify_with_perturbed_g1, _closed_form_off_by_one,
@@ -79,6 +80,9 @@ REFUSALS = {
         _tampered_action(("l", 2, 3), lambda lam: 1), _intertwiners((2, 1)),
         r"signature \(2,1\), \('l', 2, 3\) = \[\('l', 1, 2\), \('l', 1, 3\)\]: lambda-free "
         r"leaves \d+ terms"),
+    "transpose-signs": (
+        [(clifford, "_euclidean_gammas", _conjugated_gammas)], _intertwiners((2, 2)),
+        r"signature \(2,2\): G_1\^T is neither G_1 nor -G_1"),
 }
 
 
@@ -121,6 +125,8 @@ OPTIMIZED = {
     # test_equivariant::test_rotation_controls_run_under_optimize_flag
     "rotations": (["rotations-intertwiner-3,0", "rotations-intertwiner-2,2"],
                   [lambda: _check_family_without_pivot_rows((2, 1))]),
+    # test_refusals_and_second_paths_run_under_optimize_flag alone
+    "transpose-signs": (["transpose-signs"], []),
 }
 
 

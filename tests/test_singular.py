@@ -35,6 +35,7 @@ from vermaspin.singular import (
 )
 
 from conftest import refused
+from test_clifford import _flipped_table, _negated
 
 HALF = rational(1, 2)
 
@@ -598,16 +599,16 @@ def test_classify_matches_unfiltered_oracle_random(ctx_factory, case):
     assert report.to_json() == _classify_unfiltered(ctx, lam_thm, d_max).to_json()
 
 
-def _spy_solve_blocks(monkeypatch):
-    """Record (degree, blocks) of every block solve."""
+def _spy_solve_block(monkeypatch):
+    """Record (degree, k) of every block solve."""
     solved = []
-    solve = singular._solve_blocks
+    solve = singular._solve_block
 
-    def counted(ctx, lam, degree, ks):
-        solved.append((degree, list(ks)))
-        return solve(ctx, lam, degree, ks)
+    def counted(ctx, lam, degree, k):
+        solved.append((degree, k))
+        return solve(ctx, lam, degree, k)
 
-    monkeypatch.setattr(singular, "_solve_blocks", counted)
+    monkeypatch.setattr(singular, "_solve_block", counted)
     return solved
 
 
@@ -632,29 +633,29 @@ def _break_closed_form(monkeypatch, idx):
 
 
 def _tampered_classify(lam, d_max):
-    """classify on a (2,2) Context whose gamma_1 has its (2, 0) entry
-    doubled, so that gamma_1^2 = diag(-2, -1, -2, -1) is diagonal but not a
-    multiple of the identity: the C2 closed form fails, and the model is
-    refused.  Raises instead of asserting.
+    """classify on a (2,2) Context whose table's gamma_1 has its (2, 0)
+    entry negated, so that gamma_1^2 = diag(1, -1, 1, -1) is diagonal but
+    not a multiple of the identity: the table's relation check fails before
+    any closed form is read, and the model is refused.  Raises instead of
+    asserting.
 
     The tampered model is a copy with its own variant name and its own
     store, so its osp(1|2) products never meet those of the true model.
     """
     ctx = Context(2, 2)
+    ctx.rep = replace(ctx.rep, variant="gamma-1-tampered", table=_flipped_table(ctx.sig, 0, 2))
     g1 = ctx.rep.gamma(1)
-    g1 = g1 + SparseMatrix.from_entries(4, 4, [(2, 0, g1.get(2, 0))])
-    ctx.rep = replace(ctx.rep, variant="gamma-1-tampered", gammas=[g1] + ctx.rep.gammas[1:])
     square = g1 @ g1
-    if square != SparseMatrix.from_dense([[-2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -2, 0],
+    if square != SparseMatrix.from_dense([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
                                           [0, 0, 0, -1]]):
         raise AssertionError("gamma_1^2 is %r" % square.data)
-    refused(lambda: classify(ctx, lam, d_max),
-             r"signature \(2,2\): sum_j x_j g_j\(0\) - C2\(0\) leaves 24 terms")
+    refused(lambda: classify(ctx, lam, d_max), r"signature \(2,2\): G_1 G_1 is not -1 I")
 
 
 def test_non_scalar_diagonal_square_fails_the_closed_form():
     # a gamma_1 whose square is diagonal but not scalar must not pass as
-    # -eps_1 I: the C2 check fails, and classify refuses the model
+    # -eps_1 I: the table's relation check fails, and classify refuses the
+    # model
     _tampered_classify(rational(-1, 2), 3)
 
 
@@ -665,14 +666,15 @@ def test_non_scalar_diagonal_square_fails_under_optimize_flag(optimized_controls
 
 
 def test_a_copy_with_other_gammas_builds_its_own_model_state():
-    # a dataclasses.replace copy that keeps the variant name but negates
-    # gamma_1 gets D, E, X and g_i(0) built from its own gammas, and the
-    # genuine model's entries are the same objects afterwards
+    # a dataclasses.replace copy that keeps the variant name but whose table
+    # negates gamma_1 gets D, E, X and g_i(0) built from its own gammas, and
+    # the genuine model's entries are the same objects afterwards
     genuine = Context(2, 2)
     o = _osp_cached(genuine.rep)
     specs = [singular._sc_spec(genuine, i) for i in range(1, 5)]
     ctx = Context(2, 2)
-    ctx.rep = replace(ctx.rep, gammas=[ctx.rep.gamma(1).scale(-1)] + ctx.rep.gammas[1:])
+    rows = ctx.rep.table.rows
+    ctx.rep = replace(ctx.rep, table=clifford.BladeTable(ctx.sig, [_negated(rows[0])] + rows[1:]))
     assert ctx.rep.variant == genuine.rep.variant
     copy = _osp_cached(ctx.rep)
     D, E, X = osp_generators(ctx.rep)
@@ -720,15 +722,15 @@ def test_classify_solves_blocks_not_whole_degrees(monkeypatch):
     monkeypatch.setattr(singular, "singular_vectors", refuse)
     monkeypatch.setattr(singular, "isotypic_split", refuse)
     monkeypatch.setattr(singular, "xd_matrix", refuse)
-    solved = _spy_solve_blocks(monkeypatch)
+    solved = _spy_solve_block(monkeypatch)
     report = classify(Context(2, 2), rational(3, 2), 6)
     assert report.match
-    assert solved == [(0, [0]), (1, [0]), (5, [5])]
+    assert solved == [(0, 0), (1, 0), (5, 5)]
 
 
 def _force_fallback(monkeypatch):
     """Certify no block, so that every block solve runs the all-g_i nullspace."""
-    monkeypatch.setattr(singular, "_certified_blocks", lambda ctx, lam, degree, ks: set())
+    monkeypatch.setattr(singular, "_certified", lambda ctx, lam, degree, k: False)
 
 
 def test_block_solve_has_the_blocks_columns(monkeypatch):
@@ -752,7 +754,8 @@ def test_block_solve_has_the_blocks_columns(monkeypatch):
 
 
 def test_block_solve_covers_the_whole_degree_on_all_blocks(ctx_factory):
-    # on all blocks the block solve finds the full-degree kernel, split by the oracle
+    # solving each block of a degree on its own finds the full-degree
+    # kernel, split by the oracle
     for (p, q), lam_thm, degree in [((3, 0), rational(1), 3), ((2, 2), rational(3, 2), 1),
                                     ((2, 2), rational(1, 2), 3), ((2, 1), rational(5, 2), 2)]:
         ctx = ctx_factory(p, q)
@@ -760,7 +763,8 @@ def test_block_solve_covers_the_whole_degree_on_all_blocks(ctx_factory):
         pieces = _eigensplit(ctx, singular_vectors(ctx, lam, degree), degree)
         expect = [(degree, k, m, len(piece), _chirality_dims_by_rank(ctx, piece, k, m, degree))
                   for k, m, piece in pieces]
-        records = singular._solve_blocks(ctx, lam, degree, range(degree + 1))
+        records = [r for r in (singular._solve_block(ctx, lam, degree, k)
+                               for k in range(degree + 1)) if r.dim]
         assert [c.label() + (c.chirality_dims,) for c in records] == expect, (p, q)
         assert records
 
@@ -770,30 +774,15 @@ def _mixed_kernel(m):
     return [{0: QI_ONE, m.cols - 1: QI_ONE}]
 
 
-@pytest.mark.parametrize("sig, degree, ks, names", [
-    ((3, 0), 1, [0, 1], "X^0 M_1, X^1 M_0"),
-    ((2, 2), 0, [0], "X^0 M_0+, X^0 M_0-"),
-], ids=["two-blocks", "two-halves"])
-def test_block_solve_rejects_a_vector_touching_two_slots(monkeypatch, sig, degree, ks, names):
+@pytest.mark.parametrize("sig, degree, k, names", [
+    ((2, 2), 0, 0, "X^0 M_0+, X^0 M_0-"),
+], ids=["two-halves"])
+def test_block_solve_rejects_a_vector_touching_two_slots(monkeypatch, sig, degree, k, names):
     _force_fallback(monkeypatch)
     monkeypatch.setattr(singular, "nullspace", _mixed_kernel)
     message = "degree %d: a kernel vector touches the blocks %s" % (degree, names)
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        singular._solve_blocks(Context(*sig), rational(3), degree, ks)
-
-
-def test_block_solve_rejects_an_incomplete_fischer_basis(monkeypatch):
-    # on all blocks of a degree, the columns must span the whole degree
-    full = singular.monogenic_basis
-
-    def short(ctx, m):
-        mono = full(ctx, m)
-        return replace(mono, rows=mono.rows[1:], chirality=mono.chirality[1:])
-
-    monkeypatch.setattr(singular, "monogenic_basis", short)
-    with pytest.raises(ArithmeticError,
-                       match="degree 2: the Fischer blocks give 9 columns, the degree has 12"):
-        singular._solve_blocks(Context(3, 0), rational(3), 2, range(3))
+        singular._solve_block(Context(*sig), rational(3), degree, k)
 
 
 def test_block_solve_guard_runs_under_optimize_flag():
@@ -804,16 +793,16 @@ def test_block_solve_guard_runs_under_optimize_flag():
 
         if __debug__:
             raise SystemExit("expected python -O")
-        singular._certified_blocks = lambda ctx, lam, degree, ks: set()
+        singular._certified = lambda ctx, lam, degree, k: False
         singular.nullspace = lambda m: [{0: QI_ONE, m.cols - 1: QI_ONE}]
-        singular._solve_blocks(Context(3, 0), rational(3), 1, [0, 1])
+        singular._solve_block(Context(2, 2), rational(3), 0, 0)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "ArithmeticError: degree 1: a kernel vector touches the blocks X^0 M_1, X^1 M_0" \
+    assert "ArithmeticError: degree 0: a kernel vector touches the blocks X^0 M_0+, X^0 M_0-" \
         in proc.stderr
 
 

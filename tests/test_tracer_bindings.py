@@ -62,7 +62,7 @@ def test_kernel_dim_total_counts_the_kernel_rows_of_a_fischer_run(capsys, monkey
 
     from vermaspin import cli, singular
 
-    monkeypatch.setattr(singular, "_certified_blocks", lambda ctx, lam, degree, ks: set())
+    monkeypatch.setattr(singular, "_certified", lambda ctx, lam, degree, k: False)
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
